@@ -148,6 +148,18 @@ class TestCriterion3:
         )
 
 
+class TestDeskGoldenRates:
+    def test_desk_rates_are_pinned(self, desk_records):
+        """Exact desk rates; synthesis or classifier changes must keep them."""
+        rates, _ = desk_records
+        assert rates == {
+            "FernNB": 0.7168109504600463,
+            "FernAvg": 0.6190454607261026,
+            "TreeNB": 0.7126410732901237,
+            "TreeAvg": 0.6167338983819064,
+        }
+
+
 class TestCriterion4:
     def test_more_units_help(self, desk_image, desk_classes, desk_spec):
         counts = [1, 5, 10, 20, 30]

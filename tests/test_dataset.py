@@ -119,6 +119,30 @@ class TestDeterminism:
         assert serial == threaded
 
 
+class TestGoldenPins:
+    """Exact streams of the small fixture; any change to synthesis shows here."""
+
+    SPEC = DatasetSpec(1, 20, test_views=15)
+
+    def test_training_stream(self, texture_small, small_classes):
+        stats = GenStats()
+        digest = stream_digest(
+            generate_training_set(texture_small, small_classes, self.SPEC, 9, stats=stats)
+        )
+        assert digest == "4967b6b84be0378e2ee9b5a9d78b0d70412e612b83d58bdc4253b3ae4c33bd67"
+        assert (stats.views, stats.samples) == (20, 224)
+        assert dict(stats.skips) == {0: 1, 2: 3, 3: 2, 6: 4, 9: 6}
+
+    def test_noisy_test_stream(self, texture_small, small_classes):
+        stats = GenStats()
+        digest = stream_digest(
+            generate_test_set(texture_small, small_classes, self.SPEC, 9, stats=stats)
+        )
+        assert digest == "a111c54fc982504296bec4d076a6d2c372a00d124868ad47d596727eac904b65"
+        assert (stats.views, stats.samples) == (15, 160)
+        assert dict(stats.skips) == {0: 2, 2: 2, 3: 3, 5: 1, 6: 4, 8: 1, 9: 7}
+
+
 class TestThetaCoverage:
     def test_each_degree_bucket_filled_exactly(self, texture_small):
         spec = DatasetSpec(views_per_degree=3, rotation_degrees=30, test_views=0)
