@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
@@ -66,8 +67,10 @@ class DatasetSpec:
     def __post_init__(self):
         if min(self.views_per_degree, self.rotation_degrees, self.test_views) < 0:
             raise InvalidArgument("all counts must be >= 0")
-        if self.noise_sigma < 0:
-            raise InvalidArgument("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InvalidArgument(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
+            )
 
     @property
     def training_views(self) -> int:
@@ -117,21 +120,56 @@ def _training_deform(img: GrayImage, spec: DatasetSpec, seed: int, view_id: int)
     return AffineDeform(theta, phi, lambda1, lambda2, tx=cx, ty=cy)
 
 
+def _window_layout(
+    deform: AffineDeform, classes: ClassSet, size: tuple[int, int],
+    src_size: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rounded window centres of every class in one view, and which to keep.
+
+    A window is dropped when it would cross the view border or cover pixels
+    the warped source never painted (background fill). One ``warp_points``
+    and one ``unwarp_points`` call cover all classes and their 4 corners.
+    """
+    w, h = size
+    src_w, src_h = src_size
+    m = classes.margin
+    centers = np.rint(warp_points(deform, w, h, classes.coords)).astype(np.int64)
+    px, py = centers[:, 0], centers[:, 1]
+    in_frame = (m <= px) & (px <= w - 1 - m) & (m <= py) & (py <= h - 1 - m)
+    corners = centers[:, None, :] + np.array([(-m, -m), (m, -m), (-m, m), (m, m)])
+    back = unwarp_points(deform, w, h, corners.reshape(-1, 2)).reshape(-1, 4, 2)
+    low, high = back.min(axis=1), back.max(axis=1)
+    in_src = (
+        (low[:, 0] >= 0) & (high[:, 0] <= src_w - 1)
+        & (low[:, 1] >= 0) & (high[:, 1] <= src_h - 1)
+    )
+    return centers, in_frame & in_src
+
+
 def _render(img: GrayImage, view_id: int, deform: AffineDeform,
-            sigma: float, rng: np.random.Generator | None) -> View:
-    rendered = warp_image(img, deform, img.width, img.height)
+            sigma: float, rng: np.random.Generator | None,
+            classes: ClassSet | None = None) -> View:
+    mask = None
+    if classes is not None:
+        size = (img.width, img.height)
+        centers, keep = _window_layout(deform, classes, size, size)
+        mask = np.zeros((img.height, img.width), dtype=bool)
+        m = classes.margin
+        for px, py in centers[keep].tolist():
+            mask[py - m : py + m + 1, px - m : px + m + 1] = True
+    rendered = warp_image(img, deform, img.width, img.height, mask=mask)
     if sigma > 0 and rng is not None:
         rendered = add_noise(rendered, sigma, rng)
     return View(view_id, deform, rendered)
 
 
-def _iter_views(img, params, threads: int) -> Iterator[View]:
+def _iter_views(img, params, threads: int, classes: ClassSet | None) -> Iterator[View]:
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(lambda p: _render(img, *p), params)
+            yield from pool.map(lambda p: _render(img, *p, classes), params)
     else:
         for p in params:
-            yield _render(img, *p)
+            yield _render(img, *p, classes)
 
 
 def training_views(
@@ -140,8 +178,14 @@ def training_views(
     seed: int,
     threads: int = 1,
     deforms: Sequence[AffineDeform] | None = None,
+    classes: ClassSet | None = None,
 ) -> Iterator[View]:
-    """Render the training protocol's views_per_degree x degrees warped views."""
+    """Render the training protocol's views_per_degree x degrees warped views.
+
+    Views are full frames unless ``classes`` is given: then only the pixels
+    under the windows ``extract_patches`` keeps are rendered, and the rest
+    read BACKGROUND. Crops from either render are identical.
+    """
     if deforms is not None:
         params = [(i, d, 0.0, None) for i, d in enumerate(deforms)]
     else:
@@ -149,7 +193,7 @@ def training_views(
             (i, _training_deform(img, spec, seed, i), 0.0, None)
             for i in range(spec.training_views)
         ]
-    return _iter_views(img, params, threads)
+    return _iter_views(img, params, threads, classes)
 
 
 def test_views(
@@ -158,8 +202,14 @@ def test_views(
     seed: int,
     threads: int = 1,
     deforms: Sequence[AffineDeform] | None = None,
+    classes: ClassSet | None = None,
 ) -> Iterator[View]:
-    """Render test views: full-range deforms plus additive noise."""
+    """Render test views: full-range deforms plus additive noise.
+
+    ``classes`` limits rendering to the kept windows as in
+    :func:`training_views`; the noise still covers the whole frame, so each
+    view draws the same noise field either way.
+    """
     cx, cy = img.center
     params = []
     for i in range(spec.test_views if deforms is None else len(deforms)):
@@ -169,7 +219,7 @@ def test_views(
         else:
             d = deforms[i]
         params.append((i, d, spec.noise_sigma, rng))
-    return _iter_views(img, params, threads)
+    return _iter_views(img, params, threads, classes)
 
 
 def extract_patches(
@@ -178,37 +228,20 @@ def extract_patches(
     """Crop one patch per class from a rendered view.
 
     A class is skipped when its patch would cross the view border or cover
-    pixels the warped source never painted (background fill).
+    pixels the warped source never painted (background fill). The view may
+    be a full frame or a patch stream's render of the kept windows only;
+    both give the same crops.
     """
-    w, h = view.image.width, view.image.height
+    size = (view.image.width, view.image.height)
+    centers, keep = _window_layout(view.deform, classes, size, src_size)
     m = classes.margin
-    centers = warp_points(view.deform, w, h, classes.coords)
-    centers = np.rint(centers).astype(np.int64)
-    out: list[tuple[int, GrayImage]] = []
-    skipped: list[int] = []
-    src_w, src_h = src_size
-    for label, (px, py) in enumerate(centers):
-        if not (m <= px <= w - 1 - m and m <= py <= h - 1 - m):
-            skipped.append(label)
-            continue
-        corners = [
-            (px - m, py - m),
-            (px + m, py - m),
-            (px - m, py + m),
-            (px + m, py + m),
-        ]
-        back = unwarp_points(view.deform, w, h, corners)
-        if (
-            back[:, 0].min() < 0
-            or back[:, 0].max() > src_w - 1
-            or back[:, 1].min() < 0
-            or back[:, 1].max() > src_h - 1
-        ):
-            skipped.append(label)
-            continue
-        crop = view.image.pixels[py - m : py + m + 1, px - m : px + m + 1]
-        out.append((label, GrayImage(crop.copy())))
-    return out, skipped
+    pixels = view.image.pixels
+    out = [
+        (label, GrayImage(pixels[py - m : py + m + 1, px - m : px + m + 1].copy()))
+        for label, ((px, py), kept) in enumerate(zip(centers.tolist(), keep.tolist()))
+        if kept
+    ]
+    return out, np.flatnonzero(~keep).tolist()
 
 
 def _patch_stream(
@@ -239,7 +272,7 @@ def generate_training_set(
 ) -> Iterator[PatchSample]:
     """Labeled patches from the rotation-bucketed training protocol."""
     return _patch_stream(
-        img, classes, training_views(img, spec, seed, threads, deforms), stats
+        img, classes, training_views(img, spec, seed, threads, deforms, classes), stats
     )
 
 
@@ -254,7 +287,7 @@ def generate_test_set(
 ) -> Iterator[PatchSample]:
     """Labeled noisy patches from independent full-range deformations."""
     return _patch_stream(
-        img, classes, test_views(img, spec, seed, threads, deforms), stats
+        img, classes, test_views(img, spec, seed, threads, deforms, classes), stats
     )
 
 

@@ -213,37 +213,59 @@ def _bilinear(pixels: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     fx = np.clip(sx - x0, 0.0, 1.0)
     fy = np.clip(sy - y0, 0.0, 1.0)
-    v00 = pixels[y0, x0].astype(np.float64)
-    v01 = pixels[y0, x1].astype(np.float64)
-    v10 = pixels[y1, x0].astype(np.float64)
-    v11 = pixels[y1, x1].astype(np.float64)
+    # Gather the four corners from the flat raster by row offset plus column.
+    row0, row1 = y0 * w, y1 * w
+    flat = pixels.ravel()
+    v00 = flat.take(row0 + x0).astype(np.float64)
+    v01 = flat.take(row0 + x1).astype(np.float64)
+    v10 = flat.take(row1 + x0).astype(np.float64)
+    v11 = flat.take(row1 + x1).astype(np.float64)
     top = v00 * (1.0 - fx) + v01 * fx
     bot = v10 * (1.0 - fx) + v11 * fx
     return np.where(inside, top * (1.0 - fy) + bot * fy, float(BACKGROUND))
 
 
-def warp_image(src: GrayImage, d: AffineDeform, out_w: int, out_h: int) -> GrayImage:
+def warp_image(
+    src: GrayImage, d: AffineDeform, out_w: int, out_h: int, mask=None
+) -> GrayImage:
     """Render the deformed view of ``src`` at ``out_w`` x ``out_h``.
 
     Each output pixel is mapped through the inverse of ``deform_matrix(d)``
     about the output center, then translated by (tx, ty) into source
     coordinates and sampled bilinearly. Samples outside the source read the
     mid-gray background.
+
+    ``mask``, a boolean ``(out_h, out_w)`` array, restricts the work to its
+    True pixels, which get the same bytes as in the full render; every other
+    pixel reads BACKGROUND. Patch streams pass the union of the windows they
+    will crop, so only those pixels are sampled.
     """
     if out_w < 1 or out_h < 1:
         raise InvalidArgument("output size must be at least 1x1")
     inv = np.linalg.inv(deform_matrix(d))
     cx, cy = (out_w - 1) / 2.0, (out_h - 1) / 2.0
-    ys, xs = np.meshgrid(
-        np.arange(out_h, dtype=np.float64),
-        np.arange(out_w, dtype=np.float64),
-        indexing="ij",
-    )
+    if mask is None:
+        ys, xs = np.meshgrid(
+            np.arange(out_h, dtype=np.float64),
+            np.arange(out_w, dtype=np.float64),
+            indexing="ij",
+        )
+    else:
+        mask = np.asarray(mask)
+        if mask.dtype != np.bool_ or mask.shape != (out_h, out_w):
+            raise InvalidArgument(f"mask must be a boolean {out_h}x{out_w} array")
+        flat = np.flatnonzero(mask)
+        ys, xs = np.divmod(flat, out_w)
     u = xs - cx
     v = ys - cy
     sx = inv[0, 0] * u + inv[0, 1] * v + d.tx
     sy = inv[1, 0] * u + inv[1, 1] * v + d.ty
-    return GrayImage(_to_u8(_bilinear(src.pixels, sx, sy)))
+    values = _to_u8(_bilinear(src.pixels, sx, sy))
+    if mask is None:
+        return GrayImage(values)
+    out = np.full((out_h, out_w), BACKGROUND, dtype=np.uint8)
+    out.ravel()[flat] = values
+    return GrayImage(out)
 
 
 def warp_points(d: AffineDeform, out_w: int, out_h: int, points) -> np.ndarray:
@@ -276,8 +298,8 @@ def sample_deformation(rng: np.random.Generator) -> AffineDeform:
 
 def add_noise(img: GrayImage, sigma: float, rng: np.random.Generator) -> GrayImage:
     """Add i.i.d. Gaussian noise of the given std, rounded and clamped."""
-    if sigma < 0:
-        raise InvalidArgument(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidArgument(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return img
     noisy = img.pixels.astype(np.float64) + rng.normal(0.0, sigma, img.pixels.shape)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from fernkit import ClassSet, GrayImage, Keypoint, box_smooth
+from fernkit.image import BACKGROUND, unwarp_points, warp_points
 
 
 def make_texture(width: int, height: int, seed: int, block: int = 8) -> GrayImage:
@@ -103,3 +104,48 @@ def box_mean_oracle(values: np.ndarray, radius: int) -> np.ndarray:
             window = values[y1:y2, x1:x2].astype(np.float64)
             out[y, x] = window.mean()
     return out
+
+
+def bilinear_oracle(pixels: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """Bilinear sampling with four 2-D fancy-index corner gathers."""
+    h, w = pixels.shape
+    inside = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
+    x0 = np.clip(np.floor(sx), 0, w - 1).astype(np.intp)
+    y0 = np.clip(np.floor(sy), 0, h - 1).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = np.clip(sx - x0, 0.0, 1.0)
+    fy = np.clip(sy - y0, 0.0, 1.0)
+    v00 = pixels[y0, x0].astype(np.float64)
+    v01 = pixels[y0, x1].astype(np.float64)
+    v10 = pixels[y1, x0].astype(np.float64)
+    v11 = pixels[y1, x1].astype(np.float64)
+    top = v00 * (1.0 - fx) + v01 * fx
+    bot = v10 * (1.0 - fx) + v11 * fx
+    return np.where(inside, top * (1.0 - fy) + bot * fy, float(BACKGROUND))
+
+
+def extract_patches_oracle(view, classes, src_size):
+    """Per-class crop-or-skip loop that unwarps each window's corners alone."""
+    w, h = view.image.width, view.image.height
+    m = classes.margin
+    centers = np.rint(warp_points(view.deform, w, h, classes.coords)).astype(np.int64)
+    out, skipped = [], []
+    src_w, src_h = src_size
+    for label, (px, py) in enumerate(centers):
+        if not (m <= px <= w - 1 - m and m <= py <= h - 1 - m):
+            skipped.append(label)
+            continue
+        corners = [(px - m, py - m), (px + m, py - m), (px - m, py + m), (px + m, py + m)]
+        back = unwarp_points(view.deform, w, h, corners)
+        if (
+            back[:, 0].min() < 0
+            or back[:, 0].max() > src_w - 1
+            or back[:, 1].min() < 0
+            or back[:, 1].max() > src_h - 1
+        ):
+            skipped.append(label)
+            continue
+        crop = view.image.pixels[py - m : py + m + 1, px - m : px + m + 1]
+        out.append((label, GrayImage(crop.copy())))
+    return out, skipped

@@ -90,6 +90,16 @@ class TestTrain:
 
 
 class TestEval:
+    def test_non_finite_noise_exits_2(self, workdir, trained, capsys):
+        code = run(
+            "eval", "--image", workdir / "ref.pgm", "--model", trained,
+            "--seed", 5, "--tests", 3, "--noise", "nan",
+            "--out", workdir / "nan.csv",
+        )
+        assert code == 2
+        assert "noise_sigma" in capsys.readouterr().err
+        assert not (workdir / "nan.csv").exists()
+
     def test_csv_contract_and_rerun(self, workdir, trained, capsys):
         out = workdir / "eval.csv"
         code = run(

@@ -1,12 +1,21 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
-from fernkit import AffineDeform, DatasetSpec, GenStats, InvalidArgument
+from fernkit import (
+    AffineDeform,
+    ClassSet,
+    DatasetSpec,
+    GenStats,
+    InvalidArgument,
+    Keypoint,
+)
 from fernkit.dataset import (
     STREAM_TEST,
     derive_rng,
+    extract_patches,
     generate_test_set,
     generate_training_set,
     manifest_row,
@@ -16,7 +25,9 @@ from fernkit.dataset import (
     write_manifest,
 )
 from fernkit.dataset import test_views as render_test_views
-from fernkit.image import add_noise, warp_image
+from fernkit.image import BACKGROUND, add_noise, warp_image, warp_points
+
+from support import extract_patches_oracle
 
 
 def identity_for(img):
@@ -40,6 +51,11 @@ class TestSpecCounts:
     def test_negative_counts_rejected(self):
         with pytest.raises(InvalidArgument):
             DatasetSpec(views_per_degree=-1)
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_noise_rejected(self, sigma):
+        with pytest.raises(InvalidArgument):
+            DatasetSpec(1, noise_sigma=sigma)
 
 
 class TestDegenerateIdentity:
@@ -118,6 +134,18 @@ class TestDeterminism:
         )
         assert serial == threaded
 
+    def test_threads_do_not_change_the_noisy_test_stream(
+        self, texture_small, small_classes
+    ):
+        spec = DatasetSpec(1, 1, test_views=12, noise_sigma=10.0)
+        serial = stream_digest(
+            generate_test_set(texture_small, small_classes, spec, 9, threads=1)
+        )
+        threaded = stream_digest(
+            generate_test_set(texture_small, small_classes, spec, 9, threads=3)
+        )
+        assert serial == threaded
+
 
 class TestGoldenPins:
     """Exact streams of the small fixture; any change to synthesis shows here."""
@@ -141,6 +169,123 @@ class TestGoldenPins:
         assert digest == "a111c54fc982504296bec4d076a6d2c372a00d124868ad47d596727eac904b65"
         assert (stats.views, stats.samples) == (15, 160)
         assert dict(stats.skips) == {0: 2, 2: 2, 3: 3, 5: 1, 6: 4, 8: 1, 9: 7}
+
+
+def edge_deforms(img):
+    """Deforms that push windows off the frame and onto the source edge."""
+    cx, cy = img.center
+    return [
+        AffineDeform(0, 0, 1, 1, tx=cx, ty=cy),
+        AffineDeform(0.4, 1.0, 0.6, 0.6, tx=cx, ty=cy),
+        AffineDeform(2.0, 0.5, 1.5, 1.4, tx=cx, ty=cy),
+        AffineDeform(0.1, 0.0, 1.0, 1.0, tx=cx + 45, ty=cy - 30),
+        AffineDeform(5.0, 2.5, 0.7, 1.5, tx=cx - 50, ty=cy + 20),
+    ]
+
+
+def crops_by_key(samples):
+    return {(s.view_id, s.label): s.patch.pixels.tobytes() for s in samples}
+
+
+class TestPatchLocalRendering:
+    """Patch streams render only kept windows; their crops equal full-frame ones."""
+
+    def full_frame_crops(self, img, classes, views):
+        crops, skip_kinds = {}, set()
+        for view in views:
+            kept, skipped = extract_patches(view, classes, (img.width, img.height))
+            crops.update(
+                ((view.view_id, label), p.pixels.tobytes()) for label, p in kept
+            )
+            centers = np.rint(warp_points(view.deform, img.width, img.height, classes.coords))
+            m = classes.margin
+            for label in skipped:
+                x, y = centers[label]
+                in_frame = m <= x <= img.width - 1 - m and m <= y <= img.height - 1 - m
+                skip_kinds.add("source edge" if in_frame else "frame border")
+        return crops, skip_kinds
+
+    def test_training_crops_equal_full_frame_crops(self, texture_small, small_classes):
+        deforms = edge_deforms(texture_small)
+        spec = DatasetSpec(1, 1, test_views=0)
+        full, kinds = self.full_frame_crops(
+            texture_small, small_classes,
+            training_views(texture_small, spec, 3, deforms=deforms),
+        )
+        assert kinds == {"source edge", "frame border"}
+        stream = generate_training_set(
+            texture_small, small_classes, spec, 3, deforms=deforms
+        )
+        assert crops_by_key(stream) == full
+
+    def test_noisy_test_crops_equal_full_frame_crops(self, texture_small, small_classes):
+        deforms = edge_deforms(texture_small)
+        spec = DatasetSpec(1, 1, test_views=len(deforms), noise_sigma=10.0)
+        full, kinds = self.full_frame_crops(
+            texture_small, small_classes,
+            render_test_views(texture_small, spec, 3, deforms=deforms),
+        )
+        assert kinds == {"source edge", "frame border"}
+        stream = generate_test_set(texture_small, small_classes, spec, 3, deforms=deforms)
+        assert crops_by_key(stream) == full
+
+    def test_protocol_streams_equal_full_frame_crops(self, texture_small, small_classes):
+        spec = DatasetSpec(1, 12, test_views=12, noise_sigma=10.0)
+        size = (texture_small.width, texture_small.height)
+        for views, gen in (
+            (training_views, generate_training_set),
+            (render_test_views, generate_test_set),
+        ):
+            full = {}
+            for view in views(texture_small, spec, 21):
+                kept, _ = extract_patches(view, small_classes, size)
+                full.update(((view.view_id, l), p.pixels.tobytes()) for l, p in kept)
+            assert crops_by_key(gen(texture_small, small_classes, spec, 21)) == full
+
+    def test_crop_and_skip_decisions_match_per_class_oracle(self, texture_small):
+        # Classes on a grid out to the source edges, so corners land on both
+        # sides of every skip threshold.
+        w, h = texture_small.width, texture_small.height
+        classes = ClassSet(
+            tuple(Keypoint(x, y) for x in np.linspace(0, w - 1, 23)
+                  for y in np.linspace(0, h - 1, 17)),
+            patch_size=9,
+        )
+        rng = np.random.default_rng(31)
+        cx, cy = texture_small.center
+        deforms = [
+            AffineDeform(*rng.uniform(0, 6.28, 2), *rng.uniform(0.6, 1.5, 2),
+                         tx=cx + rng.uniform(-40, 40), ty=cy + rng.uniform(-30, 30))
+            for _ in range(40)
+        ]
+        spec = DatasetSpec(1, 1, test_views=0)
+        for view in training_views(texture_small, spec, 0, deforms=deforms):
+            kept, skipped = extract_patches(view, classes, (w, h))
+            want_kept, want_skipped = extract_patches_oracle(view, classes, (w, h))
+            assert skipped == want_skipped
+            assert [(l, p.pixels.tobytes()) for l, p in kept] == [
+                (l, p.pixels.tobytes()) for l, p in want_kept
+            ]
+
+    def test_only_kept_windows_are_rendered(self, texture_small, small_classes):
+        deforms = edge_deforms(texture_small)[1:2]
+        spec = DatasetSpec(1, 1, test_views=0)
+        full = next(training_views(texture_small, spec, 3, deforms=deforms))
+        local = next(
+            training_views(texture_small, spec, 3, deforms=deforms, classes=small_classes)
+        )
+        differs = local.image.pixels != full.image.pixels
+        assert differs.any()
+        assert np.all(local.image.pixels[differs] == BACKGROUND)
+        w, h = texture_small.width, texture_small.height
+        kept, _ = extract_patches(local, small_classes, (w, h))
+        centers = np.rint(warp_points(local.deform, w, h, small_classes.coords)).astype(int)
+        m = small_classes.margin
+        covered = np.zeros_like(differs)
+        for label, _ in kept:
+            x, y = centers[label]
+            covered[y - m : y + m + 1, x - m : x + m + 1] = True
+        assert not (differs & covered).any()
 
 
 class TestThetaCoverage:

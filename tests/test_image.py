@@ -20,9 +20,15 @@ from fernkit import (
     warp_image,
     write_pgm,
 )
-from fernkit.image import BACKGROUND, box_mean, unwarp_points, warp_points
+from fernkit.image import (
+    BACKGROUND,
+    _bilinear,
+    box_mean,
+    unwarp_points,
+    warp_points,
+)
 
-from support import box_mean_oracle
+from support import bilinear_oracle, box_mean_oracle
 
 
 def image_from(rows):
@@ -188,6 +194,89 @@ class TestWarp:
             assert np.allclose(product, np.eye(2), atol=1e-12)
 
 
+def _edge_coords(n: int) -> list[float]:
+    """Grid-edge coordinates for an axis of n pixels, each one ulp either side."""
+    coords = []
+    for edge in (0.0, n - 1.0):
+        coords += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+    return coords
+
+
+class TestBilinear:
+    @given(
+        w=st.integers(1, 9),
+        h=st.integers(1, 9),
+        seed=st.integers(0, 2**31),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_take_gather_matches_fancy_index_oracle(self, w, h, seed, data):
+        rng = np.random.default_rng(seed)
+        pixels = rng.integers(0, 256, (h, w)).astype(np.uint8)
+        xs = _edge_coords(w) + [float(x) for x in rng.uniform(-2, w + 1, 8)]
+        ys = _edge_coords(h) + [float(y) for y in rng.uniform(-2, h + 1, 8)]
+        n = data.draw(st.integers(1, 40))
+        sx = np.array(data.draw(st.lists(st.sampled_from(xs), min_size=n, max_size=n)))
+        sy = np.array(data.draw(st.lists(st.sampled_from(ys), min_size=n, max_size=n)))
+        got = _bilinear(pixels, sx, sy)
+        assert got.tobytes() == bilinear_oracle(pixels, sx, sy).tobytes()
+
+    def test_every_edge_pair_matches_oracle(self):
+        pixels = np.arange(12, dtype=np.uint8).reshape(3, 4) * 20
+        sx, sy = np.meshgrid(_edge_coords(4), _edge_coords(3))
+        got = _bilinear(pixels, sx.ravel(), sy.ravel())
+        assert got.tobytes() == bilinear_oracle(pixels, sx.ravel(), sy.ravel()).tobytes()
+        inside = (sx.ravel() >= 0) & (sx.ravel() <= 3) & (sy.ravel() >= 0) & (sy.ravel() <= 2)
+        assert np.all(got[~inside] == BACKGROUND)
+
+
+class TestMaskedWarp:
+    @given(
+        src_w=st.integers(1, 12),
+        src_h=st.integers(1, 12),
+        out_w=st.integers(1, 12),
+        out_h=st.integers(1, 12),
+        theta=st.floats(0, 2 * math.pi - 1e-9),
+        phi=st.floats(0, 2 * math.pi - 1e-9),
+        l1=st.floats(0.6, 1.5),
+        l2=st.floats(0.6, 1.5),
+        tx=st.floats(-3, 14),
+        ty=st.floats(-3, 14),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mask_keeps_full_render_bytes(
+        self, src_w, src_h, out_w, out_h, theta, phi, l1, l2, tx, ty, seed
+    ):
+        rng = np.random.default_rng(seed)
+        src = GrayImage(rng.integers(0, 256, (src_h, src_w)).astype(np.uint8))
+        d = AffineDeform(theta, phi, l1, l2, tx=tx, ty=ty)
+        mask = rng.random((out_h, out_w)) < rng.uniform(0, 1)
+        full = warp_image(src, d, out_w, out_h).pixels
+        masked = warp_image(src, d, out_w, out_h, mask=mask).pixels
+        assert np.array_equal(masked[mask], full[mask])
+        assert np.all(masked[~mask] == BACKGROUND)
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1)])
+    def test_single_row_and_column_images(self, shape):
+        src = GrayImage(np.arange(9, dtype=np.uint8).reshape(shape) * 25)
+        d = AffineDeform(0.3, 0.1, 1.1, 0.9, tx=shape[1] / 2, ty=shape[0] / 2)
+        mask = np.ones(shape, dtype=bool)
+        mask[0, 0] = False
+        full = warp_image(src, d, shape[1], shape[0]).pixels
+        masked = warp_image(src, d, shape[1], shape[0], mask=mask).pixels
+        assert np.array_equal(masked[mask], full[mask])
+        assert masked[0, 0] == BACKGROUND
+
+    @pytest.mark.parametrize(
+        "mask", [np.ones((4, 5), dtype=bool), np.ones((5, 4), dtype=np.uint8)]
+    )
+    def test_mask_must_be_boolean_output_shape(self, mask):
+        src = GrayImage(np.zeros((4, 5), dtype=np.uint8))
+        with pytest.raises(InvalidArgument):
+            warp_image(src, AffineDeform(0, 0, 1, 1), 4, 5, mask=mask)
+
+
 class TestSampleDeformation:
     def test_deterministic(self):
         a = sample_deformation(np.random.default_rng(42))
@@ -226,6 +315,12 @@ class TestNoise:
         img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(InvalidArgument):
             add_noise(img, -1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma(self, sigma):
+        img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(InvalidArgument):
+            add_noise(img, sigma, np.random.default_rng(0))
 
 
 class TestBoxSmooth:
