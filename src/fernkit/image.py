@@ -213,7 +213,7 @@ def _bilinear(pixels: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     fx = np.clip(sx - x0, 0.0, 1.0)
     fy = np.clip(sy - y0, 0.0, 1.0)
-    # Gather the four corners from the flat raster by row offset plus column.
+    # take on the flat raster is cheaper than four 2-D fancy-index gathers.
     row0, row1 = y0 * w, y1 * w
     flat = pixels.ravel()
     v00 = flat.take(row0 + x0).astype(np.float64)

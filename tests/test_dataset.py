@@ -183,64 +183,32 @@ def edge_deforms(img):
     ]
 
 
-def crops_by_key(samples):
-    return {(s.view_id, s.label): s.patch.pixels.tobytes() for s in samples}
-
-
 class TestPatchLocalRendering:
     """Patch streams render only kept windows; their crops equal full-frame ones."""
 
-    def full_frame_crops(self, img, classes, views):
-        crops, skip_kinds = {}, set()
-        for view in views:
+    @pytest.mark.parametrize(
+        "views, stream",
+        [(training_views, generate_training_set), (render_test_views, generate_test_set)],
+        ids=["training", "noisy-test"],
+    )
+    def test_stream_crops_equal_full_frame_crops(
+        self, texture_small, small_classes, views, stream
+    ):
+        img, classes = texture_small, small_classes
+        deforms = edge_deforms(img)
+        spec = DatasetSpec(1, 1, test_views=len(deforms), noise_sigma=10.0)
+        full, skip_kinds = {}, set()
+        m = classes.margin
+        for view in views(img, spec, 3, deforms=deforms):
             kept, skipped = extract_patches(view, classes, (img.width, img.height))
-            crops.update(
-                ((view.view_id, label), p.pixels.tobytes()) for label, p in kept
-            )
+            full.update(((view.view_id, l), p.pixels.tobytes()) for l, p in kept)
             centers = np.rint(warp_points(view.deform, img.width, img.height, classes.coords))
-            m = classes.margin
-            for label in skipped:
-                x, y = centers[label]
+            for x, y in centers[skipped]:
                 in_frame = m <= x <= img.width - 1 - m and m <= y <= img.height - 1 - m
                 skip_kinds.add("source edge" if in_frame else "frame border")
-        return crops, skip_kinds
-
-    def test_training_crops_equal_full_frame_crops(self, texture_small, small_classes):
-        deforms = edge_deforms(texture_small)
-        spec = DatasetSpec(1, 1, test_views=0)
-        full, kinds = self.full_frame_crops(
-            texture_small, small_classes,
-            training_views(texture_small, spec, 3, deforms=deforms),
-        )
-        assert kinds == {"source edge", "frame border"}
-        stream = generate_training_set(
-            texture_small, small_classes, spec, 3, deforms=deforms
-        )
-        assert crops_by_key(stream) == full
-
-    def test_noisy_test_crops_equal_full_frame_crops(self, texture_small, small_classes):
-        deforms = edge_deforms(texture_small)
-        spec = DatasetSpec(1, 1, test_views=len(deforms), noise_sigma=10.0)
-        full, kinds = self.full_frame_crops(
-            texture_small, small_classes,
-            render_test_views(texture_small, spec, 3, deforms=deforms),
-        )
-        assert kinds == {"source edge", "frame border"}
-        stream = generate_test_set(texture_small, small_classes, spec, 3, deforms=deforms)
-        assert crops_by_key(stream) == full
-
-    def test_protocol_streams_equal_full_frame_crops(self, texture_small, small_classes):
-        spec = DatasetSpec(1, 12, test_views=12, noise_sigma=10.0)
-        size = (texture_small.width, texture_small.height)
-        for views, gen in (
-            (training_views, generate_training_set),
-            (render_test_views, generate_test_set),
-        ):
-            full = {}
-            for view in views(texture_small, spec, 21):
-                kept, _ = extract_patches(view, small_classes, size)
-                full.update(((view.view_id, l), p.pixels.tobytes()) for l, p in kept)
-            assert crops_by_key(gen(texture_small, small_classes, spec, 21)) == full
+        assert skip_kinds == {"source edge", "frame border"}
+        samples = stream(img, classes, spec, 3, deforms=deforms)
+        assert {(s.view_id, s.label): s.patch.pixels.tobytes() for s in samples} == full
 
     def test_crop_and_skip_decisions_match_per_class_oracle(self, texture_small):
         # Classes on a grid out to the source edges, so corners land on both
@@ -268,24 +236,20 @@ class TestPatchLocalRendering:
             ]
 
     def test_only_kept_windows_are_rendered(self, texture_small, small_classes):
-        deforms = edge_deforms(texture_small)[1:2]
+        img, classes = texture_small, small_classes
+        deforms = edge_deforms(img)[1:2]
         spec = DatasetSpec(1, 1, test_views=0)
-        full = next(training_views(texture_small, spec, 3, deforms=deforms))
-        local = next(
-            training_views(texture_small, spec, 3, deforms=deforms, classes=small_classes)
-        )
-        differs = local.image.pixels != full.image.pixels
-        assert differs.any()
-        assert np.all(local.image.pixels[differs] == BACKGROUND)
-        w, h = texture_small.width, texture_small.height
-        kept, _ = extract_patches(local, small_classes, (w, h))
-        centers = np.rint(warp_points(local.deform, w, h, small_classes.coords)).astype(int)
-        m = small_classes.margin
-        covered = np.zeros_like(differs)
-        for label, _ in kept:
-            x, y = centers[label]
+        full = next(training_views(img, spec, 3, deforms=deforms)).image.pixels
+        local = next(training_views(img, spec, 3, deforms=deforms, classes=classes))
+        kept, skipped = extract_patches(local, classes, (img.width, img.height))
+        assert kept and skipped
+        centers = np.rint(warp_points(local.deform, img.width, img.height, classes.coords))
+        m = classes.margin
+        covered = np.zeros_like(full, dtype=bool)
+        for x, y in centers[[label for label, _ in kept]].astype(int):
             covered[y - m : y + m + 1, x - m : x + m + 1] = True
-        assert not (differs & covered).any()
+        assert np.array_equal(local.image.pixels[covered], full[covered])
+        assert np.all(local.image.pixels[~covered] == BACKGROUND)
 
 
 class TestThetaCoverage:
