@@ -1,6 +1,6 @@
 import pytest
 
-from fernkit import DatasetSpec, FernModel, derive_rng, select_stable_classes
+from fernkit import DatasetSpec, FernModel, TreeForest, derive_rng, select_stable_classes
 from fernkit.dataset import STREAM_CLASSES, STREAM_MODEL, generate_training_set
 
 from support import make_texture
@@ -31,6 +31,17 @@ def small_model(texture_small, small_classes):
         generate_training_set(texture_small, small_classes, spec, seed=11)
     )
     return model
+
+
+@pytest.fixture(scope="session")
+def small_forest(texture_small, small_classes):
+    """A forest trained on the same stream as ``small_model``."""
+    forest = TreeForest.random(small_classes, 8, 6, derive_rng(11, STREAM_MODEL))
+    spec = DatasetSpec(views_per_degree=1, rotation_degrees=60, test_views=40)
+    forest.train(
+        generate_training_set(texture_small, small_classes, spec, seed=11)
+    )
+    return forest
 
 
 @pytest.fixture(scope="session")

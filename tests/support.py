@@ -5,6 +5,7 @@ exact rationals, leaf indices come from per-bit evaluation with string
 packing, and window means come from nested loops.
 """
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -149,3 +150,16 @@ def extract_patches_oracle(view, classes, src_size):
         crop = view.image.pixels[py - m : py + m + 1, px - m : px + m + 1]
         out.append((label, GrayImage(crop.copy())))
     return out, skipped
+
+
+def sha256_of(*arrays) -> str:
+    """Hex SHA-256 over the raw bytes of the given arrays, in order."""
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def pin_probe(patch_size: int) -> np.ndarray:
+    """The fixed 1000-patch probe the classifier golden pins are taken on."""
+    return random_patches(np.random.default_rng(4242), 1000, patch_size)

@@ -21,7 +21,14 @@ from fernkit import (
 )
 from fernkit.ferns import Combination
 
-from support import grid_classes, leaf_index_oracle, posterior_oracle, random_patches
+from support import (
+    grid_classes,
+    leaf_index_oracle,
+    pin_probe,
+    posterior_oracle,
+    random_patches,
+    sha256_of,
+)
 
 
 def patch_image(values):
@@ -418,3 +425,21 @@ class TestAverageCombination:
         nb, _ = model.classify_patches(probe, Combination.NAIVE_BAYES)
         avg, _ = model.classify_patches(probe, Combination.AVERAGE)
         assert np.array_equal(nb, avg)
+
+
+class TestGoldenPins:
+    """Exact tables and decisions of the small fixture model."""
+
+    def test_counts_and_tables(self, small_model):
+        assert sha256_of(small_model.counts.astype("<u8")) == (
+            "c9091e3c3b8436d78fd632f638a6e3809998bc1849aa630ee2e42f0b8b2d8408"
+        )
+        assert sha256_of(small_model.log_table.astype("<f8")) == (
+            "b62c124c8bd592535cd82537d08664a4592f814c53c6334a67b6f742146e7b41"
+        )
+
+    def test_labels_and_scores(self, small_model):
+        labels, scores = small_model.classify_patches(pin_probe(small_model.patch_size))
+        assert sha256_of(labels.astype("<i8"), scores.astype("<f8")) == (
+            "881a9720237f6054cff5e8c6354a1b46a57c49e661a2f7c2fe2bc835175c7011"
+        )

@@ -16,7 +16,13 @@ from fernkit import (
 )
 from fernkit.ferns import Combination, random_tests
 
-from support import grid_classes, random_patches, tree_leaf_oracle
+from support import (
+    grid_classes,
+    pin_probe,
+    random_patches,
+    sha256_of,
+    tree_leaf_oracle,
+)
 
 
 def center_of(img):
@@ -238,3 +244,33 @@ class TestTruncatedForest:
         assert sub.num_trees == 2
         assert np.array_equal(sub.counts, forest.counts[:2])
         assert np.array_equal(sub.log_table, forest.log_table[:2])
+
+
+class TestGoldenPins:
+    """Exact tables and decisions of the small fixture forest."""
+
+    def test_counts_and_tables(self, small_forest):
+        assert sha256_of(small_forest.counts.astype("<u8")) == (
+            "94f43b475f5ec788ca7401aa013caa418cd1ca3c8ad0969e2ceafe7013a6a1c3"
+        )
+        assert sha256_of(small_forest.log_table.astype("<f8")) == (
+            "6e9f22a401943f0db4c77577d301f529446ce100873b26e8789a930aa3c4a4ac"
+        )
+
+    @pytest.mark.parametrize(
+        "combination, digest",
+        [
+            (
+                Combination.AVERAGE,
+                "b78b0ad3f5e4c9afc9b2374a515cf4aa9dbd5a0198ef7af33809b2fe731629c9",
+            ),
+            (
+                Combination.NAIVE_BAYES,
+                "c938d6806a126880970e22cfaa85625dec0b8ebdac9ff13a5bf03ba136ccf84d",
+            ),
+        ],
+    )
+    def test_labels_and_scores(self, small_forest, combination, digest):
+        probe = pin_probe(small_forest.patch_size)
+        labels, scores = small_forest.classify_patches(probe, combination)
+        assert sha256_of(labels.astype("<i8"), scores.astype("<f8")) == digest
