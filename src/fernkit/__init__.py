@@ -34,8 +34,6 @@ from .ferns import (
     FeatureTest,
     Fern,
     FernModel,
-    eval_feature,
-    eval_fern,
     make_random_ferns,
 )
 from .image import (
@@ -51,7 +49,7 @@ from .image import (
     write_pgm,
 )
 from .keypoints import ClassSet, Keypoint, detect_keypoints, select_stable_classes
-from .trees import RandomTree, TreeForest, eval_tree, make_random_trees
+from .trees import RandomTree, TreeForest, make_random_trees
 
 __version__ = "0.1.0"
 
@@ -90,9 +88,6 @@ __all__ = [
     "deform_matrix",
     "derive_rng",
     "detect_keypoints",
-    "eval_feature",
-    "eval_fern",
-    "eval_tree",
     "inverse_deform",
     "make_random_ferns",
     "make_random_trees",

@@ -22,10 +22,10 @@ from .errors import (
     ParseError,
     UnsupportedFormat,
 )
-from .ferns import Combination, FernModel, MODEL_MAGIC
+from .ferns import Combination, FernModel
 from .image import AffineDeform, GrayImage, read_pgm, write_pgm
 from .keypoints import detect_keypoints, select_stable_classes
-from .trees import FOREST_MAGIC, TreeForest
+from .trees import TreeForest
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -117,10 +117,9 @@ def _read_image(path: str) -> GrayImage:
 def _load_model(path: str):
     with open(path, "rb") as f:
         data = f.read()
-    if data[:8] == MODEL_MAGIC:
-        return FernModel.load(data)
-    if data[:8] == FOREST_MAGIC:
-        return TreeForest.load(data)
+    for kind in (FernModel, TreeForest):
+        if data.startswith(kind.magic):
+            return kind.load(data)
     raise FormatError(f"unrecognized model magic {data[:8]!r}")
 
 

@@ -19,7 +19,7 @@ from .dataset import (
     generate_training_set,
 )
 from .errors import EmptyTestSet, InvalidArgument
-from .ferns import Combination, FernModel
+from .ferns import Combination, FernModel, _batched
 from .image import GrayImage
 from .keypoints import ClassSet
 from .trees import TreeForest
@@ -76,18 +76,6 @@ class EvalRecord:
 class BenchResult:
     ns_per_patch: float
     comparisons_per_patch: int
-
-
-def _chunks(samples: Iterable, size: int = 1024):
-    patches, labels = [], []
-    for s in samples:
-        patches.append(s.patch.pixels)
-        labels.append(s.label)
-        if len(labels) >= size:
-            yield np.stack(patches), np.array(labels)
-            patches, labels = [], []
-    if labels:
-        yield np.stack(patches), np.array(labels)
 
 
 def materialize(samples: Iterable) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +164,7 @@ def compare_methods(
     ferns = FernModel.random(classes, units, fern_size, rng)
     forest = TreeForest.random(classes, units, fern_size, rng)
     stream = generate_training_set(img, classes, spec, seed, threads=threads)
-    for patches, labels in _chunks(stream):
+    for patches, labels in _batched(stream, classes.patch_size, len(classes), 1024):
         ferns._accumulate(patches, labels)
         forest._accumulate(patches, labels)
     ferns._rebuild_tables()

@@ -7,34 +7,20 @@ flat-versus-hierarchical comparison isolates structure and combination.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    CorruptModel,
-    FernkitError,
-    FormatError,
-    InvalidArgument,
-    OutOfBounds,
-)
+from .errors import InvalidArgument
 from .ferns import (
     Combination,
     FeatureTest,
-    MODEL_VERSION,
-    _batched,
+    LeafModel,
     _check_patch_batch,
-    _read_header,
-    _softmax_rows,
-    _take,
-    _tests_to_offsets,
-    _validate_tables,
     random_tests,
 )
-from .image import GrayImage
-from .keypoints import ClassSet, Keypoint
+from .keypoints import ClassSet
 
 FOREST_MAGIC = b"RTRFMDL1"
 
@@ -72,25 +58,17 @@ def make_random_trees(
     ]
 
 
-def eval_tree(img: GrayImage, center: Keypoint, tree: RandomTree) -> int:
-    """Descend from the root, left on 0 and right on 1; return the leaf index."""
-    from .ferns import eval_feature
-
-    node = 0
-    for _ in range(tree.depth):
-        bit = eval_feature(img, center, tree.node_tests[node])
-        node = 2 * node + 1 + bit
-    return node - (tree.num_leaves - 1)
-
-
-class TreeForest:
+class TreeForest(LeafModel):
     """T trees sharing depth and classes, fused by averaging or Naive-Bayes."""
+
+    magic = FOREST_MAGIC
 
     def __init__(
         self,
         classes: ClassSet,
         trees: Sequence[RandomTree],
         combination: Combination = Combination.AVERAGE,
+        counts: np.ndarray | None = None,
     ):
         trees = tuple(trees)
         if not trees:
@@ -98,30 +76,10 @@ class TreeForest:
         depth = trees[0].depth
         if any(t.depth != depth for t in trees):
             raise InvalidArgument("all trees must share one depth")
-        reach = classes.patch_size // 2
-        for tree in trees:
-            for t in tree.node_tests:
-                if max(abs(t.dx1), abs(t.dy1), abs(t.dx2), abs(t.dy2)) > reach:
-                    raise InvalidArgument("test offset outside the patch square")
-        self.classes = classes
+        super().__init__(classes, [t.node_tests for t in trees], depth, combination, counts)
         self.trees = trees
-        self.combination = combination
-        self.patch_size = classes.patch_size
         self.num_trees = len(trees)
         self.depth = depth
-        self.num_classes = len(classes)
-        self.num_leaves = 1 << depth
-        self.counts = np.zeros(
-            (self.num_trees, self.num_leaves, self.num_classes), dtype=np.uint64
-        )
-        self.log_prior = np.full(self.num_classes, -np.log(self.num_classes))
-        self.log_table = np.empty_like(self.counts, dtype=np.float64)
-        self._rebuild_tables()
-        self._d1x, self._d1y, self._d2x, self._d2y = _tests_to_offsets(
-            [t.node_tests for t in trees]
-        )
-        self.pixel_comparisons = 0
-        self.table_lookups = 0
 
     @classmethod
     def random(
@@ -136,44 +94,13 @@ class TreeForest:
             classes, make_random_trees(t, depth, classes.patch_size, rng), combination
         )
 
-    @property
-    def leaf_tables(self) -> np.ndarray:
-        """(T, 2^D, H) leaf probabilities P(leaf | class)."""
-        return np.exp(self.log_table)
+    @staticmethod
+    def _tests_per_unit(depth: int) -> int:
+        return (1 << depth) - 1
 
-    # -- training ---------------------------------------------------------
-
-    def train(self, samples: Iterable, chunk_size: int = 1024) -> "TreeForest":
-        """Mirror of the fern trainer: leaf counts plus a table rebuild."""
-        for patches, labels in _batched(
-            samples, self.patch_size, self.num_classes, chunk_size
-        ):
-            self._accumulate(patches, labels)
-        self._rebuild_tables()
-        self.log_prior = np.full(self.num_classes, -np.log(self.num_classes))
-        return self
-
-    def _accumulate(self, patches: np.ndarray, labels: np.ndarray) -> None:
-        leaves = self.leaf_indices(patches)
-        for t in range(self.num_trees):
-            np.add.at(self.counts[t], (leaves[:, t], labels), 1)
-
-    def _rebuild_tables(self) -> None:
-        totals = self.counts.sum(axis=1, dtype=np.float64)
-        probs = (self.counts.astype(np.float64) + 1.0) / (
-            totals[:, None, :] + float(self.num_leaves)
-        )
-        self.log_table = np.log(probs)
-
-    def merged(self, other: "TreeForest") -> "TreeForest":
-        if other.trees != self.trees or other.classes != self.classes:
-            raise InvalidArgument("shards must share trees and classes")
-        out = TreeForest(self.classes, self.trees, self.combination)
-        out.counts = self.counts + other.counts
-        out._rebuild_tables()
-        return out
-
-    # -- evaluation -------------------------------------------------------
+    @classmethod
+    def _build(cls, classes, depth, tests, combination, counts) -> "TreeForest":
+        return cls(classes, [RandomTree(depth, ts) for ts in tests], combination, counts)
 
     def leaf_indices(self, patches: np.ndarray) -> np.ndarray:
         """(N, T) leaf indices from a vectorized root-to-leaf descent."""
@@ -192,126 +119,12 @@ class TreeForest:
         self.pixel_comparisons += n * self.num_trees * self.depth
         return out
 
-    def _leaves_at(self, img: GrayImage, center: Keypoint) -> np.ndarray:
-        cx, cy = int(round(center.x)), int(round(center.y))
-        reach = self.patch_size // 2
-        if not (
-            reach <= cx <= img.width - 1 - reach
-            and reach <= cy <= img.height - 1 - reach
-        ):
-            raise OutOfBounds(f"patch around ({cx}, {cy}) leaves the image")
-        leaves = np.empty(self.num_trees, dtype=np.int64)
-        for t in range(self.num_trees):
-            node = 0
-            for _ in range(self.depth):
-                a = img.pixels[cy + self._d1y[t, node], cx + self._d1x[t, node]]
-                b = img.pixels[cy + self._d2y[t, node], cx + self._d2x[t, node]]
-                node = 2 * node + 1 + (1 if a < b else 0)
-            leaves[t] = node - (self.num_leaves - 1)
-        self.pixel_comparisons += self.num_trees * self.depth
-        return leaves
-
-    def classify(self, img: GrayImage, center: Keypoint) -> tuple[int, float]:
-        """Single-location decision under this forest's combination mode."""
-        labels, scores = self._fuse(
-            self._leaves_at(img, center)[None, :], self.combination
-        )
-        self.table_lookups += self.num_trees
-        return int(labels[0]), float(scores[0])
-
-    def classify_patches(
-        self, patches: np.ndarray, combination: Combination | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        leaves = self.leaf_indices(patches)
-        self.table_lookups += leaves.shape[0] * self.num_trees
-        if combination is None:
-            combination = self.combination
-        return self._fuse(leaves, combination)
-
-    def _fuse(
-        self, leaves: np.ndarray, combination: Combination
-    ) -> tuple[np.ndarray, np.ndarray]:
-        n = leaves.shape[0]
-        if combination is Combination.NAIVE_BAYES:
-            scores = np.tile(self.log_prior, (n, 1))
-            for t in range(self.num_trees):
-                scores += self.log_table[t, leaves[:, t], :]
-        else:
-            scores = np.zeros((n, self.num_classes))
-            for t in range(self.num_trees):
-                scores += _softmax_rows(
-                    self.log_table[t, leaves[:, t], :] + self.log_prior
-                )
-            scores /= self.num_trees
-        labels = np.argmax(scores, axis=1)
-        return labels, scores[np.arange(n), labels]
-
-    def truncated(self, k: int) -> "TreeForest":
-        if not 1 <= k <= self.num_trees:
-            raise InvalidArgument(f"k must be in [1, {self.num_trees}]")
-        out = TreeForest(self.classes, self.trees[:k], self.combination)
-        out.counts = self.counts[:k].copy()
-        out._rebuild_tables()
-        return out
-
-    # -- serialization ----------------------------------------------------
-
-    def save(self) -> bytes:
-        head = FOREST_MAGIC + struct.pack(
-            "<6I",
-            MODEL_VERSION,
-            self.num_classes,
-            self.num_trees,
-            self.depth,
-            self.patch_size,
-            self.combination.value,
-        )
-        kp = np.array(
-            [[k.x, k.y] for k in self.classes.keypoints], dtype="<f4"
-        ).tobytes()
-        prior = self.log_prior.astype("<f8").tobytes()
-        tests = np.array(
-            [
-                [[t.dx1, t.dy1, t.dx2, t.dy2] for t in tree.node_tests]
-                for tree in self.trees
-            ],
-            dtype="<i2",
-        ).tobytes()
-        counts = self.counts.astype("<u8").tobytes()
-        table = self.log_table.astype("<f8").tobytes()
-        return head + kp + prior + tests + counts + table
-
-    @classmethod
-    def load(cls, data: bytes) -> "TreeForest":
-        h, t, depth, patch_size, combo, pos = _read_header(data, FOREST_MAGIC, 5)
-        if combo not in (0, 1):
-            raise FormatError(f"unknown combination mode {combo}")
-        num_leaves = 1 << depth
-        kp, pos = _take(data, pos, "<f4", (h, 2))
-        prior, pos = _take(data, pos, "<f8", (h,))
-        tests, pos = _take(data, pos, "<i2", (t, num_leaves - 1, 4))
-        counts, pos = _take(data, pos, "<u8", (t, num_leaves, h))
-        table, pos = _take(data, pos, "<f8", (t, num_leaves, h))
-        if pos != len(data):
-            raise FormatError(f"{len(data) - pos} trailing bytes")
-        try:
-            classes = ClassSet(
-                tuple(Keypoint(float(x), float(y)) for x, y in kp), patch_size
-            )
-            trees = [
-                RandomTree(
-                    depth,
-                    tuple(FeatureTest(*(int(v) for v in row)) for row in tree_tests),
-                )
-                for tree_tests in tests
-            ]
-            forest = cls(classes, trees, Combination(combo))
-        except FernkitError as exc:
-            raise CorruptModel(str(exc)) from exc
-        forest.counts = counts.astype(np.uint64)
-        forest.log_prior = prior.astype(np.float64)
-        forest.log_table = table.astype(np.float64)
-        _validate_tables(
-            forest.counts, forest.log_table, forest.log_prior, kind="tree"
-        )
-        return forest
+    # The benchmark tracer (perfbench/spans.py) finds the methods it wraps
+    # in each model class's own __dict__, so the shared ones are bound here.
+    train = LeafModel.train
+    _accumulate = LeafModel._accumulate
+    _rebuild_tables = LeafModel._rebuild_tables
+    classify_patches = LeafModel.classify_patches
+    classify = LeafModel.classify
+    save = LeafModel.save
+    load = LeafModel.__dict__["load"]

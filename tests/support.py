@@ -6,6 +6,7 @@ packing, and window means come from nested loops.
 """
 
 import hashlib
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -163,3 +164,22 @@ def sha256_of(*arrays) -> str:
 def pin_probe(patch_size: int) -> np.ndarray:
     """The fixed 1000-patch probe the classifier golden pins are taken on."""
     return random_patches(np.random.default_rng(4242), 1000, patch_size)
+
+
+def v1_fern_file(model) -> bytes:
+    """The same model in the version-1 layout, which also stored the log
+    prior and the log table."""
+    head = b"FERNMDL1" + struct.pack(
+        "<5I", 1, model.num_classes, model.num_ferns, model.fern_size, model.patch_size
+    )
+    tests = [[[t.dx1, t.dy1, t.dx2, t.dy2] for t in f.tests] for f in model.ferns]
+    return b"".join(
+        [
+            head,
+            model.classes.coords.astype("<f4").tobytes(),
+            model.log_prior.astype("<f8").tobytes(),
+            np.array(tests, dtype="<i2").tobytes(),
+            model.counts.astype("<u8").tobytes(),
+            model.log_table.astype("<f8").tobytes(),
+        ]
+    )

@@ -1,12 +1,13 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
 
-from fernkit import FernModel, read_pgm, write_pgm
+from fernkit import FernModel, TreeForest, read_pgm, write_pgm
 from fernkit.cli import main
 
-from support import make_texture
+from support import make_texture, v1_fern_file
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +265,26 @@ class TestMatch:
         assert out.read_text() == (
             "scene_x,scene_y,class_id,model_x,model_y,log_score\n"
         )
+
+
+class TestModelFiles:
+    def test_version_1_model_exits_4(self, workdir, trained, capsys):
+        old = workdir / "v1.bin"
+        old.write_bytes(v1_fern_file(FernModel.load(trained.read_bytes())))
+        code = run("match", "--image", workdir / "ref.pgm", "--model", old, "--seed", 1)
+        assert code == 4
+        assert "version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [62, 63])
+    def test_oversized_forest_depth_exits_4(self, workdir, trained, depth):
+        classes = FernModel.load(trained.read_bytes()).classes
+        forest = TreeForest.random(classes, 2, 3, np.random.default_rng(0))
+        data = bytearray(forest.save())
+        struct.pack_into("<I", data, len(forest.magic) + 12, depth)
+        bad = workdir / f"depth{depth}.bin"
+        bad.write_bytes(bytes(data))
+        code = run("match", "--image", workdir / "ref.pgm", "--model", bad, "--seed", 1)
+        assert code == 4
 
 
 class TestWarp:

@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +18,6 @@ from fernkit import (
     InvalidPatch,
     Keypoint,
     OutOfBounds,
-    eval_feature,
-    eval_fern,
     make_random_ferns,
 )
 from fernkit.ferns import Combination
@@ -28,38 +29,44 @@ from support import (
     posterior_oracle,
     random_patches,
     sha256_of,
+    v1_fern_file,
 )
-
-
-def patch_image(values):
-    return GrayImage.from_array(np.array(values))
 
 
 def center_of(img):
     return Keypoint(img.width // 2, img.height // 2)
 
 
+def leaf_of(values, *tests) -> int:
+    """Leaf index of one fern made of ``tests`` on one square patch."""
+    patch = np.array(values, dtype=np.uint8)
+    model = FernModel(grid_classes(1, patch.shape[0]), [Fern(tests)])
+    return int(model.leaf_indices(patch)[0, 0])
+
+
 class TestEvalFeature:
     def test_strictly_less_is_one(self):
-        img = patch_image([[10, 20, 0], [0, 0, 0], [0, 0, 0]])
         test = FeatureTest(-1, -1, 0, -1)  # reads 10 then 20
-        assert eval_feature(img, Keypoint(1, 1), test) == 1
+        assert leaf_of([[10, 20, 0], [0, 0, 0], [0, 0, 0]], test) == 1
 
     def test_tie_is_zero(self):
-        img = patch_image([[10, 10, 0], [0, 0, 0], [0, 0, 0]])
-        assert eval_feature(img, Keypoint(1, 1), FeatureTest(-1, -1, 0, -1)) == 0
+        test = FeatureTest(-1, -1, 0, -1)
+        assert leaf_of([[10, 10, 0], [0, 0, 0], [0, 0, 0]], test) == 0
 
     def test_constant_image_always_zero(self):
-        img = GrayImage(np.full((9, 9), 42, dtype=np.uint8))
+        patch = np.full((9, 9), 42, dtype=np.uint8)
         rng = np.random.default_rng(0)
         for fern in make_random_ferns(3, 4, 9, rng):
             for t in fern.tests:
-                assert eval_feature(img, center_of(img), t) == 0
+                assert leaf_of(patch, t) == 0
 
     def test_out_of_bounds(self):
+        model = FernModel(grid_classes(1, 3), [Fern((FeatureTest(1, 0, 0, 1),))])
         img = GrayImage(np.zeros((5, 5), dtype=np.uint8))
         with pytest.raises(OutOfBounds):
-            eval_feature(img, Keypoint(4, 4), FeatureTest(1, 0, 0, 1))
+            model.classify(img, Keypoint(4, 4))
+        with pytest.raises(OutOfBounds):
+            model.posterior(img, Keypoint(4, 4))
 
     def test_coincident_offsets_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -69,9 +76,7 @@ class TestEvalFeature:
 class TestEvalFern:
     def test_declared_bit_order(self):
         # three tests engineered to produce bits (1, 0, 1) -> 5
-        img = patch_image(
-            [[5, 9, 0], [7, 1, 7], [0, 9, 5]]
-        )
+        patch = np.array([[5, 9, 0], [7, 1, 7], [0, 9, 5]], dtype=np.uint8)
         fern = Fern(
             (
                 FeatureTest(-1, -1, 0, -1),  # 5 < 9 -> 1
@@ -79,22 +84,23 @@ class TestEvalFern:
                 FeatureTest(-1, 1, 0, 1),  # 0 < 9 -> 1
             )
         )
-        assert eval_fern(img, Keypoint(1, 1), fern) == 5
+        assert leaf_of(patch, *fern.tests) == 5
+        assert leaf_index_oracle(patch, fern) == 5
 
     def test_constant_image_leaf_zero(self):
-        img = GrayImage(np.full((11, 11), 8, dtype=np.uint8))
-        rng = np.random.default_rng(1)
-        for fern in make_random_ferns(5, 6, 11, rng):
-            assert eval_fern(img, center_of(img), fern) == 0
+        patches = np.full((1, 11, 11), 8, dtype=np.uint8)
+        model = FernModel(grid_classes(1, 11), make_random_ferns(5, 6, 11, np.random.default_rng(1)))
+        assert not model.leaf_indices(patches).any()
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
     def test_bit_packing_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        patch = random_patches(rng, 1, 13)[0]
-        fern = make_random_ferns(1, 7, 13, rng)[0]
-        img = GrayImage(patch)
-        assert eval_fern(img, Keypoint(6, 6), fern) == leaf_index_oracle(patch, fern)
+        patches = random_patches(rng, 4, 13)
+        ferns = make_random_ferns(3, 7, 13, rng)
+        leaves = FernModel(grid_classes(1, 13), ferns).leaf_indices(patches)
+        expected = [[leaf_index_oracle(p, f) for f in ferns] for p in patches]
+        assert np.array_equal(leaves, expected)
 
 
 class TestMakeRandomFerns:
@@ -279,7 +285,7 @@ class TestClassify:
             img = GrayImage(probe[i])
             label, score = model.classify(img, center_of(img))
             assert label == batch_labels[i]
-            assert np.isclose(score, batch_scores[i])
+            assert score == batch_scores[i]
 
 
 class TestBruteForceOracle:
@@ -376,20 +382,40 @@ class TestSerialization:
 
     def test_tampered_counts_are_corrupt(self, small_model):
         data = bytearray(small_model.save())
-        # last bytes belong to the log table; corrupt a count instead
-        table_bytes = small_model.log_table.size * 8
-        counts_start = len(data) - table_bytes - small_model.counts.size * 8
+        # counts are the file's last section
+        counts_start = len(data) - small_model.counts.size * 8
         data[counts_start : counts_start + 8] = (12345678).to_bytes(8, "little")
         with pytest.raises(CorruptModel):
             FernModel.load(bytes(data))
 
-    def test_positive_log_probability_is_corrupt(self, small_model):
-        import struct
-
+    def test_tables_are_rebuilt_from_counts(self, small_model):
+        # a count moved between two leaves of one class keeps every total,
+        # so the file loads, and its tables follow the moved count
+        counts = small_model.counts.copy()
+        src = int(np.argmax(counts[0, :, 0]))
+        dst = (src + 1) % small_model.num_leaves
+        counts[0, src, 0] -= 1
+        counts[0, dst, 0] += 1
         data = bytearray(small_model.save())
-        data[-8:] = struct.pack("<d", 0.5)
+        data[len(data) - counts.nbytes :] = counts.astype("<u8").tobytes()
+        loaded = FernModel.load(bytes(data))
+        assert np.array_equal(loaded.counts, counts)
+        total = int(counts[0, :, 0].sum())
+        for leaf in (src, dst):
+            expected = (int(counts[0, leaf, 0]) + 1) / (total + small_model.num_leaves)
+            assert np.isclose(np.exp(loaded.log_table[0, leaf, 0]), expected, rtol=1e-12)
+
+    def test_averaging_fern_file_is_corrupt(self, small_model):
+        data = bytearray(small_model.save())
+        # header words follow the magic: version, classes, units, size,
+        # patch, combination
+        struct.pack_into("<I", data, 8 + 20, Combination.AVERAGE.value)
         with pytest.raises(CorruptModel):
             FernModel.load(bytes(data))
+
+    def test_version_1_file_rejected(self, small_model):
+        with pytest.raises(FormatError, match="version 1"):
+            FernModel.load(v1_fern_file(small_model))
 
 
 class TestTruncated:
@@ -436,6 +462,11 @@ class TestGoldenPins:
         )
         assert sha256_of(small_model.log_table.astype("<f8")) == (
             "b62c124c8bd592535cd82537d08664a4592f814c53c6334a67b6f742146e7b41"
+        )
+
+    def test_model_file(self, small_model):
+        assert hashlib.sha256(small_model.save()).hexdigest() == (
+            "121a4ef1ae0f74fce1c24cd62115ca16bce9cd5ecb73d35a628574ef7bf25414"
         )
 
     def test_labels_and_scores(self, small_model):

@@ -1,23 +1,25 @@
+import struct
+
 import numpy as np
 import pytest
 
 from fernkit import (
     CorruptModel,
     Fern,
+    FernModel,
     FormatError,
     GrayImage,
     InvalidArgument,
     Keypoint,
     RandomTree,
     TreeForest,
-    eval_fern,
-    eval_tree,
     make_random_trees,
 )
 from fernkit.ferns import Combination, random_tests
 
 from support import (
     grid_classes,
+    leaf_index_oracle,
     pin_probe,
     random_patches,
     sha256_of,
@@ -41,16 +43,17 @@ def trained_forest(seed=3, t=3, depth=4, h=4, patch=9, n=120) -> TreeForest:
 class TestEvalTree:
     def test_constant_image_leftmost_leaf(self):
         rng = np.random.default_rng(0)
-        tree = make_random_trees(1, 4, 9, rng)[0]
-        img = GrayImage(np.full((9, 9), 7, dtype=np.uint8))
-        assert eval_tree(img, center_of(img), tree) == 0
+        forest = TreeForest(grid_classes(1, 9), make_random_trees(3, 4, 9, rng))
+        patches = np.full((1, 9, 9), 7, dtype=np.uint8)
+        assert not forest.leaf_indices(patches).any()
 
     def test_path_oracle(self):
         rng = np.random.default_rng(1)
-        tree = make_random_trees(1, 5, 11, rng)[0]
-        for p in random_patches(rng, 50, 11):
-            got = eval_tree(GrayImage(p), Keypoint(5, 5), tree)
-            assert got == tree_leaf_oracle(p, tree)
+        trees = make_random_trees(2, 5, 11, rng)
+        patches = random_patches(rng, 50, 11)
+        leaves = TreeForest(grid_classes(1, 11), trees).leaf_indices(patches)
+        expected = [[tree_leaf_oracle(p, t) for t in trees] for p in patches]
+        assert np.array_equal(leaves, expected)
 
     def test_tree_with_shared_level_tests_equals_fern(self):
         # level l of the tree uses one test everywhere: exactly a fern
@@ -62,11 +65,12 @@ class TestEvalTree:
             nodes.extend([level_tests[level]] * (1 << level))
         tree = RandomTree(depth, tuple(nodes))
         fern = Fern(tuple(level_tests))
-        for p in random_patches(rng, 200, 11):
-            img = GrayImage(p)
-            assert eval_tree(img, Keypoint(5, 5), tree) == eval_fern(
-                img, Keypoint(5, 5), fern
-            )
+        classes = grid_classes(1, 11)
+        patches = random_patches(rng, 200, 11)
+        tree_leaves = TreeForest(classes, [tree]).leaf_indices(patches)
+        fern_leaves = FernModel(classes, [fern]).leaf_indices(patches)
+        assert np.array_equal(tree_leaves, fern_leaves)
+        assert np.array_equal(fern_leaves[:, 0], [leaf_index_oracle(p, fern) for p in patches])
 
     def test_wrong_test_count_rejected(self):
         rng = np.random.default_rng(3)
@@ -129,6 +133,13 @@ class TestTrainForest:
         assert np.array_equal(merged.counts, full.counts)
 
 
+def forged_depth_file(forest: TreeForest, depth: int) -> bytes:
+    """The forest's file with its header's depth word replaced."""
+    data = bytearray(forest.save())
+    struct.pack_into("<I", data, len(forest.magic) + 12, depth)
+    return bytes(data)
+
+
 def rigged_forest(posteriors: list[list[float]]) -> TreeForest:
     """Depth-1 forest whose per-tree class posterior is fixed everywhere.
 
@@ -183,7 +194,17 @@ class TestClassifyForest:
             img = GrayImage(probe[i])
             label, score = forest.classify(img, center_of(img))
             assert label == batch_labels[i]
-            assert np.isclose(score, batch_scores[i])
+            assert score == batch_scores[i]
+
+    @pytest.mark.parametrize("combination", list(Combination))
+    def test_posterior_agrees_with_classify(self, combination):
+        forest = trained_forest(t=4, depth=3)
+        forest.combination = combination
+        for p in random_patches(np.random.default_rng(16), 20, 9):
+            img = GrayImage(p)
+            post = forest.posterior(img, center_of(img))
+            assert abs(post.sum() - 1.0) < 1e-12
+            assert int(np.argmax(post)) == forest.classify(img, center_of(img))[0]
 
     def test_cost_counter(self):
         forest = trained_forest(t=3, depth=4)
@@ -230,11 +251,16 @@ class TestForestSerialization:
     def test_corrupt_counts(self):
         forest = trained_forest()
         data = bytearray(forest.save())
-        table_bytes = forest.log_table.size * 8
-        counts_start = len(data) - table_bytes - forest.counts.size * 8
+        # counts are the file's last section
+        counts_start = len(data) - forest.counts.size * 8
         data[counts_start : counts_start + 8] = (999999).to_bytes(8, "little")
         with pytest.raises(CorruptModel):
             TreeForest.load(bytes(data))
+
+    @pytest.mark.parametrize("depth", [62, 63, 64, 2**32 - 1])
+    def test_oversized_depth_is_a_format_error(self, depth):
+        with pytest.raises(FormatError):
+            TreeForest.load(forged_depth_file(trained_forest(), depth))
 
 
 class TestTruncatedForest:
