@@ -199,6 +199,15 @@ class TestTrain:
         assert np.array_equal(once.counts, twice.counts)
         assert np.array_equal(once.log_table, twice.log_table)
 
+    def test_starting_counts(self, small_model):
+        counts = small_model.counts.copy()
+        model = FernModel(small_model.classes, small_model.ferns, counts)
+        assert np.array_equal(model.log_table, small_model.log_table)
+        counts[0, 0, 0] += 1  # the model keeps its own copy
+        assert np.array_equal(model.counts, small_model.counts)
+        with pytest.raises(InvalidArgument):
+            FernModel(small_model.classes, small_model.ferns, counts[:2])
+
     def test_shard_merge_commutative(self):
         rng = np.random.default_rng(8)
         classes = grid_classes(3, 9)
