@@ -163,6 +163,12 @@ def _render(img: GrayImage, view_id: int, deform: AffineDeform,
     return View(view_id, deform, rendered)
 
 
+def _check_threads(threads: int) -> None:
+    # checked before any view is rendered, not when the iterator first runs
+    if threads < 1:
+        raise InvalidArgument(f"threads must be >= 1, got {threads}")
+
+
 def _iter_views(img, params, threads: int, classes: ClassSet | None) -> Iterator[View]:
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -186,6 +192,7 @@ def training_views(
     under the windows ``extract_patches`` keeps are rendered, and the rest
     read BACKGROUND. Crops from either render are identical.
     """
+    _check_threads(threads)
     if deforms is not None:
         params = [(i, d, 0.0, None) for i, d in enumerate(deforms)]
     else:
@@ -210,6 +217,7 @@ def test_views(
     :func:`training_views`; the noise still covers the whole frame, so each
     view draws the same noise field either way.
     """
+    _check_threads(threads)
     cx, cy = img.center
     params = []
     for i in range(spec.test_views if deforms is None else len(deforms)):

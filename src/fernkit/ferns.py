@@ -36,6 +36,10 @@ MODEL_VERSION = 2
 DEFAULT_FERN_COUNT = 30
 DEFAULT_FERN_SIZE = 10  # 30 x 10 = 300 binary features
 
+# Patches scored per step of classify_patches: its score buffers stay
+# cache-sized whatever the batch size.
+PATCH_BLOCK = 256
+
 
 class Combination(enum.Enum):
     """How per-unit class probabilities are fused into one decision."""
@@ -105,16 +109,23 @@ def make_random_ferns(
 
 
 def _check_patch_batch(patches: np.ndarray, patch_size: int) -> np.ndarray:
+    """The (N, p, p) windows centred on each patch of a uint8 batch (a view)."""
     arr = np.asarray(patches)
     if arr.ndim == 2:
         arr = arr[None, :, :]
     if arr.ndim != 3 or arr.dtype != np.uint8:
         raise InvalidArgument("patches must be a (N, h, w) uint8 array")
-    if arr.shape[1] < patch_size or arr.shape[2] < patch_size:
-        raise InvalidPatch(
-            f"patch {arr.shape[2]}x{arr.shape[1]} smaller than {patch_size}"
-        )
-    return arr
+    h, w = arr.shape[1:]
+    if h < patch_size or w < patch_size:
+        raise InvalidPatch(f"patch {w}x{h} smaller than {patch_size}")
+    top, left = h // 2 - patch_size // 2, w // 2 - patch_size // 2
+    return arr[:, top : top + patch_size, left : left + patch_size]
+
+
+def _flat_windows(patches: np.ndarray, patch_size: int) -> np.ndarray:
+    """(N, p*p) rows of the centred windows; copies only strided windows."""
+    arr = _check_patch_batch(patches, patch_size)
+    return arr.reshape(arr.shape[0], patch_size * patch_size)
 
 
 class LeafModel:
@@ -150,7 +161,10 @@ class LeafModel:
         self.num_leaves = 1 << depth
         self._tests = tuple(tuple(ts) for ts in tests)
         self._offsets = offsets  # (U, tests per unit, 4)
-        self._d1x, self._d1y, self._d2x, self._d2y = offsets.transpose(2, 0, 1).copy()
+        # flat positions of each test's two pixels in the p x p window
+        p, r = self.patch_size, self.patch_size // 2
+        self._o1 = (offsets[..., 1] + r) * p + offsets[..., 0] + r
+        self._o2 = (offsets[..., 3] + r) * p + offsets[..., 2] + r
         shape = (len(self._tests), self.num_leaves, self.num_classes)
         self.counts = (
             np.zeros(shape, dtype=np.uint64)
@@ -220,13 +234,25 @@ class LeafModel:
 
         ``combination`` defaults to the model's own. Naive-Bayes scores are
         unnormalized log posteriors; averaging scores are the winning class's
-        mean per-unit posterior.
+        mean per-unit posterior. The batch is scored in blocks of
+        ``PATCH_BLOCK`` patches, so temporaries do not grow with it.
         """
         if combination is None:
             combination = self.combination
-        scores = self._fuse(self.leaf_indices(patches), combination)
-        labels = np.argmax(scores, axis=1)
-        return labels, scores[np.arange(labels.size), labels]
+        arr = _check_patch_batch(patches, self.patch_size)
+        n = arr.shape[0]
+        labels = np.empty(n, dtype=np.intp)
+        best = np.empty(n)
+        buffers = np.empty((2, min(PATCH_BLOCK, n), self.num_classes))
+        for start in range(0, n, PATCH_BLOCK):
+            block = arr[start : start + PATCH_BLOCK]
+            k = block.shape[0]
+            scores, row = buffers[:, :k]
+            self._score_block(block, combination, scores, row)
+            chosen = labels[start : start + k]
+            np.argmax(scores, axis=1, out=chosen)
+            best[start : start + k] = scores[np.arange(k), chosen]
+        return labels, best
 
     def classify(self, img: GrayImage, center: Keypoint) -> tuple[int, float]:
         """Most probable class at one location and its score; ties go low."""
@@ -235,8 +261,8 @@ class LeafModel:
 
     def posterior(self, img: GrayImage, center: Keypoint) -> np.ndarray:
         """Normalized class posterior; sums to 1, argmax agrees with classify."""
-        leaves = self.leaf_indices(self._window(img, center))
-        scores = self._fuse(leaves, self.combination)
+        scores, row = np.empty((2, 1, self.num_classes))
+        self._score_block(self._window(img, center), self.combination, scores, row)
         if self.combination is Combination.NAIVE_BAYES:
             scores = _softmax_rows(scores)
         return scores[0]
@@ -249,24 +275,27 @@ class LeafModel:
             raise OutOfBounds(f"patch around ({cx}, {cy}) leaves the image")
         return img.pixels[None, cy - r : cy + r + 1, cx - r : cx + r + 1]
 
-    def _fuse(self, leaves: np.ndarray, combination: Combination) -> np.ndarray:
-        """(N, H) class scores from (N, U) leaf indices."""
-        n, units = leaves.shape
-        self.table_lookups += n * units
-        # take() gathers the same rows as fancy indexing, in about half the
-        # time on the one-patch calls classify makes
-        if combination is Combination.NAIVE_BAYES:
-            scores = np.tile(self.log_prior, (n, 1))
-            for u in range(units):
-                scores += self.log_table[u].take(leaves[:, u], axis=0)
-        else:
-            scores = np.zeros((n, self.num_classes))
-            for u in range(units):
-                scores += _softmax_rows(
-                    self.log_table[u].take(leaves[:, u], axis=0) + self.log_prior
-                )
-            scores /= units
-        return scores
+    def _score_block(
+        self, block: np.ndarray, combination: Combination,
+        scores: np.ndarray, row: np.ndarray,
+    ) -> None:
+        """Fill ``scores`` with the (k, H) class scores of k patches.
+
+        ``row`` is (k, H) scratch. Each unit's rows are gathered into it and
+        added in unit order, so a score is the same float64 sum whatever
+        the block size.
+        """
+        leaves = self.leaf_indices(block)
+        self.table_lookups += leaves.size
+        naive_bayes = combination is Combination.NAIVE_BAYES
+        scores[:] = self.log_prior if naive_bayes else 0.0
+        # leaves are in range by construction; clip mode lets take write
+        # straight into ``row`` instead of buffering it
+        for table, leaf in zip(self.log_table, leaves.T):
+            table.take(leaf, axis=0, out=row, mode="clip")
+            scores += row if naive_bayes else _softmax_rows(row + self.log_prior)
+        if not naive_bayes:
+            scores /= leaves.shape[1]
 
     # -- serialization ----------------------------------------------------
 
@@ -372,11 +401,8 @@ class FernModel(LeafModel):
 
     def leaf_indices(self, patches: np.ndarray) -> np.ndarray:
         """(N, S) leaf indices for a batch of patches centered on themselves."""
-        arr = _check_patch_batch(patches, self.patch_size)
-        cy, cx = arr.shape[1] // 2, arr.shape[2] // 2
-        a = arr[:, cy + self._d1y, cx + self._d1x]
-        b = arr[:, cy + self._d2y, cx + self._d2x]
-        bits = (a < b).astype(np.int64)  # (N, S, M)
+        flat = _flat_windows(patches, self.patch_size)
+        bits = flat.take(self._o1, axis=1) < flat.take(self._o2, axis=1)  # (N, S, M)
         self.pixel_comparisons += bits.size
         return bits @ self._weights
 

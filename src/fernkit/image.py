@@ -24,6 +24,10 @@ SCALE_HIGH = 1.5
 
 TWO_PI = 2.0 * math.pi
 
+# Pixels rendered or noised per step: every float temporary of warp_image
+# and add_noise stays within 64 KB whatever the frame size.
+PIXEL_BLOCK = 8192
+
 _WHITESPACE = b" \t\r\n\v\f"
 
 
@@ -239,33 +243,41 @@ def warp_image(
     True pixels, which get the same bytes as in the full render; every other
     pixel reads BACKGROUND. Patch streams pass the union of the windows they
     will crop, so only those pixels are sampled.
+
+    Both renders walk the frame ``PIXEL_BLOCK`` pixels at a time with the
+    same per-pixel arithmetic, so no temporary grows with the frame.
     """
     if out_w < 1 or out_h < 1:
         raise InvalidArgument("output size must be at least 1x1")
-    inv = np.linalg.inv(deform_matrix(d))
-    cx, cy = (out_w - 1) / 2.0, (out_h - 1) / 2.0
-    if mask is None:
-        ys, xs = np.meshgrid(
-            np.arange(out_h, dtype=np.float64),
-            np.arange(out_w, dtype=np.float64),
-            indexing="ij",
-        )
-    else:
+    if mask is not None:
         mask = np.asarray(mask)
         if mask.dtype != np.bool_ or mask.shape != (out_h, out_w):
             raise InvalidArgument(f"mask must be a boolean {out_h}x{out_w} array")
-        flat = np.flatnonzero(mask)
+        mask = mask.ravel()
+    inv = np.linalg.inv(deform_matrix(d))
+    cx, cy = (out_w - 1) / 2.0, (out_h - 1) / 2.0
+    out = np.full(out_h * out_w, BACKGROUND, dtype=np.uint8)
+    for start in range(0, out.size, PIXEL_BLOCK):
+        stop = min(start + PIXEL_BLOCK, out.size)
+        if mask is None:
+            flat = np.arange(start, stop)
+        else:
+            flat = start + np.flatnonzero(mask[start:stop])
+            if not flat.size:
+                continue
         ys, xs = np.divmod(flat, out_w)
-    u = xs - cx
-    v = ys - cy
-    sx = inv[0, 0] * u + inv[0, 1] * v + d.tx
-    sy = inv[1, 0] * u + inv[1, 1] * v + d.ty
-    values = _to_u8(_bilinear(src.pixels, sx, sy))
-    if mask is None:
-        return GrayImage(values)
-    out = np.full((out_h, out_w), BACKGROUND, dtype=np.uint8)
-    out.ravel()[flat] = values
-    return GrayImage(out)
+        u = xs - cx
+        v = ys - cy
+        sx = inv[0, 0] * u + inv[0, 1] * v + d.tx
+        sy = inv[1, 0] * u + inv[1, 1] * v + d.ty
+        out[flat] = _to_u8(_bilinear(src.pixels, sx, sy))
+    return _frozen_image(out.reshape(out_h, out_w))
+
+
+def _frozen_image(pixels: np.ndarray) -> GrayImage:
+    """Wrap a freshly built array without the defensive copy GrayImage makes."""
+    pixels.flags.writeable = False
+    return GrayImage(pixels)
 
 
 def warp_points(d: AffineDeform, out_w: int, out_h: int, points) -> np.ndarray:
@@ -302,8 +314,13 @@ def add_noise(img: GrayImage, sigma: float, rng: np.random.Generator) -> GrayIma
         raise InvalidArgument(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return img
-    noisy = img.pixels.astype(np.float64) + rng.normal(0.0, sigma, img.pixels.shape)
-    return GrayImage(_to_u8(noisy))
+    # block by block, the draws concatenate to one draw over the whole frame
+    pixels = img.pixels.ravel()
+    out = np.empty_like(pixels)
+    for start in range(0, pixels.size, PIXEL_BLOCK):
+        block = pixels[start : start + PIXEL_BLOCK]
+        out[start : start + block.size] = _to_u8(block + rng.normal(0.0, sigma, block.size))
+    return _frozen_image(out.reshape(img.pixels.shape))
 
 
 def box_mean(values: np.ndarray, radius: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from .ferns import (
     Combination,
     FeatureTest,
     LeafModel,
-    _check_patch_batch,
+    _flat_windows,
     random_tests,
 )
 from .keypoints import ClassSet
@@ -103,21 +103,21 @@ class TreeForest(LeafModel):
         return cls(classes, [RandomTree(depth, ts) for ts in tests], combination, counts)
 
     def leaf_indices(self, patches: np.ndarray) -> np.ndarray:
-        """(N, T) leaf indices from a vectorized root-to-leaf descent."""
-        arr = _check_patch_batch(patches, self.patch_size)
-        n = arr.shape[0]
-        cy, cx = arr.shape[1] // 2, arr.shape[2] // 2
-        rows = np.arange(n)
-        out = np.empty((n, self.num_trees), dtype=np.int64)
-        for t in range(self.num_trees):
-            node = np.zeros(n, dtype=np.int64)
-            for _ in range(self.depth):
-                a = arr[rows, cy + self._d1y[t, node], cx + self._d1x[t, node]]
-                b = arr[rows, cy + self._d2y[t, node], cx + self._d2x[t, node]]
-                node = 2 * node + 1 + (a < b)
-            out[:, t] = node - (self.num_leaves - 1)
+        """(N, T) leaf indices from a root-to-leaf descent of every tree at once."""
+        flat = _flat_windows(patches, self.patch_size)
+        n = flat.shape[0]
+        pixels = flat.ravel()
+        rows = np.arange(n)[:, None] * flat.shape[1]
+        # node k of tree t is entry t * (2^D - 1) + k of the flattened offsets
+        roots = np.arange(self.num_trees) * (self.num_leaves - 1)
+        node = np.zeros((n, self.num_trees), dtype=np.int64)
+        for _ in range(self.depth):
+            tests = roots + node
+            a = pixels.take(rows + self._o1.take(tests))
+            b = pixels.take(rows + self._o2.take(tests))
+            node = 2 * node + 1 + (a < b)
         self.pixel_comparisons += n * self.num_trees * self.depth
-        return out
+        return node - (self.num_leaves - 1)
 
     # The benchmark tracer (perfbench/spans.py) finds the methods it wraps
     # in each model class's own __dict__, so the shared ones are bound here.

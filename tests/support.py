@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from fernkit import ClassSet, GrayImage, Keypoint, box_smooth
-from fernkit.image import BACKGROUND, unwarp_points, warp_points
+from fernkit.image import BACKGROUND, deform_matrix, unwarp_points, warp_points
 
 
 def make_texture(width: int, height: int, seed: int, block: int = 8) -> GrayImage:
@@ -125,6 +125,37 @@ def bilinear_oracle(pixels: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.nd
     top = v00 * (1.0 - fx) + v01 * fx
     bot = v10 * (1.0 - fx) + v11 * fx
     return np.where(inside, top * (1.0 - fy) + bot * fy, float(BACKGROUND))
+
+
+def warp_image_oracle(src, d, out_w: int, out_h: int, mask=None) -> np.ndarray:
+    """Whole-frame render: one pass over every (or every masked) pixel."""
+    inv = np.linalg.inv(deform_matrix(d))
+    cx, cy = (out_w - 1) / 2.0, (out_h - 1) / 2.0
+    if mask is None:
+        ys, xs = np.meshgrid(
+            np.arange(out_h, dtype=np.float64),
+            np.arange(out_w, dtype=np.float64),
+            indexing="ij",
+        )
+    else:
+        flat = np.flatnonzero(mask)
+        ys, xs = np.divmod(flat, out_w)
+    u = xs - cx
+    v = ys - cy
+    sx = inv[0, 0] * u + inv[0, 1] * v + d.tx
+    sy = inv[1, 0] * u + inv[1, 1] * v + d.ty
+    values = np.clip(np.rint(bilinear_oracle(src.pixels, sx, sy)), 0, 255).astype(np.uint8)
+    if mask is None:
+        return values
+    out = np.full((out_h, out_w), BACKGROUND, dtype=np.uint8)
+    out.ravel()[flat] = values
+    return out
+
+
+def add_noise_oracle(pixels: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """One float64 noise field drawn over the whole frame at once."""
+    noisy = pixels.astype(np.float64) + rng.normal(0.0, sigma, pixels.shape)
+    return np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
 
 
 def extract_patches_oracle(view, classes, src_size):

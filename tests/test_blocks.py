@@ -1,0 +1,196 @@
+"""Block-wise classification and synthesis: exact at block edges, bounded memory.
+
+``classify_patches`` scores ``PATCH_BLOCK`` patches at a time, and
+``warp_image``/``add_noise`` work on ``PIXEL_BLOCK`` pixels at a time. These
+tests pin that the blocks change no output bit and that no temporary grows
+with the batch or the frame.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fernkit import (
+    AffineDeform,
+    FernModel,
+    GrayImage,
+    Keypoint,
+    TreeForest,
+    add_noise,
+    make_random_ferns,
+    make_random_trees,
+    warp_image,
+)
+from fernkit.ferns import PATCH_BLOCK, Combination
+from fernkit.image import PIXEL_BLOCK
+
+from support import add_noise_oracle, grid_classes, random_patches, warp_image_oracle
+
+PATCH = 9
+BATCH_SIZES = [0, 1, PATCH_BLOCK - 1, PATCH_BLOCK, PATCH_BLOCK + 1, 2 * PATCH_BLOCK + 3]
+
+
+def trained(kind: str, combination: Combination, h: int = 5):
+    """A small fern model or forest trained on noise patches, fused by
+    ``combination`` (also a fern model's, so classify and posterior use it)."""
+    rng = np.random.default_rng(3)
+    classes = grid_classes(h, PATCH)
+    if kind == "fern":
+        model = FernModel(classes, make_random_ferns(4, 5, PATCH, rng))
+    else:
+        model = TreeForest(classes, make_random_trees(4, 4, PATCH, rng), combination)
+    patches = random_patches(rng, 300, PATCH)
+    labels = rng.integers(0, h, 300)
+    model.train([(GrayImage(p), int(l)) for p, l in zip(patches, labels)])
+    model.combination = combination
+    return model
+
+
+MODELS = [
+    ("fern", Combination.NAIVE_BAYES),
+    ("fern", Combination.AVERAGE),
+    ("tree", Combination.NAIVE_BAYES),
+    ("tree", Combination.AVERAGE),
+]
+
+
+def per_patch(model, patches):
+    """Labels and scores from one classify call per patch."""
+    centre = Keypoint(PATCH // 2, PATCH // 2)
+    pairs = [model.classify(GrayImage(p), centre) for p in patches]
+    labels = np.array([label for label, _ in pairs], dtype=np.intp)
+    scores = np.array([score for _, score in pairs])
+    return labels, scores
+
+
+def centred(patches: np.ndarray) -> np.ndarray:
+    """The centred PATCH x PATCH windows of larger patches, copied."""
+    h, w = patches.shape[1:]
+    top, left = h // 2 - PATCH // 2, w // 2 - PATCH // 2
+    return np.ascontiguousarray(patches[:, top : top + PATCH, left : left + PATCH])
+
+
+class TestReadPathBlocks:
+    @pytest.mark.parametrize("kind,combination", MODELS)
+    @pytest.mark.parametrize("n", BATCH_SIZES)
+    def test_blocks_equal_per_patch_classify(self, kind, combination, n):
+        model = trained(kind, combination)
+        patches = random_patches(np.random.default_rng(n), n, PATCH)
+        labels, scores = model.classify_patches(patches)
+        assert labels.dtype == np.intp and scores.dtype == np.float64
+        assert labels.shape == scores.shape == (n,)
+        expected_labels, expected_scores = per_patch(model, patches)
+        assert np.array_equal(labels, expected_labels)
+        assert scores.tobytes() == expected_scores.tobytes()
+
+    @pytest.mark.parametrize("kind,combination", MODELS)
+    def test_blocks_equal_per_patch_posterior(self, kind, combination):
+        model = trained(kind, combination)
+        patches = random_patches(np.random.default_rng(7), PATCH_BLOCK + 1, PATCH)
+        labels, scores = model.classify_patches(patches)
+        centre = Keypoint(PATCH // 2, PATCH // 2)
+        for i in (0, PATCH_BLOCK - 1, PATCH_BLOCK):
+            post = model.posterior(GrayImage(patches[i]), centre)
+            assert int(np.argmax(post)) == labels[i]
+            if combination is Combination.AVERAGE:
+                assert post[labels[i]] == scores[i]
+
+    @pytest.mark.parametrize("kind,combination", MODELS)
+    def test_oversized_even_patches_read_their_centred_window(self, kind, combination):
+        model = trained(kind, combination)
+        big = random_patches(np.random.default_rng(8), PATCH_BLOCK + 5, PATCH + 3)
+        big = np.ascontiguousarray(big[:, :, : PATCH + 1])  # 12 x 10
+        labels, scores = model.classify_patches(big)
+        expected_labels, expected_scores = model.classify_patches(centred(big))
+        assert np.array_equal(labels, expected_labels)
+        assert scores.tobytes() == expected_scores.tobytes()
+        assert np.array_equal(model.leaf_indices(big), model.leaf_indices(centred(big)))
+        img = GrayImage(big[PATCH_BLOCK + 2])
+        centre = Keypoint(img.width // 2, img.height // 2)
+        assert model.classify(img, centre) == (
+            labels[PATCH_BLOCK + 2], scores[PATCH_BLOCK + 2]
+        )
+
+    @pytest.mark.parametrize("kind,combination", MODELS)
+    def test_strided_batches_equal_contiguous_copies(self, kind, combination):
+        model = trained(kind, combination)
+        base = random_patches(np.random.default_rng(9), 2 * PATCH_BLOCK + 6, PATCH + 4)
+        for view in (base[::2], base[:, 1 : 1 + PATCH, 3 : 3 + PATCH], base[::-3, ::-1]):
+            assert not view.flags.c_contiguous
+            labels, scores = model.classify_patches(view)
+            expected_labels, expected_scores = model.classify_patches(centred(view))
+            assert np.array_equal(labels, expected_labels)
+            assert scores.tobytes() == expected_scores.tobytes()
+
+    @pytest.mark.parametrize("kind", ["fern", "tree"])
+    def test_counters_see_every_patch_of_every_block(self, kind):
+        model = trained(kind, Combination.NAIVE_BAYES)
+        n = 3 * PATCH_BLOCK + 10
+        model.pixel_comparisons = model.table_lookups = 0
+        model.classify_patches(random_patches(np.random.default_rng(10), n, PATCH))
+        units, depth = 4, (5 if kind == "fern" else 4)
+        assert model.pixel_comparisons == n * units * depth
+        assert model.table_lookups == n * units
+
+
+def peak_traced_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_classify_patches_holds_no_batch_sized_scores(self):
+        h, n = 200, 8 * PATCH_BLOCK
+        ferns = make_random_ferns(10, 6, PATCH, np.random.default_rng(0))
+        model = FernModel(grid_classes(h, PATCH), ferns)
+        patches = random_patches(np.random.default_rng(1), n, PATCH)
+        peak = peak_traced_bytes(lambda: model.classify_patches(patches))
+        assert peak < n * h * 8
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_warp_image_holds_no_frame_sized_floats(self, masked):
+        w, h = 640, 480
+        src = GrayImage(np.random.default_rng(2).integers(0, 256, (h, w)).astype(np.uint8))
+        d = AffineDeform(0.4, 1.1, 0.8, 1.3, tx=w / 2, ty=h / 2)
+        mask = None
+        if masked:
+            mask = np.zeros((h, w), dtype=bool)
+            mask[::2] = True  # half the frame
+        peak = peak_traced_bytes(lambda: warp_image(src, d, w, h, mask=mask))
+        assert peak < w * h * 8
+
+    def test_add_noise_holds_no_frame_sized_floats(self):
+        w, h = 640, 480
+        img = GrayImage(np.full((h, w), 128, dtype=np.uint8))
+        rng = np.random.default_rng(3)
+        peak = peak_traced_bytes(lambda: add_noise(img, 10.0, rng))
+        assert peak < w * h * 8
+
+
+# frame shapes around and across the pixel block: 1x1, 1xN, Nx1, one pixel
+# past a block, and the scene size
+FRAMES = [(1, 1), (1, 37), (29, 1), (1, PIXEL_BLOCK + 1), (3, 2731), (480, 640)]
+
+
+class TestSynthesisOracles:
+    @pytest.mark.parametrize("h,w", FRAMES)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_blocked_warp_equals_whole_frame_render(self, h, w, masked):
+        rng = np.random.default_rng(h * 1000 + w)
+        src = GrayImage(rng.integers(0, 256, (max(h, 2), max(w, 2))).astype(np.uint8))
+        d = AffineDeform(0.3, 0.9, 0.85, 1.2, tx=src.width / 2, ty=src.height / 2)
+        mask = rng.random((h, w)) < 0.4 if masked else None
+        got = warp_image(src, d, w, h, mask=mask).pixels
+        assert got.tobytes() == warp_image_oracle(src, d, w, h, mask=mask).tobytes()
+
+    @pytest.mark.parametrize("h,w", FRAMES)
+    def test_blocked_noise_equals_one_whole_frame_draw(self, h, w):
+        img = GrayImage(np.random.default_rng(w).integers(0, 256, (h, w)).astype(np.uint8))
+        got = add_noise(img, 12.5, np.random.default_rng(h + w))
+        expected = add_noise_oracle(img.pixels, 12.5, np.random.default_rng(h + w))
+        assert got.pixels.tobytes() == expected.tobytes()

@@ -89,6 +89,17 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_zero_threads_exits_2(self, workdir, capsys):
+        code = run(
+            "train", "--image", workdir / "ref.pgm",
+            "--model", workdir / "zero.bin", "--seed", 1, "--classes", 5,
+            "--ferns", 2, "--fern-size", 4, "--patch", 21,
+            "--views-per-degree", 1, "--degrees", 20, "--threads", 0,
+        )
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
+        assert not (workdir / "zero.bin").exists()
+
 
 class TestEval:
     def test_non_finite_noise_exits_2(self, workdir, trained, capsys):

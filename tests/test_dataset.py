@@ -134,6 +134,19 @@ class TestDeterminism:
         )
         assert serial == threaded
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_fewer_than_one_thread_rejected(self, texture_small, small_classes, threads):
+        spec = DatasetSpec(1, 2, test_views=2)
+        args = (texture_small, spec, 9, threads)
+        with pytest.raises(InvalidArgument, match="threads"):
+            training_views(*args)
+        with pytest.raises(InvalidArgument, match="threads"):
+            render_test_views(*args)
+        with pytest.raises(InvalidArgument, match="threads"):
+            generate_training_set(texture_small, small_classes, spec, 9, threads=threads)
+        with pytest.raises(InvalidArgument, match="threads"):
+            generate_test_set(texture_small, small_classes, spec, 9, threads=threads)
+
     def test_threads_do_not_change_the_noisy_test_stream(
         self, texture_small, small_classes
     ):
