@@ -334,6 +334,9 @@ def main(argv=None) -> int:
         "warp": cmd_warp,
     }[args.command]
     try:
+        # every subcommand takes --threads; reject it before any work starts
+        if args.threads < 1:
+            raise InvalidArgument(f"threads must be >= 1, got {args.threads}")
         return handler(args)
     except (OSError, ParseError, UnsupportedFormat) as exc:
         print(f"error: {exc}", file=sys.stderr)

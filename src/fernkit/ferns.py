@@ -31,7 +31,11 @@ from .image import GrayImage
 from .keypoints import ClassSet, Keypoint
 
 MODEL_MAGIC = b"FERNMDL1"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
+# version, classes, units, bits/depth, patch size, combination, count width
+HEADER = struct.Struct("<7I")
+# bytes per stored count; save() picks the narrowest that holds every count
+COUNT_WIDTHS = (1, 2, 4, 8)
 
 DEFAULT_FERN_COUNT = 30
 DEFAULT_FERN_SIZE = 10  # 30 x 10 = 300 binary features
@@ -166,10 +170,11 @@ class LeafModel:
         self._o1 = (offsets[..., 1] + r) * p + offsets[..., 0] + r
         self._o2 = (offsets[..., 3] + r) * p + offsets[..., 2] + r
         shape = (len(self._tests), self.num_leaves, self.num_classes)
+        # C order keeps counts.reshape(-1) a view, which _accumulate writes to
         self.counts = (
             np.zeros(shape, dtype=np.uint64)
             if counts is None
-            else np.array(counts, dtype=np.uint64)
+            else np.array(counts, dtype=np.uint64, order="C")
         )
         if self.counts.shape != shape:
             raise InvalidArgument(f"counts must have shape {shape}")
@@ -194,14 +199,24 @@ class LeafModel:
         return self
 
     def _accumulate(self, patches: np.ndarray, labels: np.ndarray) -> None:
-        leaves = self.leaf_indices(patches)
-        for u in range(len(self._tests)):
-            np.add.at(self.counts[u], (leaves[:, u], labels), 1)
+        """Add one count per (unit, leaf, label) of a chunk; labels are in range."""
+        leaves = self.leaf_indices(patches)  # (N, U)
+        units = np.arange(leaves.shape[1]) * self.num_leaves
+        cells = (units + leaves) * self.num_classes + labels[:, None]
+        # one sort for the whole chunk instead of one np.add.at per unit
+        cells, hits = np.unique(cells, return_counts=True)
+        self.counts.reshape(-1)[cells] += hits.astype(np.uint64)
 
     def _rebuild_tables(self) -> None:
+        """Rebuild the log tables; counts from unequal streams are rejected.
+
+        Every sample reaches one leaf of every unit, so each unit's per-class
+        totals must agree; the check reuses the sum the tables need.
+        """
         totals = self.counts.sum(axis=1, dtype=np.float64)  # (U, H)
-        table = self.counts.astype(np.float64)
-        table += 1.0
+        if np.any(totals != totals[0]):
+            raise InvalidArgument("per-class sample totals disagree across units")
+        table = np.add(self.counts, 1.0)
         table /= totals[:, None, :] + float(self.num_leaves)
         self.log_table = np.log(table, out=table)
 
@@ -300,39 +315,48 @@ class LeafModel:
     # -- serialization ----------------------------------------------------
 
     def save(self) -> bytes:
-        """Little-endian model file; load() restores behavior bit-exactly."""
-        head = self.magic + struct.pack(
-            "<6I",
+        """Little-endian model file; load() restores behavior bit-exactly.
+
+        Counts are stored at the narrowest width in ``COUNT_WIDTHS`` that
+        holds the largest of them.
+        """
+        largest = int(self.counts.max())
+        width = next(w for w in COUNT_WIDTHS if largest < 1 << 8 * w)
+        head = self.magic + HEADER.pack(
             MODEL_VERSION,
             self.num_classes,
             len(self._tests),
             self.num_leaves.bit_length() - 1,
             self.patch_size,
             self.combination.value,
+            width,
         )
         kp = self.classes.coords.astype("<f4").tobytes()
         tests = self._offsets.astype("<i2").tobytes()
-        return head + kp + tests + self.counts.astype("<u8").tobytes()
+        return head + kp + tests + self.counts.astype(f"<u{width}").tobytes()
 
     @classmethod
     def load(cls, data: bytes):
-        pos = len(cls.magic) + struct.calcsize("<6I")
+        pos = len(cls.magic) + HEADER.size
         if len(data) < pos:
             raise FormatError("file shorter than its header")
         if data[: len(cls.magic)] != cls.magic:
             raise FormatError(f"bad magic {data[:len(cls.magic)]!r}")
-        version, h, units, depth, patch_size, combo = struct.unpack_from(
-            "<6I", data, len(cls.magic)
+        version, h, units, depth, patch_size, combo, width = HEADER.unpack_from(
+            data, len(cls.magic)
         )
         if version != MODEL_VERSION:
             raise FormatError(f"unsupported version {version}; retrain the model")
         if combo not in (0, 1):
             raise FormatError(f"unknown combination mode {combo}")
+        if width not in COUNT_WIDTHS:
+            raise FormatError(f"count width {width} is not one of {COUNT_WIDTHS}")
         if depth > 63:  # leaf indices are int64
             raise FormatError(f"unit depth {depth} exceeds 63")
         kp, pos = _take(data, pos, "<f4", (h, 2))
         tests, pos = _take(data, pos, "<i2", (units, cls._tests_per_unit(depth), 4))
-        counts, pos = _take(data, pos, "<u8", (units, 1 << depth, h))
+        # a view of the file; the constructor widens it to uint64 in one copy
+        counts, pos = _take(data, pos, f"<u{width}", (units, 1 << depth, h))
         if pos != len(data):
             raise FormatError(f"{len(data) - pos} trailing bytes")
         try:
@@ -343,13 +367,11 @@ class LeafModel:
                 tuple(FeatureTest(*(int(v) for v in row)) for row in rows)
                 for rows in tests
             ]
-            model = cls._build(classes, depth, unit_tests, Combination(combo), counts)
+            # the table rebuild rejects counts whose unit totals disagree
+            # before it builds any table
+            return cls._build(classes, depth, unit_tests, Combination(combo), counts)
         except FernkitError as exc:
             raise CorruptModel(str(exc)) from exc
-        totals = model.counts.sum(axis=1)
-        if np.any(totals != totals[0]):
-            raise CorruptModel("per-class sample totals disagree across units")
-        return model
 
 
 class FernModel(LeafModel):

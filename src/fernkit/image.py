@@ -334,23 +334,37 @@ def box_mean(values: np.ndarray, radius: int) -> np.ndarray:
     if radius == 0:
         return arr.astype(np.float64)
     h, w = arr.shape
+    ys, xs = np.arange(h), np.arange(w)
+    rows = np.minimum(ys + radius + 1, h) - np.maximum(ys - radius, 0)
+    cols = np.minimum(xs + radius + 1, w) - np.maximum(xs - radius, 0)
+    # the padded table is freed before the area and the quotient exist
+    return _window_sums(arr, radius) / (rows[:, None] * cols[None, :])
+
+
+def _window_sums(arr: np.ndarray, radius: int) -> np.ndarray:
+    """Sum over the (2r+1)^2 window around each cell, clipped at borders.
+
+    The summed-area table is padded so that its row i holds the prefix sum
+    over rows ``< clip(i - r, 0, h)`` (and columns alike). The four corners
+    of every window are then plain slices of it, with no index arrays.
+    """
+    h, w = arr.shape
+    # a radius past an edge clips every window the same as radius h - 1
+    ry, rx = min(radius, h - 1), min(radius, w - 1)
     acc_dtype = np.int64 if arr.dtype.kind in "iu" else np.float64
-    table = np.zeros((h + 1, w + 1), dtype=acc_dtype)
-    table[1:, 1:] = arr.astype(acc_dtype).cumsum(axis=0).cumsum(axis=1)
-    ys = np.arange(h)
-    xs = np.arange(w)
-    y1 = np.maximum(ys - radius, 0)
-    y2 = np.minimum(ys + radius + 1, h)
-    x1 = np.maximum(xs - radius, 0)
-    x2 = np.minimum(xs + radius + 1, w)
-    sums = (
-        table[y2[:, None], x2[None, :]]
-        - table[y1[:, None], x2[None, :]]
-        - table[y2[:, None], x1[None, :]]
-        + table[y1[:, None], x1[None, :]]
-    )
-    area = (y2 - y1)[:, None] * (x2 - x1)[None, :]
-    return sums / area
+    table = np.zeros((h + 2 * ry + 1, w + 2 * rx + 1), dtype=acc_dtype)
+    inner = table[ry + 1 : ry + 1 + h, rx + 1 : rx + 1 + w]
+    np.cumsum(arr, axis=0, dtype=acc_dtype, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
+    table[ry + 1 + h :, rx + 1 : rx + 1 + w] = inner[-1]
+    table[:, rx + 1 + w :] = table[:, rx + w, None]
+    top, bottom = slice(0, h), slice(2 * ry + 1, 2 * ry + 1 + h)
+    left, right = slice(0, w), slice(2 * rx + 1, 2 * rx + 1 + w)
+    # the four-corner formula in its usual order, so float sums are unchanged
+    sums = table[bottom, right] - table[top, right]
+    sums -= table[bottom, left]
+    sums += table[top, left]
+    return sums
 
 
 def box_smooth(img: GrayImage, radius: int) -> GrayImage:

@@ -96,17 +96,14 @@ def _response_map(img: GrayImage) -> np.ndarray:
 
 def _local_maxima(resp: np.ndarray) -> np.ndarray:
     """Mask of pixels equal to the max of their 3x3 neighborhood."""
-    padded = np.full(
-        (resp.shape[0] + 2, resp.shape[1] + 2), -np.inf, dtype=np.float64
-    )
-    padded[1:-1, 1:-1] = resp
-    best = resp.copy()
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            shifted = padded[1 + dy : 1 + dy + resp.shape[0], 1 + dx : 1 + dx + resp.shape[1]]
-            np.maximum(best, shifted, out=best)
+    # the 3x3 max is separable: a 3-wide max along each row, then along each
+    # column; border pixels compare only with the neighbors they have
+    rows = resp.copy()
+    np.maximum(rows[:, 1:], resp[:, :-1], out=rows[:, 1:])
+    np.maximum(rows[:, :-1], resp[:, 1:], out=rows[:, :-1])
+    best = rows.copy()
+    np.maximum(best[1:], rows[:-1], out=best[1:])
+    np.maximum(best[:-1], rows[1:], out=best[:-1])
     return resp >= best
 
 

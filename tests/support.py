@@ -108,6 +108,41 @@ def box_mean_oracle(values: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
+def box_mean_corner_oracle(values: np.ndarray, radius: int) -> np.ndarray:
+    """Summed-area box mean with four 2-D fancy-index corner gathers."""
+    arr = np.asarray(values)
+    if radius == 0:
+        return arr.astype(np.float64)
+    h, w = arr.shape
+    acc_dtype = np.int64 if arr.dtype.kind in "iu" else np.float64
+    table = np.zeros((h + 1, w + 1), dtype=acc_dtype)
+    table[1:, 1:] = arr.astype(acc_dtype).cumsum(axis=0).cumsum(axis=1)
+    y1 = np.maximum(np.arange(h) - radius, 0)
+    y2 = np.minimum(np.arange(h) + radius + 1, h)
+    x1 = np.maximum(np.arange(w) - radius, 0)
+    x2 = np.minimum(np.arange(w) + radius + 1, w)
+    sums = (
+        table[y2[:, None], x2[None, :]]
+        - table[y1[:, None], x2[None, :]]
+        - table[y2[:, None], x1[None, :]]
+        + table[y1[:, None], x1[None, :]]
+    )
+    return sums / ((y2 - y1)[:, None] * (x2 - x1)[None, :])
+
+
+def local_maxima_oracle(resp: np.ndarray) -> np.ndarray:
+    """3x3 local-maximum mask from the eight shifted neighbours in turn."""
+    h, w = resp.shape
+    padded = np.full((h + 2, w + 2), -np.inf)
+    padded[1:-1, 1:-1] = resp
+    best = resp.copy()
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy or dx:
+                np.maximum(best, padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w], out=best)
+    return resp >= best
+
+
 def bilinear_oracle(pixels: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     """Bilinear sampling with four 2-D fancy-index corner gathers."""
     h, w = pixels.shape
@@ -214,3 +249,40 @@ def v1_fern_file(model) -> bytes:
             model.log_table.astype("<f8").tobytes(),
         ]
     )
+
+
+def v2_fern_file(model) -> bytes:
+    """The same model in the version-2 layout: six header words, u64 counts."""
+    head = b"FERNMDL1" + struct.pack(
+        "<6I", 2, model.num_classes, model.num_ferns, model.fern_size,
+        model.patch_size, model.combination.value,
+    )
+    tests = [[[t.dx1, t.dy1, t.dx2, t.dy2] for t in f.tests] for f in model.ferns]
+    return b"".join(
+        [
+            head,
+            model.classes.coords.astype("<f4").tobytes(),
+            np.array(tests, dtype="<i2").tobytes(),
+            model.counts.astype("<u8").tobytes(),
+        ]
+    )
+
+
+# offset of the count-width word: magic, then six u32 words before it
+WIDTH_WORD = 8 + 6 * 4
+
+
+def count_section(data: bytes, model) -> tuple[int, int]:
+    """(offset, bytes per count) of a model file's counts, its last section,
+    found from the header's width word."""
+    (width,) = struct.unpack_from("<I", data, WIDTH_WORD)
+    return len(data) - model.counts.size * width, width
+
+
+def accumulate_oracle(model, patches: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The model's counts after one np.add.at per unit over a chunk."""
+    counts = model.counts.copy()
+    leaves = model.leaf_indices(patches)
+    for u in range(counts.shape[0]):
+        np.add.at(counts[u], (leaves[:, u], labels), 1)
+    return counts

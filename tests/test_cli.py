@@ -7,7 +7,7 @@ import pytest
 from fernkit import FernModel, TreeForest, read_pgm, write_pgm
 from fernkit.cli import main
 
-from support import make_texture, v1_fern_file
+from support import WIDTH_WORD, make_texture, v1_fern_file, v2_fern_file
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +286,19 @@ class TestModelFiles:
         assert code == 4
         assert "version 1" in capsys.readouterr().err
 
+    def test_version_2_model_exits_4(self, workdir, trained, capsys):
+        old = workdir / "v2.bin"
+        old.write_bytes(v2_fern_file(FernModel.load(trained.read_bytes())))
+        code = run("match", "--image", workdir / "ref.pgm", "--model", old, "--seed", 1)
+        assert code == 4
+        assert "version 2" in capsys.readouterr().err
+
+    def test_trained_model_stores_narrow_counts(self, trained):
+        data = trained.read_bytes()
+        model = FernModel.load(data)
+        assert struct.unpack_from("<I", data, WIDTH_WORD) == (1,)
+        assert len(data) == WIDTH_WORD + 4 + model.num_classes * 8 + 16 * 8 * 8 + model.counts.size
+
     @pytest.mark.parametrize("depth", [62, 63])
     def test_oversized_forest_depth_exits_4(self, workdir, trained, depth):
         classes = FernModel.load(trained.read_bytes()).classes
@@ -296,6 +309,29 @@ class TestModelFiles:
         bad.write_bytes(bytes(data))
         code = run("match", "--image", workdir / "ref.pgm", "--model", bad, "--seed", 1)
         assert code == 4
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_warp_rejects_threads_below_one(self, workdir, capsys, threads):
+        out = workdir / f"threads{threads}.pgm"
+        code = run(
+            "warp", "--image", workdir / "ref.pgm", "--seed", 3,
+            "--threads", threads, "--out", out,
+        )
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_match_rejects_threads_below_one(self, workdir, trained, capsys):
+        out = workdir / "threads0.csv"
+        code = run(
+            "match", "--image", workdir / "ref.pgm", "--model", trained,
+            "--seed", 1, "--threads", 0, "--out", out,
+        )
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestWarp:

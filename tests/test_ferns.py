@@ -23,6 +23,9 @@ from fernkit import (
 from fernkit.ferns import Combination
 
 from support import (
+    WIDTH_WORD,
+    accumulate_oracle,
+    count_section,
     grid_classes,
     leaf_index_oracle,
     pin_probe,
@@ -30,6 +33,7 @@ from support import (
     random_patches,
     sha256_of,
     v1_fern_file,
+    v2_fern_file,
 )
 
 
@@ -207,6 +211,9 @@ class TestTrain:
         assert np.array_equal(model.counts, small_model.counts)
         with pytest.raises(InvalidArgument):
             FernModel(small_model.classes, small_model.ferns, counts[:2])
+        # a sample reaches every fern, so unequal per-class totals are invalid
+        with pytest.raises(InvalidArgument, match="totals disagree"):
+            FernModel(small_model.classes, small_model.ferns, counts)
 
     def test_shard_merge_commutative(self):
         rng = np.random.default_rng(8)
@@ -391,10 +398,9 @@ class TestSerialization:
 
     def test_tampered_counts_are_corrupt(self, small_model):
         data = bytearray(small_model.save())
-        # counts are the file's last section
-        counts_start = len(data) - small_model.counts.size * 8
-        data[counts_start : counts_start + 8] = (12345678).to_bytes(8, "little")
-        with pytest.raises(CorruptModel):
+        start, width = count_section(data, small_model)
+        data[start] ^= 1  # one class of unit 0 now disagrees with the rest
+        with pytest.raises(CorruptModel, match="totals disagree"):
             FernModel.load(bytes(data))
 
     def test_tables_are_rebuilt_from_counts(self, small_model):
@@ -406,7 +412,8 @@ class TestSerialization:
         counts[0, src, 0] -= 1
         counts[0, dst, 0] += 1
         data = bytearray(small_model.save())
-        data[len(data) - counts.nbytes :] = counts.astype("<u8").tobytes()
+        start, width = count_section(data, small_model)
+        data[start:] = counts.astype(f"<u{width}").tobytes()
         loaded = FernModel.load(bytes(data))
         assert np.array_equal(loaded.counts, counts)
         total = int(counts[0, :, 0].sum())
@@ -425,6 +432,125 @@ class TestSerialization:
     def test_version_1_file_rejected(self, small_model):
         with pytest.raises(FormatError, match="version 1"):
             FernModel.load(v1_fern_file(small_model))
+
+    def test_version_2_file_rejected(self, small_model):
+        with pytest.raises(FormatError, match="version 2; retrain"):
+            FernModel.load(v2_fern_file(small_model))
+
+
+def one_cell_model(value: int) -> FernModel:
+    """1 fern, M=1, 2 classes; a single count of ``value`` at leaf 1, class 1."""
+    model = FernModel(grid_classes(2, 5), [Fern((FeatureTest(-1, 0, 1, 0),))])
+    model.counts[0, 1, 1] = value
+    model._rebuild_tables()
+    return model
+
+
+class TestCountWidth:
+    """Counts are stored at the narrowest of 1, 2, 4 or 8 bytes."""
+
+    @pytest.mark.parametrize(
+        "value, width",
+        [
+            (0, 1),
+            (255, 1),
+            (256, 2),
+            (65535, 2),
+            (65536, 4),
+            (2**32 - 1, 4),
+            (2**32, 8),
+            (2**64 - 1, 8),
+        ],
+    )
+    def test_narrowest_width_chosen(self, value, width):
+        model = one_cell_model(value)
+        data = model.save()
+        assert struct.unpack_from("<I", data, WIDTH_WORD) == (width,)
+        assert len(data) == WIDTH_WORD + 4 + 2 * 8 + 4 * 2 + model.counts.size * width
+
+    @pytest.mark.parametrize("value", [255, 256, 65535, 65536, 2**32 - 1, 2**32])
+    def test_round_trip_at_every_width(self, value):
+        model = one_cell_model(value)
+        loaded = FernModel.load(model.save())
+        assert loaded.counts.dtype == np.uint64
+        assert np.array_equal(loaded.counts, model.counts)
+        assert loaded.log_table.tobytes() == model.log_table.tobytes()
+        probe = random_patches(np.random.default_rng(value % 1000), 50, 5)
+        a_labels, a_scores = model.classify_patches(probe)
+        b_labels, b_scores = loaded.classify_patches(probe)
+        assert np.array_equal(a_labels, b_labels)
+        assert a_scores.tobytes() == b_scores.tobytes()
+
+    def test_trained_fixture_round_trips_narrow(self, small_model):
+        data = small_model.save()
+        _, width = count_section(data, small_model)
+        assert width == 1
+        loaded = FernModel.load(data)
+        assert np.array_equal(loaded.counts, small_model.counts)
+        assert loaded.log_table.tobytes() == small_model.log_table.tobytes()
+
+    @pytest.mark.parametrize("width", [0, 3, 16])
+    def test_unknown_width_is_a_format_error(self, small_model, width):
+        data = bytearray(small_model.save())
+        struct.pack_into("<I", data, WIDTH_WORD, width)
+        with pytest.raises(FormatError, match="count width"):
+            FernModel.load(bytes(data))
+
+    @pytest.mark.parametrize(
+        "value, claimed, problem",
+        [(1, 2, "truncated"), (1, 8, "truncated"), (256, 1, "trailing"), (2**32, 4, "trailing")],
+    )
+    def test_width_and_section_length_disagree(self, value, claimed, problem):
+        data = bytearray(one_cell_model(value).save())
+        struct.pack_into("<I", data, WIDTH_WORD, claimed)
+        with pytest.raises(FormatError, match=problem):
+            FernModel.load(bytes(data))
+
+
+class TestAccumulate:
+    """One sort per chunk against one np.add.at per unit."""
+
+    def test_repeated_leaf_label_pairs(self, small_model):
+        model = FernModel(small_model.classes, small_model.ferns, small_model.counts)
+        rng = np.random.default_rng(60)
+        patches = np.concatenate(
+            [np.repeat(random_patches(rng, 3, model.patch_size), 40, axis=0),
+             random_patches(rng, 50, model.patch_size)]
+        )
+        labels = np.concatenate([np.zeros(100, np.int64), rng.integers(0, 3, 70)])
+        want = accumulate_oracle(model, patches, labels)
+        model._accumulate(patches, labels)
+        assert np.array_equal(model.counts, want)
+
+    def test_one_patch_chunk(self, small_model):
+        model = FernModel(small_model.classes, small_model.ferns)
+        patch = random_patches(np.random.default_rng(61), 1, model.patch_size)
+        label = np.array([model.num_classes - 1])
+        want = accumulate_oracle(model, patch, label)
+        model._accumulate(patch, label)
+        assert np.array_equal(model.counts, want)
+        assert int(model.counts.sum()) == model.num_ferns
+
+    def test_truncated_model_counts(self, small_model):
+        sub = small_model.truncated(3)
+        rng = np.random.default_rng(62)
+        patches = random_patches(rng, 300, sub.patch_size)
+        labels = rng.integers(0, sub.num_classes, 300)
+        want = accumulate_oracle(sub, patches, labels)
+        before = small_model.counts.copy()
+        sub._accumulate(patches, labels)
+        assert np.array_equal(sub.counts, want)
+        assert np.array_equal(small_model.counts, before)
+
+    def test_fortran_ordered_starting_counts(self, small_model):
+        counts = np.asfortranarray(small_model.counts)
+        model = FernModel(small_model.classes, small_model.ferns, counts)
+        rng = np.random.default_rng(63)
+        patches = random_patches(rng, 100, model.patch_size)
+        labels = rng.integers(0, model.num_classes, 100)
+        want = accumulate_oracle(model, patches, labels)
+        model._accumulate(patches, labels)
+        assert np.array_equal(model.counts, want)
 
 
 class TestTruncated:
@@ -474,8 +600,10 @@ class TestGoldenPins:
         )
 
     def test_model_file(self, small_model):
+        # version 3, count width 1: the version-2 file (121a4ef1...) with a
+        # width word after the six header words and its counts as u8
         assert hashlib.sha256(small_model.save()).hexdigest() == (
-            "121a4ef1ae0f74fce1c24cd62115ca16bce9cd5ecb73d35a628574ef7bf25414"
+            "933f1725171ab7a16d447895f479ad3584104845ae42ab48573b4aab50044b90"
         )
 
     def test_labels_and_scores(self, small_model):

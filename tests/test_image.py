@@ -28,7 +28,7 @@ from fernkit.image import (
     warp_points,
 )
 
-from support import bilinear_oracle, box_mean_oracle
+from support import bilinear_oracle, box_mean_corner_oracle, box_mean_oracle
 
 
 def image_from(rows):
@@ -335,6 +335,26 @@ class TestBoxSmooth:
         for radius in (1, 2, 4):
             got = box_mean(values, radius)
             assert np.allclose(got, box_mean_oracle(values, radius), atol=1e-9)
+
+
+class TestBoxMeanCorners:
+    """Corners sliced from a padded table against four fancy-index gathers."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 23), (19, 1), (2, 3), (13, 17), (48, 64)])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 12, 64])
+    @pytest.mark.parametrize("kind", ["uint8", "int64", "float", "plateau"])
+    def test_bytes_equal_corner_oracle(self, shape, radius, kind):
+        rng = np.random.default_rng(sum(shape) + radius)
+        values = {
+            "uint8": lambda: rng.integers(0, 256, shape).astype(np.uint8),
+            "int64": lambda: rng.integers(-1000, 1000, shape),
+            "float": lambda: rng.normal(0.0, 50.0, shape),
+            "plateau": lambda: rng.integers(0, 2, shape).astype(np.uint8) * 200,
+        }[kind]()
+        got = box_mean(values, radius)
+        want = box_mean_corner_oracle(values, radius)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDeterminism:

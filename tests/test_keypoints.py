@@ -11,6 +11,9 @@ from fernkit import (
     detect_keypoints,
     select_stable_classes,
 )
+from fernkit.keypoints import _local_maxima, _response_map
+
+from support import local_maxima_oracle
 
 
 class TestDetect:
@@ -55,6 +58,27 @@ class TestDetect:
         kps = detect_keypoints(GrayImage(pixels), 10, patch_size=9)
         spots = {(k.x, k.y) for k in kps[:2]}
         assert spots == {(20.0, 20.0), (44.0, 40.0)}
+
+
+class TestLocalMaxima:
+    """The separable 3x3 max against the eight-neighbour loop it replaced."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 31), (29, 1), (2, 2), (37, 53)])
+    @pytest.mark.parametrize("kind", ["float", "integer", "plateau"])
+    def test_mask_equals_neighbour_oracle(self, shape, kind):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        resp = {
+            "float": lambda: rng.random(shape),
+            "integer": lambda: rng.integers(0, 4, shape).astype(np.float64),
+            "plateau": lambda: np.kron(
+                rng.integers(0, 3, (shape[0] // 4 + 1, shape[1] // 4 + 1)), np.ones((4, 4))
+            )[: shape[0], : shape[1]].astype(np.float64),
+        }[kind]()
+        assert np.array_equal(_local_maxima(resp), local_maxima_oracle(resp))
+
+    def test_response_map_of_texture(self, texture_small):
+        resp = _response_map(texture_small)
+        assert np.array_equal(_local_maxima(resp), local_maxima_oracle(resp))
 
 
 class TestClassSet:

@@ -18,6 +18,9 @@ from fernkit import (
 from fernkit.ferns import Combination, random_tests
 
 from support import (
+    WIDTH_WORD,
+    accumulate_oracle,
+    count_section,
     grid_classes,
     leaf_index_oracle,
     pin_probe,
@@ -251,11 +254,44 @@ class TestForestSerialization:
     def test_corrupt_counts(self):
         forest = trained_forest()
         data = bytearray(forest.save())
-        # counts are the file's last section
-        counts_start = len(data) - forest.counts.size * 8
-        data[counts_start : counts_start + 8] = (999999).to_bytes(8, "little")
+        start, width = count_section(data, forest)
+        data[start : start + width] = (200).to_bytes(width, "little")
         with pytest.raises(CorruptModel):
             TreeForest.load(bytes(data))
+
+    @pytest.mark.parametrize(
+        "value, width", [(255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4), (2**32, 8)]
+    )
+    def test_narrowest_width_round_trip(self, value, width):
+        forest = trained_forest(t=1, depth=3)
+        forest.counts[0, 5, 2] = value
+        forest._rebuild_tables()
+        data = forest.save()
+        assert struct.unpack_from("<I", data, WIDTH_WORD) == (width,)
+        loaded = TreeForest.load(data)
+        assert np.array_equal(loaded.counts, forest.counts)
+        assert loaded.log_table.tobytes() == forest.log_table.tobytes()
+        probe = random_patches(np.random.default_rng(16), 50, 9)
+        for combination in Combination:
+            a = forest.classify_patches(probe, combination)
+            b = loaded.classify_patches(probe, combination)
+            assert np.array_equal(a[0], b[0]) and a[1].tobytes() == b[1].tobytes()
+
+    @pytest.mark.parametrize("width", [0, 3, 16])
+    def test_unknown_width_is_a_format_error(self, width):
+        data = bytearray(trained_forest().save())
+        struct.pack_into("<I", data, WIDTH_WORD, width)
+        with pytest.raises(FormatError, match="count width"):
+            TreeForest.load(bytes(data))
+
+    def test_accumulate_matches_per_unit_oracle(self):
+        forest = trained_forest(t=4, depth=3)
+        rng = np.random.default_rng(17)
+        patches = np.repeat(random_patches(rng, 5, 9), 7, axis=0)
+        labels = rng.integers(0, 4, 35)
+        want = accumulate_oracle(forest, patches, labels)
+        forest._accumulate(patches, labels)
+        assert np.array_equal(forest.counts, want)
 
     @pytest.mark.parametrize("depth", [62, 63, 64, 2**32 - 1])
     def test_oversized_depth_is_a_format_error(self, depth):
