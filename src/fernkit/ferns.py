@@ -171,17 +171,22 @@ class LeafModel:
         self._o2 = (offsets[..., 3] + r) * p + offsets[..., 2] + r
         shape = (len(self._tests), self.num_leaves, self.num_classes)
         # C order keeps counts.reshape(-1) a view, which _accumulate writes to
-        self.counts = (
-            np.zeros(shape, dtype=np.uint64)
-            if counts is None
-            else np.array(counts, dtype=np.uint64, order="C")
-        )
+        if counts is None:
+            self.counts = np.zeros(shape, dtype=np.uint64)
+        else:
+            counts = np.asarray(counts)
+            self.counts = np.array(counts, dtype=np.uint64, order="C")
         if self.counts.shape != shape:
             raise InvalidArgument(f"counts must have shape {shape}")
+        # first row of each unit in the (units * leaves, H) view of log_table
+        self._unit_rows = np.arange(shape[0]) * self.num_leaves
         # training streams are balanced by construction, so the prior is
         # exactly uniform (and stays finite for classes never seen)
         self.log_prior = np.full(self.num_classes, -np.log(self.num_classes))
-        self._rebuild_tables()
+        # unsigned counts hold the values of the uint64 copy in as few bytes
+        # as they came in (a loaded file's width), so the tables read those
+        narrow = counts is not None and np.can_cast(counts.dtype, np.uint64)
+        self._rebuild_tables(counts if narrow else None)
         self.pixel_comparisons = 0
         self.table_lookups = 0
 
@@ -207,16 +212,20 @@ class LeafModel:
         cells, hits = np.unique(cells, return_counts=True)
         self.counts.reshape(-1)[cells] += hits.astype(np.uint64)
 
-    def _rebuild_tables(self) -> None:
+    def _rebuild_tables(self, counts: np.ndarray | None = None) -> None:
         """Rebuild the log tables; counts from unequal streams are rejected.
 
-        Every sample reaches one leaf of every unit, so each unit's per-class
-        totals must agree; the check reuses the sum the tables need.
+        The tables are built from ``counts``, by default the model's own; any
+        unsigned array of the same values gives the same bytes. Every sample
+        reaches one leaf of every unit, so each unit's per-class totals must
+        agree; the check reuses the sum the tables need.
         """
-        totals = self.counts.sum(axis=1, dtype=np.float64)  # (U, H)
+        if counts is None:
+            counts = self.counts
+        totals = counts.sum(axis=1, dtype=np.float64)  # (U, H)
         if np.any(totals != totals[0]):
             raise InvalidArgument("per-class sample totals disagree across units")
-        table = np.add(self.counts, 1.0)
+        table = np.add(counts, 1.0, dtype=np.float64)
         table /= totals[:, None, :] + float(self.num_leaves)
         self.log_table = np.log(table, out=table)
 
@@ -258,12 +267,12 @@ class LeafModel:
         n = arr.shape[0]
         labels = np.empty(n, dtype=np.intp)
         best = np.empty(n)
-        buffers = np.empty((2, min(PATCH_BLOCK, n), self.num_classes))
+        block_scores, rows = self._buffers(n)
         for start in range(0, n, PATCH_BLOCK):
             block = arr[start : start + PATCH_BLOCK]
             k = block.shape[0]
-            scores, row = buffers[:, :k]
-            self._score_block(block, combination, scores, row)
+            scores = block_scores[:k]
+            self._score_block(block, combination, scores, rows)
             chosen = labels[start : start + k]
             np.argmax(scores, axis=1, out=chosen)
             best[start : start + k] = scores[np.arange(k), chosen]
@@ -276,8 +285,8 @@ class LeafModel:
 
     def posterior(self, img: GrayImage, center: Keypoint) -> np.ndarray:
         """Normalized class posterior; sums to 1, argmax agrees with classify."""
-        scores, row = np.empty((2, 1, self.num_classes))
-        self._score_block(self._window(img, center), self.combination, scores, row)
+        scores, rows = self._buffers(1)
+        self._score_block(self._window(img, center), self.combination, scores, rows)
         if self.combination is Combination.NAIVE_BAYES:
             scores = _softmax_rows(scores)
         return scores[0]
@@ -290,27 +299,52 @@ class LeafModel:
             raise OutOfBounds(f"patch around ({cx}, {cy}) leaves the image")
         return img.pixels[None, cy - r : cy + r + 1, cx - r : cx + r + 1]
 
+    def _buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Score rows for blocks of a batch of n patches, and the scratch
+        ``_score_block`` gathers into; neither has over ``PATCH_BLOCK`` rows."""
+        k = min(PATCH_BLOCK, n)
+        rows = min(PATCH_BLOCK, k * len(self._tests))
+        buffer = np.empty((k + rows, self.num_classes))
+        return buffer[:k], buffer[k:]
+
     def _score_block(
         self, block: np.ndarray, combination: Combination,
-        scores: np.ndarray, row: np.ndarray,
+        scores: np.ndarray, rows: np.ndarray,
     ) -> None:
         """Fill ``scores`` with the (k, H) class scores of k patches.
 
-        ``row`` is (k, H) scratch. Each unit's rows are gathered into it and
-        added in unit order, so a score is the same float64 sum whatever
-        the block size.
+        Units are scored in steps of ``PATCH_BLOCK // k``: one take gathers
+        the table rows of every unit in a step into the ``rows`` scratch,
+        unit-major, and they are added to the scores in unit order. A score
+        is therefore the same float64 sum whatever the block size.
         """
         leaves = self.leaf_indices(block)
         self.table_lookups += leaves.size
+        k, units = leaves.shape
         naive_bayes = combination is Combination.NAIVE_BAYES
         scores[:] = self.log_prior if naive_bayes else 0.0
-        # leaves are in range by construction; clip mode lets take write
-        # straight into ``row`` instead of buffering it
-        for table, leaf in zip(self.log_table, leaves.T):
-            table.take(leaf, axis=0, out=row, mode="clip")
-            scores += row if naive_bayes else _softmax_rows(row + self.log_prior)
+        table = self.log_table.reshape(-1, self.num_classes)
+        # rows of ``table`` to add, unit-major: unit u's k rows, then u + 1's
+        cells = (leaves + self._unit_rows).T.ravel()
+        # a reduction over a single column sums pairwise, not in order
+        step = max(1, PATCH_BLOCK // k) if scores.size > 1 else 1
+        for start in range(0, cells.size, step * k):
+            ids = cells[start : start + step * k]
+            got = rows[: ids.size]
+            # leaves are in range by construction; clip mode lets take write
+            # straight into ``got`` instead of buffering it
+            table.take(ids, axis=0, out=got, mode="clip")
+            if not naive_bayes:
+                got = _softmax_rows(got + self.log_prior)
+            if ids.size == k:
+                scores += got
+            else:
+                # r + s equals s + r bit for bit, and a reduction over the
+                # outer axis adds its rows in order
+                got[:k] += scores
+                np.add.reduce(got.reshape(-1, *scores.shape), axis=0, out=scores)
         if not naive_bayes:
-            scores /= leaves.shape[1]
+            scores /= units
 
     # -- serialization ----------------------------------------------------
 
@@ -356,6 +390,7 @@ class LeafModel:
         kp, pos = _take(data, pos, "<f4", (h, 2))
         tests, pos = _take(data, pos, "<i2", (units, cls._tests_per_unit(depth), 4))
         # a view of the file; the constructor widens it to uint64 in one copy
+        # and builds the tables from the view
         counts, pos = _take(data, pos, f"<u{width}", (units, 1 << depth, h))
         if pos != len(data):
             raise FormatError(f"{len(data) - pos} trailing bytes")

@@ -25,6 +25,9 @@ from .image import (
 
 DEFAULT_PATCH_SIZE = 31
 
+# keypoints per step of the ClassSet separation check
+SEPARATION_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class Keypoint:
@@ -56,14 +59,13 @@ class ClassSet:
         object.__setattr__(self, "keypoints", tuple(self.keypoints))
         if not self.keypoints:
             raise InvalidArgument("a ClassSet needs at least one keypoint")
-        min_sep = self.min_separation
         coords = self.coords
-        for i in range(len(coords)):
-            d2 = np.sum((coords[i + 1 :] - coords[i]) ** 2, axis=1)
-            if d2.size and d2.min() < min_sep**2 - 1e-9:
-                raise InvalidArgument(
-                    f"keypoints closer than min separation {min_sep}"
-                )
+        if not np.isfinite(coords).all():
+            raise InvalidArgument("keypoint coordinates must be finite")
+        if _any_pair_closer(coords, self.min_separation):
+            raise InvalidArgument(
+                f"keypoints closer than min separation {self.min_separation}"
+            )
 
     def __len__(self) -> int:
         return len(self.keypoints)
@@ -80,6 +82,26 @@ class ClassSet:
     @property
     def margin(self) -> int:
         return self.patch_size // 2
+
+
+def _any_pair_closer(coords: np.ndarray, min_sep: float) -> bool:
+    """Whether two of the (H, 2) points are closer than ``min_sep``.
+
+    Compares ``SEPARATION_BLOCK`` points at a time with all the others, so
+    no temporary grows as H x H. A pair's squared distance is the same
+    float64 from either end, so each pair may be seen twice.
+    """
+    limit = min_sep**2 - 1e-9
+    x, y = coords[:, 0], coords[:, 1]
+    for start in range(0, len(coords), SEPARATION_BLOCK):
+        block = slice(start, start + SEPARATION_BLOCK)
+        d2 = (x - x[block, None]) ** 2 + (y - y[block, None]) ** 2
+        # a point is not its own neighbour
+        own = np.arange(d2.shape[0])
+        d2[own, own + start] = np.inf
+        if d2.min() < limit:
+            return True
+    return False
 
 
 def _response_map(img: GrayImage) -> np.ndarray:

@@ -7,6 +7,7 @@ packing, and window means come from nested loops.
 
 import hashlib
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -219,6 +220,16 @@ def extract_patches_oracle(view, classes, src_size):
     return out, skipped
 
 
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def sha256_of(*arrays) -> str:
     """Hex SHA-256 over the raw bytes of the given arrays, in order."""
     digest = hashlib.sha256()
@@ -270,6 +281,8 @@ def v2_fern_file(model) -> bytes:
 
 # offset of the count-width word: magic, then six u32 words before it
 WIDTH_WORD = 8 + 6 * 4
+# offset of the first keypoint's x, the first f32 after the header
+KEYPOINT_WORD = WIDTH_WORD + 4
 
 
 def count_section(data: bytes, model) -> tuple[int, int]:
@@ -286,3 +299,42 @@ def accumulate_oracle(model, patches: np.ndarray, labels: np.ndarray) -> np.ndar
     for u in range(counts.shape[0]):
         np.add.at(counts[u], (leaves[:, u], labels), 1)
     return counts
+
+
+def separation_oracle(coords: np.ndarray, min_sep: float) -> bool:
+    """Whether two points are closer than ``min_sep``, checked with one row
+    operation per point against the points after it."""
+    for i in range(len(coords)):
+        d2 = np.sum((coords[i + 1 :] - coords[i]) ** 2, axis=1)
+        if d2.size and d2.min() < min_sep**2 - 1e-9:
+            return True
+    return False
+
+
+def scores_oracle(model, patches: np.ndarray, combination) -> list[list[float]]:
+    """Per-patch class scores summed one unit at a time in Python floats.
+
+    Naive-Bayes adds each unit's log-probability to the log prior; averaging
+    adds each unit's posterior (a softmax over its row plus the log prior)
+    to 0.0 and divides by the unit count.
+    """
+    leaves = model.leaf_indices(patches)
+    naive_bayes = combination.name == "NAIVE_BAYES"
+    out = []
+    for row in leaves:
+        terms = []
+        for unit, leaf in enumerate(row):
+            values = model.log_table[unit, leaf]
+            if not naive_bayes:
+                shifted = values + model.log_prior
+                p = np.exp(shifted - shifted.max())
+                values = p / p.sum()
+            terms.append([float(v) for v in values])
+        scores = []
+        for c in range(model.num_classes):
+            total = float(model.log_prior[c]) if naive_bayes else 0.0
+            for term in terms:
+                total += term[c]
+            scores.append(total if naive_bayes else total / len(terms))
+        out.append(scores)
+    return out

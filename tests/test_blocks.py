@@ -1,12 +1,10 @@
 """Block-wise classification and synthesis: exact at block edges, bounded memory.
 
-``classify_patches`` scores ``PATCH_BLOCK`` patches at a time, and
-``warp_image``/``add_noise`` work on ``PIXEL_BLOCK`` pixels at a time. These
-tests pin that the blocks change no output bit and that no temporary grows
-with the batch or the frame.
+``classify_patches`` scores ``PATCH_BLOCK`` patches at a time, each block in
+steps of ``PATCH_BLOCK // k`` units, and ``warp_image``/``add_noise`` work on
+``PIXEL_BLOCK`` pixels at a time. These tests pin that the blocks and steps
+change no output bit and that no temporary grows with the batch or the frame.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,21 +23,28 @@ from fernkit import (
 from fernkit.ferns import PATCH_BLOCK, Combination
 from fernkit.image import PIXEL_BLOCK
 
-from support import add_noise_oracle, grid_classes, random_patches, warp_image_oracle
+from support import (
+    add_noise_oracle,
+    grid_classes,
+    peak_traced_bytes,
+    random_patches,
+    scores_oracle,
+    warp_image_oracle,
+)
 
 PATCH = 9
 BATCH_SIZES = [0, 1, PATCH_BLOCK - 1, PATCH_BLOCK, PATCH_BLOCK + 1, 2 * PATCH_BLOCK + 3]
 
 
-def trained(kind: str, combination: Combination, h: int = 5):
+def trained(kind: str, combination: Combination, h: int = 5, units: int = 4):
     """A small fern model or forest trained on noise patches, fused by
     ``combination`` (also a fern model's, so classify and posterior use it)."""
     rng = np.random.default_rng(3)
     classes = grid_classes(h, PATCH)
     if kind == "fern":
-        model = FernModel(classes, make_random_ferns(4, 5, PATCH, rng))
+        model = FernModel(classes, make_random_ferns(units, 5, PATCH, rng))
     else:
-        model = TreeForest(classes, make_random_trees(4, 4, PATCH, rng), combination)
+        model = TreeForest(classes, make_random_trees(units, 4, PATCH, rng), combination)
     patches = random_patches(rng, 300, PATCH)
     labels = rng.integers(0, h, 300)
     model.train([(GrayImage(p), int(l)) for p, l in zip(patches, labels)])
@@ -134,13 +139,57 @@ class TestReadPathBlocks:
         assert model.table_lookups == n * units
 
 
-def peak_traced_bytes(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+# With 30 units, blocks of 7, 8 and 9 patches take steps of 36, 32 and 28
+# units (all of them, or 28 then 2), blocks of 29 to 31 take steps of 8 (the
+# last one of 6), and blocks of 255 or more take one unit per step.
+ORACLE_SIZES = [1, 2, 3, 7, 8, 9, 29, 30, 31, 255, 256, 257]
+ORACLE_UNITS = 30
+
+
+def first_max(row: list[float]) -> int:
+    return row.index(max(row))
+
+
+class TestUnitSteps:
+    """Scores equal one sequential float64 sum per class, unit by unit."""
+
+    @pytest.mark.parametrize("kind,combination", MODELS)
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_scores_equal_sequential_sum_oracle(self, kind, combination, n):
+        model = trained(kind, combination, units=ORACLE_UNITS)
+        patches = random_patches(np.random.default_rng(100 + n), n, PATCH)
+        model.pixel_comparisons = model.table_lookups = 0
+        labels, scores = model.classify_patches(patches)
+        depth = 5 if kind == "fern" else 4
+        assert model.table_lookups == n * ORACLE_UNITS
+        assert model.pixel_comparisons == n * ORACLE_UNITS * depth
+        expected = scores_oracle(model, patches, combination)
+        assert labels.tolist() == [first_max(row) for row in expected]
+        best = np.array([row[first_max(row)] for row in expected])
+        assert scores.tobytes() == best.tobytes()
+
+    @pytest.mark.parametrize("kind,combination", MODELS)
+    def test_posterior_equals_sequential_sum_oracle(self, kind, combination):
+        model = trained(kind, combination, units=ORACLE_UNITS)
+        patches = random_patches(np.random.default_rng(11), 3, PATCH)
+        centre = Keypoint(PATCH // 2, PATCH // 2)
+        for patch, row in zip(patches, scores_oracle(model, patches, combination)):
+            expected = np.array(row)
+            if combination is Combination.NAIVE_BAYES:
+                p = np.exp(expected - expected.max())
+                expected = p / p.sum()
+            post = model.posterior(GrayImage(patch), centre)
+            assert post.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["fern", "tree"])
+    def test_one_class_sums_in_unit_order(self, kind):
+        # a lone column would be summed pairwise by a reduction; the scores
+        # must still be the sequential sums
+        model = trained(kind, Combination.NAIVE_BAYES, h=1, units=ORACLE_UNITS)
+        patches = random_patches(np.random.default_rng(12), 9, PATCH)
+        expected = [row[0] for row in scores_oracle(model, patches, Combination.NAIVE_BAYES)]
+        assert per_patch(model, patches)[1].tobytes() == np.array(expected).tobytes()
+        assert model.classify_patches(patches)[1].tobytes() == np.array(expected).tobytes()
 
 
 class TestBoundedMemory:
@@ -151,6 +200,31 @@ class TestBoundedMemory:
         patches = random_patches(np.random.default_rng(1), n, PATCH)
         peak = peak_traced_bytes(lambda: model.classify_patches(patches))
         assert peak < n * h * 8
+
+    @pytest.mark.parametrize("n", [1, 2 * PATCH_BLOCK])
+    def test_gather_scratch_is_at_most_one_block(self, monkeypatch, n):
+        # more units than a block has rows: a scratch sized units x patches
+        # would hold 3 x PATCH_BLOCK rows for one patch
+        h, units = 100, 3 * PATCH_BLOCK
+        ferns = make_random_ferns(units, 1, PATCH, np.random.default_rng(0))
+        model = FernModel(grid_classes(h, PATCH), ferns)
+        patches = random_patches(np.random.default_rng(1), n, PATCH)
+        scratch = []
+        score_block = model._score_block
+
+        def spy(block, combination, scores, rows):
+            scratch.append(rows.nbytes)
+            score_block(block, combination, scores, rows)
+
+        monkeypatch.setattr(model, "_score_block", spy)
+        model.classify_patches(patches)
+        assert scratch and max(scratch) <= PATCH_BLOCK * h * 8
+        if n == 1:
+            # a one-patch call holds its score row, the scratch and small
+            # index arrays, nothing as large as units x classes
+            img, centre = GrayImage(patches[0]), Keypoint(PATCH // 2, PATCH // 2)
+            peak = peak_traced_bytes(lambda: model.classify(img, centre))
+            assert peak < 1.25 * (PATCH_BLOCK + 1) * h * 8
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_warp_image_holds_no_frame_sized_floats(self, masked):

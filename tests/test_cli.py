@@ -7,7 +7,7 @@ import pytest
 from fernkit import FernModel, TreeForest, read_pgm, write_pgm
 from fernkit.cli import main
 
-from support import WIDTH_WORD, make_texture, v1_fern_file, v2_fern_file
+from support import KEYPOINT_WORD, WIDTH_WORD, make_texture, v1_fern_file, v2_fern_file
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +298,20 @@ class TestModelFiles:
         model = FernModel.load(data)
         assert struct.unpack_from("<I", data, WIDTH_WORD) == (1,)
         assert len(data) == WIDTH_WORD + 4 + model.num_classes * 8 + 16 * 8 * 8 + model.counts.size
+
+    def test_non_finite_keypoint_exits_4(self, workdir, trained, capsys):
+        data = bytearray(trained.read_bytes())
+        struct.pack_into("<f", data, KEYPOINT_WORD, float("nan"))
+        bad = workdir / "nan_keypoint.bin"
+        bad.write_bytes(bytes(data))
+        out = workdir / "nan_keypoint.csv"
+        code = run(
+            "match", "--image", workdir / "ref.pgm", "--model", bad, "--seed", 1,
+            "--out", out,
+        )
+        assert code == 4
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("depth", [62, 63])
     def test_oversized_forest_depth_exits_4(self, workdir, trained, depth):

@@ -23,11 +23,13 @@ from fernkit import (
 from fernkit.ferns import Combination
 
 from support import (
+    KEYPOINT_WORD,
     WIDTH_WORD,
     accumulate_oracle,
     count_section,
     grid_classes,
     leaf_index_oracle,
+    peak_traced_bytes,
     pin_probe,
     posterior_oracle,
     random_patches,
@@ -421,6 +423,14 @@ class TestSerialization:
             expected = (int(counts[0, leaf, 0]) + 1) / (total + small_model.num_leaves)
             assert np.isclose(np.exp(loaded.log_table[0, leaf, 0]), expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("field", [0, 4])  # x or y of class 0
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_keypoint_is_corrupt(self, small_model, field, value):
+        data = bytearray(small_model.save())
+        struct.pack_into("<f", data, KEYPOINT_WORD + field, value)
+        with pytest.raises(CorruptModel, match="finite"):
+            FernModel.load(bytes(data))
+
     def test_averaging_fern_file_is_corrupt(self, small_model):
         data = bytearray(small_model.save())
         # header words follow the magic: version, classes, units, size,
@@ -505,6 +515,38 @@ class TestCountWidth:
         struct.pack_into("<I", data, WIDTH_WORD, claimed)
         with pytest.raises(FormatError, match=problem):
             FernModel.load(bytes(data))
+
+
+class TestLoadedTables:
+    """Load builds the tables from the file's narrow counts."""
+
+    @pytest.mark.parametrize("extra, width", [(0, 1), (1000, 2), (70000, 4), (2**33, 8)])
+    def test_equal_to_a_model_built_from_uint64_counts(self, small_model, extra, width):
+        counts = small_model.counts.copy()
+        counts[:, 0, 0] += np.uint64(extra)  # in every unit, so totals agree
+        built = FernModel(small_model.classes, small_model.ferns, counts)
+        data = built.save()
+        assert struct.unpack_from("<I", data, WIDTH_WORD) == (width,)
+        loaded = FernModel.load(data)
+        assert loaded.counts.dtype == np.uint64
+        assert loaded.counts.flags.c_contiguous
+        assert np.array_equal(loaded.counts, counts)
+        assert loaded.log_table.tobytes() == built.log_table.tobytes()
+
+    def test_disagreeing_totals_rejected_before_any_table(self):
+        ferns = make_random_ferns(4, 10, 9, np.random.default_rng(0))
+        model = FernModel(grid_classes(100, 9), ferns)
+        data = bytearray(model.save())
+        start, _ = count_section(data, model)
+        data[start] = 1  # a sample that only unit 0 saw
+        blob = bytes(data)
+
+        def load():
+            with pytest.raises(CorruptModel, match="totals disagree"):
+                FernModel.load(blob)
+
+        # the uint64 copy of the counts is as large as the table would be
+        assert peak_traced_bytes(load) < 1.5 * model.log_table.nbytes
 
 
 class TestAccumulate:

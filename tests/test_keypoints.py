@@ -13,7 +13,7 @@ from fernkit import (
 )
 from fernkit.keypoints import _local_maxima, _response_map
 
-from support import local_maxima_oracle
+from support import local_maxima_oracle, separation_oracle
 
 
 class TestDetect:
@@ -89,6 +89,82 @@ class TestClassSet:
     def test_even_patch_rejected(self):
         with pytest.raises(InvalidArgument):
             ClassSet((Keypoint(20, 20),), patch_size=20)
+
+    @pytest.mark.parametrize(
+        "x, y", [(np.nan, 5.0), (5.0, np.nan), (np.inf, 5.0), (5.0, -np.inf)]
+    )
+    def test_non_finite_coordinates_rejected(self, x, y):
+        with pytest.raises(InvalidArgument, match="finite"):
+            ClassSet((Keypoint(x, y),), patch_size=9)
+        with pytest.raises(InvalidArgument, match="finite"):
+            ClassSet((Keypoint(50.0, 50.0), Keypoint(x, y)), patch_size=9)
+
+    def test_infinitely_far_points_rejected(self):
+        # inf - inf is nan, which no distance comparison catches
+        with pytest.raises(InvalidArgument, match="finite"):
+            ClassSet((Keypoint(np.inf, 5), Keypoint(np.inf, 50)), 9)
+
+
+def separation_verdict(coords: np.ndarray, patch_size: int) -> bool:
+    """Whether ClassSet rejects the points as too close."""
+    keypoints = tuple(Keypoint(float(x), float(y)) for x, y in coords)
+    try:
+        ClassSet(keypoints, patch_size)
+    except InvalidArgument:
+        return True
+    return False
+
+
+class TestSeparationOracle:
+    """The blocked separation check agrees with one row operation per point."""
+
+    @pytest.mark.parametrize("h", [1, 2, 63, 64, 65, 130, 200])
+    @pytest.mark.parametrize("patch_size", [9, 31])
+    def test_random_sets(self, h, patch_size):
+        rng = np.random.default_rng(h * 100 + patch_size)
+        min_sep = patch_size / 2.0
+        # a grid at exactly the separation, jittered by about the 1e-9
+        # tolerance, shuffled so close pairs land in any block
+        cols = int(np.ceil(np.sqrt(h)))
+        grid = np.stack([np.arange(h) % cols, np.arange(h) // cols], axis=1) * min_sep
+        verdicts = set()
+        for scale in (0.0, 1e-10, 3e-10, 1e-9):
+            coords = rng.permutation(grid + rng.uniform(-scale, scale, grid.shape))
+            want = separation_oracle(coords, min_sep)
+            assert separation_verdict(coords, patch_size) == want
+            verdicts.add(want)
+        if h > 1:
+            assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("h", [2, 64, 65, 130, 200])
+    def test_one_close_pair_in_any_block(self, h):
+        patch_size, min_sep = 9, 4.5
+        cols = int(np.ceil(np.sqrt(h)))
+        grid = np.stack([np.arange(h) % cols, np.arange(h) // cols], axis=1) * 2 * min_sep
+        assert not separation_oracle(grid, min_sep)
+        assert not separation_verdict(grid, patch_size)
+        for i, j in {(0, 1), (0, h - 1), (h - 2, h - 1), (min(63, h - 2), min(64, h - 1))}:
+            coords = grid.copy()
+            coords[j] = coords[i] + (min_sep / 2, 0.0)
+            assert separation_oracle(coords, min_sep)
+            assert separation_verdict(coords, patch_size)
+
+    @pytest.mark.parametrize("patch_size", [9, 21, 31])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_pairs_at_the_threshold(self, patch_size, axis):
+        min_sep = patch_size / 2.0
+        edge = np.sqrt(min_sep**2 - 1e-9)
+        verdicts = set()
+        for ulps in range(-3, 4):
+            d = edge + ulps * np.spacing(edge)
+            coords = np.zeros((3, 2))
+            coords[1, axis] = d
+            coords[2] = (100.0, 100.0)
+            want = separation_oracle(coords, min_sep)
+            assert separation_verdict(coords, patch_size) == want
+            assert separation_verdict(coords[::-1].copy(), patch_size) == want
+            verdicts.add(want)
+        assert verdicts == {False, True}
 
 
 class TestSelectStableClasses:

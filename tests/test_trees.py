@@ -23,6 +23,7 @@ from support import (
     count_section,
     grid_classes,
     leaf_index_oracle,
+    peak_traced_bytes,
     pin_probe,
     random_patches,
     sha256_of,
@@ -276,6 +277,36 @@ class TestForestSerialization:
             a = forest.classify_patches(probe, combination)
             b = loaded.classify_patches(probe, combination)
             assert np.array_equal(a[0], b[0]) and a[1].tobytes() == b[1].tobytes()
+
+    @pytest.mark.parametrize("extra, width", [(0, 1), (1000, 2), (70000, 4), (2**33, 8)])
+    def test_loaded_tables_equal_a_forest_built_from_uint64_counts(self, extra, width):
+        forest = trained_forest(t=3, depth=4)
+        counts = forest.counts.copy()
+        counts[:, 0, 0] += np.uint64(extra)  # in every unit, so totals agree
+        for combination in Combination:
+            built = TreeForest(forest.classes, forest.trees, combination, counts)
+            data = built.save()
+            assert struct.unpack_from("<I", data, WIDTH_WORD) == (width,)
+            loaded = TreeForest.load(data)
+            assert loaded.combination is combination
+            assert loaded.counts.dtype == np.uint64
+            assert loaded.counts.flags.c_contiguous
+            assert np.array_equal(loaded.counts, counts)
+            assert loaded.log_table.tobytes() == built.log_table.tobytes()
+
+    def test_disagreeing_totals_rejected_before_any_table(self):
+        forest = TreeForest.random(grid_classes(400, 9), 4, 6, np.random.default_rng(0))
+        data = bytearray(forest.save())
+        start, _ = count_section(data, forest)
+        data[start] = 1  # a sample that only tree 0 saw
+        blob = bytes(data)
+
+        def load():
+            with pytest.raises(CorruptModel, match="totals disagree"):
+                TreeForest.load(blob)
+
+        # the uint64 copy of the counts is as large as the table would be
+        assert peak_traced_bytes(load) < 1.5 * forest.log_table.nbytes
 
     @pytest.mark.parametrize("width", [0, 3, 16])
     def test_unknown_width_is_a_format_error(self, width):
