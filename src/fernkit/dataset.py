@@ -245,7 +245,7 @@ def extract_patches(
     m = classes.margin
     pixels = view.image.pixels
     out = [
-        (label, GrayImage(pixels[py - m : py + m + 1, px - m : px + m + 1].copy()))
+        (label, GrayImage(pixels[py - m : py + m + 1, px - m : px + m + 1]))
         for label, ((px, py), kept) in enumerate(zip(centers.tolist(), keep.tolist()))
         if kept
     ]

@@ -170,25 +170,36 @@ class LeafModel:
         self._o1 = (offsets[..., 1] + r) * p + offsets[..., 0] + r
         self._o2 = (offsets[..., 3] + r) * p + offsets[..., 2] + r
         shape = (len(self._tests), self.num_leaves, self.num_classes)
-        # C order keeps counts.reshape(-1) a view, which _accumulate writes to
         if counts is None:
-            self.counts = np.zeros(shape, dtype=np.uint64)
+            self._counts = np.zeros(shape, dtype=np.uint64)
         else:
+            # unsigned counts keep the width they came in (a loaded file's),
+            # so a model that is only read never holds a uint64 copy
             counts = np.asarray(counts)
-            self.counts = np.array(counts, dtype=np.uint64, order="C")
-        if self.counts.shape != shape:
+            narrow = np.can_cast(counts.dtype, np.uint64)
+            self._counts = np.array(counts, dtype=None if narrow else np.uint64, order="C")
+        if self._counts.shape != shape:
             raise InvalidArgument(f"counts must have shape {shape}")
         # first row of each unit in the (units * leaves, H) view of log_table
         self._unit_rows = np.arange(shape[0]) * self.num_leaves
         # training streams are balanced by construction, so the prior is
         # exactly uniform (and stays finite for classes never seen)
         self.log_prior = np.full(self.num_classes, -np.log(self.num_classes))
-        # unsigned counts hold the values of the uint64 copy in as few bytes
-        # as they came in (a loaded file's width), so the tables read those
-        narrow = counts is not None and np.can_cast(counts.dtype, np.uint64)
-        self._rebuild_tables(counts if narrow else None)
+        self._rebuild_tables()
         self.pixel_comparisons = 0
         self.table_lookups = 0
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(units, leaves, classes) uint64 counts, C-ordered.
+
+        Counts held narrower are widened the first time they are read here;
+        C order keeps ``counts.reshape(-1)`` a view, which _accumulate
+        writes to.
+        """
+        if self._counts.dtype != np.uint64:
+            self._counts = np.array(self._counts, dtype=np.uint64, order="C")
+        return self._counts
 
     # -- training ---------------------------------------------------------
 
@@ -212,16 +223,15 @@ class LeafModel:
         cells, hits = np.unique(cells, return_counts=True)
         self.counts.reshape(-1)[cells] += hits.astype(np.uint64)
 
-    def _rebuild_tables(self, counts: np.ndarray | None = None) -> None:
+    def _rebuild_tables(self) -> None:
         """Rebuild the log tables; counts from unequal streams are rejected.
 
-        The tables are built from ``counts``, by default the model's own; any
-        unsigned array of the same values gives the same bytes. Every sample
-        reaches one leaf of every unit, so each unit's per-class totals must
-        agree; the check reuses the sum the tables need.
+        The tables read the counts at the width they are held; any unsigned
+        width of the same values gives the same bytes. Every sample reaches
+        one leaf of every unit, so each unit's per-class totals must agree;
+        the check reuses the sum the tables need.
         """
-        if counts is None:
-            counts = self.counts
+        counts = self._counts
         totals = counts.sum(axis=1, dtype=np.float64)  # (U, H)
         if np.any(totals != totals[0]):
             raise InvalidArgument("per-class sample totals disagree across units")
@@ -243,7 +253,7 @@ class LeafModel:
         """A model over the first k units, sharing this model's counts."""
         if not 1 <= k <= len(self._tests):
             raise InvalidArgument(f"k must be in [1, {len(self._tests)}]")
-        return self._like(self._tests[:k], self.counts[:k])
+        return self._like(self._tests[:k], self._counts[:k])
 
     def _like(self, tests, counts):
         depth = self.num_leaves.bit_length() - 1
@@ -280,16 +290,23 @@ class LeafModel:
 
     def classify(self, img: GrayImage, center: Keypoint) -> tuple[int, float]:
         """Most probable class at one location and its score; ties go low."""
-        labels, scores = self.classify_patches(self._window(img, center))
-        return int(labels[0]), float(scores[0])
+        scores = self._score_one(img, center)[0]
+        label = int(scores.argmax())
+        return label, float(scores[label])
 
     def posterior(self, img: GrayImage, center: Keypoint) -> np.ndarray:
         """Normalized class posterior; sums to 1, argmax agrees with classify."""
-        scores, rows = self._buffers(1)
-        self._score_block(self._window(img, center), self.combination, scores, rows)
+        scores = self._score_one(img, center)
         if self.combination is Combination.NAIVE_BAYES:
             scores = _softmax_rows(scores)
         return scores[0]
+
+    def _score_one(self, img: GrayImage, center: Keypoint) -> np.ndarray:
+        """(1, H) scores of the patch at one location under the model's
+        combination: one block, without classify_patches' batch loop."""
+        scores, rows = self._buffers(1)
+        self._score_block(self._window(img, center), self.combination, scores, rows)
+        return scores
 
     def _window(self, img: GrayImage, center: Keypoint) -> np.ndarray:
         """The (1, p, p) patch centered on the rounded location."""
@@ -354,7 +371,7 @@ class LeafModel:
         Counts are stored at the narrowest width in ``COUNT_WIDTHS`` that
         holds the largest of them.
         """
-        largest = int(self.counts.max())
+        largest = int(self._counts.max())
         width = next(w for w in COUNT_WIDTHS if largest < 1 << 8 * w)
         head = self.magic + HEADER.pack(
             MODEL_VERSION,
@@ -367,7 +384,7 @@ class LeafModel:
         )
         kp = self.classes.coords.astype("<f4").tobytes()
         tests = self._offsets.astype("<i2").tobytes()
-        return head + kp + tests + self.counts.astype(f"<u{width}").tobytes()
+        return head + kp + tests + self._counts.astype(f"<u{width}").tobytes()
 
     @classmethod
     def load(cls, data: bytes):
@@ -389,8 +406,7 @@ class LeafModel:
             raise FormatError(f"unit depth {depth} exceeds 63")
         kp, pos = _take(data, pos, "<f4", (h, 2))
         tests, pos = _take(data, pos, "<i2", (units, cls._tests_per_unit(depth), 4))
-        # a view of the file; the constructor widens it to uint64 in one copy
-        # and builds the tables from the view
+        # a view of the file; the constructor copies it at this width
         counts, pos = _take(data, pos, f"<u{width}", (units, 1 << depth, h))
         if pos != len(data):
             raise FormatError(f"{len(data) - pos} trailing bytes")

@@ -45,10 +45,10 @@ class GrayImage:
             raise InvalidArgument(f"pixels must be uint8, got {px.dtype}")
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise InvalidArgument("image must be at least 1x1")
-        if not px.flags.c_contiguous:
-            px = np.ascontiguousarray(px)
-        if px.flags.writeable:
-            px = px.copy()
+        # a read-only C-ordered array is kept as it is; any other is copied
+        # once into one, so the caller cannot change the image through it
+        if px.flags.writeable or not px.flags.c_contiguous:
+            px = np.array(px, order="C")
             px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
 

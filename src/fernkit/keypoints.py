@@ -8,7 +8,7 @@ votes detections back into the reference frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +52,7 @@ class ClassSet:
 
     keypoints: tuple[Keypoint, ...]
     patch_size: int
+    _coords: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.patch_size < 3 or self.patch_size % 2 == 0:
@@ -59,7 +60,9 @@ class ClassSet:
         object.__setattr__(self, "keypoints", tuple(self.keypoints))
         if not self.keypoints:
             raise InvalidArgument("a ClassSet needs at least one keypoint")
-        coords = self.coords
+        coords = np.array([[k.x, k.y] for k in self.keypoints], dtype=np.float64)
+        coords.flags.writeable = False
+        object.__setattr__(self, "_coords", coords)
         if not np.isfinite(coords).all():
             raise InvalidArgument("keypoint coordinates must be finite")
         if _any_pair_closer(coords, self.min_separation):
@@ -72,8 +75,8 @@ class ClassSet:
 
     @property
     def coords(self) -> np.ndarray:
-        """(H, 2) array of (x, y) positions."""
-        return np.array([[k.x, k.y] for k in self.keypoints], dtype=np.float64)
+        """(H, 2) read-only array of (x, y) positions."""
+        return self._coords
 
     @property
     def min_separation(self) -> float:
@@ -107,9 +110,14 @@ def _any_pair_closer(coords: np.ndarray, min_sep: float) -> bool:
 def _response_map(img: GrayImage) -> np.ndarray:
     """Ring-contrast response, box-smoothed so isolated peaks stay unimodal."""
     px = img.pixels.astype(np.float64)
-    window = box_mean(img.pixels, 1) * 9.0
-    ring_mean = (window - px) / 8.0
-    raw = np.abs(px - ring_mean)
+    # ring mean (9 * window mean - centre) / 8, then |centre - ring mean|,
+    # each step written over a frame-sized array it no longer needs
+    ring = box_mean(img.pixels, 1)
+    ring *= 9.0
+    ring -= px
+    ring /= 8.0
+    raw = np.subtract(px, ring, out=px)
+    np.abs(raw, out=raw)
     # Border pixels lack a full ring; they are outside any patch margin anyway.
     raw[0, :] = raw[-1, :] = 0.0
     raw[:, 0] = raw[:, -1] = 0.0
@@ -151,10 +159,18 @@ def detect_keypoints(
     ys, xs = np.nonzero(keep)
     if ys.size == 0:
         return []
-    order = np.lexsort((xs, ys, -resp[ys, xs]))[:max_count]
+    neg = -resp[ys, xs]
+    if neg.size > max_count:
+        # only maxima at or above the max_count-th response can be ranked in,
+        # so ties with it stay and the full ranking of those is unchanged
+        cut = np.partition(neg, max_count - 1)[max_count - 1]
+        near = np.flatnonzero(neg <= cut)
+        ys, xs, neg = ys[near], xs[near], neg[near]
+    order = np.lexsort((xs, ys, neg))[:max_count]
+    xs, ys = xs[order], ys[order]
     return [
-        Keypoint(float(xs[i]), float(ys[i]), float(resp[ys[i], xs[i]]))
-        for i in order
+        Keypoint(float(x), float(y), r)
+        for x, y, r in zip(xs.tolist(), ys.tolist(), resp[ys, xs].tolist())
     ]
 
 

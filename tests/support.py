@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from fernkit import ClassSet, GrayImage, Keypoint, box_smooth
-from fernkit.image import BACKGROUND, deform_matrix, unwarp_points, warp_points
+from fernkit.image import BACKGROUND, box_mean, deform_matrix, unwarp_points, warp_points
 
 
 def make_texture(width: int, height: int, seed: int, block: int = 8) -> GrayImage:
@@ -142,6 +142,36 @@ def local_maxima_oracle(resp: np.ndarray) -> np.ndarray:
             if dy or dx:
                 np.maximum(best, padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w], out=best)
     return resp >= best
+
+
+def response_map_oracle(img: GrayImage) -> np.ndarray:
+    """Ring-contrast response with a fresh array for every expression."""
+    px = img.pixels.astype(np.float64)
+    window = box_mean(img.pixels, 1) * 9.0
+    ring_mean = (window - px) / 8.0
+    raw = np.abs(px - ring_mean)
+    raw[0, :] = raw[-1, :] = 0.0
+    raw[:, 0] = raw[:, -1] = 0.0
+    return box_mean(raw, 1)
+
+
+def detect_keypoints_oracle(img: GrayImage, max_count: int, patch_size: int) -> list:
+    """Detection that ranks every kept maximum with one full lexsort."""
+    margin = patch_size // 2
+    if max_count < 1 or img.width < patch_size or img.height < patch_size:
+        return []
+    resp = response_map_oracle(img)
+    keep = local_maxima_oracle(resp) & (resp > 0.0)
+    keep[:margin, :] = False
+    keep[img.height - margin :, :] = False
+    keep[:, :margin] = False
+    keep[:, img.width - margin :] = False
+    ys, xs = np.nonzero(keep)
+    order = np.lexsort((xs, ys, -resp[ys, xs]))[:max_count]
+    return [
+        Keypoint(float(xs[i]), float(ys[i]), float(resp[ys[i], xs[i]]))
+        for i in order
+    ]
 
 
 def bilinear_oracle(pixels: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from fernkit import (
 )
 from fernkit.ferns import PATCH_BLOCK, Combination
 from fernkit.image import PIXEL_BLOCK
+from fernkit.keypoints import _response_map
 
 from support import (
     add_noise_oracle,
@@ -225,6 +226,27 @@ class TestBoundedMemory:
             img, centre = GrayImage(patches[0]), Keypoint(PATCH // 2, PATCH // 2)
             peak = peak_traced_bytes(lambda: model.classify(img, centre))
             assert peak < 1.25 * (PATCH_BLOCK + 1) * h * 8
+
+    def test_one_patch_classify_skips_the_batch_loop(self, monkeypatch):
+        model = trained("fern", Combination.NAIVE_BAYES)
+        patch = random_patches(np.random.default_rng(4), 1, PATCH)[0]
+        img, centre = GrayImage(patch), Keypoint(PATCH // 2, PATCH // 2)
+        labels, scores = model.classify_patches(patch)
+
+        def batch(*args, **kwargs):
+            raise AssertionError("classify ran classify_patches")
+
+        monkeypatch.setattr(model, "classify_patches", batch)
+        label, score = model.classify(img, centre)
+        assert (label, np.float64(score).tobytes()) == (labels[0], scores[:1].tobytes())
+
+    def test_response_map_overwrites_its_temporaries(self):
+        w, h = 640, 480
+        img = GrayImage(np.random.default_rng(5).integers(0, 256, (h, w)).astype(np.uint8))
+        # box_mean holds its table, sums and quotient beside the input
+        # floats; a fresh array per expression peaks at six frames
+        peak = peak_traced_bytes(lambda: _response_map(img))
+        assert peak < 5 * w * h * 8
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_warp_image_holds_no_frame_sized_floats(self, masked):

@@ -247,6 +247,10 @@ class TestPatchLocalRendering:
             assert [(l, p.pixels.tobytes()) for l, p in kept] == [
                 (l, p.pixels.tobytes()) for l, p in want_kept
             ]
+            for _, patch in kept:
+                px = patch.pixels
+                assert px.flags.c_contiguous and not px.flags.writeable
+                assert not np.shares_memory(px, view.image.pixels)
 
     def test_only_kept_windows_are_rendered(self, texture_small, small_classes):
         img, classes = texture_small, small_classes

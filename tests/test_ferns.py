@@ -545,8 +545,129 @@ class TestLoadedTables:
             with pytest.raises(CorruptModel, match="totals disagree"):
                 FernModel.load(blob)
 
-        # the uint64 copy of the counts is as large as the table would be
-        assert peak_traced_bytes(load) < 1.5 * model.log_table.nbytes
+        # the model's copy of the u8 counts is an eighth of the table, so a
+        # table built before the check would take the peak past this bound
+        assert peak_traced_bytes(load) < 0.5 * model.log_table.nbytes
+
+
+def spread_counts(value: int) -> np.ndarray:
+    """Counts of a 2-fern, M=2, 2-class model with ``value`` at leaf 1 of
+    class 1 in both ferns (so unit totals agree) and small counts elsewhere."""
+    counts = np.array([[[3, 1], [0, 0], [2, 4], [1, 0]]] * 2, dtype=np.uint64)
+    counts[:, 1, 1] = value
+    return counts
+
+
+def two_fern_model(counts: np.ndarray) -> FernModel:
+    ferns = [
+        Fern((FeatureTest(-1, 0, 1, 0), FeatureTest(0, -1, 0, 1))),
+        Fern((FeatureTest(1, 1, -1, -1), FeatureTest(-1, 1, 1, -1))),
+    ]
+    return FernModel(grid_classes(2, 5), ferns, counts)
+
+
+class TestNarrowCounts:
+    """A loaded model holds the file's narrow counts until ``counts`` is read."""
+
+    def test_loaded_model_holds_the_file_width(self, small_model):
+        loaded = FernModel.load(small_model.save())
+        assert loaded._counts.dtype == np.uint8
+        assert loaded._counts.nbytes * 8 == small_model.counts.nbytes
+
+    def test_merge_of_u8_files_does_not_wrap(self):
+        a, b = two_fern_model(spread_counts(200)), two_fern_model(spread_counts(100))
+        la, lb = FernModel.load(a.save()), FernModel.load(b.save())
+        assert la._counts.dtype == lb._counts.dtype == np.uint8
+        merged = la.merged(lb)
+        want = spread_counts(200) + spread_counts(100)
+        assert merged.counts.dtype == np.uint64
+        assert int(merged.counts[0, 1, 1]) == 300
+        assert np.array_equal(merged.counts, want)
+        assert merged.log_table.tobytes() == two_fern_model(want).log_table.tobytes()
+        assert merged.save() == a.merged(b).save()
+
+    def test_accumulate_on_a_loaded_model(self, small_model):
+        built = FernModel(small_model.classes, small_model.ferns, small_model.counts)
+        loaded = FernModel.load(small_model.save())
+        rng = np.random.default_rng(70)
+        # 300 copies of one patch push its cells past what u8 holds
+        patches = np.concatenate(
+            [np.repeat(random_patches(rng, 1, built.patch_size), 300, axis=0),
+             random_patches(rng, 40, built.patch_size)]
+        )
+        labels = np.concatenate([np.zeros(300, np.int64), rng.integers(0, 3, 40)])
+        for model in (built, loaded):
+            model._accumulate(patches, labels)
+        assert int(loaded.counts.max()) > 255
+        assert np.array_equal(loaded.counts, built.counts)
+
+    def test_train_on_a_loaded_model(self, small_model):
+        built = FernModel(small_model.classes, small_model.ferns, small_model.counts)
+        loaded = FernModel.load(small_model.save())
+        rng = np.random.default_rng(71)
+        patch = random_patches(rng, 1, built.patch_size)[0]
+        samples = [(GrayImage(patch), 1)] * 300 + [
+            (GrayImage(p), int(l))
+            for p, l in zip(random_patches(rng, 40, built.patch_size), rng.integers(0, 3, 40))
+        ]
+        for model in (built, loaded):
+            model.train(samples)
+        assert np.array_equal(loaded.counts, built.counts)
+        assert loaded.log_table.tobytes() == built.log_table.tobytes()
+        assert loaded.save() == built.save()
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_truncated_save_of_a_loaded_model(self, small_model, k):
+        built = FernModel(small_model.classes, small_model.ferns, small_model.counts)
+        loaded = FernModel.load(small_model.save())
+        assert loaded.truncated(k).save() == built.truncated(k).save()
+        # truncating reads the narrow counts; the loaded model keeps them
+        assert loaded._counts.dtype == np.uint8
+
+    @pytest.mark.parametrize(
+        "source",
+        ["fresh", "uint64", "fortran", "uint8", "int64", "bool",
+         "loaded1", "loaded2", "loaded4", "loaded8", "truncated", "merged"],
+    )
+    def test_every_read_is_c_ordered_uint64(self, source):
+        counts = spread_counts({"loaded2": 300, "loaded4": 70000, "loaded8": 2**33}.get(source, 9))
+        model = {
+            "fresh": lambda: two_fern_model(None),
+            "uint64": lambda: two_fern_model(counts),
+            "fortran": lambda: two_fern_model(np.asfortranarray(counts)),
+            "uint8": lambda: two_fern_model(counts.astype(np.uint8)),
+            "int64": lambda: two_fern_model(counts.astype(np.int64)),
+            "bool": lambda: two_fern_model(counts.astype(bool)),
+            "truncated": lambda: FernModel.load(two_fern_model(counts).save()).truncated(1),
+            "merged": lambda: FernModel.load(two_fern_model(counts).save()).merged(
+                FernModel.load(two_fern_model(counts).save())
+            ),
+        }.get(source, lambda: FernModel.load(two_fern_model(counts).save()))()
+        if source.startswith("loaded"):
+            assert model._counts.itemsize == int(source[-1])
+        for _ in range(2):
+            got = model.counts
+            assert got.dtype == np.uint64
+            assert got.flags.c_contiguous
+            assert got.flags.writeable
+        want = {"fresh": 0, "bool": counts.astype(bool), "merged": 2 * counts}.get(source, counts)
+        want = np.broadcast_to(want, counts.shape)[: got.shape[0]]
+        assert np.array_equal(got, want)
+
+    def test_load_holds_no_uint64_copy(self):
+        ferns = make_random_ferns(4, 10, 9, np.random.default_rng(0))
+        model = FernModel(grid_classes(100, 9), ferns)
+        rng = np.random.default_rng(72)
+        model.counts[:] = rng.integers(0, 200, model.counts.shape[1:])[None]
+        model._rebuild_tables()
+        blob = model.save()
+        assert count_section(blob, model)[1] == 1
+        # the table, plus the u8 copy of the counts (an eighth of it); a
+        # uint64 copy would be as large as the table again
+        loaded = []
+        peak = peak_traced_bytes(lambda: loaded.append(FernModel.load(blob)))
+        assert peak < 1.25 * model.log_table.nbytes
+        assert loaded[0].log_table.tobytes() == model.log_table.tobytes()
 
 
 class TestAccumulate:

@@ -28,7 +28,12 @@ from fernkit.image import (
     warp_points,
 )
 
-from support import bilinear_oracle, box_mean_corner_oracle, box_mean_oracle
+from support import (
+    bilinear_oracle,
+    box_mean_corner_oracle,
+    box_mean_oracle,
+    peak_traced_bytes,
+)
 
 
 def image_from(rows):
@@ -48,6 +53,28 @@ class TestGrayImage:
         img = image_from([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 9
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_strided_input_copied_once(self, writeable):
+        frame = np.random.default_rng(5).integers(0, 256, (400, 800)).astype(np.uint8)
+        frame.flags.writeable = writeable
+        strided = frame[:, ::2]
+        made = []
+        peak = peak_traced_bytes(lambda: made.append(GrayImage(strided)))
+        # one copy of the image; two would be 2x its bytes
+        assert peak < 1.5 * strided.size
+        px = made[0].pixels
+        assert px.flags.c_contiguous and not px.flags.writeable
+        assert not np.shares_memory(px, frame)
+        assert px.tobytes() == np.ascontiguousarray(strided).tobytes()
+
+    def test_writeable_input_copied_and_read_only_kept(self):
+        arr = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        img = GrayImage(arr)
+        arr[0, 0] = 99
+        assert img.at(0, 0) == 0 and not img.pixels.flags.writeable
+        arr.flags.writeable = False
+        assert GrayImage(arr).pixels is arr
 
     def test_equality_and_at(self):
         img = image_from([[1, 2], [3, 4]])

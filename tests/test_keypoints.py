@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,13 @@ from fernkit import (
 )
 from fernkit.keypoints import _local_maxima, _response_map
 
-from support import local_maxima_oracle, separation_oracle
+from support import (
+    detect_keypoints_oracle,
+    local_maxima_oracle,
+    make_texture,
+    response_map_oracle,
+    separation_oracle,
+)
 
 
 class TestDetect:
@@ -60,6 +68,72 @@ class TestDetect:
         assert spots == {(20.0, 20.0), (44.0, 40.0)}
 
 
+def tied_image(kind: str, seed: int) -> GrayImage:
+    """Images whose maxima share responses exactly.
+
+    With every pixel a multiple of 9, the ring mean and the contrast are
+    exact dyadic numbers, so equal neighbourhoods give bit-equal responses.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "levels":
+        return GrayImage((9 * rng.integers(0, 3, (70, 90))).astype(np.uint8))
+    if kind == "spots":
+        pixels = np.zeros((70, 90), dtype=np.uint8)
+        spots = pixels[5:-5:6, 5:-5:6]
+        spots[:] = 9 * rng.choice([14, 20, 28], size=spots.shape, p=[0.2, 0.6, 0.2])
+        return GrayImage(pixels)
+    return make_texture(90, 70, seed)
+
+
+def keypoint_bytes(kps) -> bytes:
+    return np.array([(k.x, k.y, k.response) for k in kps], dtype=np.float64).tobytes()
+
+
+class TestTopKSelection:
+    """Ranking only the maxima that can reach max_count, against a full lexsort."""
+
+    @pytest.mark.parametrize("kind", ["levels", "spots", "texture"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_full_ranking(self, kind, seed):
+        img, patch = tied_image(kind, seed), 9
+        ranked = detect_keypoints_oracle(img, img.width * img.height, patch)
+        n = len(ranked)
+        assert n > 10
+        responses = [k.response for k in ranked]
+        # cut-offs that split a run of equal responses
+        split = [i for i in range(1, n) if responses[i - 1] == responses[i]]
+        if kind != "texture":
+            assert len(split) > n // 4
+        for max_count in {1, 2, n // 2, n - 1, n, n + 1, 3 * n, *split[:: max(1, len(split) // 12)]}:
+            got = detect_keypoints(img, max_count, patch)
+            want = detect_keypoints_oracle(img, max_count, patch)
+            assert len(got) == min(max_count, n)
+            assert keypoint_bytes(got) == keypoint_bytes(want)
+
+    def test_all_maxima_tied(self):
+        pixels = np.zeros((60, 60), dtype=np.uint8)
+        pixels[8:-8:5, 8:-8:5] = 180
+        img = GrayImage(pixels)
+        ranked = detect_keypoints_oracle(img, 10**6, 9)
+        assert len({k.response for k in ranked[:len(ranked) // 2]}) == 1
+        for max_count in (1, 7, len(ranked) // 2, len(ranked)):
+            got = detect_keypoints(img, max_count, 9)
+            assert keypoint_bytes(got) == keypoint_bytes(ranked[:max_count])
+
+
+class TestResponseMap:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (2, 2), (3, 3), (37, 53)])
+    def test_bytes_equal_oracle(self, shape):
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        img = GrayImage(rng.integers(0, 256, shape).astype(np.uint8))
+        assert _response_map(img).tobytes() == response_map_oracle(img).tobytes()
+
+    @pytest.mark.parametrize("kind", ["levels", "spots", "texture"])
+    def test_bytes_equal_oracle_on_tied_images(self, kind):
+        img = tied_image(kind, 3)
+        assert _response_map(img).tobytes() == response_map_oracle(img).tobytes()
+
+
 class TestLocalMaxima:
     """The separable 3x3 max against the eight-neighbour loop it replaced."""
 
@@ -98,6 +172,23 @@ class TestClassSet:
             ClassSet((Keypoint(x, y),), patch_size=9)
         with pytest.raises(InvalidArgument, match="finite"):
             ClassSet((Keypoint(50.0, 50.0), Keypoint(x, y)), patch_size=9)
+
+    def test_coords_built_once_and_read_only(self):
+        kps = (Keypoint(10.0, 12.0), Keypoint(40.5, 12.0), Keypoint(10.0, 50.0, 3.0))
+        classes = ClassSet(kps, patch_size=9)
+        coords = classes.coords
+        assert coords is classes.coords
+        assert coords.dtype == np.float64 and coords.shape == (3, 2)
+        assert coords.tolist() == [[10.0, 12.0], [40.5, 12.0], [10.0, 50.0]]
+        with pytest.raises(ValueError):
+            coords[0, 0] = 1.0
+        # equality, hashing and repr still see only keypoints and patch size
+        same = ClassSet(kps, 9)
+        assert same == classes and hash(same) == hash(classes)
+        assert ClassSet(kps[:2], 9) != classes
+        assert "coords" not in repr(classes)
+        moved = replace(classes, keypoints=kps[:2])
+        assert moved.coords.tolist() == [[10.0, 12.0], [40.5, 12.0]]
 
     def test_infinitely_far_points_rejected(self):
         # inf - inf is nan, which no distance comparison catches
