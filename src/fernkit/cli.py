@@ -8,9 +8,7 @@ image errors, 3 training infeasible, 4 model format or mismatch errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import time
 
 from . import dataset, evaluate
 from .errors import (
@@ -22,7 +20,7 @@ from .errors import (
     ParseError,
     UnsupportedFormat,
 )
-from .ferns import Combination, FernModel
+from .ferns import FernModel
 from .image import AffineDeform, GrayImage, read_pgm, write_pgm
 from .keypoints import detect_keypoints, select_stable_classes
 from .trees import TreeForest
@@ -49,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("--model", required=True, help="model file path")
         p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", help="output path (default: stdout for CSVs)")
 
     def train_flags(p):
@@ -151,15 +149,19 @@ def _records_csv(records) -> str:
     return buf.getvalue()
 
 
-def cmd_train(args) -> int:
-    img = _read_image(args.image)
-    classes = select_stable_classes(
+def _select_classes(args, img: GrayImage):
+    return select_stable_classes(
         img,
         args.classes,
         SELECTION_VIEWS,
         dataset.derive_rng(args.seed, dataset.STREAM_CLASSES),
         patch_size=args.patch,
     )
+
+
+def cmd_train(args) -> int:
+    img = _read_image(args.image)
+    classes = _select_classes(args, img)
     model = FernModel.random(
         classes,
         args.ferns,
@@ -193,37 +195,18 @@ def cmd_eval(args) -> int:
             img, model.classes, spec, args.seed, threads=args.threads
         )
     )
-    start = time.perf_counter_ns()
-    predicted, _ = model.classify_patches(patches)
-    ns = (time.perf_counter_ns() - start) / labels.size
-    rate = float((predicted == labels).sum()) / labels.size
-    if isinstance(model, TreeForest):
-        units = model.num_trees
-        method = (
-            evaluate.Method.TREE_NB
-            if model.combination is Combination.NAIVE_BAYES
-            else evaluate.Method.TREE_AVG
-        )
-    else:
-        units = model.num_ferns
-        method = evaluate.Method.FERN_NB
-    record = evaluate.EvalRecord(
-        method.value, units, rate, int(labels.size), ns, args.seed
+    record = evaluate.record(
+        evaluate.Method.of(model), model, patches, labels, args.seed
     )
     _write_text(args.out, _records_csv([record]))
-    print(f"recognition_rate {rate!r} over {labels.size} patches")
+    rate, n = record.recognition_rate, record.patches_evaluated
+    print(f"recognition_rate {rate!r} over {n} patches")
     return EXIT_OK
 
 
 def _sweep_setup(args):
     img = _read_image(args.image)
-    classes = select_stable_classes(
-        img,
-        args.classes,
-        SELECTION_VIEWS,
-        dataset.derive_rng(args.seed, dataset.STREAM_CLASSES),
-        patch_size=args.patch,
-    )
+    classes = _select_classes(args, img)
     spec = dataset.DatasetSpec(
         args.views_per_degree, args.degrees, args.tests, args.noise
     )

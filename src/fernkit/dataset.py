@@ -15,12 +15,13 @@ import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, InvalidPatch
 from .image import (
     AffineDeform,
     GrayImage,
@@ -100,11 +101,7 @@ class GenStats:
 
     views: int = 0
     samples: int = 0
-    skips: Counter = None
-
-    def __post_init__(self):
-        if self.skips is None:
-            self.skips = Counter()
+    skips: Counter = field(default_factory=Counter)
 
 
 def _training_deform(img: GrayImage, spec: DatasetSpec, seed: int, view_id: int) -> AffineDeform:
@@ -146,6 +143,18 @@ def _window_layout(
     return centers, in_frame & in_src
 
 
+def _windows(arr: np.ndarray, centers: np.ndarray, m: int, writeable: bool = False):
+    """A strided view of all p x p windows of ``arr`` (p = 2m + 1) and the
+    index of those centred on the (x, y) rows of ``centers``, which lie in
+    ``arr``: ``view[index]`` reads them as one (k, p, p) block, and with
+    ``writeable``, ``view[index] = value`` writes through to ``arr``."""
+    p = 2 * m + 1
+    if not len(centers):  # ``arr`` may then be smaller than one window
+        arr = np.zeros((p, p), dtype=arr.dtype)
+    view = sliding_window_view(arr, (p, p), writeable=writeable)
+    return view, (centers[:, 1] - m, centers[:, 0] - m)
+
+
 def _render(img: GrayImage, view_id: int, deform: AffineDeform,
             sigma: float, rng: np.random.Generator | None,
             classes: ClassSet | None = None) -> View:
@@ -154,9 +163,8 @@ def _render(img: GrayImage, view_id: int, deform: AffineDeform,
         size = (img.width, img.height)
         centers, keep = _window_layout(deform, classes, size, size)
         mask = np.zeros((img.height, img.width), dtype=bool)
-        m = classes.margin
-        for px, py in centers[keep].tolist():
-            mask[py - m : py + m + 1, px - m : px + m + 1] = True
+        windows, kept = _windows(mask, centers[keep], classes.margin, writeable=True)
+        windows[kept] = True
     rendered = warp_image(img, deform, img.width, img.height, mask=mask)
     if sigma > 0 and rng is not None:
         rendered = add_noise(rendered, sigma, rng)
@@ -232,24 +240,21 @@ def test_views(
 
 def extract_patches(
     view: View, classes: ClassSet, src_size: tuple[int, int]
-) -> tuple[list[tuple[int, GrayImage]], list[int]]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Crop one patch per class from a rendered view.
 
-    A class is skipped when its patch would cross the view border or cover
-    pixels the warped source never painted (background fill). The view may
-    be a full frame or a patch stream's render of the kept windows only;
-    both give the same crops.
+    Returns the kept patches as one read-only (k, p, p) copy, their labels
+    and the skipped labels. A class is skipped when its patch would cross
+    the view border or cover pixels the warped source never painted
+    (background fill). The view may be a full frame or a patch stream's
+    render of the kept windows only; both give the same crops.
     """
     size = (view.image.width, view.image.height)
     centers, keep = _window_layout(view.deform, classes, size, src_size)
-    m = classes.margin
-    pixels = view.image.pixels
-    out = [
-        (label, GrayImage(pixels[py - m : py + m + 1, px - m : px + m + 1]))
-        for label, ((px, py), kept) in enumerate(zip(centers.tolist(), keep.tolist()))
-        if kept
-    ]
-    return out, np.flatnonzero(~keep).tolist()
+    windows, kept = _windows(view.image.pixels, centers[keep], classes.margin)
+    patches = windows[kept]
+    patches.flags.writeable = False
+    return patches, np.flatnonzero(keep), np.flatnonzero(~keep).tolist()
 
 
 def _patch_stream(
@@ -259,14 +264,13 @@ def _patch_stream(
     stats: GenStats | None,
 ) -> Iterator[PatchSample]:
     for view in views:
-        crops, skipped = extract_patches(view, classes, (img.width, img.height))
+        patches, labels, skipped = extract_patches(view, classes, (img.width, img.height))
         if stats is not None:
             stats.views += 1
-            for label in skipped:
-                stats.skips[label] += 1
-            stats.samples += len(crops)
-        for label, patch in crops:
-            yield PatchSample(patch, label, view.deform, view.view_id)
+            stats.skips.update(skipped)
+            stats.samples += len(labels)
+        for patch, label in zip(patches, labels.tolist()):
+            yield PatchSample(GrayImage(patch), label, view.deform, view.view_id)
 
 
 def generate_training_set(
@@ -297,6 +301,31 @@ def generate_test_set(
     return _patch_stream(
         img, classes, test_views(img, spec, seed, threads, deforms, classes), stats
     )
+
+
+def sample_batches(
+    samples: Iterable, size: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stack PatchSamples, other ``patch``/``label`` objects or (patch,
+    label) pairs into (n, h, w) patches and int64 labels, ``size`` at a time
+    (the whole stream if None). Items are not held, only pixels and labels."""
+    patches, labels = [], []
+    for item in samples:
+        patch, label = (item.patch, item.label) if hasattr(item, "patch") else item
+        patches.append(patch.pixels if isinstance(patch, GrayImage) else np.asarray(patch))
+        labels.append(label)
+        if len(labels) == size:
+            yield _stacked(patches, labels)
+            patches.clear()
+            labels.clear()
+    if labels:
+        yield _stacked(patches, labels)
+
+
+def _stacked(patches: list, labels: list) -> tuple[np.ndarray, np.ndarray]:
+    if len({p.shape for p in patches}) > 1:
+        raise InvalidPatch("patches of one chunk differ in shape")
+    return np.stack(patches), np.array(labels, dtype=np.int64)
 
 
 def stream_digest(samples: Iterable[PatchSample]) -> str:

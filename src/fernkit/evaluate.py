@@ -17,9 +17,10 @@ from .dataset import (
     derive_rng,
     generate_test_set,
     generate_training_set,
+    sample_batches,
 )
 from .errors import EmptyTestSet, InvalidArgument
-from .ferns import Combination, FernModel, _batched
+from .ferns import Combination, FernModel, train_models
 from .image import GrayImage
 from .keypoints import ClassSet
 from .trees import TreeForest
@@ -42,6 +43,12 @@ class Method(enum.Enum):
     @property
     def hierarchical(self) -> bool:
         return self in (Method.TREE_NB, Method.TREE_AVG)
+
+    @classmethod
+    def of(cls, model) -> "Method":
+        """The method a trained model classifies with by default."""
+        key = (isinstance(model, TreeForest), model.combination)
+        return next(m for m in cls if (m.hierarchical, m.combination) == key)
 
 
 @dataclass(frozen=True)
@@ -80,21 +87,15 @@ class BenchResult:
 
 def materialize(samples: Iterable) -> tuple[np.ndarray, np.ndarray]:
     """Stack a sample stream into (N, p, p) patches and (N,) labels."""
-    patches = []
-    labels = []
-    for s in samples:
-        patches.append(s.patch.pixels)
-        labels.append(s.label)
-    if not labels:
-        raise EmptyTestSet("no test samples")
-    return np.stack(patches), np.array(labels, dtype=np.int64)
+    for chunk in sample_batches(samples):
+        return chunk
+    raise EmptyTestSet("no test samples")
 
 
 def recognition_rate(model, test: Iterable) -> float:
     """Fraction of test patches assigned their true class."""
-    patches, labels = materialize(test)
-    predicted, _ = model.classify_patches(patches)
-    return float(np.count_nonzero(predicted == labels)) / labels.size
+    rate, _ = _timed_rate(model, *materialize(test), None)
+    return rate
 
 
 def _timed_rate(model, patches, labels, combination) -> tuple[float, float]:
@@ -105,8 +106,10 @@ def _timed_rate(model, patches, labels, combination) -> tuple[float, float]:
     return rate, elapsed / labels.size
 
 
-def _record(method, units, model, patches, labels, seed) -> EvalRecord:
+def record(method: Method, model, patches, labels, seed: int) -> EvalRecord:
+    """Rate and classify time of ``model`` under ``method`` on a test set."""
     rate, ns = _timed_rate(model, patches, labels, method.combination)
+    units = len(model.log_table)  # (units, leaves, classes)
     return EvalRecord(method.value, units, rate, int(labels.size), ns, seed)
 
 
@@ -141,7 +144,7 @@ def sweep_units(
     records = []
     for k in unit_counts:
         sub = model if k == top else model.truncated(k)
-        records.append(_record(method, k, sub, patches, labels, seed))
+        records.append(record(method, sub, patches, labels, seed))
     return records
 
 
@@ -163,20 +166,17 @@ def compare_methods(
     rng = derive_rng(seed, STREAM_MODEL)
     ferns = FernModel.random(classes, units, fern_size, rng)
     forest = TreeForest.random(classes, units, fern_size, rng)
-    stream = generate_training_set(img, classes, spec, seed, threads=threads)
-    for patches, labels in _batched(stream, classes.patch_size, len(classes), 1024):
-        ferns._accumulate(patches, labels)
-        forest._accumulate(patches, labels)
-    ferns._rebuild_tables()
-    forest._rebuild_tables()
+    train_models(
+        (ferns, forest), generate_training_set(img, classes, spec, seed, threads=threads)
+    )
     patches, labels = materialize(
         generate_test_set(img, classes, spec, seed, threads=threads)
     )
     return [
-        _record(Method.FERN_NB, units, ferns, patches, labels, seed),
-        _record(Method.FERN_AVG, units, ferns, patches, labels, seed),
-        _record(Method.TREE_NB, units, forest, patches, labels, seed),
-        _record(Method.TREE_AVG, units, forest, patches, labels, seed),
+        record(Method.FERN_NB, ferns, patches, labels, seed),
+        record(Method.FERN_AVG, ferns, patches, labels, seed),
+        record(Method.TREE_NB, forest, patches, labels, seed),
+        record(Method.TREE_AVG, forest, patches, labels, seed),
     ]
 
 

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .dataset import sample_batches
 from .errors import (
     CorruptModel,
     FernkitError,
@@ -204,14 +205,9 @@ class LeafModel:
     # -- training ---------------------------------------------------------
 
     def train(self, samples: Iterable, chunk_size: int = 1024):
-        """Accumulate leaf counts from (patch, label) pairs and rebuild tables.
-
-        Accepts an iterable of (GrayImage, label) tuples or of objects with
-        ``patch`` and ``label`` attributes (dataset PatchSamples).
-        """
-        for patches, labels in _batched(samples, self.patch_size, self.num_classes, chunk_size):
-            self._accumulate(patches, labels)
-        self._rebuild_tables()
+        """Count a stream of samples or (patch, label) pairs (anything
+        ``fernkit.dataset.sample_batches`` takes) and rebuild the tables."""
+        train_models((self,), samples, chunk_size)
         return self
 
     def _accumulate(self, patches: np.ndarray, labels: np.ndarray) -> None:
@@ -250,7 +246,8 @@ class LeafModel:
         return self._like(self._tests, self.counts + other.counts)
 
     def truncated(self, k: int):
-        """A model over the first k units, sharing this model's counts."""
+        """A model over the first k units, on a copy of their counts; its
+        rebuilt tables equal ``log_table[:k]``, as all unit totals agree."""
         if not 1 <= k <= len(self._tests):
             raise InvalidArgument(f"k must be in [1, {len(self._tests)}]")
         return self._like(self._tests[:k], self._counts[:k])
@@ -490,36 +487,24 @@ class FernModel(LeafModel):
     load = LeafModel.__dict__["load"]
 
 
+def train_models(models: Sequence[LeafModel], samples: Iterable, chunk_size: int = 1024):
+    """Train several models in one pass: each chunk is counted into every
+    model, so each gets the counts it would get alone. A chunk holding a
+    label outside [0, H) raises InvalidLabel before any model counts it."""
+    classes = min(model.num_classes for model in models)
+    for patches, labels in sample_batches(samples, chunk_size):
+        bad = labels[(labels < 0) | (labels >= classes)]
+        if bad.size:
+            raise InvalidLabel(f"label {bad[0]} not in [0, {classes})")
+        for model in models:
+            model._accumulate(patches, labels)
+    for model in models:
+        model._rebuild_tables()
+
+
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     p = np.exp(scores - scores.max(axis=1, keepdims=True))
     return p / p.sum(axis=1, keepdims=True)
-
-
-def _batched(samples: Iterable, patch_size: int, num_classes: int, chunk_size: int):
-    """Yield (patches, labels) arrays from a stream of samples or pairs."""
-    buf_patches: list[np.ndarray] = []
-    buf_labels: list[int] = []
-    for item in samples:
-        if hasattr(item, "patch"):
-            patch, label = item.patch, item.label
-        else:
-            patch, label = item
-        pixels = patch.pixels if isinstance(patch, GrayImage) else np.asarray(patch)
-        if pixels.shape[0] < patch_size or pixels.shape[1] < patch_size:
-            raise InvalidPatch(
-                f"patch {pixels.shape[1]}x{pixels.shape[0]} smaller than {patch_size}"
-            )
-        label = int(label)
-        if not 0 <= label < num_classes:
-            raise InvalidLabel(f"label {label} not in [0, {num_classes})")
-        buf_patches.append(pixels)
-        buf_labels.append(label)
-        if len(buf_labels) >= chunk_size:
-            yield np.stack(buf_patches), np.array(buf_labels)
-            buf_patches.clear()
-            buf_labels.clear()
-    if buf_labels:
-        yield np.stack(buf_patches), np.array(buf_labels)
 
 
 def _take(data: bytes, pos: int, dtype: str, shape: tuple):

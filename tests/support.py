@@ -250,6 +250,15 @@ def extract_patches_oracle(view, classes, src_size):
     return out, skipped
 
 
+def window_mask_oracle(centers, shape, margin: int) -> np.ndarray:
+    """Union of the windows around (x, y) ``centers``, one slice at a time."""
+    mask = np.zeros(shape, dtype=bool)
+    m = margin
+    for px, py in np.asarray(centers).tolist():
+        mask[py - m : py + m + 1, px - m : px + m + 1] = True
+    return mask
+
+
 def peak_traced_bytes(fn) -> int:
     """Peak bytes tracemalloc sees allocated while ``fn()`` runs."""
     tracemalloc.start()

@@ -101,6 +101,14 @@ class TestTrain:
         assert not (workdir / "zero.bin").exists()
 
 
+class TestDefaults:
+    def test_threads_default_to_one(self):
+        from fernkit.cli import build_parser
+
+        args = build_parser().parse_args(["compare", "--image", "x.pgm", "--seed", "1"])
+        assert args.threads == 1
+
+
 class TestEval:
     def test_non_finite_noise_exits_2(self, workdir, trained, capsys):
         code = run(
@@ -185,6 +193,34 @@ class TestEval:
             rows = list(csv.DictReader(f))
         assert rows[0]["method"] == "TreeNB"
         assert rows[0]["units"] == "4"
+
+    @pytest.mark.parametrize(
+        "combination, row",
+        [("NAIVE_BAYES", ["TreeNB", "4", "0.4375", "48", "5"]),
+         ("AVERAGE", ["TreeAvg", "4", "0.4166666666666667", "48", "5"])],
+    )
+    def test_forest_eval_rows_are_pinned(self, workdir, combination, row):
+        # every column but ns_per_patch, as the CLI wrote it before eval
+        # shared its record and method lookup with the evaluate module
+        from fernkit import Combination, select_stable_classes
+        from fernkit.dataset import DatasetSpec, derive_rng, generate_training_set
+
+        ref = read_pgm((workdir / "ref.pgm").read_bytes())
+        classes = select_stable_classes(ref, 6, 20, derive_rng(3, 3), patch_size=21)
+        forest = TreeForest.random(
+            classes, 4, 5, derive_rng(3, 2), Combination[combination]
+        )
+        forest.train(generate_training_set(ref, classes, DatasetSpec(1, 60), 3))
+        path = workdir / f"forest_{combination}.bin"
+        path.write_bytes(forest.save())
+        out = workdir / f"forest_{combination}.csv"
+        code = run(
+            "eval", "--image", workdir / "ref.pgm", "--model", path,
+            "--seed", 5, "--tests", 10, "--out", out,
+        )
+        assert code == 0
+        rows = [r[:4] + r[5:] for r in csv.reader(out.read_text().splitlines())]
+        assert rows == [["method", "units", "recognition_rate", "patches", "seed"], row]
 
     def test_image_too_small_for_model_exits_4(self, workdir, trained):
         tiny = workdir / "tiny.pgm"

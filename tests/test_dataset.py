@@ -9,11 +9,14 @@ from fernkit import (
     ClassSet,
     DatasetSpec,
     GenStats,
+    GrayImage,
     InvalidArgument,
     Keypoint,
 )
+from fernkit import dataset
 from fernkit.dataset import (
     STREAM_TEST,
+    View,
     derive_rng,
     extract_patches,
     generate_test_set,
@@ -27,7 +30,7 @@ from fernkit.dataset import (
 from fernkit.dataset import test_views as render_test_views
 from fernkit.image import BACKGROUND, add_noise, warp_image, warp_points
 
-from support import extract_patches_oracle
+from support import extract_patches_oracle, window_mask_oracle
 
 
 def identity_for(img):
@@ -213,8 +216,13 @@ class TestPatchLocalRendering:
         full, skip_kinds = {}, set()
         m = classes.margin
         for view in views(img, spec, 3, deforms=deforms):
-            kept, skipped = extract_patches(view, classes, (img.width, img.height))
-            full.update(((view.view_id, l), p.pixels.tobytes()) for l, p in kept)
+            patches, labels, skipped = extract_patches(view, classes, (img.width, img.height))
+            want_kept, want_skipped = extract_patches_oracle(
+                view, classes, (img.width, img.height)
+            )
+            assert (labels.tolist(), skipped) == ([l for l, _ in want_kept], want_skipped)
+            assert [p.tobytes() for p in patches] == [p.pixels.tobytes() for _, p in want_kept]
+            full.update(((view.view_id, l), p.tobytes()) for l, p in zip(labels.tolist(), patches))
             centers = np.rint(warp_points(view.deform, img.width, img.height, classes.coords))
             for x, y in centers[skipped]:
                 in_frame = m <= x <= img.width - 1 - m and m <= y <= img.height - 1 - m
@@ -241,16 +249,15 @@ class TestPatchLocalRendering:
         ]
         spec = DatasetSpec(1, 1, test_views=0)
         for view in training_views(texture_small, spec, 0, deforms=deforms):
-            kept, skipped = extract_patches(view, classes, (w, h))
+            patches, labels, skipped = extract_patches(view, classes, (w, h))
             want_kept, want_skipped = extract_patches_oracle(view, classes, (w, h))
             assert skipped == want_skipped
-            assert [(l, p.pixels.tobytes()) for l, p in kept] == [
+            assert patches.shape == (len(labels), 9, 9) and patches.dtype == np.uint8
+            assert list(zip(labels.tolist(), (p.tobytes() for p in patches))) == [
                 (l, p.pixels.tobytes()) for l, p in want_kept
             ]
-            for _, patch in kept:
-                px = patch.pixels
-                assert px.flags.c_contiguous and not px.flags.writeable
-                assert not np.shares_memory(px, view.image.pixels)
+            assert patches.flags.c_contiguous and not patches.flags.writeable
+            assert not np.shares_memory(patches, view.image.pixels)
 
     def test_only_kept_windows_are_rendered(self, texture_small, small_classes):
         img, classes = texture_small, small_classes
@@ -258,15 +265,104 @@ class TestPatchLocalRendering:
         spec = DatasetSpec(1, 1, test_views=0)
         full = next(training_views(img, spec, 3, deforms=deforms)).image.pixels
         local = next(training_views(img, spec, 3, deforms=deforms, classes=classes))
-        kept, skipped = extract_patches(local, classes, (img.width, img.height))
-        assert kept and skipped
+        _, labels, skipped = extract_patches(local, classes, (img.width, img.height))
+        assert labels.size and skipped
         centers = np.rint(warp_points(local.deform, img.width, img.height, classes.coords))
         m = classes.margin
         covered = np.zeros_like(full, dtype=bool)
-        for x, y in centers[[label for label, _ in kept]].astype(int):
+        for x, y in centers[labels].astype(int):
             covered[y - m : y + m + 1, x - m : x + m + 1] = True
         assert np.array_equal(local.image.pixels[covered], full[covered])
         assert np.all(local.image.pixels[~covered] == BACKGROUND)
+
+
+def border_classes(img, patch_size: int = 9) -> ClassSet:
+    """A grid of keypoints whose outer windows touch every frame border."""
+    m = patch_size // 2
+    xs = np.linspace(m, img.width - 1 - m, 7).round()
+    ys = np.linspace(m, img.height - 1 - m, 5).round()
+    return ClassSet(tuple(Keypoint(x, y) for x in xs for y in ys), patch_size)
+
+
+class TestWindowBlocks:
+    """One strided-window helper cuts the render mask and the patch block."""
+
+    @pytest.mark.parametrize("noise", [0.0, 10.0], ids=["training", "noisy-test"])
+    @pytest.mark.parametrize("grid", [False, True], ids=["stable", "border-grid"])
+    def test_render_mask_equals_slice_loop_oracle(
+        self, texture_small, small_classes, monkeypatch, noise, grid
+    ):
+        img = texture_small
+        classes = border_classes(img) if grid else small_classes
+        masks = []
+
+        def spy(*args, mask=None):
+            masks.append(mask)
+            return warp_image(*args, mask=mask)
+
+        monkeypatch.setattr(dataset, "warp_image", spy)
+        deforms = [identity_for(img)] + edge_deforms(img)
+        spec = DatasetSpec(1, 1, test_views=len(deforms), noise_sigma=noise)
+        views = training_views if noise == 0 else render_test_views
+        size, m = (img.width, img.height), classes.margin
+        every = []
+        for view, mask in zip(views(img, spec, 3, deforms=deforms, classes=classes), masks):
+            kept, _ = extract_patches_oracle(view, classes, size)
+            centers = np.rint(warp_points(view.deform, *size, classes.coords)).astype(int)
+            centers = centers[[label for label, _ in kept]]
+            assert np.array_equal(mask, window_mask_oracle(centers, mask.shape, m))
+            every.append(centers)
+        assert len(masks) == len(deforms)
+        if grid:  # kept windows touch the left, top, right and bottom borders
+            every = np.concatenate(every)
+            assert every.min(axis=0).tolist() == [m, m]
+            assert every.max(axis=0).tolist() == [img.width - 1 - m, img.height - 1 - m]
+
+    def test_no_kept_window_on_a_frame_smaller_than_one(self, small_classes):
+        frame = GrayImage(np.zeros((5, 7), dtype=np.uint8))
+        cx, cy = frame.center
+        view = View(0, AffineDeform(0, 0, 1, 1, tx=cx, ty=cy), frame)
+        patches, labels, skipped = extract_patches(view, small_classes, (7, 5))
+        p = small_classes.patch_size
+        assert patches.shape == (0, p, p) and labels.size == 0
+        assert skipped == list(range(len(small_classes)))
+
+    def test_stream_rows_are_zero_copy_rows_of_one_block_per_view(
+        self, texture_small, small_classes
+    ):
+        spec = DatasetSpec(1, 6, test_views=0)
+        samples = list(generate_training_set(texture_small, small_classes, spec, 4))
+        by_view = {}
+        for s in samples:
+            by_view.setdefault(s.view_id, []).append(s.patch.pixels)
+        assert len(by_view) == 6
+        blocks = []
+        for rows in by_view.values():
+            block = rows[0].base
+            assert all(r.base is block for r in rows)
+            assert block.shape[0] == len(rows) and not block.flags.writeable
+            for r in rows:
+                assert r.flags.c_contiguous and not r.flags.writeable
+                assert np.shares_memory(r, block)
+            blocks.append(block)
+        for a, b in zip(blocks, blocks[1:]):
+            assert not np.shares_memory(a, b)
+
+    def test_block_is_not_a_view_of_the_frame(self, texture_small, small_classes):
+        spec = DatasetSpec(1, 1, test_views=3)
+        for view in render_test_views(texture_small, spec, 8, classes=small_classes):
+            patches, labels, _ = extract_patches(
+                view, small_classes, (texture_small.width, texture_small.height)
+            )
+            assert labels.size and not np.shares_memory(patches, view.image.pixels)
+            assert patches.flags.c_contiguous and not patches.flags.writeable
+            with pytest.raises(ValueError):
+                patches[0, 0, 0] = 0
+
+    def test_skips_default_to_a_fresh_counter(self):
+        a, b = GenStats(), GenStats()
+        a.skips.update([1, 1, 2])
+        assert a.skips == {1: 2, 2: 1} and b.skips == {}
 
 
 class TestThetaCoverage:

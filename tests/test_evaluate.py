@@ -77,6 +77,16 @@ class TestRecognitionRate:
             recognition_rate(small_model, iter([]))
 
 
+class TestMethodOf:
+    def test_fern_and_forest_methods(self, small_model, small_forest):
+        from fernkit import Combination, TreeForest
+
+        nb = TreeForest(small_forest.classes, small_forest.trees, Combination.NAIVE_BAYES)
+        assert Method.of(small_model) is Method.FERN_NB
+        assert Method.of(small_forest) is Method.TREE_AVG
+        assert Method.of(nb) is Method.TREE_NB
+
+
 class TestEvalRecord:
     def test_rate_bounds_enforced(self):
         with pytest.raises(InvalidArgument):

@@ -20,7 +20,7 @@ from fernkit import (
     OutOfBounds,
     make_random_ferns,
 )
-from fernkit.ferns import Combination
+from fernkit.ferns import Combination, train_models
 
 from support import (
     KEYPOINT_WORD,
@@ -184,11 +184,54 @@ class TestTrain:
         with pytest.raises(InvalidLabel):
             model.train([(patch, 2)])
 
+    def test_models_trained_in_one_pass_equal_each_trained_alone(self, texture_small):
+        from fernkit import DatasetSpec, TreeForest, derive_rng
+        from fernkit.dataset import generate_training_set
+
+        classes = grid_classes(6, 9)
+        spec = DatasetSpec(1, 12, test_views=0)
+
+        def pair():
+            rng = np.random.default_rng(8)
+            return FernModel.random(classes, 5, 4, rng), TreeForest.random(classes, 5, 4, rng)
+
+        together = pair()
+        train_models(together, generate_training_set(texture_small, classes, spec, 2), 100)
+        for i, alone in enumerate(pair()):
+            alone.train(generate_training_set(texture_small, classes, spec, 2), 100)
+            assert alone.counts.sum() > 0
+            assert together[i].counts.tobytes() == alone.counts.tobytes()
+            assert together[i].log_table.tobytes() == alone.log_table.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_bad_label_in_a_later_chunk(self, bad):
+        rng = np.random.default_rng(12)
+        classes = grid_classes(3, 9)
+        patches = random_patches(rng, 10, 9)
+        labels = [0, 1, 2, 0, 1, 2, bad, 0, 1, 2]
+        models = [
+            FernModel(classes, make_random_ferns(2, 3, 9, np.random.default_rng(i)))
+            for i in range(2)
+        ]
+        with pytest.raises(InvalidLabel, match=f"label {bad} "):
+            train_models(models, zip(patches, labels), chunk_size=4)
+        # the first chunk was counted into both models; the bad one into none
+        for model in models:
+            assert np.array_equal(model.counts, accumulate_oracle(
+                FernModel(classes, model.ferns), patches[:4], np.array(labels[:4])
+            ))
+
     def test_undersized_patch(self):
         model = FernModel(grid_classes(2, 9), make_random_ferns(1, 2, 9, np.random.default_rng(0)))
         patch = GrayImage(np.zeros((5, 5), dtype=np.uint8))
         with pytest.raises(InvalidPatch):
             model.train([(patch, 0)])
+
+    def test_patches_of_one_chunk_differ_in_shape(self):
+        model = FernModel(grid_classes(2, 9), make_random_ferns(1, 2, 9, np.random.default_rng(0)))
+        big, small = (GrayImage(np.zeros((n, n), dtype=np.uint8)) for n in (9, 5))
+        with pytest.raises(InvalidPatch):
+            model.train([(big, 0), (small, 1)])
 
     def test_training_is_resumable(self):
         rng = np.random.default_rng(6)
@@ -722,6 +765,14 @@ class TestTruncated:
         assert sub.num_ferns == 3
         assert np.array_equal(sub.counts, small_model.counts[:3])
         assert np.array_equal(sub.log_table, small_model.log_table[:3])
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_prefix_tables_are_copies_equal_to_the_slice(self, small_model, k):
+        sub = small_model.truncated(k)
+        assert sub.log_table.tobytes() == small_model.log_table[:k].tobytes()
+        assert sub.counts.tobytes() == small_model.counts[:k].tobytes()
+        assert not np.shares_memory(sub.counts, small_model.counts)
+        assert not np.shares_memory(sub.log_table, small_model.log_table)
 
     def test_bad_k(self, small_model):
         with pytest.raises(InvalidArgument):
