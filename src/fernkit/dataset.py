@@ -93,6 +93,9 @@ class View:
     view_id: int
     deform: AffineDeform
     image: GrayImage
+    # (classes, src_size, centers, keep) of the window layout a patch stream
+    # rendered this view for, so extract_patches need not compute it again
+    layout: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -158,17 +161,18 @@ def _windows(arr: np.ndarray, centers: np.ndarray, m: int, writeable: bool = Fal
 def _render(img: GrayImage, view_id: int, deform: AffineDeform,
             sigma: float, rng: np.random.Generator | None,
             classes: ClassSet | None = None) -> View:
-    mask = None
+    mask = layout = None
     if classes is not None:
         size = (img.width, img.height)
         centers, keep = _window_layout(deform, classes, size, size)
+        layout = (classes, size, centers, keep)
         mask = np.zeros((img.height, img.width), dtype=bool)
         windows, kept = _windows(mask, centers[keep], classes.margin, writeable=True)
         windows[kept] = True
     rendered = warp_image(img, deform, img.width, img.height, mask=mask)
     if sigma > 0 and rng is not None:
         rendered = add_noise(rendered, sigma, rng)
-    return View(view_id, deform, rendered)
+    return View(view_id, deform, rendered, layout)
 
 
 def _check_threads(threads: int) -> None:
@@ -247,10 +251,16 @@ def extract_patches(
     and the skipped labels. A class is skipped when its patch would cross
     the view border or cover pixels the warped source never painted
     (background fill). The view may be a full frame or a patch stream's
-    render of the kept windows only; both give the same crops.
+    render of the kept windows only; both give the same crops. A stream's
+    view carries the layout it was rendered for, which is reused when it was
+    made for the same ``classes`` and ``src_size``.
     """
-    size = (view.image.width, view.image.height)
-    centers, keep = _window_layout(view.deform, classes, size, src_size)
+    layout = view.layout
+    if layout is not None and layout[0] is classes and layout[1] == tuple(src_size):
+        centers, keep = layout[2:]
+    else:
+        size = (view.image.width, view.image.height)
+        centers, keep = _window_layout(view.deform, classes, size, src_size)
     windows, kept = _windows(view.image.pixels, centers[keep], classes.margin)
     patches = windows[kept]
     patches.flags.writeable = False

@@ -24,8 +24,8 @@ SCALE_HIGH = 1.5
 
 TWO_PI = 2.0 * math.pi
 
-# Pixels rendered or noised per step: every float temporary of warp_image
-# and add_noise stays within 64 KB whatever the frame size.
+# Pixels rendered or noised per step: warp_image and add_noise hold a few
+# arrays of at most this many values, whatever the frame size.
 PIXEL_BLOCK = 8192
 
 _WHITESPACE = b" \t\r\n\v\f"
@@ -207,26 +207,73 @@ def _to_u8(values: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(values), 0, 255).astype(np.uint8)
 
 
+def _inside(pixels: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """Which coordinates lie on the source grid, edges included."""
+    h, w = pixels.shape
+    return (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
+
+
+def _padded(pixels: np.ndarray) -> np.ndarray:
+    """The source with one edge-replicated column and row appended.
+
+    A coordinate on the last column or row has weight 0 on its +1
+    neighbour, which then reads the edge itself, so no index needs a clip.
+    """
+    return np.pad(pixels, ((0, 1), (0, 1)), mode="edge")
+
+
+def _scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work arrays for ``_sample_inside`` over up to n pixels."""
+    return np.empty((4, n)), np.empty(n, dtype=np.intp), np.empty(n, dtype=np.uint8)
+
+
+def _sample_inside(padded: np.ndarray, sx: np.ndarray, sy: np.ndarray, scratch) -> np.ndarray:
+    """Bilinear values at coordinates that all lie on the source grid.
+
+    ``padded`` is the source as ``_padded`` returns it. The float64
+    products and sums are formed in the order the comments below give, so
+    a value does not depend on the block it is computed in. ``sx`` and
+    ``sy`` are overwritten with the fractions, and the result is a view of
+    ``scratch``.
+    """
+    n = sx.size
+    (top, bot, weight, term), index, corner = scratch[0][:, :n], scratch[1][:n], scratch[2][:n]
+    stride = padded.shape[1]
+    raster = padded.ravel()
+    np.floor(sx, out=top)
+    np.floor(sy, out=bot)
+    fx = np.subtract(sx, top, out=sx)
+    fy = np.subtract(sy, bot, out=sy)
+    bot *= stride
+    bot += top
+    index[...] = bot  # whole numbers far below 2**53: the cast is exact
+    np.subtract(1.0, fx, out=weight)
+    # top = v00 * (1 - fx) + v01 * fx, bot = v10 * (1 - fx) + v11 * fx
+    raster.take(index, out=corner)
+    np.multiply(corner, weight, out=top)
+    index += 1
+    raster.take(index, out=corner)
+    top += np.multiply(corner, fx, out=term)
+    index += stride - 1
+    raster.take(index, out=corner)
+    np.multiply(corner, weight, out=bot)
+    index += 1
+    raster.take(index, out=corner)
+    bot += np.multiply(corner, fx, out=term)
+    # top * (1 - fy) + bot * fy
+    top *= np.subtract(1.0, fy, out=weight)
+    bot *= fy
+    top += bot
+    return top
+
+
 def _bilinear(pixels: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     """Sample at real coordinates; anything outside the grid reads BACKGROUND."""
-    h, w = pixels.shape
-    inside = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
-    x0 = np.clip(np.floor(sx), 0, w - 1).astype(np.intp)
-    y0 = np.clip(np.floor(sy), 0, h - 1).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = np.clip(sx - x0, 0.0, 1.0)
-    fy = np.clip(sy - y0, 0.0, 1.0)
-    # take on the flat raster is cheaper than four 2-D fancy-index gathers.
-    row0, row1 = y0 * w, y1 * w
-    flat = pixels.ravel()
-    v00 = flat.take(row0 + x0).astype(np.float64)
-    v01 = flat.take(row0 + x1).astype(np.float64)
-    v10 = flat.take(row1 + x0).astype(np.float64)
-    v11 = flat.take(row1 + x1).astype(np.float64)
-    top = v00 * (1.0 - fx) + v01 * fx
-    bot = v10 * (1.0 - fx) + v11 * fx
-    return np.where(inside, top * (1.0 - fy) + bot * fy, float(BACKGROUND))
+    inside = _inside(pixels, sx, sy)
+    values = np.full(sx.shape, float(BACKGROUND))
+    n = np.count_nonzero(inside)
+    values[inside] = _sample_inside(_padded(pixels), sx[inside], sy[inside], _scratch(n))
+    return values
 
 
 def warp_image(
@@ -244,8 +291,12 @@ def warp_image(
     pixel reads BACKGROUND. Patch streams pass the union of the windows they
     will crop, so only those pixels are sampled.
 
-    Both renders walk the frame ``PIXEL_BLOCK`` pixels at a time with the
-    same per-pixel arithmetic, so no temporary grows with the frame.
+    Both renders work on at most ``PIXEL_BLOCK`` pixels at a time with the
+    same per-pixel arithmetic, so no temporary grows with the frame: a full
+    render walks the frame in runs of that many pixels, a masked one in
+    groups of whole rows holding that many selected pixels. Only the pixels
+    of a block that map onto the source are sampled; the rest keep the
+    BACKGROUND the frame starts as.
     """
     if out_w < 1 or out_h < 1:
         raise InvalidArgument("output size must be at least 1x1")
@@ -253,25 +304,73 @@ def warp_image(
         mask = np.asarray(mask)
         if mask.dtype != np.bool_ or mask.shape != (out_h, out_w):
             raise InvalidArgument(f"mask must be a boolean {out_h}x{out_w} array")
-        mask = mask.ravel()
     inv = np.linalg.inv(deform_matrix(d))
     cx, cy = (out_w - 1) / 2.0, (out_h - 1) / 2.0
     out = np.full(out_h * out_w, BACKGROUND, dtype=np.uint8)
-    for start in range(0, out.size, PIXEL_BLOCK):
-        stop = min(start + PIXEL_BLOCK, out.size)
-        if mask is None:
-            flat = np.arange(start, stop)
-        else:
-            flat = start + np.flatnonzero(mask[start:stop])
-            if not flat.size:
-                continue
-        ys, xs = np.divmod(flat, out_w)
-        u = xs - cx
-        v = ys - cy
-        sx = inv[0, 0] * u + inv[0, 1] * v + d.tx
-        sy = inv[1, 0] * u + inv[1, 1] * v + d.ty
-        out[flat] = _to_u8(_bilinear(src.pixels, sx, sy))
+    padded = _padded(src.pixels)
+    size = min(PIXEL_BLOCK, out.size)
+    scratch = _scratch(size)
+    grid = np.empty((2, size), dtype=np.intp)
+    coords = np.empty((5, size))
+    rounded = np.empty(size, dtype=np.uint8)
+    for flat in _pixel_blocks(mask, out_h, out_w):
+        n = flat.size
+        ys, xs = grid[:, :n]
+        u, v, sx, sy, term = coords[:, :n]
+        np.floor_divide(flat, out_w, out=ys)
+        np.subtract(flat, np.multiply(ys, out_w, out=xs), out=xs)
+        np.subtract(xs, cx, out=u)
+        np.subtract(ys, cy, out=v)
+        # sx = inv[0, 0] * u + inv[0, 1] * v + tx, and sy alike
+        np.multiply(u, inv[0, 0], out=sx)
+        sx += np.multiply(v, inv[0, 1], out=term)
+        sx += d.tx
+        np.multiply(u, inv[1, 0], out=sy)
+        sy += np.multiply(v, inv[1, 1], out=term)
+        sy += d.ty
+        inside = _inside(src.pixels, sx, sy)
+        if not inside.all():
+            flat, sx, sy = flat[inside], sx[inside], sy[inside]
+        values = _sample_inside(padded, sx, sy, scratch)
+        # a convex combination of bytes needs no clip before the cast
+        np.copyto(rounded[: flat.size], np.rint(values, out=values), casting="unsafe")
+        out[flat] = rounded[: flat.size]
     return _frozen_image(out.reshape(out_h, out_w))
+
+
+def _pixel_blocks(mask, out_h: int, out_w: int):
+    """Flat indices of the frame pixels to render, at most PIXEL_BLOCK at once.
+
+    Without a mask, runs of the frame. With one, groups of whole rows whose
+    selected pixels number at most PIXEL_BLOCK, each found by one
+    ``flatnonzero`` over its rows; a row holding more is split into runs.
+    """
+    if mask is None:
+        size = out_h * out_w
+        for start in range(0, size, PIXEL_BLOCK):
+            yield np.arange(start, min(start + PIXEL_BLOCK, size))
+        return
+    flat_mask = mask.ravel()
+    # ends[r]: selected pixels in rows 0..r
+    ends = np.cumsum(np.count_nonzero(mask, axis=1))
+    row = 0
+    while row < out_h:
+        before = int(ends[row - 1]) if row else 0
+        stop = int(np.searchsorted(ends, before + PIXEL_BLOCK, side="right"))
+        if stop > row:
+            runs = [(row * out_w, stop * out_w)]
+        else:  # this row alone holds more than a block
+            stop = row + 1
+            runs = [
+                (start, min(start + PIXEL_BLOCK, stop * out_w))
+                for start in range(row * out_w, stop * out_w, PIXEL_BLOCK)
+            ]
+        for start, end in runs:
+            flat = np.flatnonzero(flat_mask[start:end])
+            if flat.size:
+                flat += start
+                yield flat
+        row = stop
 
 
 def _frozen_image(pixels: np.ndarray) -> GrayImage:
@@ -354,7 +453,10 @@ def _window_sums(arr: np.ndarray, radius: int) -> np.ndarray:
     acc_dtype = np.int64 if arr.dtype.kind in "iu" else np.float64
     table = np.zeros((h + 2 * ry + 1, w + 2 * rx + 1), dtype=acc_dtype)
     inner = table[ry + 1 : ry + 1 + h, rx + 1 : rx + 1 + w]
-    np.cumsum(arr, axis=0, dtype=acc_dtype, out=inner)
+    # row by row: one add per row runs faster than a cumsum down the columns
+    inner[0] = arr[0]
+    for i in range(1, h):
+        np.add(inner[i - 1], arr[i], out=inner[i])
     np.cumsum(inner, axis=1, out=inner)
     table[ry + 1 + h :, rx + 1 : rx + 1 + w] = inner[-1]
     table[:, rx + 1 + w :] = table[:, rx + w, None]

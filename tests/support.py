@@ -131,6 +131,26 @@ def box_mean_corner_oracle(values: np.ndarray, radius: int) -> np.ndarray:
     return sums / ((y2 - y1)[:, None] * (x2 - x1)[None, :])
 
 
+def window_sums_oracle(arr: np.ndarray, radius: int) -> np.ndarray:
+    """Clipped window sums from a padded summed-area table built with two
+    cumsums, one down the columns and one along the rows."""
+    h, w = arr.shape
+    ry, rx = min(radius, h - 1), min(radius, w - 1)
+    acc_dtype = np.int64 if arr.dtype.kind in "iu" else np.float64
+    table = np.zeros((h + 2 * ry + 1, w + 2 * rx + 1), dtype=acc_dtype)
+    inner = table[ry + 1 : ry + 1 + h, rx + 1 : rx + 1 + w]
+    np.cumsum(arr, axis=0, dtype=acc_dtype, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
+    table[ry + 1 + h :, rx + 1 : rx + 1 + w] = inner[-1]
+    table[:, rx + 1 + w :] = table[:, rx + w, None]
+    top, bottom = slice(0, h), slice(2 * ry + 1, 2 * ry + 1 + h)
+    left, right = slice(0, w), slice(2 * rx + 1, 2 * rx + 1 + w)
+    sums = table[bottom, right] - table[top, right]
+    sums -= table[bottom, left]
+    sums += table[top, left]
+    return sums
+
+
 def local_maxima_oracle(resp: np.ndarray) -> np.ndarray:
     """3x3 local-maximum mask from the eight shifted neighbours in turn."""
     h, w = resp.shape

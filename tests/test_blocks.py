@@ -21,7 +21,7 @@ from fernkit import (
     warp_image,
 )
 from fernkit.ferns import PATCH_BLOCK, Combination
-from fernkit.image import PIXEL_BLOCK
+from fernkit.image import PIXEL_BLOCK, _pixel_blocks
 from fernkit.keypoints import _response_map
 
 from support import (
@@ -290,3 +290,74 @@ class TestSynthesisOracles:
         got = add_noise(img, 12.5, np.random.default_rng(h + w))
         expected = add_noise_oracle(img.pixels, 12.5, np.random.default_rng(h + w))
         assert got.pixels.tobytes() == expected.tobytes()
+
+
+class TestLeanRender:
+    """Only pixels that map onto the source are sampled, from a copy padded
+    by one edge column and row; masked renders walk groups of whole rows."""
+
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (-0.5, -0.5)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_coordinates_exactly_on_the_source_edges(self, shift, masked):
+        # an identity warp samples x = 0 .. w - 1 and y = 0 .. h - 1 exactly;
+        # a half-pixel shift keeps the other axis exact and moves one edge out
+        rng = np.random.default_rng(7)
+        h, w = 23, 31
+        src = GrayImage(rng.integers(0, 256, (h, w)).astype(np.uint8))
+        cx, cy = src.center
+        d = AffineDeform(0, 0, 1, 1, tx=cx + shift[0], ty=cy + shift[1])
+        mask = rng.random((h, w)) < 0.7 if masked else None
+        got = warp_image(src, d, w, h, mask=mask).pixels
+        assert got.tobytes() == warp_image_oracle(src, d, w, h, mask=mask).tobytes()
+        if shift == (0.0, 0.0):
+            selected = np.ones((h, w), dtype=bool) if mask is None else mask
+            assert np.array_equal(got[selected], src.pixels[selected])
+
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 9), (9, 1)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_one_pixel_wide_or_tall_sources(self, h, w, masked):
+        rng = np.random.default_rng(h * 10 + w)
+        src = GrayImage(rng.integers(0, 256, (h, w)).astype(np.uint8))
+        cx, cy = src.center
+        deforms = [
+            AffineDeform(0, 0, 1, 1, tx=cx, ty=cy),
+            AffineDeform(0.3, 0.9, 0.85, 1.2, tx=cx, ty=cy),
+            AffineDeform(0, 0, 0.5, 0.5, tx=cx, ty=cy),
+        ]
+        for d in deforms:
+            for out_w, out_h in ((w, h), (w + 4, h + 4)):
+                mask = rng.random((out_h, out_w)) < 0.6 if masked else None
+                got = warp_image(src, d, out_w, out_h, mask=mask).pixels
+                want = warp_image_oracle(src, d, out_w, out_h, mask=mask)
+                assert got.tobytes() == want.tobytes()
+
+    def test_row_groups_end_mid_frame(self):
+        h, w = 160, 240
+        rng = np.random.default_rng(11)
+        mask = rng.random((h, w)) < rng.uniform(0.0, 1.0, (h, 1))  # uneven rows
+        blocks = list(_pixel_blocks(mask, h, w))
+        assert len(blocks) >= 2
+        assert np.array_equal(np.concatenate(blocks), np.flatnonzero(mask))
+        for a, b in zip(blocks, blocks[1:]):
+            assert a.size <= PIXEL_BLOCK
+            # whole rows, and no room left for the next group's first row
+            assert a[-1] // w < b[0] // w
+            assert a.size + np.count_nonzero(mask[b[0] // w]) > PIXEL_BLOCK
+        src = GrayImage(rng.integers(0, 256, (h, w)).astype(np.uint8))
+        d = AffineDeform(0.5, 1.3, 0.9, 1.1, tx=w / 2, ty=h / 2)
+        got = warp_image(src, d, w, h, mask=mask).pixels
+        assert got.tobytes() == warp_image_oracle(src, d, w, h, mask=mask).tobytes()
+
+    def test_a_row_of_more_than_a_block_is_split(self):
+        h, w = 3, 2 * PIXEL_BLOCK + 5
+        rng = np.random.default_rng(12)
+        mask = rng.random((h, w)) < 0.1
+        mask[1] = True
+        blocks = list(_pixel_blocks(mask, h, w))
+        assert np.array_equal(np.concatenate(blocks), np.flatnonzero(mask))
+        assert max(b.size for b in blocks) <= PIXEL_BLOCK
+        assert sum(b[0] // w == 1 for b in blocks) == 3
+        src = GrayImage(rng.integers(0, 256, (8, w // 2)).astype(np.uint8))
+        d = AffineDeform(0.01, 0.0, 1.0, 1.0, tx=src.width / 2, ty=src.height / 2)
+        got = warp_image(src, d, w, h, mask=mask).pixels
+        assert got.tobytes() == warp_image_oracle(src, d, w, h, mask=mask).tobytes()

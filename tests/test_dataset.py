@@ -187,6 +187,54 @@ class TestGoldenPins:
         assert dict(stats.skips) == {0: 2, 2: 2, 3: 3, 5: 1, 6: 4, 8: 1, 9: 7}
 
 
+class TestOneLayoutPerView:
+    """A streamed view carries the window layout it was rendered for."""
+
+    def test_streams_compute_one_layout_per_view(
+        self, texture_small, small_classes, monkeypatch
+    ):
+        calls = []
+        layout = dataset._window_layout
+
+        def counted(*args):
+            calls.append(args)
+            return layout(*args)
+
+        monkeypatch.setattr(dataset, "_window_layout", counted)
+        spec = TestGoldenPins.SPEC
+        train = stream_digest(generate_training_set(texture_small, small_classes, spec, 9))
+        assert len(calls) == spec.training_views
+        test = stream_digest(generate_test_set(texture_small, small_classes, spec, 9))
+        assert len(calls) == spec.training_views + spec.test_views
+        # the streams of TestGoldenPins
+        assert train == "4967b6b84be0378e2ee9b5a9d78b0d70412e612b83d58bdc4253b3ae4c33bd67"
+        assert test == "a111c54fc982504296bec4d076a6d2c372a00d124868ad47d596727eac904b65"
+
+    def test_layout_is_reused_only_for_its_classes_and_source_size(
+        self, texture_small, small_classes
+    ):
+        img = texture_small
+        size = (img.width, img.height)
+        cases = [
+            (small_classes, size),
+            (border_classes(img), size),
+            (small_classes, (img.width - 30, img.height - 20)),
+        ]
+        skips = []
+        for view in training_views(img, DatasetSpec(1, 4, test_views=0), 2, classes=small_classes):
+            assert view.layout is not None
+            bare = View(view.view_id, view.deform, view.image)
+            for classes, src_size in cases:
+                patches, labels, skipped = extract_patches(view, classes, src_size)
+                want = extract_patches(bare, classes, src_size)
+                assert patches.tobytes() == want[0].tobytes()
+                assert (labels.tolist(), skipped) == (want[1].tolist(), want[2])
+                skips.append(skipped)
+        # each case skips other classes than the layout the view carries
+        assert any(skips[i] != skips[i + 2] for i in range(0, len(skips), 3))
+        assert any(len(skips[i]) != len(skips[i + 1]) for i in range(0, len(skips), 3))
+
+
 def edge_deforms(img):
     """Deforms that push windows off the frame and onto the source edge."""
     cx, cy = img.center

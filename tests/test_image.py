@@ -23,6 +23,7 @@ from fernkit import (
 from fernkit.image import (
     BACKGROUND,
     _bilinear,
+    _window_sums,
     box_mean,
     unwarp_points,
     warp_points,
@@ -33,6 +34,7 @@ from support import (
     box_mean_corner_oracle,
     box_mean_oracle,
     peak_traced_bytes,
+    window_sums_oracle,
 )
 
 
@@ -381,6 +383,25 @@ class TestBoxMeanCorners:
         got = box_mean(values, radius)
         want = box_mean_corner_oracle(values, radius)
         assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+class TestWindowSumsRowAdds:
+    """Row-by-row prefix sums against the column cumsum they replace, on
+    1-row frames and radii past the height among others."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 29), (2, 3), (17, 1), (31, 40)])
+    @pytest.mark.parametrize("radius", [1, 2, 16, 40])
+    @pytest.mark.parametrize("kind", ["int64", "float64"])
+    def test_bytes_equal_cumsum_oracle(self, shape, radius, kind):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] + radius)
+        if kind == "int64":
+            values = rng.integers(-(2**40), 2**40, shape)
+        else:
+            values = rng.normal(0.0, 1e3, shape) * 10.0 ** rng.integers(-6, 7, shape)
+        got = _window_sums(values, radius)
+        want = window_sums_oracle(values, radius)
+        assert got.dtype == want.dtype == np.dtype(kind)
         assert got.tobytes() == want.tobytes()
 
 
