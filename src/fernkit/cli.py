@@ -171,7 +171,7 @@ def cmd_train(args) -> int:
     spec = dataset.DatasetSpec(args.views_per_degree, args.degrees)
     stats = dataset.GenStats()
     model.train(
-        dataset.generate_training_set(
+        dataset._training_blocks(
             img, classes, spec, args.seed, stats=stats, threads=args.threads
         )
     )
@@ -191,9 +191,7 @@ def cmd_eval(args) -> int:
     _check_fits(model, img)
     spec = dataset.DatasetSpec(0, 0, args.tests, args.noise)
     patches, labels = evaluate.materialize(
-        dataset.generate_test_set(
-            img, model.classes, spec, args.seed, threads=args.threads
-        )
+        dataset._test_blocks(img, model.classes, spec, args.seed, threads=args.threads)
     )
     record = evaluate.record(
         evaluate.Method.of(model), model, patches, labels, args.seed

@@ -267,18 +267,41 @@ def extract_patches(
     return patches, np.flatnonzero(keep), np.flatnonzero(~keep).tolist()
 
 
-def _patch_stream(
-    img: GrayImage,
-    classes: ClassSet,
-    views: Iterator[View],
-    stats: GenStats | None,
-) -> Iterator[PatchSample]:
+def _view_blocks(
+    img: GrayImage, classes: ClassSet, views: Iterator[View], stats: GenStats | None
+) -> Iterator[tuple[View, np.ndarray, np.ndarray]]:
+    """Each view with its read-only (k, p, p) patch block and k labels."""
     for view in views:
         patches, labels, skipped = extract_patches(view, classes, (img.width, img.height))
         if stats is not None:
             stats.views += 1
             stats.skips.update(skipped)
             stats.samples += len(labels)
+        yield view, patches, labels
+
+
+def _training_blocks(
+    img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int,
+    stats: GenStats | None = None, threads: int = 1,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The training protocol as one (patches, labels) block per view, which
+    ``sample_batches`` stacks without a per-patch object."""
+    views = training_views(img, spec, seed, threads, None, classes)
+    return ((p, l) for _, p, l in _view_blocks(img, classes, views, stats))
+
+
+def _test_blocks(
+    img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int,
+    stats: GenStats | None = None, threads: int = 1,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The test protocol as one (patches, labels) block per view."""
+    views = test_views(img, spec, seed, threads, None, classes)
+    return ((p, l) for _, p, l in _view_blocks(img, classes, views, stats))
+
+
+def _samples(blocks: Iterator[tuple[View, np.ndarray, np.ndarray]]) -> Iterator[PatchSample]:
+    """The per-patch flattening of view blocks: zero-copy rows of each block."""
+    for view, patches, labels in blocks:
         for patch, label in zip(patches, labels.tolist()):
             yield PatchSample(GrayImage(patch), label, view.deform, view.view_id)
 
@@ -293,9 +316,8 @@ def generate_training_set(
     deforms: Sequence[AffineDeform] | None = None,
 ) -> Iterator[PatchSample]:
     """Labeled patches from the rotation-bucketed training protocol."""
-    return _patch_stream(
-        img, classes, training_views(img, spec, seed, threads, deforms, classes), stats
-    )
+    views = training_views(img, spec, seed, threads, deforms, classes)
+    return _samples(_view_blocks(img, classes, views, stats))
 
 
 def generate_test_set(
@@ -308,34 +330,47 @@ def generate_test_set(
     deforms: Sequence[AffineDeform] | None = None,
 ) -> Iterator[PatchSample]:
     """Labeled noisy patches from independent full-range deformations."""
-    return _patch_stream(
-        img, classes, test_views(img, spec, seed, threads, deforms, classes), stats
-    )
+    views = test_views(img, spec, seed, threads, deforms, classes)
+    return _samples(_view_blocks(img, classes, views, stats))
 
 
 def sample_batches(
     samples: Iterable, size: int | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stack PatchSamples, other ``patch``/``label`` objects or (patch,
-    label) pairs into (n, h, w) patches and int64 labels, ``size`` at a time
-    (the whole stream if None). Items are not held, only pixels and labels."""
-    patches, labels = [], []
+    """Stack PatchSamples, other ``patch``/``label`` objects, (patch, label)
+    pairs or a view's (patches, labels) block into (n, h, w) patches and
+    int64 labels, ``size`` at a time (the whole stream if None); a chunk
+    boundary may split a block. Items are not held, only pixels and labels."""
+    if size is not None and size < 1:
+        raise InvalidArgument(f"chunk size must be >= 1, got {size}")
+    parts, labels = [], []
     for item in samples:
         patch, label = (item.patch, item.label) if hasattr(item, "patch") else item
-        patches.append(patch.pixels if isinstance(patch, GrayImage) else np.asarray(patch))
-        labels.append(label)
-        if len(labels) == size:
-            yield _stacked(patches, labels)
-            patches.clear()
-            labels.clear()
+        patch = patch.pixels if isinstance(patch, GrayImage) else np.asarray(patch)
+        if np.ndim(label):  # a block: k patches and their k labels
+            label = np.asarray(label)
+            if label.ndim != 1 or patch.ndim != 3 or len(patch) != label.size:
+                raise InvalidPatch("a block needs one (h, w) patch per label")
+            parts.append(patch)
+            labels.extend(label.tolist())
+        else:
+            parts.append(patch[None])
+            labels.append(label)
+        if size is not None and len(labels) >= size:
+            patches, stacked = _stacked(parts, labels)
+            whole = len(labels) - len(labels) % size
+            for start in range(0, whole, size):
+                yield patches[start : start + size], stacked[start : start + size]
+            parts = [patches[whole:]] if whole < len(labels) else []
+            labels = labels[whole:]
     if labels:
-        yield _stacked(patches, labels)
+        yield _stacked(parts, labels)
 
 
-def _stacked(patches: list, labels: list) -> tuple[np.ndarray, np.ndarray]:
-    if len({p.shape for p in patches}) > 1:
+def _stacked(parts: list, labels: list) -> tuple[np.ndarray, np.ndarray]:
+    if len({p.shape[1:] for p in parts}) > 1:
         raise InvalidPatch("patches of one chunk differ in shape")
-    return np.stack(patches), np.array(labels, dtype=np.int64)
+    return np.concatenate(parts), np.array(labels, dtype=np.int64)
 
 
 def stream_digest(samples: Iterable[PatchSample]) -> str:

@@ -14,9 +14,9 @@ import numpy as np
 from .dataset import (
     STREAM_MODEL,
     DatasetSpec,
+    _test_blocks,
+    _training_blocks,
     derive_rng,
-    generate_test_set,
-    generate_training_set,
     sample_batches,
 )
 from .errors import EmptyTestSet, InvalidArgument
@@ -86,7 +86,7 @@ class BenchResult:
 
 
 def materialize(samples: Iterable) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a sample stream into (N, p, p) patches and (N,) labels."""
+    """Stack a sample or block stream into (N, p, p) patches and (N,) labels."""
     for chunk in sample_batches(samples):
         return chunk
     raise EmptyTestSet("no test samples")
@@ -137,10 +137,8 @@ def sweep_units(
         model = TreeForest.random(classes, top, fern_size, rng)
     else:
         model = FernModel.random(classes, top, fern_size, rng)
-    model.train(generate_training_set(img, classes, spec, seed, threads=threads))
-    patches, labels = materialize(
-        generate_test_set(img, classes, spec, seed, threads=threads)
-    )
+    model.train(_training_blocks(img, classes, spec, seed, threads=threads))
+    patches, labels = materialize(_test_blocks(img, classes, spec, seed, threads=threads))
     records = []
     for k in unit_counts:
         sub = model if k == top else model.truncated(k)
@@ -167,11 +165,9 @@ def compare_methods(
     ferns = FernModel.random(classes, units, fern_size, rng)
     forest = TreeForest.random(classes, units, fern_size, rng)
     train_models(
-        (ferns, forest), generate_training_set(img, classes, spec, seed, threads=threads)
+        (ferns, forest), _training_blocks(img, classes, spec, seed, threads=threads)
     )
-    patches, labels = materialize(
-        generate_test_set(img, classes, spec, seed, threads=threads)
-    )
+    patches, labels = materialize(_test_blocks(img, classes, spec, seed, threads=threads))
     return [
         record(Method.FERN_NB, ferns, patches, labels, seed),
         record(Method.FERN_AVG, ferns, patches, labels, seed),

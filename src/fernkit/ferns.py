@@ -234,6 +234,19 @@ class LeafModel:
         table = np.add(counts, 1.0, dtype=np.float64)
         table /= totals[:, None, :] + float(self.num_leaves)
         self.log_table = np.log(table, out=table)
+        self._posteriors = None
+
+    def _unit_posteriors(self) -> np.ndarray:
+        """(units * leaves, H) per-unit class posteriors that averaging adds:
+        row r is the softmax of ``log_table`` row r plus the log prior.
+
+        A row depends only on its (unit, leaf), so the table is built once,
+        on first use, and Naive-Bayes models never build it.
+        """
+        if self._posteriors is None:
+            rows = self.log_table.reshape(-1, self.num_classes) + self.log_prior
+            self._posteriors = _softmax_rows(rows)
+        return self._posteriors
 
     def merged(self, other):
         """Combine two shards trained on disjoint streams (count addition)."""
@@ -330,14 +343,19 @@ class LeafModel:
         Units are scored in steps of ``PATCH_BLOCK // k``: one take gathers
         the table rows of every unit in a step into the ``rows`` scratch,
         unit-major, and they are added to the scores in unit order. A score
-        is therefore the same float64 sum whatever the block size.
+        is therefore the same float64 sum whatever the block size. The rows
+        are log-probabilities for Naive-Bayes and the cached per-unit
+        posteriors for averaging.
         """
         leaves = self.leaf_indices(block)
         self.table_lookups += leaves.size
         k, units = leaves.shape
         naive_bayes = combination is Combination.NAIVE_BAYES
         scores[:] = self.log_prior if naive_bayes else 0.0
-        table = self.log_table.reshape(-1, self.num_classes)
+        if naive_bayes:
+            table = self.log_table.reshape(-1, self.num_classes)
+        else:
+            table = self._unit_posteriors()
         # rows of ``table`` to add, unit-major: unit u's k rows, then u + 1's
         cells = (leaves + self._unit_rows).T.ravel()
         # a reduction over a single column sums pairwise, not in order
@@ -348,8 +366,6 @@ class LeafModel:
             # leaves are in range by construction; clip mode lets take write
             # straight into ``got`` instead of buffering it
             table.take(ids, axis=0, out=got, mode="clip")
-            if not naive_bayes:
-                got = _softmax_rows(got + self.log_prior)
             if ids.size == k:
                 scores += got
             else:
@@ -503,8 +519,11 @@ def train_models(models: Sequence[LeafModel], samples: Iterable, chunk_size: int
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    p = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return p / p.sum(axis=1, keepdims=True)
+    """Replace each row of ``scores`` by its softmax, in place."""
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    return scores
 
 
 def _take(data: bytes, pos: int, dtype: str, shape: tuple):

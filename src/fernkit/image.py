@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,14 @@ class GrayImage:
 
     def at(self, x: int, y: int) -> int:
         return int(self.pixels[y, x])
+
+    @cached_property
+    def _edge_padded(self) -> np.ndarray:
+        """``_padded(pixels)``, made on the first warp of this image; the
+        pixels are read-only, so it cannot go stale."""
+        padded = _padded(self.pixels)
+        padded.flags.writeable = False
+        return padded
 
     def __eq__(self, other):
         if not isinstance(other, GrayImage):
@@ -307,7 +316,7 @@ def warp_image(
     inv = np.linalg.inv(deform_matrix(d))
     cx, cy = (out_w - 1) / 2.0, (out_h - 1) / 2.0
     out = np.full(out_h * out_w, BACKGROUND, dtype=np.uint8)
-    padded = _padded(src.pixels)
+    padded = src._edge_padded
     size = min(PIXEL_BLOCK, out.size)
     scratch = _scratch(size)
     grid = np.empty((2, size), dtype=np.intp)
@@ -413,12 +422,19 @@ def add_noise(img: GrayImage, sigma: float, rng: np.random.Generator) -> GrayIma
         raise InvalidArgument(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return img
-    # block by block, the draws concatenate to one draw over the whole frame
+    # block by block, the draws concatenate to one draw over the whole frame;
+    # rng.normal(0.0, sigma) is 0.0 + sigma * z for the same standard draws z
     pixels = img.pixels.ravel()
     out = np.empty_like(pixels)
+    scratch = np.empty(min(PIXEL_BLOCK, pixels.size))
     for start in range(0, pixels.size, PIXEL_BLOCK):
         block = pixels[start : start + PIXEL_BLOCK]
-        out[start : start + block.size] = _to_u8(block + rng.normal(0.0, sigma, block.size))
+        noisy = scratch[: block.size]
+        rng.standard_normal(block.size, out=noisy)
+        noisy *= sigma
+        noisy += block
+        np.clip(np.rint(noisy, out=noisy), 0, 255, out=noisy)
+        np.copyto(out[start : start + block.size], noisy, casting="unsafe")
     return _frozen_image(out.reshape(img.pixels.shape))
 
 

@@ -397,3 +397,39 @@ def scores_oracle(model, patches: np.ndarray, combination) -> list[list[float]]:
             scores.append(total if naive_bayes else total / len(terms))
         out.append(scores)
     return out
+
+
+def stepwise_average_oracle(model, patches: np.ndarray):
+    """Labels and scores of averaging as scored before the per-unit
+    posteriors were cached: blocks of ``PATCH_BLOCK`` patches, each scored
+    in steps of ``PATCH_BLOCK // k`` units, and every step's gathered
+    log-table rows put through a softmax with the log prior."""
+    from fernkit.ferns import PATCH_BLOCK
+
+    def softmax(rows):
+        p = np.exp(rows - rows.max(axis=1, keepdims=True))
+        return p / p.sum(axis=1, keepdims=True)
+
+    h = model.num_classes
+    table = model.log_table.reshape(-1, h)
+    labels, best = [], []
+    for start in range(0, len(patches), PATCH_BLOCK):
+        leaves = model.leaf_indices(patches[start : start + PATCH_BLOCK])
+        k, units = leaves.shape
+        scores = np.zeros((k, h))
+        cells = (leaves + np.arange(units) * model.num_leaves).T.ravel()
+        step = max(1, PATCH_BLOCK // k) if scores.size > 1 else 1
+        for first in range(0, cells.size, step * k):
+            got = softmax(table[cells[first : first + step * k]] + model.log_prior)
+            if got.shape[0] == k:
+                scores += got
+            else:
+                got[:k] += scores
+                np.add.reduce(got.reshape(-1, k, h), axis=0, out=scores)
+        scores /= units
+        chosen = scores.argmax(axis=1)
+        labels.append(chosen)
+        best.append(scores[np.arange(k), chosen])
+    if not labels:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    return np.concatenate(labels), np.concatenate(best)

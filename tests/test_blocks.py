@@ -30,6 +30,7 @@ from support import (
     peak_traced_bytes,
     random_patches,
     scores_oracle,
+    stepwise_average_oracle,
     warp_image_oracle,
 )
 
@@ -191,6 +192,65 @@ class TestUnitSteps:
         expected = [row[0] for row in scores_oracle(model, patches, Combination.NAIVE_BAYES)]
         assert per_patch(model, patches)[1].tobytes() == np.array(expected).tobytes()
         assert model.classify_patches(patches)[1].tobytes() == np.array(expected).tobytes()
+
+
+def rebuilt(model):
+    """A fresh model over ``model``'s units and a copy of its counts."""
+    if isinstance(model, FernModel):
+        return FernModel(model.classes, model.ferns, model.counts.copy())
+    return TreeForest(model.classes, model.trees, model.combination, model.counts.copy())
+
+
+class TestCachedPosteriors:
+    """Averaging adds per-unit posteriors built once per model; the scores
+    are the bytes of the scorer that put every step's rows through a softmax."""
+
+    @pytest.mark.parametrize("kind", ["fern", "tree"])
+    @pytest.mark.parametrize("h,n", [(5, 1), (5, 3), (5, PATCH_BLOCK), (5, 300), (1, 9)])
+    def test_scores_equal_per_step_softmax_oracle(self, kind, h, n):
+        model = trained(kind, Combination.AVERAGE, h=h)
+        patches = random_patches(np.random.default_rng(n), n, PATCH)
+        labels, scores = model.classify_patches(patches)
+        expected_labels, expected_scores = stepwise_average_oracle(model, patches)
+        assert np.array_equal(labels, expected_labels)
+        assert scores.tobytes() == expected_scores.tobytes()
+        assert per_patch(model, patches)[1].tobytes() == expected_scores.tobytes()
+
+    @pytest.mark.parametrize("kind", ["fern", "tree"])
+    def test_built_on_the_first_averaging_call_only(self, kind):
+        model = trained(kind, Combination.NAIVE_BAYES)
+        patches = random_patches(np.random.default_rng(6), 300, PATCH)
+        model.classify_patches(patches)
+        per_patch(model, patches[:3])
+        model.posterior(GrayImage(patches[0]), Keypoint(PATCH // 2, PATCH // 2))
+        loaded = type(model).load(model.save())
+        loaded.classify_patches(patches)
+        assert model._posteriors is None and loaded._posteriors is None
+        model.classify_patches(patches, Combination.AVERAGE)
+        table = model._posteriors
+        assert table.shape == (model.log_table.size // model.num_classes, model.num_classes)
+        model.classify_patches(patches[:3], Combination.AVERAGE)
+        assert model._posteriors is table
+
+    @pytest.mark.parametrize("kind", ["fern", "tree"])
+    def test_no_stale_table_after_train_merged_or_truncated(self, kind):
+        model = trained(kind, Combination.NAIVE_BAYES)
+        rng = np.random.default_rng(9)
+        patches = random_patches(rng, 300, PATCH)
+
+        def averaged(m):
+            labels, scores = m.classify_patches(patches, Combination.AVERAGE)
+            return labels.tobytes(), scores.tobytes()
+
+        before = averaged(model)  # builds the table from the first counts
+        more = random_patches(rng, 200, PATCH)
+        model.train(zip(more, rng.integers(0, model.num_classes, 200).tolist()))
+        after = averaged(model)
+        assert after != before and after == averaged(rebuilt(model))
+        merged = model.merged(model)
+        assert averaged(merged) == averaged(rebuilt(merged))
+        truncated = model.truncated(2)
+        assert averaged(truncated) == averaged(rebuilt(truncated))
 
 
 class TestBoundedMemory:

@@ -11,18 +11,22 @@ from fernkit import (
     GenStats,
     GrayImage,
     InvalidArgument,
+    InvalidPatch,
     Keypoint,
 )
 from fernkit import dataset
 from fernkit.dataset import (
     STREAM_TEST,
     View,
+    _test_blocks,
+    _training_blocks,
     derive_rng,
     extract_patches,
     generate_test_set,
     generate_training_set,
     manifest_row,
     read_manifest,
+    sample_batches,
     stream_digest,
     training_views,
     write_manifest,
@@ -185,6 +189,68 @@ class TestGoldenPins:
         assert digest == "a111c54fc982504296bec4d076a6d2c372a00d124868ad47d596727eac904b65"
         assert (stats.views, stats.samples) == (15, 160)
         assert dict(stats.skips) == {0: 2, 2: 2, 3: 3, 5: 1, 6: 4, 8: 1, 9: 7}
+
+
+class TestViewBlocks:
+    """Library callers stack one (patches, labels) block per view; the
+    PatchSample streams are the per-patch flattening of the same blocks."""
+
+    # seed 3 ends no view on patch 1000 or 1024 of either stream, so those
+    # chunk boundaries split a view
+    SPEC, SEED = DatasetSpec(2, 60, test_views=120), 3
+    STREAMS = [(_training_blocks, generate_training_set), (_test_blocks, generate_test_set)]
+
+    @pytest.fixture(scope="class", params=STREAMS, ids=["training", "noisy-test"])
+    def both(self, request, texture_small, small_classes):
+        """(blocks, samples, block stats, sample stats) of one protocol."""
+        blocks_of, samples_of = request.param
+        args = (texture_small, small_classes, self.SPEC, self.SEED)
+        block_stats, sample_stats = GenStats(), GenStats()
+        blocks = list(blocks_of(*args, stats=block_stats))
+        samples = list(samples_of(*args, stats=sample_stats))
+        return blocks, samples, block_stats, sample_stats
+
+    @pytest.mark.parametrize("size", [None, 1, 1000, 1024])
+    def test_blocks_stack_to_the_per_patch_bytes(self, both, size):
+        blocks, samples = both[:2]
+        ends = np.cumsum([labels.size for _, labels in blocks]).tolist()
+        if size and size > 1:
+            assert size not in ends and size < ends[-1]
+        got = list(sample_batches(iter(blocks), size))
+        want = list(sample_batches(iter(samples), size))
+        assert [len(l) for _, l in got] == [len(l) for _, l in want]
+        for (gp, gl), (wp, wl) in zip(got, want):
+            assert gp.shape == wp.shape and gp.tobytes() == wp.tobytes()
+            assert gl.dtype == wl.dtype == np.int64 and np.array_equal(gl, wl)
+
+    def test_stats_equal_on_both_paths(self, both):
+        blocks, samples, block_stats, sample_stats = both
+        assert block_stats == sample_stats
+        assert block_stats.views == len(blocks) == 120  # views of either protocol
+        assert block_stats.samples == len(samples) == sum(l.size for _, l in blocks)
+
+    def test_blocks_interleave_with_pairs(self, both):
+        blocks = both[0][:4]
+        mixed = []
+        for patches, labels in blocks:
+            mixed += [(patches[0], int(labels[0])), (patches[1:], labels[1:])]
+        for size in (None, 3):
+            got = list(sample_batches(iter(mixed), size))
+            want = list(sample_batches(iter(blocks), size))
+            assert len(got) == len(want)
+            for (gp, gl), (wp, wl) in zip(got, want):
+                assert gp.tobytes() == wp.tobytes() and np.array_equal(gl, wl)
+
+    def test_malformed_blocks_and_sizes_rejected(self):
+        patches = np.zeros((3, 5, 5), dtype=np.uint8)
+        for bad in [(patches, np.arange(2)), (patches[0], np.arange(5)),
+                    (patches, np.zeros((3, 1), dtype=int))]:
+            with pytest.raises(InvalidPatch):
+                list(sample_batches([bad]))
+        with pytest.raises(InvalidPatch, match="differ in shape"):
+            list(sample_batches([(patches, np.arange(3)), (patches[:, :4], np.arange(3))]))
+        with pytest.raises(InvalidArgument):
+            list(sample_batches([(patches, np.arange(3))], 0))
 
 
 class TestOneLayoutPerView:

@@ -16,6 +16,8 @@ from fernkit import (
     recognition_rate,
     sweep_units,
 )
+from fernkit import dataset, write_pgm
+from fernkit.cli import main
 from fernkit.dataset import STREAM_MODEL, derive_rng, generate_test_set
 from fernkit.evaluate import CSV_HEADER, materialize, write_records_csv
 
@@ -165,6 +167,27 @@ class TestCompareMethods:
         a = compare_methods(texture_small, small_classes, spec, 3, 8, fern_size=4)
         b = compare_methods(texture_small, small_classes, spec, 3, 8, fern_size=4)
         assert [r.recognition_rate for r in a] == [r.recognition_rate for r in b]
+
+
+class TestViewBlockCallers:
+    def test_no_patch_sample_is_made(self, texture_small, small_classes, monkeypatch, tmp_path):
+        """compare, sweep, and the CLI's train and eval stack view blocks."""
+
+        def refuse(*args):
+            raise AssertionError("a PatchSample was made")
+
+        monkeypatch.setattr(dataset, "PatchSample", refuse)
+        spec = DatasetSpec(1, 10, test_views=8)
+        compare_methods(texture_small, small_classes, spec, 3, 5, fern_size=4)
+        sweep_units(
+            texture_small, small_classes, spec, Method.TREE_AVG, [1, 2], seed=5, fern_size=4
+        )
+        image, model = tmp_path / "ref.pgm", tmp_path / "model.bin"
+        image.write_bytes(write_pgm(texture_small))
+        common = ["--image", str(image), "--model", str(model), "--seed", "5"]
+        assert main(["train", *common, "--classes", "6", "--ferns", "3", "--fern-size", "4",
+                     "--patch", "21", "--views-per-degree", "1", "--degrees", "10"]) == 0
+        assert main(["eval", *common, "--tests", "5", "--out", str(tmp_path / "e.csv")]) == 0
 
 
 class TestBench:

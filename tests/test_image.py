@@ -20,6 +20,7 @@ from fernkit import (
     warp_image,
     write_pgm,
 )
+from fernkit import image
 from fernkit.image import (
     BACKGROUND,
     _bilinear,
@@ -181,6 +182,16 @@ class TestWarp:
         assert set(np.unique(out.pixels)) <= {100, BACKGROUND}
         # the center always maps to the source anchor, so it is covered
         assert out.at(31, 31) == 100 and out.at(32, 32) == 100
+
+    def test_source_is_padded_once(self, texture_small, monkeypatch):
+        calls = []
+        padded = image._padded
+        monkeypatch.setattr(image, "_padded", lambda px: calls.append(1) or padded(px))
+        src = GrayImage(texture_small.pixels.copy())  # no pad cached yet
+        cx, cy = src.center
+        for i in range(3):
+            warp_image(src, AffineDeform(0.1 * i, 0.2, 1.1, 0.9, tx=cx, ty=cy), 160, 120)
+        assert len(calls) == 1 and not src._edge_padded.flags.writeable
 
     def test_shrink_fills_background(self):
         img = GrayImage(np.full((64, 64), 100, dtype=np.uint8))
