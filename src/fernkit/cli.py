@@ -17,8 +17,6 @@ from .errors import (
     FormatError,
     InsufficientKeypoints,
     InvalidArgument,
-    ParseError,
-    UnsupportedFormat,
 )
 from .ferns import FernModel
 from .image import AffineDeform, GrayImage, read_pgm, write_pgm
@@ -273,35 +271,21 @@ def cmd_warp(args) -> int:
     spec = dataset.DatasetSpec(
         args.views_per_degree, args.degrees, args.tests, args.noise
     )
-    cx, cy = img.center
     if args.identity:
+        cx, cy = img.center
         deform = AffineDeform(0.0, 0.0, 1.0, 1.0, tx=cx, ty=cy)
-        views = dataset.test_views(img, spec, args.seed, deforms=[deform])
-        view = next(iter(views))
-        sigma = spec.noise_sigma
-    elif args.kind == "train":
-        views = dataset.training_views(img, spec, args.seed)
-        view = _nth(views, args.view_id)
-        sigma = 0.0
+        view = next(dataset.test_views(img, spec, args.seed, deforms=[deform]))
     else:
-        views = dataset.test_views(img, spec, args.seed)
-        view = _nth(views, args.view_id)
-        sigma = spec.noise_sigma
+        stream = dataset.STREAM_TRAIN if args.kind == "train" else dataset.STREAM_TEST
+        view = dataset.protocol_view(img, spec, args.seed, stream, args.view_id)
     out = args.out or "view.pgm"
     with open(out, "wb") as f:
         f.write(write_pgm(view.image))
     manifest = args.manifest or out + ".manifest.csv"
     with open(manifest, "w") as f:
-        dataset.write_manifest([dataset.manifest_row(view, sigma)], f)
+        dataset.write_manifest([dataset.manifest_row(view)], f)
     print(f"wrote {out} and {manifest}")
     return EXIT_OK
-
-
-def _nth(iterator, n: int):
-    for i, item in enumerate(iterator):
-        if i == n:
-            return item
-    raise InvalidArgument(f"view id {n} beyond the protocol's view count")
 
 
 def main(argv=None) -> int:
@@ -319,16 +303,13 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise InvalidArgument(f"threads must be >= 1, got {args.threads}")
         return handler(args)
-    except (OSError, ParseError, UnsupportedFormat) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except InsufficientKeypoints as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAIN
     except (FormatError, CorruptModel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except FernkitError as exc:
+    except (OSError, FernkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

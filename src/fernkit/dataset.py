@@ -2,9 +2,11 @@
 
 Training views cover every rotation bucket with a fixed number of random
 deformations each; test views draw all parameters from the full ranges and
-get additive noise. Per-view RNGs are derived from (seed, stream, view_id)
-so parallel and serial generation emit identical streams, and training and
-test streams stay disjoint under equal seeds.
+get additive noise. View ``i`` of a stream is one function of (seed, stream,
+view_id), ``_view_params``, which every iterator and ``protocol_view`` use:
+parallel and serial generation emit identical streams, any view renders
+alone with the same bytes, and training and test streams stay disjoint
+under equal seeds.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .errors import InvalidArgument, InvalidPatch
 from .image import (
     AffineDeform,
     GrayImage,
+    SCALE_HIGH,
+    SCALE_LOW,
     TWO_PI,
     add_noise,
     sample_deformation,
@@ -93,6 +97,7 @@ class View:
     view_id: int
     deform: AffineDeform
     image: GrayImage
+    noise_sigma: float = 0.0
     # (classes, src_size, centers, keep) of the window layout a patch stream
     # rendered this view for, so extract_patches need not compute it again
     layout: tuple | None = field(default=None, repr=False, compare=False)
@@ -107,17 +112,31 @@ class GenStats:
     skips: Counter = field(default_factory=Counter)
 
 
-def _training_deform(img: GrayImage, spec: DatasetSpec, seed: int, view_id: int) -> AffineDeform:
-    """Rotation bucket fixed by the view id; jitter and the rest are random."""
-    rng = derive_rng(seed, STREAM_TRAIN, view_id)
-    bucket = view_id // spec.views_per_degree
-    bucket_width = TWO_PI / spec.rotation_degrees
-    theta = (bucket + rng.uniform()) * bucket_width
-    phi = rng.uniform(0.0, TWO_PI)
-    lambda1 = rng.uniform(0.6, 1.5)
-    lambda2 = rng.uniform(0.6, 1.5)
+def _view_count(spec: DatasetSpec, stream: int) -> int:
+    counts = {STREAM_TRAIN: spec.training_views, STREAM_TEST: spec.test_views}
+    return counts.get(stream, 0)
+
+
+def _view_params(img: GrayImage, spec: DatasetSpec, seed: int, stream: int,
+                 view_id: int, deform: AffineDeform | None = None) -> tuple:
+    """(view_id, deform, noise sigma, noise rng) of one training or test view,
+    with ``deform`` in place of the drawn one if given. Training views fix the
+    rotation bucket by the view id and get no noise; test views draw every
+    parameter from the full ranges, then their noise from the same rng."""
+    if stream == STREAM_TRAIN and deform is not None:
+        return view_id, deform, 0.0, None
+    rng = derive_rng(seed, stream, view_id)
     cx, cy = img.center
-    return AffineDeform(theta, phi, lambda1, lambda2, tx=cx, ty=cy)
+    if stream == STREAM_TEST:
+        if deform is None:
+            deform = replace(sample_deformation(rng), tx=cx, ty=cy)
+        return view_id, deform, spec.noise_sigma, rng
+    bucket_width = TWO_PI / spec.rotation_degrees
+    theta = (view_id // spec.views_per_degree + rng.uniform()) * bucket_width
+    phi = rng.uniform(0.0, TWO_PI)
+    lambda1 = rng.uniform(SCALE_LOW, SCALE_HIGH)
+    lambda2 = rng.uniform(SCALE_LOW, SCALE_HIGH)
+    return view_id, AffineDeform(theta, phi, lambda1, lambda2, tx=cx, ty=cy), 0.0, None
 
 
 def _window_layout(
@@ -170,15 +189,9 @@ def _render(img: GrayImage, view_id: int, deform: AffineDeform,
         windows, kept = _windows(mask, centers[keep], classes.margin, writeable=True)
         windows[kept] = True
     rendered = warp_image(img, deform, img.width, img.height, mask=mask)
-    if sigma > 0 and rng is not None:
+    if sigma > 0:
         rendered = add_noise(rendered, sigma, rng)
-    return View(view_id, deform, rendered, layout)
-
-
-def _check_threads(threads: int) -> None:
-    # checked before any view is rendered, not when the iterator first runs
-    if threads < 1:
-        raise InvalidArgument(f"threads must be >= 1, got {threads}")
+    return View(view_id, deform, rendered, sigma, layout)
 
 
 def _iter_views(img, params, threads: int, classes: ClassSet | None) -> Iterator[View]:
@@ -188,6 +201,20 @@ def _iter_views(img, params, threads: int, classes: ClassSet | None) -> Iterator
     else:
         for p in params:
             yield _render(img, *p, classes)
+
+
+def _views(
+    img: GrayImage, spec: DatasetSpec, seed: int, stream: int, threads: int,
+    deforms: Sequence[AffineDeform] | None, classes: ClassSet | None,
+) -> Iterator[View]:
+    """The views of one stream, their parameters drawn as they are rendered."""
+    # checked before any view is rendered, not when the iterator first runs
+    if threads < 1:
+        raise InvalidArgument(f"threads must be >= 1, got {threads}")
+    if deforms is None:
+        deforms = [None] * _view_count(spec, stream)
+    params = (_view_params(img, spec, seed, stream, i, d) for i, d in enumerate(deforms))
+    return _iter_views(img, params, threads, classes)
 
 
 def training_views(
@@ -204,15 +231,7 @@ def training_views(
     under the windows ``extract_patches`` keeps are rendered, and the rest
     read BACKGROUND. Crops from either render are identical.
     """
-    _check_threads(threads)
-    if deforms is not None:
-        params = [(i, d, 0.0, None) for i, d in enumerate(deforms)]
-    else:
-        params = [
-            (i, _training_deform(img, spec, seed, i), 0.0, None)
-            for i in range(spec.training_views)
-        ]
-    return _iter_views(img, params, threads, classes)
+    return _views(img, spec, seed, STREAM_TRAIN, threads, deforms, classes)
 
 
 def test_views(
@@ -229,17 +248,17 @@ def test_views(
     :func:`training_views`; the noise still covers the whole frame, so each
     view draws the same noise field either way.
     """
-    _check_threads(threads)
-    cx, cy = img.center
-    params = []
-    for i in range(spec.test_views if deforms is None else len(deforms)):
-        rng = derive_rng(seed, STREAM_TEST, i)
-        if deforms is None:
-            d = replace(sample_deformation(rng), tx=cx, ty=cy)
-        else:
-            d = deforms[i]
-        params.append((i, d, spec.noise_sigma, rng))
-    return _iter_views(img, params, threads, classes)
+    return _views(img, spec, seed, STREAM_TEST, threads, deforms, classes)
+
+
+def protocol_view(
+    img: GrayImage, spec: DatasetSpec, seed: int, stream: int, view_id: int
+) -> View:
+    """View ``view_id`` of the training or test stream, rendered alone as a
+    full frame with the bytes the stream's iterator gives it."""
+    if not 0 <= view_id < _view_count(spec, stream):
+        raise InvalidArgument(f"view id {view_id} beyond the protocol's view count")
+    return _render(img, *_view_params(img, spec, seed, stream, view_id))
 
 
 def extract_patches(
@@ -286,7 +305,7 @@ def _training_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The training protocol as one (patches, labels) block per view, which
     ``sample_batches`` stacks without a per-patch object."""
-    views = training_views(img, spec, seed, threads, None, classes)
+    views = _views(img, spec, seed, STREAM_TRAIN, threads, None, classes)
     return ((p, l) for _, p, l in _view_blocks(img, classes, views, stats))
 
 
@@ -295,7 +314,7 @@ def _test_blocks(
     stats: GenStats | None = None, threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The test protocol as one (patches, labels) block per view."""
-    views = test_views(img, spec, seed, threads, None, classes)
+    views = _views(img, spec, seed, STREAM_TEST, threads, None, classes)
     return ((p, l) for _, p, l in _view_blocks(img, classes, views, stats))
 
 
@@ -316,7 +335,7 @@ def generate_training_set(
     deforms: Sequence[AffineDeform] | None = None,
 ) -> Iterator[PatchSample]:
     """Labeled patches from the rotation-bucketed training protocol."""
-    views = training_views(img, spec, seed, threads, deforms, classes)
+    views = _views(img, spec, seed, STREAM_TRAIN, threads, deforms, classes)
     return _samples(_view_blocks(img, classes, views, stats))
 
 
@@ -330,7 +349,7 @@ def generate_test_set(
     deforms: Sequence[AffineDeform] | None = None,
 ) -> Iterator[PatchSample]:
     """Labeled noisy patches from independent full-range deformations."""
-    views = test_views(img, spec, seed, threads, deforms, classes)
+    views = _views(img, spec, seed, STREAM_TEST, threads, deforms, classes)
     return _samples(_view_blocks(img, classes, views, stats))
 
 
@@ -382,7 +401,7 @@ def stream_digest(samples: Iterable[PatchSample]) -> str:
     return digest.hexdigest()
 
 
-def dump_views(views: Iterable[View], directory, noise_sigma: float) -> int:
+def dump_views(views: Iterable[View], directory) -> int:
     """Write one PGM per view plus a manifest CSV; returns the view count."""
     from pathlib import Path
 
@@ -394,13 +413,13 @@ def dump_views(views: Iterable[View], directory, noise_sigma: float) -> int:
     for view in views:
         with open(directory / f"view_{view.view_id:05d}.pgm", "wb") as f:
             f.write(write_pgm(view.image))
-        rows.append(manifest_row(view, noise_sigma))
+        rows.append(manifest_row(view))
     with open(directory / "manifest.csv", "w") as f:
         write_manifest(rows, f)
     return len(rows)
 
 
-def manifest_row(view: View, noise_sigma: float) -> dict:
+def manifest_row(view: View) -> dict:
     d = view.deform
     return {
         "view_id": view.view_id,
@@ -410,7 +429,7 @@ def manifest_row(view: View, noise_sigma: float) -> dict:
         "lambda2": repr(d.lambda2),
         "tx": repr(d.tx),
         "ty": repr(d.ty),
-        "noise_sigma": repr(float(noise_sigma)),
+        "noise_sigma": repr(float(view.noise_sigma)),
     }
 
 

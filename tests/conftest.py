@@ -47,3 +47,19 @@ def small_forest(texture_small, small_classes):
 @pytest.fixture(scope="session")
 def small_spec():
     return DatasetSpec(views_per_degree=1, rotation_degrees=60, test_views=40)
+
+
+@pytest.fixture
+def warp_calls(monkeypatch):
+    """The deforms of every ``warp_image`` call synthesis makes in a test."""
+    from fernkit import dataset
+
+    calls = []
+    real = dataset.warp_image
+
+    def spy(img, deform, *args, **kwargs):
+        calls.append(deform)
+        return real(img, deform, *args, **kwargs)
+
+    monkeypatch.setattr(dataset, "warp_image", spy)
+    return calls

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import struct
 
 import numpy as np
@@ -99,6 +100,24 @@ class TestTrain:
         assert code == 2
         assert "threads" in capsys.readouterr().err
         assert not (workdir / "zero.bin").exists()
+
+
+class TestImageErrors:
+    def test_truncated_pgm_exits_2(self, workdir, capsys):
+        path = workdir / "truncated.pgm"
+        path.write_bytes((workdir / "ref.pgm").read_bytes()[:-100])
+        code = run("warp", "--image", path, "--seed", 1, "--out", workdir / "t.pgm")
+        assert code == 2
+        assert "truncated raster" in capsys.readouterr().err
+        assert not (workdir / "t.pgm").exists()
+
+    def test_ascii_pgm_exits_2(self, workdir, capsys):
+        path = workdir / "ascii.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
+        code = run("warp", "--image", path, "--seed", 1, "--out", workdir / "a.pgm")
+        assert code == 2
+        assert "P2" in capsys.readouterr().err
+        assert not (workdir / "a.pgm").exists()
 
 
 class TestDefaults:
@@ -429,3 +448,61 @@ class TestWarp:
         assert code == 0
         img = read_pgm(out.read_bytes())
         assert (img.width, img.height) == (160, 120)
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestWarpOneView:
+    """``fernkit warp`` renders only the view it writes; the pins are the
+    bytes of the same views taken from the protocol's view iterators."""
+
+    KINDS = {
+        "test": (
+            ("--kind", "test", "--view-id", 4, "--tests", 5, "--noise", 4),
+            "6b4f2fc384bd5d4c916991246651f18d39b9914a6d3cfb73f111384b1e880286",
+            "5cf556ed047862e209b44d8733a6e5383022296104d813109a61dd9dc9085324",
+        ),
+        "train": (
+            ("--kind", "train", "--view-id", 9, "--views-per-degree", 1, "--degrees", 10),
+            "72e438a3664167ac03588a5cc4a10eabcf4c8b1e33c07eef2f0013c76e229ab8",
+            "4f27b643bad3ac5c8939359cad15ef11516b9d89321de3243c64ba19617054d8",
+        ),
+        "identity": (
+            ("--identity", "--noise", 6),
+            "26cf8c4f347b9780ec6aa10cec7bd05486305a94d42b407a880fcdcb57e384b2",
+            "df5a415af3d593f4792a2f8b378f4e22376adefa88cc9f93325b5bf18f43a8bc",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_last_view_renders_once_with_pinned_bytes(self, workdir, warp_calls, kind):
+        flags, pgm_sha, manifest_sha = self.KINDS[kind]
+        out = workdir / f"one_{kind}.pgm"
+        code = run(
+            "warp", "--image", workdir / "ref.pgm", "--seed", 9, "--out", out, *flags
+        )
+        assert code == 0
+        assert len(warp_calls) == 1
+        assert sha256(out) == pgm_sha
+        assert sha256(workdir / f"one_{kind}.pgm.manifest.csv") == manifest_sha
+
+    @pytest.mark.parametrize(
+        "flags, view_id",
+        [(("--kind", "test", "--tests", 5), 5), (("--kind", "test"), -1),
+         (("--kind", "train", "--views-per-degree", 1, "--degrees", 10), 10)],
+    )
+    def test_out_of_range_view_renders_nothing(
+        self, workdir, warp_calls, capsys, flags, view_id
+    ):
+        out = workdir / "beyond.pgm"
+        code = run(
+            "warp", "--image", workdir / "ref.pgm", "--seed", 9, "--out", out,
+            "--view-id", view_id, *flags,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"view id {view_id} beyond the protocol's view count" in err
+        assert warp_calls == []
+        assert not out.exists()

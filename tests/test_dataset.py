@@ -16,7 +16,9 @@ from fernkit import (
 )
 from fernkit import dataset
 from fernkit.dataset import (
+    STREAM_MODEL,
     STREAM_TEST,
+    STREAM_TRAIN,
     View,
     _test_blocks,
     _training_blocks,
@@ -25,6 +27,7 @@ from fernkit.dataset import (
     generate_test_set,
     generate_training_set,
     manifest_row,
+    protocol_view,
     read_manifest,
     sample_batches,
     stream_digest,
@@ -32,7 +35,7 @@ from fernkit.dataset import (
     write_manifest,
 )
 from fernkit.dataset import test_views as render_test_views
-from fernkit.image import BACKGROUND, add_noise, warp_image, warp_points
+from fernkit.image import BACKGROUND, add_noise, read_pgm, warp_image, warp_points
 
 from support import extract_patches_oracle, window_mask_oracle
 
@@ -189,6 +192,62 @@ class TestGoldenPins:
         assert digest == "a111c54fc982504296bec4d076a6d2c372a00d124868ad47d596727eac904b65"
         assert (stats.views, stats.samples) == (15, 160)
         assert dict(stats.skips) == {0: 2, 2: 2, 3: 3, 5: 1, 6: 4, 8: 1, 9: 7}
+
+
+class TestProtocolView:
+    """View i of a stream is one function of (seed, stream, i): rendered
+    alone, it equals view i of the stream's iterator."""
+
+    SEED = 5
+
+    @staticmethod
+    def spec(sigma):
+        return DatasetSpec(2, 5, test_views=7, noise_sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [0.0, 6.0])
+    @pytest.mark.parametrize("stream", [STREAM_TRAIN, STREAM_TEST])
+    def test_equals_the_iterators_view(self, texture_small, stream, sigma):
+        spec = self.spec(sigma)
+        iterate = training_views if stream == STREAM_TRAIN else render_test_views
+        streamed = list(iterate(texture_small, spec, self.SEED))
+        count = len(streamed)
+        assert count == (10 if stream == STREAM_TRAIN else 7)
+        for i in (0, count // 2, count - 1):
+            alone = protocol_view(texture_small, spec, self.SEED, stream, i)
+            assert alone.view_id == streamed[i].view_id == i
+            assert alone.deform == streamed[i].deform
+            assert alone.image == streamed[i].image
+            assert alone.noise_sigma == streamed[i].noise_sigma
+            assert alone.noise_sigma == (sigma if stream == STREAM_TEST else 0.0)
+
+    @pytest.mark.parametrize(
+        "stream, view_id",
+        [(STREAM_TRAIN, -1), (STREAM_TRAIN, 10), (STREAM_TEST, -1), (STREAM_TEST, 7),
+         (STREAM_MODEL, 0)],
+    )
+    def test_invalid_view_raises_before_any_render(
+        self, texture_small, warp_calls, stream, view_id
+    ):
+        message = f"view id {view_id} beyond the protocol's view count"
+        with pytest.raises(InvalidArgument, match=message):
+            protocol_view(texture_small, self.spec(6.0), self.SEED, stream, view_id)
+        assert warp_calls == []
+
+    @pytest.mark.parametrize("iterate", [training_views, render_test_views])
+    def test_first_view_derives_one_rng(self, texture_small, monkeypatch, iterate):
+        keys = []
+
+        def spy(seed, *key):
+            keys.append(key)
+            return derive_rng(seed, *key)
+
+        monkeypatch.setattr(dataset, "derive_rng", spy)
+        spec = DatasetSpec(2, 50, test_views=50)
+        views = iterate(texture_small, spec, self.SEED)
+        assert keys == []
+        next(views)
+        stream = STREAM_TRAIN if iterate is training_views else STREAM_TEST
+        assert keys == [(stream, 0)]
 
 
 class TestViewBlocks:
@@ -511,23 +570,45 @@ class TestNoiseWiring:
 class TestDump:
     def test_one_pgm_per_view_plus_manifest(self, texture_small, tmp_path):
         from fernkit.dataset import dump_views
-        from fernkit.image import read_pgm
 
         spec = DatasetSpec(1, 4, test_views=0)
-        n = dump_views(
-            training_views(texture_small, spec, 6), tmp_path / "dump", 0.0
-        )
+        n = dump_views(training_views(texture_small, spec, 6), tmp_path / "dump")
         assert n == 4
         pgms = sorted((tmp_path / "dump").glob("view_*.pgm"))
         assert [p.name for p in pgms] == [f"view_{i:05d}.pgm" for i in range(4)]
         with open(tmp_path / "dump" / "manifest.csv") as f:
             rows = read_manifest(f)
         for row, path in zip(rows, pgms):
+            assert row["noise_sigma"] == 0.0
             replayed = warp_image(
                 texture_small, row["deform"], texture_small.width,
                 texture_small.height,
             )
             assert read_pgm(path.read_bytes()) == replayed
+
+    def test_noisy_test_views_replay_from_their_manifest(self, texture_small, tmp_path):
+        from fernkit.dataset import dump_views
+
+        spec = DatasetSpec(0, 0, test_views=3, noise_sigma=6.0)
+        assert dump_views(render_test_views(texture_small, spec, 12), tmp_path) == 3
+        with open(tmp_path / "manifest.csv") as f:
+            rows = read_manifest(f)
+        assert [r["view_id"] for r in rows] == [0, 1, 2]
+        for row in rows:
+            assert row["noise_sigma"] == 6.0
+            assert replay(texture_small, row, 12) == read_pgm(
+                (tmp_path / f"view_{row['view_id']:05d}.pgm").read_bytes()
+            )
+
+
+def replay(img, row, seed):
+    """A test view from its manifest row: the recorded deform, then the noise
+    of the derived per-view rng."""
+    clean = warp_image(img, row["deform"], img.width, img.height)
+    rng = derive_rng(seed, STREAM_TEST, row["view_id"])
+    for _ in range(4):
+        rng.uniform()  # skip the theta, phi, lambda1, lambda2 draws
+    return add_noise(clean, row["noise_sigma"], rng)
 
 
 class TestManifest:
@@ -535,7 +616,7 @@ class TestManifest:
         spec = DatasetSpec(1, 1, test_views=3, noise_sigma=6.0)
         views = list(render_test_views(texture_small, spec, 12))
         buf = io.StringIO()
-        write_manifest([manifest_row(v, spec.noise_sigma) for v in views], buf)
+        write_manifest([manifest_row(v) for v in views], buf)
         buf.seek(0)
         rows = read_manifest(buf)
         assert [r["view_id"] for r in rows] == [0, 1, 2]
@@ -543,11 +624,15 @@ class TestManifest:
             assert row["deform"] == view.deform
             # replaying the recorded deform plus the derived per-view rng
             # reproduces the emitted image byte for byte
-            clean = warp_image(
-                texture_small, row["deform"], texture_small.width, texture_small.height
-            )
-            rng = derive_rng(12, STREAM_TEST, row["view_id"])
-            for _ in range(4):
-                rng.uniform()  # skip the theta, phi, lambda1, lambda2 draws
-            replayed = add_noise(clean, row["noise_sigma"], rng)
-            assert replayed == view.image
+            assert replay(texture_small, row, 12) == view.image
+
+    def test_rows_record_each_views_own_sigma(self, texture_small):
+        spec = DatasetSpec(1, 2, test_views=2, noise_sigma=4.5)
+        identity = [identity_for(texture_small)]
+        views = [
+            *training_views(texture_small, spec, 3),
+            *render_test_views(texture_small, spec, 3),
+            *render_test_views(texture_small, spec, 3, deforms=identity),
+        ]
+        sigmas = [manifest_row(v)["noise_sigma"] for v in views]
+        assert sigmas == ["0.0", "0.0", "4.5", "4.5", "4.5"]
