@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--identity",
         action="store_true",
-        help="render the identity deformation instead of the protocol view",
+        help="render view --view-id of the --kind stream with the identity deformation",
     )
     return parser
 
@@ -271,13 +271,12 @@ def cmd_warp(args) -> int:
     spec = dataset.DatasetSpec(
         args.views_per_degree, args.degrees, args.tests, args.noise
     )
+    stream = dataset.STREAM_TRAIN if args.kind == "train" else dataset.STREAM_TEST
+    deform = None
     if args.identity:
         cx, cy = img.center
         deform = AffineDeform(0.0, 0.0, 1.0, 1.0, tx=cx, ty=cy)
-        view = next(dataset.test_views(img, spec, args.seed, deforms=[deform]))
-    else:
-        stream = dataset.STREAM_TRAIN if args.kind == "train" else dataset.STREAM_TEST
-        view = dataset.protocol_view(img, spec, args.seed, stream, args.view_id)
+    view = dataset.protocol_view(img, spec, args.seed, stream, args.view_id, deform)
     out = args.out or "view.pgm"
     with open(out, "wb") as f:
         f.write(write_pgm(view.image))

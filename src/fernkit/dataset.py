@@ -252,13 +252,15 @@ def test_views(
 
 
 def protocol_view(
-    img: GrayImage, spec: DatasetSpec, seed: int, stream: int, view_id: int
+    img: GrayImage, spec: DatasetSpec, seed: int, stream: int, view_id: int,
+    deform: AffineDeform | None = None,
 ) -> View:
     """View ``view_id`` of the training or test stream, rendered alone as a
-    full frame with the bytes the stream's iterator gives it."""
+    full frame with the bytes the stream's iterator gives it; with
+    ``deform``, as the iterator renders it when given that deform."""
     if not 0 <= view_id < _view_count(spec, stream):
         raise InvalidArgument(f"view id {view_id} beyond the protocol's view count")
-    return _render(img, *_view_params(img, spec, seed, stream, view_id))
+    return _render(img, *_view_params(img, spec, seed, stream, view_id, deform))
 
 
 def extract_patches(

@@ -194,7 +194,8 @@ class LeafModel:
     def counts(self) -> np.ndarray:
         """(units, leaves, classes) uint64 counts, C-ordered.
 
-        Counts held narrower are widened the first time they are read here;
+        Counts held narrower (a loaded file's, or any trained model's: training
+        ends by narrowing them) are widened the first time they are read here;
         C order keeps ``counts.reshape(-1)`` a view, which _accumulate
         writes to.
         """
@@ -231,10 +232,12 @@ class LeafModel:
         totals = counts.sum(axis=1, dtype=np.float64)  # (U, H)
         if np.any(totals != totals[0]):
             raise InvalidArgument("per-class sample totals disagree across units")
+        # the old tables go before the new one is allocated, so a model never
+        # holds two
+        self.log_table = self._posteriors = None
         table = np.add(counts, 1.0, dtype=np.float64)
         table /= totals[:, None, :] + float(self.num_leaves)
         self.log_table = np.log(table, out=table)
-        self._posteriors = None
 
     def _unit_posteriors(self) -> np.ndarray:
         """(units * leaves, H) per-unit class posteriors that averaging adds:
@@ -256,7 +259,9 @@ class LeafModel:
             or other.classes != self.classes
         ):
             raise InvalidArgument("shards must share units and classes")
-        return self._like(self._tests, self.counts + other.counts)
+        # added at uint64 into a new array, so neither shard is widened
+        total = np.add(self._counts, other._counts, dtype=np.uint64)
+        return self._like(self._tests, _narrowest(total))
 
     def truncated(self, k: int):
         """A model over the first k units, on a copy of their counts; its
@@ -384,8 +389,8 @@ class LeafModel:
         Counts are stored at the narrowest width in ``COUNT_WIDTHS`` that
         holds the largest of them.
         """
-        largest = int(self._counts.max())
-        width = next(w for w in COUNT_WIDTHS if largest < 1 << 8 * w)
+        counts = _narrowest(self._counts)
+        width = counts.itemsize
         head = self.magic + HEADER.pack(
             MODEL_VERSION,
             self.num_classes,
@@ -397,7 +402,7 @@ class LeafModel:
         )
         kp = self.classes.coords.astype("<f4").tobytes()
         tests = self._offsets.astype("<i2").tobytes()
-        return head + kp + tests + self._counts.astype(f"<u{width}").tobytes()
+        return head + kp + tests + counts.astype(f"<u{width}", copy=False).tobytes()
 
     @classmethod
     def load(cls, data: bytes):
@@ -506,16 +511,36 @@ class FernModel(LeafModel):
 def train_models(models: Sequence[LeafModel], samples: Iterable, chunk_size: int = 1024):
     """Train several models in one pass: each chunk is counted into every
     model, so each gets the counts it would get alone. A chunk holding a
-    label outside [0, H) raises InvalidLabel before any model counts it."""
+    label outside [0, H) raises InvalidLabel before any model counts it.
+
+    Tables go stale once counting starts, so they are dropped before the
+    first chunk is counted. Counting widens the counts to uint64; whether the
+    stream ends or raises, each model's counts are then narrowed to the width
+    ``save()`` picks and its tables rebuilt from them, so a model holds at
+    most one table and never rests without one.
+    """
     classes = min(model.num_classes for model in models)
-    for patches, labels in sample_batches(samples, chunk_size):
-        bad = labels[(labels < 0) | (labels >= classes)]
-        if bad.size:
-            raise InvalidLabel(f"label {bad[0]} not in [0, {classes})")
-        for model in models:
-            model._accumulate(patches, labels)
     for model in models:
-        model._rebuild_tables()
+        model.log_table = model._posteriors = None
+    try:
+        for patches, labels in sample_batches(samples, chunk_size):
+            bad = labels[(labels < 0) | (labels >= classes)]
+            if bad.size:
+                raise InvalidLabel(f"label {bad[0]} not in [0, {classes})")
+            for model in models:
+                model._accumulate(patches, labels)
+    finally:
+        for model in models:
+            model._counts = _narrowest(model._counts)
+            model._rebuild_tables()
+
+
+def _narrowest(counts: np.ndarray) -> np.ndarray:
+    """``counts`` at the narrowest width in ``COUNT_WIDTHS`` that holds the
+    largest of them; ``counts`` itself when it already has that width."""
+    largest = int(counts.max())
+    width = next(w for w in COUNT_WIDTHS if largest < 1 << 8 * w)
+    return counts.astype(f"u{width}", copy=False)
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:

@@ -156,7 +156,8 @@ def detect_keypoints(
     keep[img.height - margin :, :] = False
     keep[:, :margin] = False
     keep[:, img.width - margin :] = False
-    ys, xs = np.nonzero(keep)
+    # flat indices in scanline order, so (y, x) come out as np.nonzero's
+    ys, xs = np.divmod(np.flatnonzero(keep), img.width)
     if ys.size == 0:
         return []
     neg = -resp[ys, xs]

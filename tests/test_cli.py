@@ -438,6 +438,48 @@ class TestWarp:
         replay = add_noise(clean, row["noise_sigma"], rng)
         assert write_pgm(replay) == first
 
+    def test_identity_training_view_is_the_reference_without_noise(self, workdir):
+        from fernkit.dataset import read_manifest
+
+        out = workdir / "id_train.pgm"
+        code = run(
+            "warp", "--image", workdir / "ref.pgm", "--seed", 9, "--identity",
+            "--kind", "train", "--view-id", 5, "--out", out,
+        )
+        assert code == 0
+        # training views carry no noise, whatever --noise says
+        assert out.read_bytes() == (workdir / "ref.pgm").read_bytes()
+        with open(str(out) + ".manifest.csv") as f:
+            row = read_manifest(f)[0]
+        assert row["view_id"] == 5
+        assert row["noise_sigma"] == 0.0
+
+    def test_identity_test_view_draws_its_own_noise(self, workdir):
+        from fernkit.dataset import STREAM_TEST, derive_rng, read_manifest
+        from fernkit.image import add_noise
+
+        out = workdir / "id_test.pgm"
+        code = run(
+            "warp", "--image", workdir / "ref.pgm", "--seed", 9, "--identity",
+            "--kind", "test", "--view-id", 3, "--noise", 4, "--out", out,
+        )
+        assert code == 0
+        with open(str(out) + ".manifest.csv") as f:
+            row = read_manifest(f)[0]
+        assert (row["view_id"], row["noise_sigma"]) == (3, 4.0)
+        # a given deform draws nothing, so the noise is the rng's first draws
+        ref = read_pgm((workdir / "ref.pgm").read_bytes())
+        replay = add_noise(ref, 4.0, derive_rng(9, STREAM_TEST, 3))
+        assert out.read_bytes() == write_pgm(replay)
+
+    def test_identity_view_id_beyond_the_stream(self, workdir, capsys):
+        code = run(
+            "warp", "--image", workdir / "ref.pgm", "--seed", 9, "--identity",
+            "--kind", "train", "--view-id", 720, "--out", workdir / "id_beyond.pgm",
+        )
+        assert code == 2
+        assert "view id 720 beyond" in capsys.readouterr().err
+
     def test_train_kind_view(self, workdir):
         out = workdir / "trainview.pgm"
         code = run(

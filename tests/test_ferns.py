@@ -18,7 +18,9 @@ from fernkit import (
     InvalidPatch,
     Keypoint,
     OutOfBounds,
+    TreeForest,
     make_random_ferns,
+    make_random_trees,
 )
 from fernkit.ferns import Combination, train_models
 
@@ -622,6 +624,9 @@ class TestNarrowCounts:
         la, lb = FernModel.load(a.save()), FernModel.load(b.save())
         assert la._counts.dtype == lb._counts.dtype == np.uint8
         merged = la.merged(lb)
+        # neither shard is widened, and the merged model rests narrow too
+        assert la._counts.dtype == lb._counts.dtype == np.uint8
+        assert merged._counts.dtype == np.uint16
         want = spread_counts(200) + spread_counts(100)
         assert merged.counts.dtype == np.uint64
         assert int(merged.counts[0, 1, 1]) == 300
@@ -711,6 +716,89 @@ class TestNarrowCounts:
         peak = peak_traced_bytes(lambda: loaded.append(FernModel.load(blob)))
         assert peak < 1.25 * model.log_table.nbytes
         assert loaded[0].log_table.tobytes() == model.log_table.tobytes()
+
+
+# 8 units x 10 bits x 50 classes: counts and tables of 3.3 MB each
+MIDSIZE_UNITS = {
+    "fern": lambda: make_random_ferns(8, 10, 9, np.random.default_rng(80)),
+    "tree": lambda: make_random_trees(8, 10, 9, np.random.default_rng(80)),
+}
+# log tables of the models trained on ``midsize_stream(0)``, pinned from
+# the training path that rebuilt into a second table: the bytes must not move
+MIDSIZE_TABLE_SHA = {
+    "fern": "eed943086faf11fff4ea17f642f9c47710418f47f3cde429933ff03a80c0997c",
+    "tree": "eb8a7c629512d1856aa9d79fcd44b4a7f4bb8e979f42038e5103ec0fe97d295e",
+}
+
+
+def midsize_model(kind: str, units) -> FernModel | TreeForest:
+    classes = grid_classes(50, 9)
+    return FernModel(classes, units) if kind == "fern" else TreeForest(classes, units)
+
+
+def midsize_stream(repeats: int) -> tuple[np.ndarray, np.ndarray]:
+    """3000 noise patches over 50 classes, after ``repeats`` copies of one
+    patch of class 0 (so counts pass 255 when repeats do)."""
+    rng = np.random.default_rng(81)
+    patches = random_patches(rng, 3000, 9)
+    labels = rng.integers(0, 50, 3000)
+    return (
+        np.concatenate([np.repeat(patches[:1], repeats, axis=0), patches]),
+        np.concatenate([np.zeros(repeats, np.int64), labels]),
+    )
+
+
+@pytest.mark.parametrize("kind", ["fern", "tree"])
+class TestTrainingMemory:
+    """Training holds at most one table, and counts rest at the width
+    ``save()`` picks whenever no one is counting."""
+
+    @pytest.mark.parametrize("repeats, width", [(0, 1), (300, 2)])
+    def test_counts_rest_at_the_saved_width(self, kind, repeats, width):
+        model = midsize_model(kind, MIDSIZE_UNITS[kind]())
+        model.train(zip(*midsize_stream(repeats)))
+        data = model.save()
+        assert model._counts.itemsize == count_section(data, model)[1] == width
+        loaded = type(model).load(data)
+        assert loaded.log_table.tobytes() == model.log_table.tobytes()
+        if not repeats:
+            assert sha256_of(model.log_table.astype("<f8")) == MIDSIZE_TABLE_SHA[kind]
+        assert model.counts.dtype == np.uint64
+
+    def test_training_peak_holds_one_table(self, kind):
+        units = MIDSIZE_UNITS[kind]()
+        samples = list(zip(*midsize_stream(0)))
+        trained = []
+        peak = peak_traced_bytes(
+            lambda: trained.append(midsize_model(kind, units).train(samples))
+        )
+        model = trained[0]
+        # uint64 counts while counting and one float64 table (the one built
+        # at construction, then the rebuilt one), plus chunk slack; a second
+        # table alive during the rebuild would pass the bound
+        u64_counts = model.log_table.size * 8
+        assert peak < u64_counts + model.log_table.nbytes + 2**20
+
+    def test_bad_label_in_the_second_chunk(self, kind):
+        units = MIDSIZE_UNITS[kind]()
+        patches, labels = midsize_stream(0)
+        labels[1500] = 50
+        model = midsize_model(kind, units)
+        with pytest.raises(InvalidLabel, match="label 50 "):
+            model.train(zip(patches, labels), chunk_size=1000)
+        first = midsize_model(kind, units).train(zip(patches[:1000], labels[:1000]))
+        assert model.log_table.tobytes() == first.log_table.tobytes()
+        assert model._counts.itemsize == 1
+        got, _ = model.classify_patches(patches[:100])
+        assert np.array_equal(got, first.classify_patches(patches[:100])[0])
+
+    def test_rejected_rebuild_keeps_the_old_table(self, kind):
+        model = midsize_model(kind, MIDSIZE_UNITS[kind]())
+        table = model.log_table
+        model.counts[0, 0, 0] += 1  # a sample that only unit 0 saw
+        with pytest.raises(InvalidArgument, match="totals disagree"):
+            model._rebuild_tables()
+        assert model.log_table is table
 
 
 class TestAccumulate:
