@@ -20,7 +20,7 @@ from .errors import (
 )
 from .ferns import FernModel
 from .image import AffineDeform, GrayImage, read_pgm, write_pgm
-from .keypoints import detect_keypoints, select_stable_classes
+from .keypoints import detect_keypoints, select_stable_classes, window_fits
 from .trees import TreeForest
 
 EXIT_OK = 0
@@ -48,13 +48,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", help="output path (default: stdout for CSVs)")
 
+    def view_flags(p):
+        p.add_argument("--views-per-degree", type=int, default=2)
+        p.add_argument("--degrees", type=int, default=360)
+
     def train_flags(p):
         p.add_argument("--classes", type=int, default=200)
         p.add_argument("--ferns", type=int, default=30)
         p.add_argument("--fern-size", type=int, default=10)
         p.add_argument("--patch", type=int, default=31)
-        p.add_argument("--views-per-degree", type=int, default=2)
-        p.add_argument("--degrees", type=int, default=360)
+        view_flags(p)
 
     def eval_flags(p):
         p.add_argument("--tests", type=int, default=1000)
@@ -92,10 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", choices=["train", "test"], default="test")
     p.add_argument("--view-id", type=int, default=0)
-    p.add_argument("--views-per-degree", type=int, default=2)
-    p.add_argument("--degrees", type=int, default=360)
-    p.add_argument("--tests", type=int, default=1000)
-    p.add_argument("--noise", type=float, default=10.0)
+    view_flags(p)
+    eval_flags(p)
     p.add_argument("--manifest", help="manifest CSV path (default: <out>.manifest.csv)")
     p.add_argument(
         "--identity",
@@ -119,16 +120,19 @@ def _load_model(path: str):
     raise FormatError(f"unrecognized model magic {data[:8]!r}")
 
 
-def _check_fits(model, img: GrayImage) -> None:
-    if img.width < model.patch_size or img.height < model.patch_size:
+def _check_patch(model, frame: GrayImage, name: str) -> None:
+    if frame.width < model.patch_size or frame.height < model.patch_size:
         raise FormatError(
-            f"model patch {model.patch_size} exceeds image "
-            f"{img.width}x{img.height}"
+            f"model patch {model.patch_size} exceeds {name} "
+            f"{frame.width}x{frame.height}"
         )
-    m = model.patch_size // 2
-    for k in model.classes.keypoints:
-        if not (m <= k.x <= img.width - 1 - m and m <= k.y <= img.height - 1 - m):
-            raise FormatError("model keypoints fall outside this image")
+
+
+def _check_fits(model, img: GrayImage) -> None:
+    _check_patch(model, img, "image")
+    x, y = model.classes.coords.T
+    if not window_fits(x, y, img.width, img.height, model.classes.margin).all():
+        raise FormatError("model keypoints fall outside this image")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -169,8 +173,8 @@ def cmd_train(args) -> int:
     spec = dataset.DatasetSpec(args.views_per_degree, args.degrees)
     stats = dataset.GenStats()
     model.train(
-        dataset._training_blocks(
-            img, classes, spec, args.seed, stats=stats, threads=args.threads
+        dataset._blocks(
+            img, classes, spec, args.seed, dataset.STREAM_TRAIN, stats, args.threads
         )
     )
     with open(args.model, "wb") as f:
@@ -189,7 +193,10 @@ def cmd_eval(args) -> int:
     _check_fits(model, img)
     spec = dataset.DatasetSpec(0, 0, args.tests, args.noise)
     patches, labels = evaluate.materialize(
-        dataset._test_blocks(img, model.classes, spec, args.seed, threads=args.threads)
+        dataset._blocks(
+            img, model.classes, spec, args.seed, dataset.STREAM_TEST,
+            threads=args.threads,
+        )
     )
     record = evaluate.record(
         evaluate.Method.of(model), model, patches, labels, args.seed
@@ -200,13 +207,15 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _sweep_setup(args):
-    img = _read_image(args.image)
-    classes = _select_classes(args, img)
-    spec = dataset.DatasetSpec(
+def _protocol(args) -> dataset.DatasetSpec:
+    return dataset.DatasetSpec(
         args.views_per_degree, args.degrees, args.tests, args.noise
     )
-    return img, classes, spec
+
+
+def _sweep_setup(args):
+    img = _read_image(args.image)
+    return img, _select_classes(args, img), _protocol(args)
 
 
 def cmd_sweep(args) -> int:
@@ -245,11 +254,7 @@ def cmd_match(args) -> int:
     model = _load_model(args.model)
     scene = _read_image(args.image)
     # scenes need not match the reference frame; only the patch must fit
-    if scene.width < model.patch_size or scene.height < model.patch_size:
-        raise FormatError(
-            f"model patch {model.patch_size} exceeds scene "
-            f"{scene.width}x{scene.height}"
-        )
+    _check_patch(model, scene, "scene")
     found = detect_keypoints(
         scene, max_count=4 * model.num_classes, patch_size=model.patch_size
     )
@@ -268,9 +273,7 @@ def cmd_match(args) -> int:
 
 def cmd_warp(args) -> int:
     img = _read_image(args.image)
-    spec = dataset.DatasetSpec(
-        args.views_per_degree, args.degrees, args.tests, args.noise
-    )
+    spec = _protocol(args)
     stream = dataset.STREAM_TRAIN if args.kind == "train" else dataset.STREAM_TEST
     deform = None
     if args.identity:

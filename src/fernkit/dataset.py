@@ -36,7 +36,7 @@ from .image import (
     warp_points,
     unwarp_points,
 )
-from .keypoints import ClassSet
+from .keypoints import ClassSet, window_fits
 
 STREAM_TRAIN = 0
 STREAM_TEST = 1
@@ -153,8 +153,7 @@ def _window_layout(
     src_w, src_h = src_size
     m = classes.margin
     centers = np.rint(warp_points(deform, w, h, classes.coords)).astype(np.int64)
-    px, py = centers[:, 0], centers[:, 1]
-    in_frame = (m <= px) & (px <= w - 1 - m) & (m <= py) & (py <= h - 1 - m)
+    in_frame = window_fits(centers[:, 0], centers[:, 1], w, h, m)
     corners = centers[:, None, :] + np.array([(-m, -m), (m, -m), (-m, m), (m, m)])
     back = unwarp_points(deform, w, h, corners.reshape(-1, 2)).reshape(-1, 4, 2)
     low, high = back.min(axis=1), back.max(axis=1)
@@ -301,22 +300,13 @@ def _view_blocks(
         yield view, patches, labels
 
 
-def _training_blocks(
-    img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int,
+def _blocks(
+    img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int, stream: int,
     stats: GenStats | None = None, threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The training protocol as one (patches, labels) block per view, which
-    ``sample_batches`` stacks without a per-patch object."""
-    views = _views(img, spec, seed, STREAM_TRAIN, threads, None, classes)
-    return ((p, l) for _, p, l in _view_blocks(img, classes, views, stats))
-
-
-def _test_blocks(
-    img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int,
-    stats: GenStats | None = None, threads: int = 1,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The test protocol as one (patches, labels) block per view."""
-    views = _views(img, spec, seed, STREAM_TEST, threads, None, classes)
+    """The training or test protocol as one (patches, labels) block per view,
+    which ``sample_batches`` stacks without a per-patch object."""
+    views = _views(img, spec, seed, stream, threads, None, classes)
     return ((p, l) for _, p, l in _view_blocks(img, classes, views, stats))
 
 

@@ -13,9 +13,10 @@ import numpy as np
 
 from .dataset import (
     STREAM_MODEL,
+    STREAM_TEST,
+    STREAM_TRAIN,
     DatasetSpec,
-    _test_blocks,
-    _training_blocks,
+    _blocks,
     derive_rng,
     sample_batches,
 )
@@ -113,6 +114,14 @@ def record(method: Method, model, patches, labels, seed: int) -> EvalRecord:
     return EvalRecord(method.value, units, rate, int(labels.size), ns, seed)
 
 
+def _fit_and_test(models, img, classes, spec, seed, threads):
+    """Train ``models`` in one pass over the protocol's training blocks and
+    return its test set, materialized once for every record to share."""
+    protocol = (img, classes, spec, seed)
+    train_models(models, _blocks(*protocol, STREAM_TRAIN, threads=threads))
+    return materialize(_blocks(*protocol, STREAM_TEST, threads=threads))
+
+
 def sweep_units(
     img: GrayImage,
     classes: ClassSet,
@@ -137,8 +146,7 @@ def sweep_units(
         model = TreeForest.random(classes, top, fern_size, rng)
     else:
         model = FernModel.random(classes, top, fern_size, rng)
-    model.train(_training_blocks(img, classes, spec, seed, threads=threads))
-    patches, labels = materialize(_test_blocks(img, classes, spec, seed, threads=threads))
+    patches, labels = _fit_and_test((model,), img, classes, spec, seed, threads)
     records = []
     for k in unit_counts:
         sub = model if k == top else model.truncated(k)
@@ -164,10 +172,7 @@ def compare_methods(
     rng = derive_rng(seed, STREAM_MODEL)
     ferns = FernModel.random(classes, units, fern_size, rng)
     forest = TreeForest.random(classes, units, fern_size, rng)
-    train_models(
-        (ferns, forest), _training_blocks(img, classes, spec, seed, threads=threads)
-    )
-    patches, labels = materialize(_test_blocks(img, classes, spec, seed, threads=threads))
+    patches, labels = _fit_and_test((ferns, forest), img, classes, spec, seed, threads)
     return [
         record(Method.FERN_NB, ferns, patches, labels, seed),
         record(Method.FERN_AVG, ferns, patches, labels, seed),

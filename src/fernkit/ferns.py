@@ -29,7 +29,7 @@ from .errors import (
     OutOfBounds,
 )
 from .image import GrayImage
-from .keypoints import ClassSet, Keypoint
+from .keypoints import ClassSet, Keypoint, window_fits
 
 MODEL_MAGIC = b"FERNMDL1"
 MODEL_VERSION = 3
@@ -327,7 +327,7 @@ class LeafModel:
         """The (1, p, p) patch centered on the rounded location."""
         cx, cy = int(round(center.x)), int(round(center.y))
         r = self.patch_size // 2
-        if not (r <= cx <= img.width - 1 - r and r <= cy <= img.height - 1 - r):
+        if not window_fits(cx, cy, img.width, img.height, r):
             raise OutOfBounds(f"patch around ({cx}, {cy}) leaves the image")
         return img.pixels[None, cy - r : cy + r + 1, cx - r : cx + r + 1]
 

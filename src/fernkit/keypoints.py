@@ -87,6 +87,13 @@ class ClassSet:
         return self.patch_size // 2
 
 
+def window_fits(x, y, width: int, height: int, margin: int):
+    """Whether the window reaching ``margin`` pixels around centre (x, y)
+    lies inside a width x height frame; x and y may be scalars or arrays."""
+    return ((margin <= x) & (x <= width - 1 - margin)
+            & (margin <= y) & (y <= height - 1 - margin))
+
+
 def _any_pair_closer(coords: np.ndarray, min_sep: float) -> bool:
     """Whether two of the (H, 2) points are closer than ``min_sep``.
 
@@ -152,12 +159,10 @@ def detect_keypoints(
         return []
     resp = _response_map(img)
     keep = _local_maxima(resp) & (resp > 0.0)
-    keep[:margin, :] = False
-    keep[img.height - margin :, :] = False
-    keep[:, :margin] = False
-    keep[:, img.width - margin :] = False
     # flat indices in scanline order, so (y, x) come out as np.nonzero's
     ys, xs = np.divmod(np.flatnonzero(keep), img.width)
+    inside = window_fits(xs, ys, img.width, img.height, margin)
+    ys, xs = ys[inside], xs[inside]
     if ys.size == 0:
         return []
     neg = -resp[ys, xs]
@@ -209,12 +214,7 @@ def select_stable_classes(
             continue
         pts = unwarp_points(d, img.width, img.height, [(k.x, k.y) for k in found])
         bins = np.rint(pts).astype(np.int64)
-        ok = (
-            (bins[:, 0] >= margin)
-            & (bins[:, 0] <= img.width - 1 - margin)
-            & (bins[:, 1] >= margin)
-            & (bins[:, 1] <= img.height - 1 - margin)
-        )
+        ok = window_fits(bins[:, 0], bins[:, 1], img.width, img.height, margin)
         np.add.at(votes, (bins[ok, 1], bins[ok, 0]), 1)
         np.add.at(
             strength,

@@ -380,6 +380,69 @@ class TestModelFiles:
         assert code == 4
 
 
+class TestFrameChecks:
+    """eval and match refuse frames the model's windows do not fit."""
+
+    def test_eval_with_class_windows_outside_the_image_exits_4(
+        self, workdir, trained, capsys
+    ):
+        # holds the 21-pixel patch, but not the windows of every class
+        crop = workdir / "crop.pgm"
+        crop.write_bytes(write_pgm(make_texture(40, 40, seed=1)))
+        model = FernModel.load(trained.read_bytes())
+        assert any(max(k.x, k.y) > 40 - 1 - 10 for k in model.classes.keypoints)
+        code = run(
+            "eval", "--image", crop, "--model", trained, "--seed", 1, "--tests", 3,
+        )
+        assert code == 4
+        assert "fall outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "match"])
+    def test_frame_smaller_than_the_patch_exits_4(
+        self, workdir, trained, capsys, command
+    ):
+        tiny = workdir / "tiny20.pgm"
+        tiny.write_bytes(write_pgm(make_texture(40, 20, seed=1)))
+        out = workdir / f"tiny_{command}.csv"
+        code = run(
+            command, "--image", tiny, "--model", trained, "--seed", 1, "--out", out,
+        )
+        assert code == 4
+        assert "model patch 21 exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestProtocolFlags:
+    """Every subcommand parses the protocol flags it takes with one type and
+    default, and train and eval take only their own."""
+
+    VIEWS = {"views_per_degree": (int, 2), "degrees": (int, 360)}
+    TESTS = {"tests": (int, 1000), "noise": (float, 10.0)}
+
+    @pytest.mark.parametrize("command, flags, absent", [
+        ("warp", {**VIEWS, **TESTS}, {}),
+        ("sweep", {**VIEWS, **TESTS}, {}),
+        ("compare", {**VIEWS, **TESTS}, {}),
+        ("train", VIEWS, TESTS),
+        ("eval", TESTS, VIEWS),
+    ], ids=["warp", "sweep", "compare", "train", "eval"])
+    def test_types_and_defaults(self, command, flags, absent):
+        from fernkit.cli import build_parser
+
+        parser = build_parser()
+        argv = [command, "--image", "x.pgm", "--seed", "1"]
+        if command in ("train", "eval"):
+            argv += ["--model", "m.bin"]
+        args = parser.parse_args(argv)
+        for dest, (kind, default) in flags.items():
+            value = getattr(args, dest)
+            assert type(value) is kind and value == default
+            flag = "--" + dest.replace("_", "-")
+            value = getattr(parser.parse_args(argv + [flag, "7"]), dest)
+            assert type(value) is kind and value == 7
+        assert not any(hasattr(args, dest) for dest in absent)
+
+
 class TestThreads:
     @pytest.mark.parametrize("threads", [0, -5])
     def test_warp_rejects_threads_below_one(self, workdir, capsys, threads):

@@ -1,5 +1,6 @@
 import io
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ from fernkit.dataset import (
     STREAM_TEST,
     STREAM_TRAIN,
     View,
-    _test_blocks,
-    _training_blocks,
+    _blocks,
     derive_rng,
     extract_patches,
     generate_test_set,
@@ -257,7 +257,10 @@ class TestViewBlocks:
     # seed 3 ends no view on patch 1000 or 1024 of either stream, so those
     # chunk boundaries split a view
     SPEC, SEED = DatasetSpec(2, 60, test_views=120), 3
-    STREAMS = [(_training_blocks, generate_training_set), (_test_blocks, generate_test_set)]
+    STREAMS = [
+        (partial(_blocks, stream=STREAM_TRAIN), generate_training_set),
+        (partial(_blocks, stream=STREAM_TEST), generate_test_set),
+    ]
 
     @pytest.fixture(scope="class", params=STREAMS, ids=["training", "noisy-test"])
     def both(self, request, texture_small, small_classes):

@@ -13,7 +13,7 @@ from fernkit import (
     detect_keypoints,
     select_stable_classes,
 )
-from fernkit.keypoints import _local_maxima, _response_map
+from fernkit.keypoints import _local_maxima, _response_map, window_fits
 
 from support import (
     detect_keypoints_oracle,
@@ -66,6 +66,50 @@ class TestDetect:
         kps = detect_keypoints(GrayImage(pixels), 10, patch_size=9)
         spots = {(k.x, k.y) for k in kps[:2]}
         assert spots == {(20.0, 20.0), (44.0, 40.0)}
+
+
+class TestWindowFits:
+    """The one rule for which windows a frame holds: a window reaching
+    ``margin`` pixels around its centre lies wholly inside the frame."""
+
+    W, H, M = 40, 30, 5
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_edges_fit_and_one_pixel_beyond_does_not(self, axis):
+        size = (self.W, self.H)[axis]
+        across = (self.W // 2, self.H // 2)[1 - axis]
+        for centre, fits in [
+            (self.M, True), (size - 1 - self.M, True),
+            (self.M - 1, False), (size - self.M, False),
+        ]:
+            x, y = (centre, across) if axis == 0 else (across, centre)
+            assert bool(window_fits(x, y, self.W, self.H, self.M)) is fits
+
+    def test_ints_floats_and_arrays_agree(self):
+        steps = np.arange(-2.0, max(self.W, self.H) + 2.0, 0.5)
+        xs, ys = np.meshgrid(steps, steps)
+        grid = window_fits(xs, ys, self.W, self.H, self.M)
+        assert grid.dtype == bool and grid.shape == xs.shape
+        whole = (xs % 1 == 0) & (ys % 1 == 0)
+        assert np.count_nonzero(grid & whole) == (self.W - 2 * self.M) * (self.H - 2 * self.M)
+        ints = window_fits(xs.astype(np.int64), ys.astype(np.int64), self.W, self.H, self.M)
+        assert np.array_equal(ints[whole], grid[whole])
+        for x, y, fits, is_whole in zip(
+            xs.ravel().tolist(), ys.ravel().tolist(), grid.ravel().tolist(),
+            whole.ravel().tolist(),
+        ):
+            assert window_fits(x, y, self.W, self.H, self.M) == fits
+            if is_whole:
+                assert window_fits(int(x), int(y), self.W, self.H, self.M) == fits
+
+    @pytest.mark.parametrize("width, height", [(2 * M, 30), (40, 2 * M), (1, 1), (0, 0)])
+    def test_frame_narrower_than_a_window_fits_nothing(self, width, height):
+        steps = np.arange(-2.0, 45.0, 0.5)
+        xs, ys = np.meshgrid(steps, steps)
+        assert not window_fits(xs, ys, width, height, self.M).any()
+        # one pixel wider holds only the centre line
+        fits = window_fits(xs, ys, 2 * self.M + 1, 2 * self.M + 1, self.M)
+        assert list(zip(xs[fits].tolist(), ys[fits].tolist())) == [(self.M, self.M)]
 
 
 def tied_image(kind: str, seed: int) -> GrayImage:
