@@ -8,6 +8,7 @@ image errors, 3 training infeasible, 4 model format or mismatch errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import dataset, evaluate
@@ -290,8 +291,13 @@ def cmd_warp(args) -> int:
     return EXIT_OK
 
 
+# main's parser, built on first use: parsing leaves it unchanged, and
+# building it costs milliseconds per call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "train": cmd_train,
         "eval": cmd_eval,

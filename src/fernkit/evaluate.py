@@ -110,7 +110,7 @@ def _timed_rate(model, patches, labels, combination) -> tuple[float, float]:
 def record(method: Method, model, patches, labels, seed: int) -> EvalRecord:
     """Rate and classify time of ``model`` under ``method`` on a test set."""
     rate, ns = _timed_rate(model, patches, labels, method.combination)
-    units = len(model.log_table)  # (units, leaves, classes)
+    units = model.num_units
     return EvalRecord(method.value, units, rate, int(labels.size), ns, seed)
 
 

@@ -140,8 +140,9 @@ class LeafModel:
     how (``leaf_indices``), and everything after that is shared. Counts are
     the only state: they make training resumable, order-independent and
     mergeable across shards, and the Laplace-regularized log tables are
-    rebuilt from them whenever they change. Model files store the counts,
-    so a loaded model's tables agree with its counts by construction.
+    caches of them, built on first read and dropped whenever they change.
+    Model files store the counts, so a loaded model's tables agree with its
+    counts by construction.
     """
 
     magic = b""
@@ -165,14 +166,16 @@ class LeafModel:
         self.num_classes = len(classes)
         self.num_leaves = 1 << depth
         self._tests = tuple(tuple(ts) for ts in tests)
+        self.num_units = len(self._tests)
         self._offsets = offsets  # (U, tests per unit, 4)
         # flat positions of each test's two pixels in the p x p window
         p, r = self.patch_size, self.patch_size // 2
         self._o1 = (offsets[..., 1] + r) * p + offsets[..., 0] + r
         self._o2 = (offsets[..., 3] + r) * p + offsets[..., 2] + r
-        shape = (len(self._tests), self.num_leaves, self.num_classes)
+        shape = (self.num_units, self.num_leaves, self.num_classes)
         if counts is None:
-            self._counts = np.zeros(shape, dtype=np.uint64)
+            # the width save() picks for zero counts; training widens them
+            self._counts = np.zeros(shape, dtype=np.uint8)
         else:
             # unsigned counts keep the width they came in (a loaded file's),
             # so a model that is only read never holds a uint64 copy
@@ -207,7 +210,7 @@ class LeafModel:
 
     def train(self, samples: Iterable, chunk_size: int = 1024):
         """Count a stream of samples or (patch, label) pairs (anything
-        ``fernkit.dataset.sample_batches`` takes) and rebuild the tables."""
+        ``fernkit.dataset.sample_batches`` takes); tables follow on first read."""
         train_models((self,), samples, chunk_size)
         return self
 
@@ -221,23 +224,34 @@ class LeafModel:
         self.counts.reshape(-1)[cells] += hits.astype(np.uint64)
 
     def _rebuild_tables(self) -> None:
-        """Rebuild the log tables; counts from unequal streams are rejected.
+        """Check the counts and drop the tables built from older ones;
+        counts from unequal streams are rejected.
 
-        The tables read the counts at the width they are held; any unsigned
-        width of the same values gives the same bytes. Every sample reaches
-        one leaf of every unit, so each unit's per-class totals must agree;
-        the check reuses the sum the tables need.
+        Every sample reaches one leaf of every unit, so each unit's
+        per-class totals must agree. The check keeps the (U, H) Laplace
+        denominators ``totals + 2^D`` that every table row divides by; the
+        tables themselves are built on first read.
         """
-        counts = self._counts
-        totals = counts.sum(axis=1, dtype=np.float64)  # (U, H)
+        totals = self._counts.sum(axis=1, dtype=np.float64)  # (U, H)
         if np.any(totals != totals[0]):
             raise InvalidArgument("per-class sample totals disagree across units")
-        # the old tables go before the new one is allocated, so a model never
-        # holds two
-        self.log_table = self._posteriors = None
-        table = np.add(counts, 1.0, dtype=np.float64)
-        table /= totals[:, None, :] + float(self.num_leaves)
-        self.log_table = np.log(table, out=table)
+        totals += float(self.num_leaves)
+        self._denominators = totals
+        self._log_table = self._posteriors = None
+
+    @property
+    def log_table(self) -> np.ndarray:
+        """(units, leaves, classes) float64 log P(leaf | class), built from
+        the counts on first read: log((count + 1) / (total + 2^D)).
+
+        The table reads the counts at the width they are held; any unsigned
+        width of the same values gives the same bytes.
+        """
+        if self._log_table is None:
+            table = np.add(self._counts, 1.0, dtype=np.float64)
+            table /= self._denominators[:, None, :]
+            self._log_table = np.log(table, out=table)
+        return self._log_table
 
     def _unit_posteriors(self) -> np.ndarray:
         """(units * leaves, H) per-unit class posteriors that averaging adds:
@@ -265,9 +279,9 @@ class LeafModel:
 
     def truncated(self, k: int):
         """A model over the first k units, on a copy of their counts; its
-        rebuilt tables equal ``log_table[:k]``, as all unit totals agree."""
-        if not 1 <= k <= len(self._tests):
-            raise InvalidArgument(f"k must be in [1, {len(self._tests)}]")
+        tables equal ``log_table[:k]``, as all unit totals agree."""
+        if not 1 <= k <= self.num_units:
+            raise InvalidArgument(f"k must be in [1, {self.num_units}]")
         return self._like(self._tests[:k], self._counts[:k])
 
     def _like(self, tests, counts):
@@ -335,7 +349,7 @@ class LeafModel:
         """Score rows for blocks of a batch of n patches, and the scratch
         ``_score_block`` gathers into; neither has over ``PATCH_BLOCK`` rows."""
         k = min(PATCH_BLOCK, n)
-        rows = min(PATCH_BLOCK, k * len(self._tests))
+        rows = min(PATCH_BLOCK, k * self.num_units)
         buffer = np.empty((k + rows, self.num_classes))
         return buffer[:k], buffer[k:]
 
@@ -351,13 +365,19 @@ class LeafModel:
         is therefore the same float64 sum whatever the block size. The rows
         are log-probabilities for Naive-Bayes and the cached per-unit
         posteriors for averaging.
+
+        A one-patch Naive-Bayes block on a model whose table is not built
+        computes its U rows from the counts with the table's own ops, so a
+        model that only scores single patches never builds the table.
         """
         leaves = self.leaf_indices(block)
         self.table_lookups += leaves.size
         k, units = leaves.shape
         naive_bayes = combination is Combination.NAIVE_BAYES
         scores[:] = self.log_prior if naive_bayes else 0.0
-        if naive_bayes:
+        if naive_bayes and k == 1 and self._log_table is None:
+            table = None  # rows come from the counts
+        elif naive_bayes:
             table = self.log_table.reshape(-1, self.num_classes)
         else:
             table = self._unit_posteriors()
@@ -368,9 +388,12 @@ class LeafModel:
         for start in range(0, cells.size, step * k):
             ids = cells[start : start + step * k]
             got = rows[: ids.size]
-            # leaves are in range by construction; clip mode lets take write
-            # straight into ``got`` instead of buffering it
-            table.take(ids, axis=0, out=got, mode="clip")
+            if table is None:
+                self._log_rows(ids, start, got)
+            else:
+                # leaves are in range by construction; clip mode lets take
+                # write straight into ``got`` instead of buffering it
+                table.take(ids, axis=0, out=got, mode="clip")
             if ids.size == k:
                 scores += got
             else:
@@ -380,6 +403,17 @@ class LeafModel:
                 np.add.reduce(got.reshape(-1, *scores.shape), axis=0, out=scores)
         if not naive_bayes:
             scores /= units
+
+    def _log_rows(self, ids: np.ndarray, first: int, out: np.ndarray) -> None:
+        """Fill ``out`` with rows ``ids`` of the (units * leaves, H) view of
+        ``log_table``, row i being a leaf of unit ``first + i``, computed
+        from the counts with the table's own ops, so they are its bytes."""
+        counts = self._counts.reshape(-1, self.num_classes)
+        # copyto casts without the buffer np.add(..., dtype=) would allocate
+        np.copyto(out, counts.take(ids, axis=0))
+        out += 1.0
+        out /= self._denominators[first : first + ids.size]
+        np.log(out, out=out)
 
     # -- serialization ----------------------------------------------------
 
@@ -394,7 +428,7 @@ class LeafModel:
         head = self.magic + HEADER.pack(
             MODEL_VERSION,
             self.num_classes,
-            len(self._tests),
+            self.num_units,
             self.num_leaves.bit_length() - 1,
             self.patch_size,
             self.combination.value,
@@ -436,8 +470,8 @@ class LeafModel:
                 tuple(FeatureTest(*(int(v) for v in row)) for row in rows)
                 for rows in tests
             ]
-            # the table rebuild rejects counts whose unit totals disagree
-            # before it builds any table
+            # the totals check rejects counts whose unit totals disagree;
+            # no table is built until one is read
             return cls._build(classes, depth, unit_tests, Combination(combo), counts)
         except FernkitError as exc:
             raise CorruptModel(str(exc)) from exc
@@ -516,12 +550,12 @@ def train_models(models: Sequence[LeafModel], samples: Iterable, chunk_size: int
     Tables go stale once counting starts, so they are dropped before the
     first chunk is counted. Counting widens the counts to uint64; whether the
     stream ends or raises, each model's counts are then narrowed to the width
-    ``save()`` picks and its tables rebuilt from them, so a model holds at
-    most one table and never rests without one.
+    ``save()`` picks and checked, and its next table is built from them on
+    first read, so training builds no table.
     """
     classes = min(model.num_classes for model in models)
     for model in models:
-        model.log_table = model._posteriors = None
+        model._log_table = model._posteriors = None
     try:
         for patches, labels in sample_batches(samples, chunk_size):
             bad = labels[(labels < 0) | (labels >= classes)]

@@ -119,6 +119,22 @@ class AffineDeform:
         object.__setattr__(self, "theta", self.theta % TWO_PI)
         object.__setattr__(self, "phi", self.phi % TWO_PI)
 
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        """``deform_matrix(self)``, built once; read-only, as the deform is
+        frozen."""
+        scale = np.diag([self.lambda1, self.lambda2])
+        matrix = _rotation(self.theta) @ _rotation(-self.phi) @ scale @ _rotation(self.phi)
+        matrix.flags.writeable = False
+        return matrix
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        """The inverse of ``_matrix``, built once; read-only."""
+        inverse = np.linalg.inv(self._matrix)
+        inverse.flags.writeable = False
+        return inverse
+
 
 def _rotation(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
@@ -127,14 +143,13 @@ def _rotation(angle: float) -> np.ndarray:
 
 def deform_matrix(d: AffineDeform) -> np.ndarray:
     """2x2 matrix R(theta) . R(-phi) . diag(lambda1, lambda2) . R(phi)."""
-    scale = np.diag([d.lambda1, d.lambda2])
-    return _rotation(d.theta) @ _rotation(-d.phi) @ scale @ _rotation(d.phi)
+    return d._matrix.copy()
 
 
 def inverse_deform(d: AffineDeform, width: int, height: int) -> AffineDeform:
     """Deform that undoes ``d`` when both warps are rendered at width x height."""
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
-    t = deform_matrix(d) @ np.array([cx - d.tx, cy - d.ty]) + np.array([cx, cy])
+    t = d._matrix @ np.array([cx - d.tx, cy - d.ty]) + np.array([cx, cy])
     return AffineDeform(
         theta=-d.theta,
         phi=d.phi - d.theta,
@@ -313,7 +328,7 @@ def warp_image(
         mask = np.asarray(mask)
         if mask.dtype != np.bool_ or mask.shape != (out_h, out_w):
             raise InvalidArgument(f"mask must be a boolean {out_h}x{out_w} array")
-    inv = np.linalg.inv(deform_matrix(d))
+    inv = d._inverse
     cx, cy = (out_w - 1) / 2.0, (out_h - 1) / 2.0
     out = np.full(out_h * out_w, BACKGROUND, dtype=np.uint8)
     padded = src._edge_padded
@@ -391,7 +406,7 @@ def _frozen_image(pixels: np.ndarray) -> GrayImage:
 def warp_points(d: AffineDeform, out_w: int, out_h: int, points) -> np.ndarray:
     """Map source-frame points to the output frame of ``warp_image``."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    a = deform_matrix(d)
+    a = d._matrix
     center = np.array([(out_w - 1) / 2.0, (out_h - 1) / 2.0])
     return (pts - np.array([d.tx, d.ty])) @ a.T + center
 
@@ -399,7 +414,7 @@ def warp_points(d: AffineDeform, out_w: int, out_h: int, points) -> np.ndarray:
 def unwarp_points(d: AffineDeform, out_w: int, out_h: int, points) -> np.ndarray:
     """Map output-frame points back to the source frame of ``warp_image``."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    inv = np.linalg.inv(deform_matrix(d))
+    inv = d._inverse
     center = np.array([(out_w - 1) / 2.0, (out_h - 1) / 2.0])
     return (pts - center) @ inv.T + np.array([d.tx, d.ty])
 

@@ -611,3 +611,14 @@ class TestWarpOneView:
         assert f"view id {view_id} beyond the protocol's view count" in err
         assert warp_calls == []
         assert not out.exists()
+
+    def test_main_parses_every_call_with_one_parser(self):
+        from fernkit import cli
+
+        parser = cli._parser()
+        match = ["match", "--image", "x.pgm", "--model", "m.bin", "--seed", "2", "--threads", "3"]
+        warp = ["warp", "--image", "x.pgm", "--seed", "1"]
+        parser.parse_args(match)
+        # nothing of the earlier call leaks into the next one
+        assert vars(parser.parse_args(warp)) == vars(cli.build_parser().parse_args(warp))
+        assert cli._parser() is parser

@@ -19,7 +19,7 @@ from fernkit import (
 from fernkit import dataset, write_pgm
 from fernkit.cli import main
 from fernkit.dataset import STREAM_MODEL, derive_rng, generate_test_set
-from fernkit.evaluate import CSV_HEADER, materialize, write_records_csv
+from fernkit.evaluate import CSV_HEADER, materialize, record, write_records_csv
 
 from support import random_patches, rate_oracle
 
@@ -97,6 +97,13 @@ class TestEvalRecord:
     def test_patch_count_enforced(self):
         with pytest.raises(InvalidArgument):
             EvalRecord("FernNB", 1, 0.5, 0, 1.0, 0)
+
+    def test_record_counts_units_without_building_a_table(self, small_model):
+        model = FernModel.load(small_model.save())
+        patches = random_patches(np.random.default_rng(5), 1, model.patch_size)
+        row = record(Method.FERN_NB, model, patches, np.array([0]), seed=5)
+        assert row.units == model.num_ferns
+        assert model._log_table is None
 
 
 class TestSweep:

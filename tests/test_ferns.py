@@ -22,7 +22,13 @@ from fernkit import (
     make_random_ferns,
     make_random_trees,
 )
-from fernkit.ferns import Combination, train_models
+from fernkit.ferns import (
+    DEFAULT_FERN_COUNT,
+    DEFAULT_FERN_SIZE,
+    PATCH_BLOCK,
+    Combination,
+    train_models,
+)
 
 from support import (
     KEYPOINT_WORD,
@@ -799,6 +805,89 @@ class TestTrainingMemory:
         with pytest.raises(InvalidArgument, match="totals disagree"):
             model._rebuild_tables()
         assert model.log_table is table
+
+
+class TestTablesOnDemand:
+    """``log_table`` is a cache of the counts, built on first read; a
+    one-patch Naive-Bayes lookup on a model without one computes its rows
+    from the counts."""
+
+    @pytest.mark.parametrize("kind", ["fern", "tree"])
+    @pytest.mark.parametrize("repeats, width", [(0, 1), (300, 2)])
+    def test_rows_from_counts_are_the_table_bytes(self, kind, repeats, width):
+        model = midsize_model(kind, MIDSIZE_UNITS[kind]())
+        model.train(zip(*midsize_stream(repeats)))
+        assert model._counts.itemsize == width
+        got = np.empty((model.num_leaves, model.num_units, model.num_classes))
+        for leaf in range(model.num_leaves):
+            model._log_rows(model._unit_rows + leaf, 0, got[leaf])
+        assert model._log_table is None
+        assert got.transpose(1, 0, 2).tobytes() == model.log_table.tobytes()
+
+    @pytest.mark.parametrize("units", [8, PATCH_BLOCK + 44])
+    def test_one_patch_lookups_build_no_table(self, units):
+        # more units than a step holds: the rows come in two steps
+        rng = np.random.default_rng(90)
+        model = FernModel(grid_classes(5, 9), make_random_ferns(units, 6, 9, rng))
+        model.train(zip(random_patches(rng, 400, 9), rng.integers(0, 5, 400)))
+        data = model.save()
+        loaded, built = FernModel.load(data), FernModel.load(data)
+        assert built.log_table is built._log_table
+        img = GrayImage(random_patches(rng, 1, 40)[0])
+        for centre in (Keypoint(4, 4), Keypoint(20, 17), Keypoint(35, 35)):
+            label, score = loaded.classify(img, centre)
+            want_label, want_score = built.classify(img, centre)
+            assert (label, np.float64(score).tobytes()) == (
+                want_label, np.float64(want_score).tobytes()
+            )
+            posterior = loaded.posterior(img, centre)
+            assert posterior.tobytes() == built.posterior(img, centre).tobytes()
+        patch = random_patches(rng, 1, 9)
+        labels, scores = loaded.classify_patches(patch)
+        want_labels, want_scores = built.classify_patches(patch)
+        assert labels.tobytes() == want_labels.tobytes()
+        assert scores.tobytes() == want_scores.tobytes()
+        assert loaded._log_table is None
+
+    def test_batches_build_the_table_once_and_counting_drops_it(self, small_model):
+        model = FernModel.load(small_model.save())
+        rng = np.random.default_rng(91)
+        patches = random_patches(rng, 50, model.patch_size)
+        model.classify_patches(patches)
+        table = model._log_table
+        assert table is not None
+        model.classify_patches(patches[:1])
+        model.classify_patches(patches)
+        assert model._log_table is table
+        model._rebuild_tables()
+        assert model._log_table is None
+        model.classify_patches(patches)
+        assert model._log_table is not None
+        model.train(zip(patches, rng.integers(0, model.num_classes, 50)))
+        assert model._log_table is None
+        assert model.log_table.tobytes() == FernModel.load(model.save()).log_table.tobytes()
+
+    def test_fresh_models_hold_narrow_zero_counts_and_no_table(self, small_model):
+        for model in (
+            FernModel.random(small_model.classes, 4, 6, np.random.default_rng(92)),
+            TreeForest.random(small_model.classes, 4, 3, np.random.default_rng(92)),
+        ):
+            assert model._counts.dtype == np.uint8
+            assert model._log_table is None
+            assert not model._counts.any()
+
+    def test_loading_a_cli_shape_model_builds_no_table(self):
+        rng = np.random.default_rng(93)
+        s, m, h, p = DEFAULT_FERN_COUNT, DEFAULT_FERN_SIZE, 200, 31
+        # one row repeated in every fern, so unit totals agree
+        counts = np.broadcast_to(rng.integers(0, 126, (1 << m, h), dtype=np.uint8), (s, 1 << m, h))
+        blob = FernModel(grid_classes(h, p), make_random_ferns(s, m, p, rng), counts).save()
+        table_bytes = s * (1 << m) * h * 8
+        loaded = []
+        peak = peak_traced_bytes(lambda: loaded.append(FernModel.load(blob)))
+        # the u8 copy of the counts is an eighth of the table
+        assert peak < 0.25 * table_bytes
+        assert loaded[0]._log_table is None
 
 
 class TestAccumulate:

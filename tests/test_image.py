@@ -156,6 +156,21 @@ class TestDeformMatrix:
         with pytest.raises(InvalidArgument):
             AffineDeform(0, 0, 0.0, 1.0)
 
+    def test_matrix_and_inverse_are_built_once_per_deform(self):
+        d = AffineDeform(0.7, 2.1, 0.8, 1.3, tx=5.0, ty=-2.0)
+        scale = np.diag([d.lambda1, d.lambda2])
+        rot = image._rotation
+        want = rot(d.theta) @ rot(-d.phi) @ scale @ rot(d.phi)
+        m = deform_matrix(d)
+        assert m.tobytes() == want.tobytes()
+        assert d._inverse.tobytes() == np.linalg.inv(want).tobytes()
+        assert d._matrix is d._matrix and d._inverse is d._inverse
+        assert not d._matrix.flags.writeable and not d._inverse.flags.writeable
+        # callers get their own copy, and the cache is not part of the value
+        assert m.flags.writeable and not np.shares_memory(m, d._matrix)
+        twin = AffineDeform(0.7, 2.1, 0.8, 1.3, tx=5.0, ty=-2.0)
+        assert d == twin and hash(d) == hash(twin)
+
     @given(
         theta=st.floats(0, 2 * math.pi - 1e-9),
         phi=st.floats(0, 2 * math.pi - 1e-9),
