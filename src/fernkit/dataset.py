@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidArgument, InvalidPatch
 from .image import (
@@ -172,7 +172,9 @@ def _windows(arr: np.ndarray, centers: np.ndarray, m: int, writeable: bool = Fal
     p = 2 * m + 1
     if not len(centers):  # ``arr`` may then be smaller than one window
         arr = np.zeros((p, p), dtype=arr.dtype)
-    view = sliding_window_view(arr, (p, p), writeable=writeable)
+    (h, w), (sy, sx) = arr.shape, arr.strides
+    # as_strided skips the checks that make sliding_window_view ~3x slower
+    view = as_strided(arr, (h - p + 1, w - p + 1, p, p), (sy, sx, sy, sx), writeable=writeable)
     return view, (centers[:, 1] - m, centers[:, 0] - m)
 
 

@@ -143,6 +143,11 @@ class LeafModel:
     caches of them, built on first read and dropped whenever they change.
     Model files store the counts, so a loaded model's tables agree with its
     counts by construction.
+
+    Counts are held at the narrowest width in ``COUNT_WIDTHS`` that their
+    class totals need, and training never widens them further. A read-only
+    counts array may be shared (a loaded file's bytes, a ``truncated``
+    prefix); a model copies it before it writes.
     """
 
     magic = b""
@@ -180,8 +185,12 @@ class LeafModel:
             # unsigned counts keep the width they came in (a loaded file's),
             # so a model that is only read never holds a uint64 copy
             counts = np.asarray(counts)
-            narrow = np.can_cast(counts.dtype, np.uint64)
-            self._counts = np.array(counts, dtype=None if narrow else np.uint64, order="C")
+            if not np.can_cast(counts.dtype, np.uint64):
+                counts = counts.astype(np.uint64)
+            # a read-only array is shared: _accumulate copies it before it
+            # writes, and ``counts`` before it hands it out
+            shared = not counts.flags.writeable and counts.flags.c_contiguous
+            self._counts = counts if shared else np.array(counts, order="C")
         if self._counts.shape != shape:
             raise InvalidArgument(f"counts must have shape {shape}")
         # first row of each unit in the (units * leaves, H) view of log_table
@@ -195,14 +204,14 @@ class LeafModel:
 
     @property
     def counts(self) -> np.ndarray:
-        """(units, leaves, classes) uint64 counts, C-ordered.
+        """(units, leaves, classes) uint64 counts, C-ordered and writeable.
 
-        Counts held narrower (a loaded file's, or any trained model's: training
-        ends by narrowing them) are widened the first time they are read here;
-        C order keeps ``counts.reshape(-1)`` a view, which _accumulate
-        writes to.
+        Counts held narrower (a loaded file's, or any trained model's) or
+        shared read-only are copied to uint64 the first time they are read
+        here, and writes to the result change the model. Only callers
+        outside the model read this; training counts at the narrow width.
         """
-        if self._counts.dtype != np.uint64:
+        if self._counts.dtype != np.uint64 or not self._counts.flags.writeable:
             self._counts = np.array(self._counts, dtype=np.uint64, order="C")
         return self._counts
 
@@ -215,13 +224,26 @@ class LeafModel:
         return self
 
     def _accumulate(self, patches: np.ndarray, labels: np.ndarray) -> None:
-        """Add one count per (unit, leaf, label) of a chunk; labels are in range."""
+        """Add one count per (unit, leaf, label) of a chunk; labels are in range.
+
+        A sample adds 1 to one leaf of every unit, so no count exceeds its
+        class's total, and unit totals agree. The counts are widened only
+        when the largest class total after the chunk needs a wider width in
+        ``COUNT_WIDTHS``, and copied first when they are shared read-only.
+        """
         leaves = self.leaf_indices(patches)  # (N, U)
         units = np.arange(leaves.shape[1]) * self.num_leaves
         cells = (units + leaves) * self.num_classes + labels[:, None]
         # one sort for the whole chunk instead of one np.add.at per unit
         cells, hits = np.unique(cells, return_counts=True)
-        self.counts.reshape(-1)[cells] += hits.astype(np.uint64)
+        # unit 0's (leaves, H) sum gives the class totals
+        totals = self._counts[0].sum(axis=0, dtype=np.int64)
+        totals += np.bincount(labels, minlength=self.num_classes)
+        need = np.dtype(f"u{_width(int(totals.max()))}")
+        if not np.can_cast(need, self._counts.dtype) or not self._counts.flags.writeable:
+            wide = np.promote_types(need, self._counts.dtype)
+            self._counts = np.array(self._counts, dtype=wide, order="C")
+        self._counts.reshape(-1)[cells] += hits.astype(self._counts.dtype)
 
     def _rebuild_tables(self) -> None:
         """Check the counts and drop the tables built from older ones;
@@ -278,11 +300,21 @@ class LeafModel:
         return self._like(self._tests, _narrowest(total))
 
     def truncated(self, k: int):
-        """A model over the first k units, on a copy of their counts; its
-        tables equal ``log_table[:k]``, as all unit totals agree."""
+        """A model over the first k units, on read-only prefix views of this
+        model's counts and of its log table when it is built (all unit
+        totals agree, so it is the sub-model's table bit for bit).
+
+        Both models' counts become read-only: whichever counts next copies
+        them first, so neither can write into the other.
+        """
         if not 1 <= k <= self.num_units:
             raise InvalidArgument(f"k must be in [1, {self.num_units}]")
-        return self._like(self._tests[:k], self._counts[:k])
+        self._counts.flags.writeable = False
+        sub = self._like(self._tests[:k], self._counts[:k])
+        if self._log_table is not None:
+            self._log_table.flags.writeable = False
+            sub._log_table = self._log_table[:k]
+        return sub
 
     def _like(self, tests, counts):
         depth = self.num_leaves.bit_length() - 1
@@ -458,7 +490,7 @@ class LeafModel:
             raise FormatError(f"unit depth {depth} exceeds 63")
         kp, pos = _take(data, pos, "<f4", (h, 2))
         tests, pos = _take(data, pos, "<i2", (units, cls._tests_per_unit(depth), 4))
-        # a view of the file; the constructor copies it at this width
+        # a read-only view of the file, which the model shares
         counts, pos = _take(data, pos, f"<u{width}", (units, 1 << depth, h))
         if pos != len(data):
             raise FormatError(f"{len(data) - pos} trailing bytes")
@@ -548,10 +580,11 @@ def train_models(models: Sequence[LeafModel], samples: Iterable, chunk_size: int
     label outside [0, H) raises InvalidLabel before any model counts it.
 
     Tables go stale once counting starts, so they are dropped before the
-    first chunk is counted. Counting widens the counts to uint64; whether the
-    stream ends or raises, each model's counts are then narrowed to the width
-    ``save()`` picks and checked, and its next table is built from them on
-    first read, so training builds no table.
+    first chunk is counted. Each chunk is counted at the narrowest width that
+    holds its class totals (``LeafModel._accumulate``), never at uint64 for
+    its own sake; whether the stream ends or raises, each model's counts are
+    then narrowed to the width ``save()`` picks and checked, and its next
+    table is built from them on first read, so training builds no table.
     """
     classes = min(model.num_classes for model in models)
     for model in models:
@@ -572,9 +605,12 @@ def train_models(models: Sequence[LeafModel], samples: Iterable, chunk_size: int
 def _narrowest(counts: np.ndarray) -> np.ndarray:
     """``counts`` at the narrowest width in ``COUNT_WIDTHS`` that holds the
     largest of them; ``counts`` itself when it already has that width."""
-    largest = int(counts.max())
-    width = next(w for w in COUNT_WIDTHS if largest < 1 << 8 * w)
-    return counts.astype(f"u{width}", copy=False)
+    return counts.astype(f"u{_width(int(counts.max()))}", copy=False)
+
+
+def _width(largest: int) -> int:
+    """Bytes of the narrowest width in ``COUNT_WIDTHS`` that holds ``largest``."""
+    return next(w for w in COUNT_WIDTHS if largest < 1 << 8 * w)
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:

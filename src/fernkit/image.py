@@ -456,7 +456,7 @@ def add_noise(img: GrayImage, sigma: float, rng: np.random.Generator) -> GrayIma
 def box_mean(values: np.ndarray, radius: int) -> np.ndarray:
     """Mean over the (2r+1)^2 window around each cell, clipped at borders.
 
-    Returns float64; exact for integer inputs (integer summed-area table).
+    Returns float64; exact for integer inputs (exact integer window sums).
     """
     if radius < 0:
         raise InvalidArgument(f"radius must be >= 0, got {radius}")
@@ -474,15 +474,23 @@ def box_mean(values: np.ndarray, radius: int) -> np.ndarray:
 def _window_sums(arr: np.ndarray, radius: int) -> np.ndarray:
     """Sum over the (2r+1)^2 window around each cell, clipped at borders.
 
-    The summed-area table is padded so that its row i holds the prefix sum
-    over rows ``< clip(i - r, 0, h)`` (and columns alike). The four corners
-    of every window are then plain slices of it, with no index arrays.
+    Integer input is summed separably, rows then columns, by shifted slice
+    adds at the narrowest signed width that holds a window's sum; integer
+    sums are exact in any order. Float input keeps the summed-area order:
+    the table is padded so that its row i holds the prefix sum over rows
+    ``< clip(i - r, 0, h)`` (and columns alike), and the four corners of
+    every window are plain slices of it, with no index arrays.
     """
     h, w = arr.shape
     # a radius past an edge clips every window the same as radius h - 1
     ry, rx = min(radius, h - 1), min(radius, w - 1)
-    acc_dtype = np.int64 if arr.dtype.kind in "iu" else np.float64
-    table = np.zeros((h + 2 * ry + 1, w + 2 * rx + 1), dtype=acc_dtype)
+    if arr.dtype.kind in "iu":
+        info = np.iinfo(arr.dtype)
+        largest = (2 * ry + 1) * (2 * rx + 1) * max(info.max, -info.min)
+        acc = np.int16 if largest < 2**15 else np.int32 if largest < 2**31 else np.int64
+        # down the columns through the transpose, then along the rows
+        return _line_sums(_line_sums(arr.astype(acc).T, ry).T, rx)
+    table = np.zeros((h + 2 * ry + 1, w + 2 * rx + 1), dtype=np.float64)
     inner = table[ry + 1 : ry + 1 + h, rx + 1 : rx + 1 + w]
     # row by row: one add per row runs faster than a cumsum down the columns
     inner[0] = arr[0]
@@ -497,6 +505,17 @@ def _window_sums(arr: np.ndarray, radius: int) -> np.ndarray:
     sums = table[bottom, right] - table[top, right]
     sums -= table[bottom, left]
     sums += table[top, left]
+    return sums
+
+
+def _line_sums(arr: np.ndarray, r: int) -> np.ndarray:
+    """Sums over ``i - r .. i + r`` along the last axis of ``arr``, clipped
+    at its ends (``r`` below its length): 2r slice adds into one copy in
+    ``arr``'s memory order, so a transposed view costs no more."""
+    sums = arr.copy(order="K")
+    for d in range(1, r + 1):
+        sums[..., d:] += arr[..., :-d]
+        sums[..., :-d] += arr[..., d:]
     return sums
 
 

@@ -4,6 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fernkit import (
     AffineDeform,
@@ -22,6 +23,7 @@ from fernkit.dataset import (
     STREAM_TRAIN,
     View,
     _blocks,
+    _windows,
     derive_rng,
     extract_patches,
     generate_test_set,
@@ -534,6 +536,20 @@ class TestWindowBlocks:
             assert patches.flags.c_contiguous and not patches.flags.writeable
             with pytest.raises(ValueError):
                 patches[0, 0, 0] = 0
+
+    @pytest.mark.parametrize("shape, m", [((9, 9), 4), ((12, 17), 2), ((240, 320), 10)])
+    @pytest.mark.parametrize("writeable", [False, True])
+    def test_windows_equal_numpys_sliding_windows(self, shape, m, writeable):
+        arr = np.random.default_rng(sum(shape)).integers(0, 256, shape).astype(np.uint8)
+        centers = np.array([[m, m], [shape[1] - 1 - m, shape[0] - 1 - m]])
+        view, index = _windows(arr, centers, m, writeable=writeable)
+        want = sliding_window_view(arr, (2 * m + 1, 2 * m + 1))
+        assert view.shape == want.shape and np.array_equal(view, want)
+        assert view.flags.writeable == writeable and np.shares_memory(view, arr)
+        assert np.array_equal(view[index], want[index])
+        if writeable:
+            view[index] = 0
+            assert not arr[: 2 * m + 1, : 2 * m + 1].any() and not arr[-1, -1]
 
     def test_skips_default_to_a_fresh_counter(self):
         a, b = GenStats(), GenStats()

@@ -807,6 +807,79 @@ class TestTrainingMemory:
         assert model.log_table is table
 
 
+def add_at_oracle(model, patches: np.ndarray, labels: np.ndarray):
+    """A model like ``model`` on uint64 counts of the stream, one np.add.at
+    per unit, counted by a fresh model over the same units."""
+    counts = np.zeros(model._counts.shape, dtype=np.uint64)
+    leaves = model._like(model._tests, None).leaf_indices(patches)
+    for u in range(counts.shape[0]):
+        np.add.at(counts[u], (leaves[:, u], labels), 1)
+    return model._like(model._tests, counts)
+
+
+class TestCountWidthRule:
+    """Each chunk is counted at the narrowest width that holds the class
+    totals after it; training never holds uint64 counts."""
+
+    def test_widens_exactly_when_a_class_total_passes_a_width(self):
+        model = two_fern_model(None)
+        rng = np.random.default_rng(100)
+        want = np.zeros(model._counts.shape, dtype=np.uint64)
+        # noise patches spread class 0 over the leaves, so no count reaches
+        # 255 when its total passes it; class 1 stays small throughout
+        for n, dtype in [(255, np.uint8), (1, np.uint16), (65535 - 256, np.uint16),
+                         (1, np.uint32)]:
+            patches = random_patches(rng, n + 3, 5)
+            labels = np.concatenate([np.zeros(n, np.int64), np.ones(3, np.int64)])
+            leaves = model.leaf_indices(patches)
+            for u in range(want.shape[0]):
+                np.add.at(want[u], (leaves[:, u], labels), 1)
+            model._accumulate(patches, labels)
+            assert model._counts.dtype == dtype
+            assert np.array_equal(model._counts, want)
+        assert int(want[0, :, 0].sum()) == 65536
+        assert int(want.max()) < 65536
+
+    @pytest.mark.parametrize("kind", ["fern", "tree"])
+    @pytest.mark.parametrize("repeats", [0, 300])
+    def test_counts_file_and_table_equal_a_uint64_oracle(self, kind, repeats):
+        model = midsize_model(kind, MIDSIZE_UNITS[kind]())
+        patches, labels = midsize_stream(repeats)
+        oracle = add_at_oracle(model, patches, labels)
+        # small chunks: the counts widen partway through the stream
+        model.train(zip(patches, labels), chunk_size=200)
+        assert np.array_equal(model._counts, oracle._counts)
+        assert model.save() == oracle.save()
+        assert model.log_table.tobytes() == oracle.log_table.tobytes()
+
+    @pytest.mark.parametrize("kind", ["fern", "tree"])
+    def test_a_stream_that_raises_keeps_the_widened_chunks(self, kind):
+        units = MIDSIZE_UNITS[kind]()
+        patches, labels = midsize_stream(300)
+        labels[2500] = 50
+        model = midsize_model(kind, units)
+        with pytest.raises(InvalidLabel, match="label 50 "):
+            model.train(zip(patches, labels), chunk_size=1000)
+        first = midsize_model(kind, units).train(zip(patches[:2000], labels[:2000]))
+        assert model._counts.itemsize == 2
+        assert model.save() == first.save()
+        assert model.log_table.tobytes() == first.log_table.tobytes()
+
+    def test_cli_shape_training_peaks_below_a_quarter_of_uint64_counts(self):
+        rng = np.random.default_rng(101)
+        s, m, h, p = DEFAULT_FERN_COUNT, DEFAULT_FERN_SIZE, 200, 9
+        classes, ferns = grid_classes(h, p), make_random_ferns(s, m, p, rng)
+        samples = list(zip(random_patches(rng, 10 * h, p), np.repeat(np.arange(h), 10)))
+        trained = []
+        peak = peak_traced_bytes(
+            lambda: trained.append(FernModel(classes, ferns).train(samples))
+        )
+        # u8 counts (an eighth of the uint64 ones) and a chunk's temporaries
+        assert peak < 0.25 * s * (1 << m) * h * 8
+        assert trained[0]._counts.dtype == np.uint8
+        assert int(trained[0]._counts[0].sum()) == 10 * h
+
+
 class TestTablesOnDemand:
     """``log_table`` is a cache of the counts, built on first read; a
     one-patch Naive-Bayes lookup on a model without one computes its rows
@@ -944,12 +1017,38 @@ class TestTruncated:
         assert np.array_equal(sub.log_table, small_model.log_table[:3])
 
     @pytest.mark.parametrize("k", [1, 3, 8])
-    def test_prefix_tables_are_copies_equal_to_the_slice(self, small_model, k):
+    def test_prefix_tables_are_views_equal_to_the_slice(self, small_model, k):
+        small_model.log_table  # built, so the prefix shares it
         sub = small_model.truncated(k)
         assert sub.log_table.tobytes() == small_model.log_table[:k].tobytes()
+        assert np.shares_memory(sub._counts, small_model._counts)
+        assert np.shares_memory(sub.log_table, small_model.log_table)
         assert sub.counts.tobytes() == small_model.counts[:k].tobytes()
-        assert not np.shares_memory(sub.counts, small_model.counts)
-        assert not np.shares_memory(sub.log_table, small_model.log_table)
+
+    @pytest.mark.parametrize("trained", ["parent", "sub"])
+    @pytest.mark.parametrize("source", ["loaded", "built"])
+    def test_counting_one_side_leaves_the_other(self, small_model, trained, source):
+        # u8 counts shared with the file, or writeable uint64 counts
+        parent = {
+            "loaded": lambda: FernModel.load(small_model.save()),
+            "built": lambda: FernModel(small_model.classes, small_model.ferns, small_model.counts),
+        }[source]()
+        parent.log_table
+        sides = {"parent": parent, "sub": parent.truncated(3)}
+        before = {name: (m.save(), m.log_table.tobytes()) for name, m in sides.items()}
+        rng = np.random.default_rng(102)
+        # 300 copies of one patch: counting widens u8 counts
+        patches = np.concatenate(
+            [np.repeat(random_patches(rng, 1, parent.patch_size), 300, axis=0),
+             random_patches(rng, 40, parent.patch_size)]
+        )
+        model = sides[trained]
+        model.train(zip(patches, np.zeros(340, np.int64)))
+        model.counts[0, 0, 1] += 1  # a write through ``counts`` stays in the model
+        assert model.save() != before[trained][0]
+        for name, other in sides.items():
+            if name != trained:
+                assert (other.save(), other.log_table.tobytes()) == before[name]
 
     def test_bad_k(self, small_model):
         with pytest.raises(InvalidArgument):

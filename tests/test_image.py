@@ -431,6 +431,32 @@ class TestWindowSumsRowAdds:
         assert got.tobytes() == want.tobytes()
 
 
+class TestWindowSumsSeparable:
+    """Integer input is summed by rows then columns at a narrow width; the
+    sums equal the summed-area table's."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 23), (19, 1), (2, 3), (31, 40)])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 12, 64])
+    @pytest.mark.parametrize("dtype", ["uint8", "int8", "uint16", "int32", "int64"])
+    def test_equal_to_the_table(self, shape, radius, dtype):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] + radius)
+        values = rng.integers(max(info.min, -(2**40)), min(info.max, 2**40), shape,
+                              endpoint=True).astype(dtype)
+        got = _window_sums(values, radius)
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, window_sums_oracle(values, radius))
+
+    @pytest.mark.parametrize("dtype", ["uint8", "int8", "uint16", "int16"])
+    @pytest.mark.parametrize("radius", [1, 5, 200])
+    def test_extreme_values_do_not_wrap(self, dtype, radius):
+        info = np.iinfo(dtype)
+        for value in (info.min, info.max):
+            values = np.full((150, 160), value, dtype=dtype)
+            got = _window_sums(values, radius)
+            assert np.array_equal(got, window_sums_oracle(values, radius))
+
+
 class TestDeterminism:
     def test_equal_seeds_byte_identical(self, texture_small):
         outs = []
