@@ -138,9 +138,9 @@ class LeafModel:
 
     A unit (fern or tree) maps a patch to one of 2^D leaves; subclasses say
     how (``leaf_indices``), and everything after that is shared. Counts are
-    the only state: they make training resumable, order-independent and
-    mergeable across shards, and the Laplace-regularized log tables are
-    caches of them, built on first read and dropped whenever they change.
+    the only state: they make training resumable and order-independent,
+    and the Laplace-regularized log tables are caches of them, built on
+    first read and dropped whenever they change.
     Model files store the counts, so a loaded model's tables agree with its
     counts by construction.
 
@@ -186,6 +186,10 @@ class LeafModel:
             # so a model that is only read never holds a uint64 copy
             counts = np.asarray(counts)
             if not np.can_cast(counts.dtype, np.uint64):
+                # a negative count would wrap, a fractional one truncate
+                whole = (counts >= 0) & (counts < 2.0**64) & (counts == np.floor(counts))
+                if not whole.all():
+                    raise InvalidArgument("counts must be whole numbers >= 0")
                 counts = counts.astype(np.uint64)
             # a read-only array is shared: _accumulate copies it before it
             # writes, and ``counts`` before it hands it out
@@ -286,18 +290,6 @@ class LeafModel:
             rows = self.log_table.reshape(-1, self.num_classes) + self.log_prior
             self._posteriors = _softmax_rows(rows)
         return self._posteriors
-
-    def merged(self, other):
-        """Combine two shards trained on disjoint streams (count addition)."""
-        if (
-            type(other) is not type(self)
-            or other._tests != self._tests
-            or other.classes != self.classes
-        ):
-            raise InvalidArgument("shards must share units and classes")
-        # added at uint64 into a new array, so neither shard is widened
-        total = np.add(self._counts, other._counts, dtype=np.uint64)
-        return self._like(self._tests, _narrowest(total))
 
     def truncated(self, k: int):
         """A model over the first k units, on read-only prefix views of this

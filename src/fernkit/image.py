@@ -291,15 +291,6 @@ def _sample_inside(padded: np.ndarray, sx: np.ndarray, sy: np.ndarray, scratch) 
     return top
 
 
-def _bilinear(pixels: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Sample at real coordinates; anything outside the grid reads BACKGROUND."""
-    inside = _inside(pixels, sx, sy)
-    values = np.full(sx.shape, float(BACKGROUND))
-    n = np.count_nonzero(inside)
-    values[inside] = _sample_inside(_padded(pixels), sx[inside], sy[inside], _scratch(n))
-    return values
-
-
 def warp_image(
     src: GrayImage, d: AffineDeform, out_w: int, out_h: int, mask=None
 ) -> GrayImage:
@@ -456,56 +447,46 @@ def add_noise(img: GrayImage, sigma: float, rng: np.random.Generator) -> GrayIma
 def box_mean(values: np.ndarray, radius: int) -> np.ndarray:
     """Mean over the (2r+1)^2 window around each cell, clipped at borders.
 
-    Returns float64; exact for integer inputs (exact integer window sums).
+    Takes integer values only and returns float64: each exact window sum
+    over its cell count. The frame is divided by the full window's count,
+    and the clipped edge rows and columns again by their own, which gives
+    every cell the same quotient as one full-frame division.
     """
     if radius < 0:
         raise InvalidArgument(f"radius must be >= 0, got {radius}")
     arr = np.asarray(values)
-    if radius == 0:
-        return arr.astype(np.float64)
+    if arr.dtype.kind not in "iu":
+        raise InvalidArgument(f"box_mean takes integer values, got {arr.dtype}")
     h, w = arr.shape
+    ry, rx = min(radius, h - 1), min(radius, w - 1)
     ys, xs = np.arange(h), np.arange(w)
-    rows = np.minimum(ys + radius + 1, h) - np.maximum(ys - radius, 0)
-    cols = np.minimum(xs + radius + 1, w) - np.maximum(xs - radius, 0)
-    # the padded table is freed before the area and the quotient exist
-    return _window_sums(arr, radius) / (rows[:, None] * cols[None, :])
+    rows = np.minimum(ys + ry + 1, h) - np.maximum(ys - ry, 0)
+    cols = np.minimum(xs + rx + 1, w) - np.maximum(xs - rx, 0)
+    sums = window_sums(arr, radius)
+    means = sums / float((2 * ry + 1) * (2 * rx + 1))
+    edge = np.flatnonzero(rows != 2 * ry + 1)
+    means[edge] = sums[edge] / (rows[edge, None] * cols)
+    edge = np.flatnonzero(cols != 2 * rx + 1)
+    means[:, edge] = sums[:, edge] / (rows[:, None] * cols[edge])
+    return means
 
 
-def _window_sums(arr: np.ndarray, radius: int) -> np.ndarray:
-    """Sum over the (2r+1)^2 window around each cell, clipped at borders.
+def window_sums(arr: np.ndarray, radius: int) -> np.ndarray:
+    """Sum over the (2r+1)^2 window around each cell of an integer array,
+    clipped at borders.
 
-    Integer input is summed separably, rows then columns, by shifted slice
-    adds at the narrowest signed width that holds a window's sum; integer
-    sums are exact in any order. Float input keeps the summed-area order:
-    the table is padded so that its row i holds the prefix sum over rows
-    ``< clip(i - r, 0, h)`` (and columns alike), and the four corners of
-    every window are plain slices of it, with no index arrays.
+    Summed separably, rows then columns, by shifted slice adds at the
+    narrowest signed width that holds a window's sum; integer sums are
+    exact in any order.
     """
     h, w = arr.shape
     # a radius past an edge clips every window the same as radius h - 1
     ry, rx = min(radius, h - 1), min(radius, w - 1)
-    if arr.dtype.kind in "iu":
-        info = np.iinfo(arr.dtype)
-        largest = (2 * ry + 1) * (2 * rx + 1) * max(info.max, -info.min)
-        acc = np.int16 if largest < 2**15 else np.int32 if largest < 2**31 else np.int64
-        # down the columns through the transpose, then along the rows
-        return _line_sums(_line_sums(arr.astype(acc).T, ry).T, rx)
-    table = np.zeros((h + 2 * ry + 1, w + 2 * rx + 1), dtype=np.float64)
-    inner = table[ry + 1 : ry + 1 + h, rx + 1 : rx + 1 + w]
-    # row by row: one add per row runs faster than a cumsum down the columns
-    inner[0] = arr[0]
-    for i in range(1, h):
-        np.add(inner[i - 1], arr[i], out=inner[i])
-    np.cumsum(inner, axis=1, out=inner)
-    table[ry + 1 + h :, rx + 1 : rx + 1 + w] = inner[-1]
-    table[:, rx + 1 + w :] = table[:, rx + w, None]
-    top, bottom = slice(0, h), slice(2 * ry + 1, 2 * ry + 1 + h)
-    left, right = slice(0, w), slice(2 * rx + 1, 2 * rx + 1 + w)
-    # the four-corner formula in its usual order, so float sums are unchanged
-    sums = table[bottom, right] - table[top, right]
-    sums -= table[bottom, left]
-    sums += table[top, left]
-    return sums
+    info = np.iinfo(arr.dtype)
+    largest = (2 * ry + 1) * (2 * rx + 1) * max(info.max, -info.min)
+    acc = np.int16 if largest < 2**15 else np.int32 if largest < 2**31 else np.int64
+    # down the columns through the transpose, then along the rows
+    return _line_sums(_line_sums(arr.astype(acc).T, ry).T, rx)
 
 
 def _line_sums(arr: np.ndarray, r: int) -> np.ndarray:

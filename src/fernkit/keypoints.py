@@ -21,6 +21,7 @@ from .image import (
     sample_deformation,
     unwarp_points,
     warp_image,
+    window_sums,
 )
 
 DEFAULT_PATCH_SIZE = 31
@@ -115,20 +116,22 @@ def _any_pair_closer(coords: np.ndarray, min_sep: float) -> bool:
 
 
 def _response_map(img: GrayImage) -> np.ndarray:
-    """Ring-contrast response, box-smoothed so isolated peaks stay unimodal."""
-    px = img.pixels.astype(np.float64)
-    # ring mean (9 * window mean - centre) / 8, then |centre - ring mean|,
-    # each step written over a frame-sized array it no longer needs
-    ring = box_mean(img.pixels, 1)
-    ring *= 9.0
-    ring -= px
-    ring /= 8.0
-    raw = np.subtract(px, ring, out=px)
+    """Ring-contrast response, box-smoothed so isolated peaks stay unimodal.
+
+    A pixel's contrast |centre - ring mean| is |9 * centre - window sum| / 8
+    over its 3x3 window. It is taken in exact integers and the 1/8 applied
+    after the box mean: scaling by a power of two commutes with rounding,
+    so that is the float64 the mean of the eighths would give.
+    """
+    raw = window_sums(img.pixels, 1)
+    raw -= np.multiply(img.pixels, 9, dtype=raw.dtype)
     np.abs(raw, out=raw)
     # Border pixels lack a full ring; they are outside any patch margin anyway.
-    raw[0, :] = raw[-1, :] = 0.0
-    raw[:, 0] = raw[:, -1] = 0.0
-    return box_mean(raw, 1)
+    raw[0, :] = raw[-1, :] = 0
+    raw[:, 0] = raw[:, -1] = 0
+    resp = box_mean(raw, 1)
+    resp /= 8.0
+    return resp
 
 
 def _local_maxima(resp: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from fernkit import ClassSet, GrayImage, Keypoint, box_smooth
-from fernkit.image import BACKGROUND, box_mean, deform_matrix, unwarp_points, warp_points
+from fernkit.image import BACKGROUND, deform_matrix, unwarp_points, warp_points
 
 
 def make_texture(width: int, height: int, seed: int, block: int = 8) -> GrayImage:
@@ -167,12 +167,12 @@ def local_maxima_oracle(resp: np.ndarray) -> np.ndarray:
 def response_map_oracle(img: GrayImage) -> np.ndarray:
     """Ring-contrast response with a fresh array for every expression."""
     px = img.pixels.astype(np.float64)
-    window = box_mean(img.pixels, 1) * 9.0
+    window = box_mean_corner_oracle(img.pixels, 1) * 9.0
     ring_mean = (window - px) / 8.0
     raw = np.abs(px - ring_mean)
     raw[0, :] = raw[-1, :] = 0.0
     raw[:, 0] = raw[:, -1] = 0.0
-    return box_mean(raw, 1)
+    return box_mean_corner_oracle(raw, 1)
 
 
 def detect_keypoints_oracle(img: GrayImage, max_count: int, patch_size: int) -> list:

@@ -233,7 +233,7 @@ class TestCachedPosteriors:
         assert model._posteriors is table
 
     @pytest.mark.parametrize("kind", ["fern", "tree"])
-    def test_no_stale_table_after_train_merged_or_truncated(self, kind):
+    def test_no_stale_table_after_train_or_truncated(self, kind):
         model = trained(kind, Combination.NAIVE_BAYES)
         rng = np.random.default_rng(9)
         patches = random_patches(rng, 300, PATCH)
@@ -247,8 +247,6 @@ class TestCachedPosteriors:
         model.train(zip(more, rng.integers(0, model.num_classes, 200).tolist()))
         after = averaged(model)
         assert after != before and after == averaged(rebuilt(model))
-        merged = model.merged(model)
-        assert averaged(merged) == averaged(rebuilt(merged))
         truncated = model.truncated(2)
         assert averaged(truncated) == averaged(rebuilt(truncated))
 
@@ -303,8 +301,9 @@ class TestBoundedMemory:
     def test_response_map_overwrites_its_temporaries(self):
         w, h = 640, 480
         img = GrayImage(np.random.default_rng(5).integers(0, 256, (h, w)).astype(np.uint8))
-        # box_mean holds its table, sums and quotient beside the input
-        # floats; a fresh array per expression peaks at six frames
+        # the contrast and its window sums are narrow integers, and the box
+        # mean is the one float64 frame (the peak is ~1.8 frames); a fresh
+        # float64 array per expression peaks at six frames
         peak = peak_traced_bytes(lambda: _response_map(img))
         assert peak < 5 * w * h * 8
 

@@ -268,28 +268,14 @@ class TestTrain:
         with pytest.raises(InvalidArgument, match="totals disagree"):
             FernModel(small_model.classes, small_model.ferns, counts)
 
-    def test_shard_merge_commutative(self):
-        rng = np.random.default_rng(8)
-        classes = grid_classes(3, 9)
-        patches = random_patches(rng, 50, 9)
-        labels = rng.integers(0, 3, 50)
-        samples = [(GrayImage(p), int(l)) for p, l in zip(patches, labels)]
-
-        def shard(subset):
-            m = FernModel(classes, make_random_ferns(2, 3, 9, np.random.default_rng(4)))
-            return m.train(iter(subset))
-
-        full = shard(samples)
-        a, b = shard(samples[:25]), shard(samples[25:])
-        assert np.array_equal(a.merged(b).counts, full.counts)
-        assert np.array_equal(b.merged(a).counts, a.merged(b).counts)
-
-        # associativity over three shards
-        x, y, z = shard(samples[:10]), shard(samples[10:30]), shard(samples[30:])
-        left = x.merged(y).merged(z)
-        right = x.merged(y.merged(z))
-        assert np.array_equal(left.counts, right.counts)
-        assert np.array_equal(left.counts, full.counts)
+    @pytest.mark.parametrize(
+        "bad", [-1, 1.7, np.nan, np.inf, 2.0**64], ids=["-1", "1.7", "nan", "inf", "2**64"]
+    )
+    def test_counts_that_are_not_whole_and_non_negative_rejected(self, bad):
+        counts = spread_counts(9).astype(np.int64 if bad == -1 else np.float64)
+        counts[:, 0, 0] = bad  # in both ferns, so unit totals still agree
+        with pytest.raises(InvalidArgument, match="whole numbers"):
+            two_fern_model(counts)
 
 
 class TestClassify:
@@ -625,21 +611,6 @@ class TestNarrowCounts:
         assert loaded._counts.dtype == np.uint8
         assert loaded._counts.nbytes * 8 == small_model.counts.nbytes
 
-    def test_merge_of_u8_files_does_not_wrap(self):
-        a, b = two_fern_model(spread_counts(200)), two_fern_model(spread_counts(100))
-        la, lb = FernModel.load(a.save()), FernModel.load(b.save())
-        assert la._counts.dtype == lb._counts.dtype == np.uint8
-        merged = la.merged(lb)
-        # neither shard is widened, and the merged model rests narrow too
-        assert la._counts.dtype == lb._counts.dtype == np.uint8
-        assert merged._counts.dtype == np.uint16
-        want = spread_counts(200) + spread_counts(100)
-        assert merged.counts.dtype == np.uint64
-        assert int(merged.counts[0, 1, 1]) == 300
-        assert np.array_equal(merged.counts, want)
-        assert merged.log_table.tobytes() == two_fern_model(want).log_table.tobytes()
-        assert merged.save() == a.merged(b).save()
-
     def test_accumulate_on_a_loaded_model(self, small_model):
         built = FernModel(small_model.classes, small_model.ferns, small_model.counts)
         loaded = FernModel.load(small_model.save())
@@ -680,8 +651,8 @@ class TestNarrowCounts:
 
     @pytest.mark.parametrize(
         "source",
-        ["fresh", "uint64", "fortran", "uint8", "int64", "bool",
-         "loaded1", "loaded2", "loaded4", "loaded8", "truncated", "merged"],
+        ["fresh", "uint64", "fortran", "uint8", "int64", "float64", "bool",
+         "loaded1", "loaded2", "loaded4", "loaded8", "truncated"],
     )
     def test_every_read_is_c_ordered_uint64(self, source):
         counts = spread_counts({"loaded2": 300, "loaded4": 70000, "loaded8": 2**33}.get(source, 9))
@@ -691,11 +662,9 @@ class TestNarrowCounts:
             "fortran": lambda: two_fern_model(np.asfortranarray(counts)),
             "uint8": lambda: two_fern_model(counts.astype(np.uint8)),
             "int64": lambda: two_fern_model(counts.astype(np.int64)),
+            "float64": lambda: two_fern_model(counts.astype(np.float64)),
             "bool": lambda: two_fern_model(counts.astype(bool)),
             "truncated": lambda: FernModel.load(two_fern_model(counts).save()).truncated(1),
-            "merged": lambda: FernModel.load(two_fern_model(counts).save()).merged(
-                FernModel.load(two_fern_model(counts).save())
-            ),
         }.get(source, lambda: FernModel.load(two_fern_model(counts).save()))()
         if source.startswith("loaded"):
             assert model._counts.itemsize == int(source[-1])
@@ -704,7 +673,7 @@ class TestNarrowCounts:
             assert got.dtype == np.uint64
             assert got.flags.c_contiguous
             assert got.flags.writeable
-        want = {"fresh": 0, "bool": counts.astype(bool), "merged": 2 * counts}.get(source, counts)
+        want = {"fresh": 0, "bool": counts.astype(bool)}.get(source, counts)
         want = np.broadcast_to(want, counts.shape)[: got.shape[0]]
         assert np.array_equal(got, want)
 

@@ -10,6 +10,7 @@ from fernkit import (
     InsufficientKeypoints,
     InvalidArgument,
     Keypoint,
+    add_noise,
     detect_keypoints,
     select_stable_classes,
 )
@@ -175,6 +176,22 @@ class TestResponseMap:
     @pytest.mark.parametrize("kind", ["levels", "spots", "texture"])
     def test_bytes_equal_oracle_on_tied_images(self, kind):
         img = tied_image(kind, 3)
+        assert _response_map(img).tobytes() == response_map_oracle(img).tobytes()
+
+    @pytest.mark.parametrize("kind", ["noise", "noisy_texture", "lone_255", "0_in_255_ring"])
+    def test_bytes_equal_oracle_on_full_frames(self, kind):
+        h, w = 480, 640
+        if kind == "noise":
+            pixels = np.random.default_rng(48).integers(0, 256, (h, w)).astype(np.uint8)
+        elif kind == "noisy_texture":
+            pixels = add_noise(make_texture(w, h, 48), 8.0, np.random.default_rng(49)).pixels
+        else:
+            # the largest contrast a ring allows: 8 * 255 before the 1/8
+            pixels = np.zeros((h, w), dtype=np.uint8)
+            pixels[200, 300] = 255
+            if kind == "0_in_255_ring":
+                pixels[199:202, 299:302] = 255 - pixels[199:202, 299:302]
+        img = GrayImage(pixels)
         assert _response_map(img).tobytes() == response_map_oracle(img).tobytes()
 
 

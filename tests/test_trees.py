@@ -122,20 +122,6 @@ class TestTrainForest:
         )
         assert np.allclose(np.exp(forest.log_table[1]), expected)
 
-    def test_shard_merge(self):
-        rng = np.random.default_rng(9)
-        patches = random_patches(rng, 40, 9)
-        labels = rng.integers(0, 3, 40)
-        samples = [(GrayImage(p), int(l)) for p, l in zip(patches, labels)]
-
-        def shard(subset):
-            f = TreeForest.random(grid_classes(3, 9), 2, 3, np.random.default_rng(10))
-            return f.train(iter(subset))
-
-        full = shard(samples)
-        merged = shard(samples[:20]).merged(shard(samples[20:]))
-        assert np.array_equal(merged.counts, full.counts)
-
 
 def forged_depth_file(forest: TreeForest, depth: int) -> bytes:
     """The forest's file with its header's depth word replaced."""
