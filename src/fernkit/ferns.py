@@ -203,6 +203,7 @@ class LeafModel:
         # exactly uniform (and stays finite for classes never seen)
         self.log_prior = np.full(self.num_classes, -np.log(self.num_classes))
         self._rebuild_tables()
+        self._one_patch = None  # _score_one's buffers, made on first use
         self.pixel_comparisons = 0
         self.table_lookups = 0
 
@@ -256,11 +257,15 @@ class LeafModel:
         Every sample reaches one leaf of every unit, so each unit's
         per-class totals must agree. The check keeps the (U, H) Laplace
         denominators ``totals + 2^D`` that every table row divides by; the
-        tables themselves are built on first read.
+        tables themselves are built on first read. The totals are summed in
+        the narrowest integers that hold them exactly (``_total_dtype``),
+        which gives the values of a float64 sum at a fraction of its cost.
         """
-        totals = self._counts.sum(axis=1, dtype=np.float64)  # (U, H)
+        acc = _total_dtype(self._counts.dtype, self.num_leaves)
+        totals = self._counts.sum(axis=1, dtype=acc)  # (U, H)
         if np.any(totals != totals[0]):
             raise InvalidArgument("per-class sample totals disagree across units")
+        totals = totals.astype(np.float64, copy=False)
         totals += float(self.num_leaves)
         self._denominators = totals
         self._log_table = self._posteriors = None
@@ -349,15 +354,21 @@ class LeafModel:
 
     def posterior(self, img: GrayImage, center: Keypoint) -> np.ndarray:
         """Normalized class posterior; sums to 1, argmax agrees with classify."""
-        scores = self._score_one(img, center)
+        scores = self._score_one(img, center).copy()
         if self.combination is Combination.NAIVE_BAYES:
             scores = _softmax_rows(scores)
         return scores[0]
 
     def _score_one(self, img: GrayImage, center: Keypoint) -> np.ndarray:
         """(1, H) scores of the patch at one location under the model's
-        combination: one block, without classify_patches' batch loop."""
-        scores, rows = self._buffers(1)
+        combination: one block, without classify_patches' batch loop.
+
+        The score row and the gather scratch are the model's own, made on
+        its first one-patch call, so the next call overwrites the row.
+        """
+        if self._one_patch is None:
+            self._one_patch = self._buffers(1)
+        scores, rows = self._one_patch
         self._score_block(self._window(img, center), self.combination, scores, rows)
         return scores
 
@@ -398,7 +409,6 @@ class LeafModel:
         self.table_lookups += leaves.size
         k, units = leaves.shape
         naive_bayes = combination is Combination.NAIVE_BAYES
-        scores[:] = self.log_prior if naive_bayes else 0.0
         if naive_bayes and k == 1 and self._log_table is None:
             table = None  # rows come from the counts
         elif naive_bayes:
@@ -408,9 +418,11 @@ class LeafModel:
         # rows of ``table`` to add, unit-major: unit u's k rows, then u + 1's
         cells = (leaves + self._unit_rows).T.ravel()
         # a reduction over a single column sums pairwise, not in order
-        step = max(1, PATCH_BLOCK // k) if scores.size > 1 else 1
-        for start in range(0, cells.size, step * k):
-            ids = cells[start : start + step * k]
+        step = k * max(1, PATCH_BLOCK // k) if scores.size > 1 else k
+        # what the scores start from, and then the scores so far
+        total = self.log_prior if naive_bayes else 0.0
+        for start in range(0, cells.size, step):
+            ids = cells[start : start + step]
             got = rows[: ids.size]
             if table is None:
                 self._log_rows(ids, start, got)
@@ -419,12 +431,13 @@ class LeafModel:
                 # write straight into ``got`` instead of buffering it
                 table.take(ids, axis=0, out=got, mode="clip")
             if ids.size == k:
-                scores += got
+                np.add(total, got, out=scores)
             else:
                 # r + s equals s + r bit for bit, and a reduction over the
                 # outer axis adds its rows in order
-                got[:k] += scores
+                got[:k] += total
                 np.add.reduce(got.reshape(-1, *scores.shape), axis=0, out=scores)
+            total = scores
         if not naive_bayes:
             scores /= units
 
@@ -487,12 +500,10 @@ class LeafModel:
         if pos != len(data):
             raise FormatError(f"{len(data) - pos} trailing bytes")
         try:
-            classes = ClassSet(
-                tuple(Keypoint(float(x), float(y)) for x, y in kp), patch_size
-            )
+            # tolist converts every value to a Python float or int at once
+            classes = ClassSet(tuple(Keypoint(x, y) for x, y in kp.tolist()), patch_size)
             unit_tests = [
-                tuple(FeatureTest(*(int(v) for v in row)) for row in rows)
-                for rows in tests
+                tuple(FeatureTest(*row) for row in rows) for rows in tests.tolist()
             ]
             # the totals check rejects counts whose unit totals disagree;
             # no table is built until one is read
@@ -598,6 +609,17 @@ def _narrowest(counts: np.ndarray) -> np.ndarray:
     """``counts`` at the narrowest width in ``COUNT_WIDTHS`` that holds the
     largest of them; ``counts`` itself when it already has that width."""
     return counts.astype(f"u{_width(int(counts.max()))}", copy=False)
+
+
+def _total_dtype(dtype: np.dtype, terms: int) -> np.dtype:
+    """The dtype to sum ``terms`` counts of ``dtype`` in: the narrowest
+    unsigned width in ``COUNT_WIDTHS`` that holds ``terms`` times its largest
+    count, so the sum is exact and equals float64's; float64 itself once
+    that bound reaches 2^53, where a float64 sum may round and its bytes
+    are the rule."""
+    largest = 1 if dtype == np.bool_ else int(np.iinfo(dtype).max)
+    bound = terms * largest
+    return np.dtype(np.float64 if bound >= 2**53 else f"u{_width(bound)}")
 
 
 def _width(largest: int) -> int:

@@ -477,13 +477,22 @@ def window_sums(arr: np.ndarray, radius: int) -> np.ndarray:
 
     Summed separably, rows then columns, by shifted slice adds at the
     narrowest signed width that holds a window's sum; integer sums are
-    exact in any order.
+    exact in any order. Where the dtype's worst case needs more than int64,
+    the sums are bounded by the values the array holds instead, and an
+    array whose sums int64 cannot hold is rejected rather than wrapped.
     """
     h, w = arr.shape
     # a radius past an edge clips every window the same as radius h - 1
     ry, rx = min(radius, h - 1), min(radius, w - 1)
+    cells = (2 * ry + 1) * (2 * rx + 1)
     info = np.iinfo(arr.dtype)
-    largest = (2 * ry + 1) * (2 * rx + 1) * max(info.max, -info.min)
+    largest = cells * max(info.max, -info.min)
+    if largest >= 2**63 and arr.size:
+        low, high = int(arr.min()), int(arr.max())
+        if cells * low < -(2**63) or cells * high >= 2**63:
+            raise InvalidArgument(
+                f"window sums of {cells} values in [{low}, {high}] exceed int64"
+            )
     acc = np.int16 if largest < 2**15 else np.int32 if largest < 2**31 else np.int64
     # down the columns through the transpose, then along the rows
     return _line_sums(_line_sums(arr.astype(acc).T, ry).T, rx)

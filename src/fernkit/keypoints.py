@@ -17,7 +17,6 @@ from .errors import InsufficientKeypoints, InvalidArgument
 from .image import (
     AffineDeform,
     GrayImage,
-    box_mean,
     sample_deformation,
     unwarp_points,
     warp_image,
@@ -115,34 +114,51 @@ def _any_pair_closer(coords: np.ndarray, min_sep: float) -> bool:
     return False
 
 
-def _response_map(img: GrayImage) -> np.ndarray:
-    """Ring-contrast response, box-smoothed so isolated peaks stay unimodal.
+def _response_sums(img: GrayImage) -> np.ndarray:
+    """Each pixel's box-smoothed ring contrast times 288, as exact int32.
 
     A pixel's contrast |centre - ring mean| is |9 * centre - window sum| / 8
-    over its 3x3 window. It is taken in exact integers and the 1/8 applied
-    after the box mean: scaling by a power of two commutes with rounding,
-    so that is the float64 the mean of the eighths would give.
+    over its 3x3 window, and 0 on the border, which lacks a full ring (it is
+    outside any patch margin anyway). Smoothing takes the mean of 8 times
+    the contrast over each clipped 3x3 window of 9, 6 or 4 cells; 36 / cells
+    is whole, so 36 times that mean is an integer. Two different means
+    differ by at least 1/81, far above float64 spacing, so these integers
+    order and tie as the float means do, and ``_response`` gives a kept
+    pixel its float. A frame under 3 pixels across has no ring: all 0.
     """
     raw = window_sums(img.pixels, 1)
     raw -= np.multiply(img.pixels, 9, dtype=raw.dtype)
     np.abs(raw, out=raw)
-    # Border pixels lack a full ring; they are outside any patch margin anyway.
     raw[0, :] = raw[-1, :] = 0
     raw[:, 0] = raw[:, -1] = 0
-    resp = box_mean(raw, 1)
-    resp /= 8.0
-    return resp
+    sums = window_sums(raw, 1)
+    # 36 / 9 inside; an edge row or column holds 2 of 3 lines, so it takes
+    # 3 / 2 of that, and a corner cell both
+    sums *= 4
+    for edge in (sums[0], sums[-1], sums[:, 0], sums[:, -1]):
+        edge //= 2
+        edge *= 3
+    return sums
+
+
+def _response(sums: np.ndarray) -> np.ndarray:
+    """The float64 responses of ``_response_sums`` values, the bytes of the
+    float map: dividing by 288 rounds the real number that dividing a window
+    sum by its cell count rounds, times 1/8, which commutes with rounding."""
+    return sums / 288.0
 
 
 def _local_maxima(resp: np.ndarray) -> np.ndarray:
     """Mask of pixels equal to the max of their 3x3 neighborhood."""
     # the 3x3 max is separable: a 3-wide max along each row, then along each
     # column; border pixels compare only with the neighbors they have
-    rows = resp.copy()
-    np.maximum(rows[:, 1:], resp[:, :-1], out=rows[:, 1:])
+    rows = np.empty_like(resp)
+    rows[:, 0] = resp[:, 0]
+    np.maximum(resp[:, 1:], resp[:, :-1], out=rows[:, 1:])
     np.maximum(rows[:, :-1], resp[:, 1:], out=rows[:, :-1])
-    best = rows.copy()
-    np.maximum(best[1:], rows[:-1], out=best[1:])
+    best = np.empty_like(resp)
+    best[0] = rows[0]
+    np.maximum(rows[1:], rows[:-1], out=best[1:])
     np.maximum(best[:-1], rows[1:], out=best[:-1])
     return resp >= best
 
@@ -153,22 +169,24 @@ def detect_keypoints(
     """Detect up to ``max_count`` ring-contrast maxima away from the border.
 
     Returned sorted by response descending, ties in scanline (y, x) order.
-    Images smaller than the patch yield an empty list.
+    Images smaller than the patch yield an empty list. Maxima are found and
+    ranked on the exact integer responses of ``_response_sums``; only the
+    returned keypoints get a float response, with the float map's bytes.
     """
     if max_count < 1:
         return []
     margin = patch_size // 2
     if img.width < patch_size or img.height < patch_size:
         return []
-    resp = _response_map(img)
-    keep = _local_maxima(resp) & (resp > 0.0)
+    sums = _response_sums(img)
+    keep = _local_maxima(sums) & (sums > 0)
     # flat indices in scanline order, so (y, x) come out as np.nonzero's
     ys, xs = np.divmod(np.flatnonzero(keep), img.width)
     inside = window_fits(xs, ys, img.width, img.height, margin)
     ys, xs = ys[inside], xs[inside]
     if ys.size == 0:
         return []
-    neg = -resp[ys, xs]
+    neg = -sums[ys, xs]
     if neg.size > max_count:
         # only maxima at or above the max_count-th response can be ranked in,
         # so ties with it stay and the full ranking of those is unchanged
@@ -179,7 +197,7 @@ def detect_keypoints(
     xs, ys = xs[order], ys[order]
     return [
         Keypoint(float(x), float(y), r)
-        for x, y, r in zip(xs.tolist(), ys.tolist(), resp[ys, xs].tolist())
+        for x, y, r in zip(xs.tolist(), ys.tolist(), _response(sums[ys, xs]).tolist())
     ]
 
 

@@ -22,7 +22,7 @@ from fernkit import (
 )
 from fernkit.ferns import PATCH_BLOCK, Combination
 from fernkit.image import PIXEL_BLOCK, _pixel_blocks
-from fernkit.keypoints import _response_map
+from fernkit.keypoints import detect_keypoints
 
 from support import (
     add_noise_oracle,
@@ -301,11 +301,10 @@ class TestBoundedMemory:
     def test_response_map_overwrites_its_temporaries(self):
         w, h = 640, 480
         img = GrayImage(np.random.default_rng(5).integers(0, 256, (h, w)).astype(np.uint8))
-        # the contrast and its window sums are narrow integers, and the box
-        # mean is the one float64 frame (the peak is ~1.8 frames); a fresh
-        # float64 array per expression peaks at six frames
-        peak = peak_traced_bytes(lambda: _response_map(img))
-        assert peak < 5 * w * h * 8
+        # the contrast, its window sums and their maxima are narrow integer
+        # frames, and only the kept keypoints get a float
+        peak = peak_traced_bytes(lambda: detect_keypoints(img, 800, 31))
+        assert peak < 2 * w * h * 8
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_warp_image_holds_no_frame_sized_floats(self, masked):

@@ -333,6 +333,38 @@ class TestMatch:
         )
 
 
+class TestMatchGolden:
+    """Pinned match CSVs of a noisy test frame, so detection and one-patch
+    scoring keep every byte: at patch 31, and at patch 3, where keypoints
+    sit next to the clipped border windows of the response."""
+
+    PINS = {
+        31: "da3399f76d2a1005e847e377c787ff3e7189cc2d99c902f339db9e9ef3e7e772",
+        3: "9e63686970295a6e77c765f357d80ca5676f4b52d82d8f28c186ad5a66ceece3",
+    }
+
+    @pytest.mark.parametrize("patch", sorted(PINS))
+    def test_csv_bytes_are_pinned(self, workdir, patch):
+        model = workdir / f"golden{patch}.bin"
+        code = run(
+            "train", "--image", workdir / "ref.pgm", "--model", model,
+            "--seed", 5, "--classes", 12, "--ferns", 6, "--fern-size", 5,
+            "--patch", patch, "--views-per-degree", 1, "--degrees", 60,
+        )
+        assert code == 0
+        frame = workdir / f"golden_frame{patch}.pgm"
+        code = run(
+            "warp", "--image", workdir / "ref.pgm", "--seed", 5, "--kind", "test",
+            "--view-id", 2, "--tests", 3, "--out", frame,
+        )
+        assert code == 0
+        out = workdir / f"golden{patch}.csv"
+        code = run("match", "--image", frame, "--model", model, "--seed", 5, "--out", out)
+        assert code == 0
+        assert len(out.read_text().splitlines()) > 20
+        assert sha256(out) == self.PINS[patch]
+
+
 class TestModelFiles:
     def test_version_1_model_exits_4(self, workdir, trained, capsys):
         old = workdir / "v1.bin"

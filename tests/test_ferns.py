@@ -27,6 +27,7 @@ from fernkit.ferns import (
     DEFAULT_FERN_SIZE,
     PATCH_BLOCK,
     Combination,
+    _total_dtype,
     train_models,
 )
 
@@ -601,6 +602,59 @@ def two_fern_model(counts: np.ndarray) -> FernModel:
         Fern((FeatureTest(1, 1, -1, -1), FeatureTest(-1, 1, 1, -1))),
     ]
     return FernModel(grid_classes(2, 5), ferns, counts)
+
+
+class TestTotalsCheck:
+    """The totals check sums in the narrowest integers that hold a unit's
+    totals, and its denominators are the float64 sum's bytes at every width."""
+
+    @pytest.mark.parametrize("dtype, largest", [
+        ("uint8", 255), ("uint8", 3), ("uint16", 2**16 - 1), ("uint32", 2**32 - 1),
+        ("uint64", 2**64 - 1), ("uint64", 3), ("bool", 1),
+    ])
+    def test_denominators_equal_the_float64_sum(self, dtype, largest):
+        rng = np.random.default_rng(largest)
+        leaves = rng.integers(0, largest, (16, 3), endpoint=True, dtype=np.uint64)
+        # three units of the same leaves: their totals agree in any sum
+        counts = np.stack([leaves] * 3).astype(dtype)
+        ferns = make_random_ferns(3, 4, 9, rng)
+        model = FernModel(grid_classes(3, 9), ferns, counts)
+        assert model._counts.dtype == np.dtype(dtype)
+        want = counts.sum(axis=1, dtype=np.float64) + 16.0
+        assert model._denominators.dtype == np.float64
+        assert model._denominators.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("depth, acc", [(8, np.uint16), (9, np.uint32),
+                                            (24, np.uint32), (25, np.uint64)])
+    def test_both_sides_of_an_accumulator_boundary(self, depth, acc):
+        # u8 counts of 255 at every leaf: 2^24 x 255 is the largest total a
+        # uint32 holds, and 2^25 x 255 would wrap it
+        assert _total_dtype(np.dtype(np.uint8), 1 << depth) == acc
+        counts = np.full((1, 1 << depth, 1), 255, dtype=np.uint8)
+        counts.flags.writeable = False  # shared, not copied
+        ferns = make_random_ferns(1, depth, 9, np.random.default_rng(depth))
+        model = FernModel(grid_classes(1, 9), ferns, counts)
+        want = counts.sum(axis=1, dtype=np.float64) + float(1 << depth)
+        assert model._denominators.tobytes() == want.tobytes()
+        assert model._denominators.tolist() == [[256.0 * (1 << depth)]]
+
+    def test_float64_past_two_to_the_53(self):
+        assert _total_dtype(np.dtype(np.uint64), 2) == np.float64
+        assert _total_dtype(np.dtype(np.uint32), 1 << 21) == np.uint64
+        assert _total_dtype(np.dtype(np.uint32), 1 << 22) == np.float64
+        assert _total_dtype(np.dtype(np.bool_), 1 << 7) == np.uint8
+
+    @pytest.mark.parametrize("value, width", [(9, 1), (1000, 2), (70000, 4), (2**33, 8)])
+    def test_disagreeing_totals_are_corrupt_at_each_width(self, value, width):
+        model = two_fern_model(spread_counts(value))
+        data = bytearray(model.save())
+        start, stored = count_section(data, model)
+        assert stored == width
+        FernModel.load(bytes(data))
+        # the low byte of fern 0's count at leaf 1, class 1 (cell 3)
+        data[start + 3 * width] ^= 1
+        with pytest.raises(CorruptModel, match="totals disagree"):
+            FernModel.load(bytes(data))
 
 
 class TestNarrowCounts:

@@ -471,6 +471,34 @@ class TestWindowSumsSeparable:
             assert np.array_equal(got, window_sums_oracle(values, radius))
 
 
+class TestWindowSumsBeyondInt64:
+    """Arrays whose dtype can hold values that int64 sums cannot are bounded
+    by the values they hold; sums int64 cannot hold are an error, not a wrap."""
+
+    def test_uint64_beyond_int64_rejected(self):
+        with pytest.raises(InvalidArgument, match="exceed int64"):
+            window_sums(np.array([[2**63]], np.uint64), 0)
+
+    def test_box_mean_of_wide_int64_rejected(self):
+        with pytest.raises(InvalidArgument, match="exceed int64"):
+            box_mean(np.full((1, 3), 2**62), 1)
+
+    @pytest.mark.parametrize("value", [2**63 - 1, 2**62, 1])
+    def test_uint64_values_int64_holds_are_summed(self, value):
+        values = np.array([[value, 0]], np.uint64)
+        assert window_sums(values, 0).tolist() == [[value, 0]]
+        # the bound counts a full 3-cell row window, clipped or not
+        third = np.array([[value // 3, 0]], np.uint64)
+        assert window_sums(third, 1).tolist() == [[value // 3] * 2]
+
+    @pytest.mark.parametrize("low, high", [(-(2**63), 0), (-(2**61), 2**61 - 1)])
+    def test_int64_at_the_int64_bounds(self, low, high):
+        values = np.array([[low, high], [0, 0]])
+        assert window_sums(values, 0).tolist() == values.tolist()
+        with pytest.raises(InvalidArgument, match="exceed int64"):
+            window_sums(np.array([[low, high], [0, low]]), 1)
+
+
 class TestDeterminism:
     def test_equal_seeds_byte_identical(self, texture_small):
         outs = []

@@ -14,7 +14,7 @@ from fernkit import (
     detect_keypoints,
     select_stable_classes,
 )
-from fernkit.keypoints import _local_maxima, _response_map, window_fits
+from fernkit.keypoints import _local_maxima, _response, _response_sums, window_fits
 
 from support import (
     detect_keypoints_oracle,
@@ -166,17 +166,49 @@ class TestTopKSelection:
             assert keypoint_bytes(got) == keypoint_bytes(ranked[:max_count])
 
 
+class TestDetectEqualsOracle:
+    """Every keypoint, ``response`` bytes included, equals the float
+    oracle's, on frames small enough that most cells touch a clipped border
+    and on frames that hold a 31-pixel patch."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 7), (9, 4), (33, 31), (40, 35)])
+    @pytest.mark.parametrize("kind", ["random", "binary", "constant"])
+    @pytest.mark.parametrize("patch", [3, 5, 31])
+    def test_keypoint_bytes(self, shape, kind, patch):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        pixels = {
+            "random": lambda: rng.integers(0, 256, shape),
+            "binary": lambda: 255 * rng.integers(0, 2, shape),
+            "constant": lambda: np.full(shape, 77),
+        }[kind]()
+        img = GrayImage(pixels.astype(np.uint8))
+        for max_count in (1, 7, 800, 10**6):
+            got = detect_keypoints(img, max_count, patch)
+            want = detect_keypoints_oracle(img, max_count, patch)
+            assert keypoint_bytes(got) == keypoint_bytes(want)
+
+
+def response_map(img: GrayImage) -> np.ndarray:
+    """The float64 response of every cell, from its exact integer sum."""
+    return _response(_response_sums(img))
+
+
 class TestResponseMap:
+    """The integer response sums, taken to floats, equal the float oracle's
+    map byte for byte, so detection keeps the float ranking and ties."""
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (2, 2), (3, 3), (37, 53)])
     def test_bytes_equal_oracle(self, shape):
         rng = np.random.default_rng(shape[0] * 31 + shape[1])
         img = GrayImage(rng.integers(0, 256, shape).astype(np.uint8))
-        assert _response_map(img).tobytes() == response_map_oracle(img).tobytes()
+        assert response_map(img).tobytes() == response_map_oracle(img).tobytes()
 
     @pytest.mark.parametrize("kind", ["levels", "spots", "texture"])
     def test_bytes_equal_oracle_on_tied_images(self, kind):
         img = tied_image(kind, 3)
-        assert _response_map(img).tobytes() == response_map_oracle(img).tobytes()
+        assert response_map(img).tobytes() == response_map_oracle(img).tobytes()
+        got = detect_keypoints(img, 10**6, 3)
+        assert keypoint_bytes(got) == keypoint_bytes(detect_keypoints_oracle(img, 10**6, 3))
 
     @pytest.mark.parametrize("kind", ["noise", "noisy_texture", "lone_255", "0_in_255_ring"])
     def test_bytes_equal_oracle_on_full_frames(self, kind):
@@ -192,7 +224,9 @@ class TestResponseMap:
             if kind == "0_in_255_ring":
                 pixels[199:202, 299:302] = 255 - pixels[199:202, 299:302]
         img = GrayImage(pixels)
-        assert _response_map(img).tobytes() == response_map_oracle(img).tobytes()
+        assert response_map(img).tobytes() == response_map_oracle(img).tobytes()
+        got = detect_keypoints(img, 800, 31)
+        assert keypoint_bytes(got) == keypoint_bytes(detect_keypoints_oracle(img, 800, 31))
 
 
 class TestLocalMaxima:
@@ -212,8 +246,11 @@ class TestLocalMaxima:
         assert np.array_equal(_local_maxima(resp), local_maxima_oracle(resp))
 
     def test_response_map_of_texture(self, texture_small):
-        resp = _response_map(texture_small)
+        # the float map and the integer sums it comes from share their maxima
+        sums = _response_sums(texture_small)
+        resp = _response(sums)
         assert np.array_equal(_local_maxima(resp), local_maxima_oracle(resp))
+        assert np.array_equal(_local_maxima(sums), local_maxima_oracle(resp))
 
 
 class TestClassSet:
