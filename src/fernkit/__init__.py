@@ -21,10 +21,8 @@ from .errors import (
     UnsupportedFormat,
 )
 from .evaluate import (
-    BenchResult,
     EvalRecord,
     Method,
-    bench_classify,
     compare_methods,
     recognition_rate,
     sweep_units,
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineDeform",
-    "BenchResult",
     "ClassSet",
     "Combination",
     "CorruptModel",
@@ -82,7 +79,6 @@ __all__ = [
     "TreeForest",
     "UnsupportedFormat",
     "add_noise",
-    "bench_classify",
     "box_smooth",
     "compare_methods",
     "deform_matrix",

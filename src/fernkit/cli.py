@@ -220,8 +220,13 @@ def _sweep_setup(args):
 
 
 def cmd_sweep(args) -> int:
+    counts = []
+    for v in filter(None, args.units.split(",")):
+        try:
+            counts.append(int(v))
+        except ValueError:
+            raise InvalidArgument(f"--units holds {v!r}, not an integer") from None
     img, classes, spec = _sweep_setup(args)
-    counts = [int(v) for v in args.units.split(",") if v]
     records = evaluate.sweep_units(
         img,
         classes,
@@ -307,9 +312,12 @@ def main(argv=None) -> int:
         "warp": cmd_warp,
     }[args.command]
     try:
-        # every subcommand takes --threads; reject it before any work starts
+        # every subcommand takes --threads and --seed; reject them before
+        # any work starts
         if args.threads < 1:
             raise InvalidArgument(f"threads must be >= 1, got {args.threads}")
+        if args.seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {args.seed}")
         return handler(args)
     except InsufficientKeypoints as exc:
         print(f"error: {exc}", file=sys.stderr)

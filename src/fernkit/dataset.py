@@ -18,7 +18,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -206,50 +206,37 @@ def _iter_views(img, params, threads: int, classes: ClassSet | None) -> Iterator
 
 def _views(
     img: GrayImage, spec: DatasetSpec, seed: int, stream: int, threads: int,
-    deforms: Sequence[AffineDeform] | None, classes: ClassSet | None,
+    classes: ClassSet | None,
 ) -> Iterator[View]:
-    """The views of one stream, their parameters drawn as they are rendered."""
+    """The views of one stream, their parameters drawn as they are rendered.
+
+    Views are full frames unless ``classes`` is given: then only the pixels
+    under the windows ``extract_patches`` keeps are rendered, and the rest
+    read BACKGROUND. Crops from either render are identical, and a noisy
+    view draws the same full-frame noise field either way.
+    """
     # checked before any view is rendered, not when the iterator first runs
     if threads < 1:
         raise InvalidArgument(f"threads must be >= 1, got {threads}")
-    if deforms is None:
-        deforms = [None] * _view_count(spec, stream)
-    params = (_view_params(img, spec, seed, stream, i, d) for i, d in enumerate(deforms))
+    params = (
+        _view_params(img, spec, seed, stream, i) for i in range(_view_count(spec, stream))
+    )
     return _iter_views(img, params, threads, classes)
 
 
 def training_views(
-    img: GrayImage,
-    spec: DatasetSpec,
-    seed: int,
-    threads: int = 1,
-    deforms: Sequence[AffineDeform] | None = None,
-    classes: ClassSet | None = None,
+    img: GrayImage, spec: DatasetSpec, seed: int, threads: int = 1
 ) -> Iterator[View]:
-    """Render the training protocol's views_per_degree x degrees warped views.
-
-    Views are full frames unless ``classes`` is given: then only the pixels
-    under the windows ``extract_patches`` keeps are rendered, and the rest
-    read BACKGROUND. Crops from either render are identical.
-    """
-    return _views(img, spec, seed, STREAM_TRAIN, threads, deforms, classes)
+    """Render the training protocol's views_per_degree x degrees warped
+    views as full frames."""
+    return _views(img, spec, seed, STREAM_TRAIN, threads, None)
 
 
 def test_views(
-    img: GrayImage,
-    spec: DatasetSpec,
-    seed: int,
-    threads: int = 1,
-    deforms: Sequence[AffineDeform] | None = None,
-    classes: ClassSet | None = None,
+    img: GrayImage, spec: DatasetSpec, seed: int, threads: int = 1
 ) -> Iterator[View]:
-    """Render test views: full-range deforms plus additive noise.
-
-    ``classes`` limits rendering to the kept windows as in
-    :func:`training_views`; the noise still covers the whole frame, so each
-    view draws the same noise field either way.
-    """
-    return _views(img, spec, seed, STREAM_TEST, threads, deforms, classes)
+    """Render test views as full frames: full-range deforms plus additive noise."""
+    return _views(img, spec, seed, STREAM_TEST, threads, None)
 
 
 def protocol_view(
@@ -258,7 +245,8 @@ def protocol_view(
 ) -> View:
     """View ``view_id`` of the training or test stream, rendered alone as a
     full frame with the bytes the stream's iterator gives it; with
-    ``deform``, as the iterator renders it when given that deform."""
+    ``deform``, that view rendered with ``deform`` in place of the drawn one
+    (a test view keeps its noise)."""
     if not 0 <= view_id < _view_count(spec, stream):
         raise InvalidArgument(f"view id {view_id} beyond the protocol's view count")
     return _render(img, *_view_params(img, spec, seed, stream, view_id, deform))
@@ -308,7 +296,7 @@ def _blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The training or test protocol as one (patches, labels) block per view,
     which ``sample_batches`` stacks without a per-patch object."""
-    views = _views(img, spec, seed, stream, threads, None, classes)
+    views = _views(img, spec, seed, stream, threads, classes)
     return ((p, l) for _, p, l in _view_blocks(img, classes, views, stats))
 
 
@@ -326,10 +314,9 @@ def generate_training_set(
     seed: int,
     stats: GenStats | None = None,
     threads: int = 1,
-    deforms: Sequence[AffineDeform] | None = None,
 ) -> Iterator[PatchSample]:
     """Labeled patches from the rotation-bucketed training protocol."""
-    views = _views(img, spec, seed, STREAM_TRAIN, threads, deforms, classes)
+    views = _views(img, spec, seed, STREAM_TRAIN, threads, classes)
     return _samples(_view_blocks(img, classes, views, stats))
 
 
@@ -340,10 +327,9 @@ def generate_test_set(
     seed: int,
     stats: GenStats | None = None,
     threads: int = 1,
-    deforms: Sequence[AffineDeform] | None = None,
 ) -> Iterator[PatchSample]:
     """Labeled noisy patches from independent full-range deformations."""
-    views = _views(img, spec, seed, STREAM_TEST, threads, deforms, classes)
+    views = _views(img, spec, seed, STREAM_TEST, threads, classes)
     return _samples(_view_blocks(img, classes, views, stats))
 
 

@@ -1,10 +1,9 @@
-"""Recognition-rate measurement, method comparison sweeps, and benchmarking."""
+"""Recognition-rate measurement and method comparison sweeps."""
 
 from __future__ import annotations
 
 import csv
 import enum
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -78,12 +77,6 @@ class EvalRecord:
             repr(self.classify_ns_per_patch),
             str(self.seed),
         ]
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    ns_per_patch: float
-    comparisons_per_patch: int
 
 
 def materialize(samples: Iterable) -> tuple[np.ndarray, np.ndarray]:
@@ -179,24 +172,6 @@ def compare_methods(
         record(Method.TREE_NB, forest, patches, labels, seed),
         record(Method.TREE_AVG, forest, patches, labels, seed),
     ]
-
-
-def bench_classify(model, patches: np.ndarray, repetitions: int) -> BenchResult:
-    """Median wall-clock ns per classified patch plus the per-patch read count."""
-    if repetitions < 1:
-        raise InvalidArgument("repetitions must be >= 1")
-    arr = np.asarray(patches)
-    if arr.ndim != 3 or arr.shape[0] == 0:
-        raise InvalidArgument("patches must be a non-empty (N, h, w) array")
-    n = arr.shape[0]
-    before = model.pixel_comparisons
-    timings = []
-    for _ in range(repetitions):
-        start = time.perf_counter_ns()
-        model.classify_patches(arr)
-        timings.append(time.perf_counter_ns() - start)
-    comparisons = (model.pixel_comparisons - before) // (repetitions * n)
-    return BenchResult(statistics.median(timings) / n, int(comparisons))
 
 
 def write_records_csv(records: Iterable[EvalRecord], fileobj) -> None:

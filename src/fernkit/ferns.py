@@ -37,6 +37,8 @@ MODEL_VERSION = 3
 HEADER = struct.Struct("<7I")
 # bytes per stored count; save() picks the narrowest that holds every count
 COUNT_WIDTHS = (1, 2, 4, 8)
+# deepest unit (fern size or tree depth): leaf indices are int64
+MAX_DEPTH = 63
 
 DEFAULT_FERN_COUNT = 30
 DEFAULT_FERN_SIZE = 10  # 30 x 10 = 300 binary features
@@ -44,6 +46,9 @@ DEFAULT_FERN_SIZE = 10  # 30 x 10 = 300 binary features
 # Patches scored per step of classify_patches: its score buffers stay
 # cache-sized whatever the batch size.
 PATCH_BLOCK = 256
+
+# Samples counted per step of training.
+TRAIN_CHUNK = 1024
 
 
 class Combination(enum.Enum):
@@ -160,6 +165,8 @@ class LeafModel:
         combination: Combination,
         counts: np.ndarray | None,
     ):
+        if depth > MAX_DEPTH:
+            raise InvalidArgument(f"unit depth {depth} exceeds {MAX_DEPTH}")
         offsets = np.array(
             [[[t.dx1, t.dy1, t.dx2, t.dy2] for t in ts] for ts in tests], dtype=np.intp
         )
@@ -222,10 +229,10 @@ class LeafModel:
 
     # -- training ---------------------------------------------------------
 
-    def train(self, samples: Iterable, chunk_size: int = 1024):
+    def train(self, samples: Iterable):
         """Count a stream of samples or (patch, label) pairs (anything
         ``fernkit.dataset.sample_batches`` takes); tables follow on first read."""
-        train_models((self,), samples, chunk_size)
+        train_models((self,), samples)
         return self
 
     def _accumulate(self, patches: np.ndarray, labels: np.ndarray) -> None:
@@ -491,8 +498,8 @@ class LeafModel:
             raise FormatError(f"unknown combination mode {combo}")
         if width not in COUNT_WIDTHS:
             raise FormatError(f"count width {width} is not one of {COUNT_WIDTHS}")
-        if depth > 63:  # leaf indices are int64
-            raise FormatError(f"unit depth {depth} exceeds 63")
+        if depth > MAX_DEPTH:
+            raise FormatError(f"unit depth {depth} exceeds {MAX_DEPTH}")
         kp, pos = _take(data, pos, "<f4", (h, 2))
         tests, pos = _take(data, pos, "<i2", (units, cls._tests_per_unit(depth), 4))
         # a read-only view of the file, which the model shares
@@ -577,10 +584,11 @@ class FernModel(LeafModel):
     load = LeafModel.__dict__["load"]
 
 
-def train_models(models: Sequence[LeafModel], samples: Iterable, chunk_size: int = 1024):
-    """Train several models in one pass: each chunk is counted into every
-    model, so each gets the counts it would get alone. A chunk holding a
-    label outside [0, H) raises InvalidLabel before any model counts it.
+def train_models(models: Sequence[LeafModel], samples: Iterable):
+    """Train several models in one pass: each chunk of ``TRAIN_CHUNK``
+    samples is counted into every model, so each gets the counts it would
+    get alone. A chunk holding a label outside [0, H) raises InvalidLabel
+    before any model counts it.
 
     Tables go stale once counting starts, so they are dropped before the
     first chunk is counted. Each chunk is counted at the narrowest width that
@@ -593,7 +601,7 @@ def train_models(models: Sequence[LeafModel], samples: Iterable, chunk_size: int
     for model in models:
         model._log_table = model._posteriors = None
     try:
-        for patches, labels in sample_batches(samples, chunk_size):
+        for patches, labels in sample_batches(samples, TRAIN_CHUNK):
             bad = labels[(labels < 0) | (labels >= classes)]
             if bad.size:
                 raise InvalidLabel(f"label {bad[0]} not in [0, {classes})")

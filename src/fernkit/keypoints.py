@@ -9,13 +9,11 @@ votes detections back into the reference frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InsufficientKeypoints, InvalidArgument
 from .image import (
-    AffineDeform,
     GrayImage,
     sample_deformation,
     unwarp_points,
@@ -207,24 +205,19 @@ def select_stable_classes(
     num_views: int,
     rng: np.random.Generator,
     patch_size: int = DEFAULT_PATCH_SIZE,
-    deforms: Sequence[AffineDeform] | None = None,
 ) -> ClassSet:
     """Pick the ``h`` keypoints most consistently re-detected under warping.
 
     Detects in ``num_views`` randomly deformed copies, maps each detection
     back to the reference frame, and votes into 1-pixel bins. The highest
     voted bins win, subject to a minimum separation of half the patch size.
-    ``deforms`` overrides the random views (used for degenerate protocols).
     """
     if h < 1:
         raise InvalidArgument("h must be >= 1")
-    if num_views < 1 and deforms is None:
+    if num_views < 1:
         raise InvalidArgument("num_views must be >= 1")
     cx, cy = img.center
-    if deforms is None:
-        deforms = [
-            replace(sample_deformation(rng), tx=cx, ty=cy) for _ in range(num_views)
-        ]
+    deforms = [replace(sample_deformation(rng), tx=cx, ty=cy) for _ in range(num_views)]
     margin = patch_size // 2
     votes = np.zeros((img.height, img.width), dtype=np.int64)
     strength = np.zeros((img.height, img.width), dtype=np.float64)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .ferns import (
+    MAX_DEPTH,
     Combination,
     FeatureTest,
     LeafModel,
@@ -52,6 +53,9 @@ def make_random_trees(
     """T trees with independently drawn random node tests."""
     if t < 1:
         raise InvalidArgument("need at least one tree")
+    # checked before a tree's 2^D - 1 tests are drawn
+    if not 1 <= depth <= MAX_DEPTH:
+        raise InvalidArgument(f"tree depth must be in [1, {MAX_DEPTH}], got {depth}")
     return [
         RandomTree(depth, tuple(random_tests((1 << depth) - 1, patch_size, rng)))
         for _ in range(t)

@@ -6,6 +6,7 @@ texture, 50 classes, 20 units of size 8, 2 views per degree of training,
 and 500 noisy test views under one seed.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -29,7 +30,7 @@ from fernkit.dataset import (
     generate_test_set,
     generate_training_set,
 )
-from fernkit.evaluate import Method, bench_classify, compare_methods, sweep_units
+from fernkit.evaluate import Method, compare_methods, sweep_units
 from fernkit.ferns import make_random_ferns, random_tests
 
 from support import (
@@ -305,15 +306,21 @@ class TestCriterion7:
             make_random_ferns(30, 10, 31, np.random.default_rng(700)),
         )
         probe = random_patches(np.random.default_rng(701), 20000, 32)
-        bench_classify(model, probe, repetitions=1)  # warm up
-        result = bench_classify(model, probe, repetitions=3)
-        per_second = 1e9 / result.ns_per_patch
-        count_ok = result.comparisons_per_patch == 30 * 10
+        model.classify_patches(probe)  # warm up
+        before = model.pixel_comparisons
+        timings = []
+        for _ in range(3):
+            start = time.perf_counter_ns()
+            model.classify_patches(probe)
+            timings.append(time.perf_counter_ns() - start)
+        per_patch = (model.pixel_comparisons - before) / (3 * len(probe))
+        per_second = 1e9 * len(probe) / statistics.median(timings)
+        count_ok = per_patch == 30 * 10
         soft = "meets" if per_second >= 50_000 else "misses"
         report(
             7,
             count_ok,
-            f"pixel comparisons per patch = {result.comparisons_per_patch} "
+            f"pixel comparisons per patch = {per_patch:g} "
             f"(S*M = 300 required); throughput {per_second:,.0f} patches/s "
             f"{soft} the 50,000/s soft target (reported, not asserted)",
         )

@@ -265,6 +265,20 @@ class TestSweepCompare:
         assert [r["units"] for r in rows] == ["1", "2", "4"]
         assert all(r["method"] == "FernNB" for r in rows)
 
+    @pytest.mark.parametrize("units", ["a", "1,x"])
+    def test_sweep_rejects_a_unit_count_that_is_not_an_integer(
+        self, workdir, capsys, units
+    ):
+        out = workdir / "sweep_bad_units.csv"
+        code = run(
+            "sweep", "--image", workdir / "ref.pgm", "--seed", 4,
+            "--units", units, "--out", out,
+        )
+        assert code == 2
+        bad = units.split(",")[-1]
+        assert f"error: --units holds '{bad}', not an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_emits_exactly_four_rows(self, workdir):
         out = workdir / "compare.csv"
         code = run(
@@ -495,6 +509,44 @@ class TestThreads:
         )
         assert code == 2
         assert "threads" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSeed:
+    @pytest.mark.parametrize(
+        "command", ["train", "eval", "sweep", "compare", "match", "warp"]
+    )
+    def test_negative_seed_exits_2_before_any_output(
+        self, workdir, trained, capsys, command
+    ):
+        out = workdir / f"seed_{command}.out"
+        argv = [command, "--image", workdir / "ref.pgm", "--seed", -1]
+        if command == "train":
+            argv += ["--model", out]
+        else:
+            if command in ("eval", "match"):
+                argv += ["--model", trained]
+            argv += ["--out", out]
+        assert run(*argv) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUnitDepth:
+    """A fern size or tree depth above 63 exits 2 before a table is made."""
+
+    @pytest.mark.parametrize("command, method", [("train", None), ("sweep", "TreeNB")])
+    def test_depth_64_exits_2(self, workdir, capsys, command, method):
+        out = workdir / f"depth64_{command}.out"
+        argv = [command, "--image", workdir / "ref.pgm", "--seed", 1, "--classes", 4,
+                "--patch", 21, "--fern-size", 64, "--degrees", 10]
+        if method:
+            argv += ["--method", method, "--units", 1, "--out", out]
+        else:
+            argv += ["--ferns", 2, "--model", out]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "64" in err
         assert not out.exists()
 
 

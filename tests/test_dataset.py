@@ -47,6 +47,15 @@ def identity_for(img):
     return AffineDeform(0, 0, 1, 1, tx=cx, ty=cy)
 
 
+def rendered(img, spec, seed, stream, deforms, classes=None):
+    """The views of ``stream`` with ``deforms`` in place of the drawn ones,
+    rendered as its iterator renders them (only kept windows with ``classes``)."""
+    return [
+        dataset._render(img, *dataset._view_params(img, spec, seed, stream, i, d), classes)
+        for i, d in enumerate(deforms)
+    ]
+
+
 class TestSpecCounts:
     def test_training_view_count(self, texture_small, small_classes):
         spec = DatasetSpec(views_per_degree=2, rotation_degrees=15, test_views=0)
@@ -74,15 +83,10 @@ class TestDegenerateIdentity:
     def test_identity_views_equal_reference_crops(self, texture_small, small_classes):
         spec = DatasetSpec(1, 1, test_views=0)
         stats = GenStats()
+        identity = [identity_for(texture_small)]
+        views = rendered(texture_small, spec, 0, STREAM_TRAIN, identity, small_classes)
         samples = list(
-            generate_training_set(
-                texture_small,
-                small_classes,
-                spec,
-                0,
-                stats=stats,
-                deforms=[identity_for(texture_small)],
-            )
+            dataset._samples(dataset._view_blocks(texture_small, small_classes, views, stats))
         )
         assert stats.views == 1
         assert len(samples) == len(small_classes)  # every class survives
@@ -351,7 +355,8 @@ class TestOneLayoutPerView:
             (small_classes, (img.width - 30, img.height - 20)),
         ]
         skips = []
-        for view in training_views(img, DatasetSpec(1, 4, test_views=0), 2, classes=small_classes):
+        spec = DatasetSpec(1, 4, test_views=0)
+        for view in dataset._views(img, spec, 2, STREAM_TRAIN, 1, small_classes):
             assert view.layout is not None
             bare = View(view.view_id, view.deform, view.image)
             for classes, src_size in cases:
@@ -381,19 +386,17 @@ class TestPatchLocalRendering:
     """Patch streams render only kept windows; their crops equal full-frame ones."""
 
     @pytest.mark.parametrize(
-        "views, stream",
-        [(training_views, generate_training_set), (render_test_views, generate_test_set)],
-        ids=["training", "noisy-test"],
+        "stream", [STREAM_TRAIN, STREAM_TEST], ids=["training", "noisy-test"]
     )
     def test_stream_crops_equal_full_frame_crops(
-        self, texture_small, small_classes, views, stream
+        self, texture_small, small_classes, stream
     ):
         img, classes = texture_small, small_classes
         deforms = edge_deforms(img)
         spec = DatasetSpec(1, 1, test_views=len(deforms), noise_sigma=10.0)
         full, skip_kinds = {}, set()
         m = classes.margin
-        for view in views(img, spec, 3, deforms=deforms):
+        for view in rendered(img, spec, 3, stream, deforms):
             patches, labels, skipped = extract_patches(view, classes, (img.width, img.height))
             want_kept, want_skipped = extract_patches_oracle(
                 view, classes, (img.width, img.height)
@@ -406,7 +409,8 @@ class TestPatchLocalRendering:
                 in_frame = m <= x <= img.width - 1 - m and m <= y <= img.height - 1 - m
                 skip_kinds.add("source edge" if in_frame else "frame border")
         assert skip_kinds == {"source edge", "frame border"}
-        samples = stream(img, classes, spec, 3, deforms=deforms)
+        views = rendered(img, spec, 3, stream, deforms, classes)
+        samples = dataset._samples(dataset._view_blocks(img, classes, views, None))
         assert {(s.view_id, s.label): s.patch.pixels.tobytes() for s in samples} == full
 
     def test_crop_and_skip_decisions_match_per_class_oracle(self, texture_small):
@@ -426,7 +430,7 @@ class TestPatchLocalRendering:
             for _ in range(40)
         ]
         spec = DatasetSpec(1, 1, test_views=0)
-        for view in training_views(texture_small, spec, 0, deforms=deforms):
+        for view in rendered(texture_small, spec, 0, STREAM_TRAIN, deforms):
             patches, labels, skipped = extract_patches(view, classes, (w, h))
             want_kept, want_skipped = extract_patches_oracle(view, classes, (w, h))
             assert skipped == want_skipped
@@ -441,8 +445,8 @@ class TestPatchLocalRendering:
         img, classes = texture_small, small_classes
         deforms = edge_deforms(img)[1:2]
         spec = DatasetSpec(1, 1, test_views=0)
-        full = next(training_views(img, spec, 3, deforms=deforms)).image.pixels
-        local = next(training_views(img, spec, 3, deforms=deforms, classes=classes))
+        full = rendered(img, spec, 3, STREAM_TRAIN, deforms)[0].image.pixels
+        local = rendered(img, spec, 3, STREAM_TRAIN, deforms, classes)[0]
         _, labels, skipped = extract_patches(local, classes, (img.width, img.height))
         assert labels.size and skipped
         centers = np.rint(warp_points(local.deform, img.width, img.height, classes.coords))
@@ -481,10 +485,10 @@ class TestWindowBlocks:
         monkeypatch.setattr(dataset, "warp_image", spy)
         deforms = [identity_for(img)] + edge_deforms(img)
         spec = DatasetSpec(1, 1, test_views=len(deforms), noise_sigma=noise)
-        views = training_views if noise == 0 else render_test_views
+        stream = STREAM_TRAIN if noise == 0 else STREAM_TEST
         size, m = (img.width, img.height), classes.margin
         every = []
-        for view, mask in zip(views(img, spec, 3, deforms=deforms, classes=classes), masks):
+        for view, mask in zip(rendered(img, spec, 3, stream, deforms, classes), masks):
             kept, _ = extract_patches_oracle(view, classes, size)
             centers = np.rint(warp_points(view.deform, *size, classes.coords)).astype(int)
             centers = centers[[label for label, _ in kept]]
@@ -528,7 +532,7 @@ class TestWindowBlocks:
 
     def test_block_is_not_a_view_of_the_frame(self, texture_small, small_classes):
         spec = DatasetSpec(1, 1, test_views=3)
-        for view in render_test_views(texture_small, spec, 8, classes=small_classes):
+        for view in dataset._views(texture_small, spec, 8, STREAM_TEST, 1, small_classes):
             patches, labels, _ = extract_patches(
                 view, small_classes, (texture_small.width, texture_small.height)
             )
@@ -647,11 +651,10 @@ class TestManifest:
 
     def test_rows_record_each_views_own_sigma(self, texture_small):
         spec = DatasetSpec(1, 2, test_views=2, noise_sigma=4.5)
-        identity = [identity_for(texture_small)]
         views = [
             *training_views(texture_small, spec, 3),
             *render_test_views(texture_small, spec, 3),
-            *render_test_views(texture_small, spec, 3, deforms=identity),
+            protocol_view(texture_small, spec, 3, STREAM_TEST, 0, identity_for(texture_small)),
         ]
         sigmas = [manifest_row(v)["noise_sigma"] for v in views]
         assert sigmas == ["0.0", "0.0", "4.5", "4.5", "4.5"]

@@ -11,7 +11,6 @@ from fernkit import (
     FernModel,
     InvalidArgument,
     Method,
-    bench_classify,
     compare_methods,
     recognition_rate,
     sweep_units,
@@ -195,42 +194,6 @@ class TestViewBlockCallers:
         assert main(["train", *common, "--classes", "6", "--ferns", "3", "--fern-size", "4",
                      "--patch", "21", "--views-per-degree", "1", "--degrees", "10"]) == 0
         assert main(["eval", *common, "--tests", "5", "--out", str(tmp_path / "e.csv")]) == 0
-
-
-class TestBench:
-    def test_comparison_count_is_s_times_m(self, small_model):
-        probe = random_patches(np.random.default_rng(1), 64, small_model.patch_size)
-        result = bench_classify(small_model, probe, repetitions=3)
-        assert result.comparisons_per_patch == (
-            small_model.num_ferns * small_model.fern_size
-        )
-        assert result.ns_per_patch > 0
-
-    def test_single_repetition(self, small_model):
-        probe = random_patches(np.random.default_rng(2), 16, small_model.patch_size)
-        result = bench_classify(small_model, probe, repetitions=1)
-        assert result.ns_per_patch > 0
-
-    def test_bad_args(self, small_model):
-        probe = random_patches(np.random.default_rng(3), 4, small_model.patch_size)
-        with pytest.raises(InvalidArgument):
-            bench_classify(small_model, probe, repetitions=0)
-        with pytest.raises(InvalidArgument):
-            bench_classify(small_model, probe[:0], repetitions=1)
-
-    def test_scaling_with_fern_count(self, small_classes):
-        # doubling S should roughly double the per-patch cost; the band is
-        # wide because wall-clock scaling is machine dependent
-        rng = np.random.default_rng(4)
-        small = FernModel.random(small_classes, 8, 6, derive_rng(5, STREAM_MODEL))
-        big = FernModel.random(small_classes, 16, 6, derive_rng(5, STREAM_MODEL))
-        probe = random_patches(rng, 3000, small_classes.patch_size)
-        bench_classify(small, probe, 1)  # warm both paths
-        bench_classify(big, probe, 1)
-        t_small = bench_classify(small, probe, 5).ns_per_patch
-        t_big = bench_classify(big, probe, 5).ns_per_patch
-        assert t_big / t_small < 2.0 * 2.5
-        assert t_big > t_small * 0.8
 
 
 class TestCsv:

@@ -193,7 +193,9 @@ class TestTrain:
         with pytest.raises(InvalidLabel):
             model.train([(patch, 2)])
 
-    def test_models_trained_in_one_pass_equal_each_trained_alone(self, texture_small):
+    def test_models_trained_in_one_pass_equal_each_trained_alone(
+        self, texture_small, monkeypatch
+    ):
         from fernkit import DatasetSpec, TreeForest, derive_rng
         from fernkit.dataset import generate_training_set
 
@@ -204,16 +206,17 @@ class TestTrain:
             rng = np.random.default_rng(8)
             return FernModel.random(classes, 5, 4, rng), TreeForest.random(classes, 5, 4, rng)
 
+        monkeypatch.setattr("fernkit.ferns.TRAIN_CHUNK", 100)
         together = pair()
-        train_models(together, generate_training_set(texture_small, classes, spec, 2), 100)
+        train_models(together, generate_training_set(texture_small, classes, spec, 2))
         for i, alone in enumerate(pair()):
-            alone.train(generate_training_set(texture_small, classes, spec, 2), 100)
+            alone.train(generate_training_set(texture_small, classes, spec, 2))
             assert alone.counts.sum() > 0
             assert together[i].counts.tobytes() == alone.counts.tobytes()
             assert together[i].log_table.tobytes() == alone.log_table.tobytes()
 
     @pytest.mark.parametrize("bad", [-1, 3])
-    def test_bad_label_in_a_later_chunk(self, bad):
+    def test_bad_label_in_a_later_chunk(self, bad, monkeypatch):
         rng = np.random.default_rng(12)
         classes = grid_classes(3, 9)
         patches = random_patches(rng, 10, 9)
@@ -222,8 +225,9 @@ class TestTrain:
             FernModel(classes, make_random_ferns(2, 3, 9, np.random.default_rng(i)))
             for i in range(2)
         ]
+        monkeypatch.setattr("fernkit.ferns.TRAIN_CHUNK", 4)
         with pytest.raises(InvalidLabel, match=f"label {bad} "):
-            train_models(models, zip(patches, labels), chunk_size=4)
+            train_models(models, zip(patches, labels))
         # the first chunk was counted into both models; the bad one into none
         for model in models:
             assert np.array_equal(model.counts, accumulate_oracle(
@@ -808,13 +812,14 @@ class TestTrainingMemory:
         u64_counts = model.log_table.size * 8
         assert peak < u64_counts + model.log_table.nbytes + 2**20
 
-    def test_bad_label_in_the_second_chunk(self, kind):
+    def test_bad_label_in_the_second_chunk(self, kind, monkeypatch):
         units = MIDSIZE_UNITS[kind]()
         patches, labels = midsize_stream(0)
         labels[1500] = 50
         model = midsize_model(kind, units)
+        monkeypatch.setattr("fernkit.ferns.TRAIN_CHUNK", 1000)
         with pytest.raises(InvalidLabel, match="label 50 "):
-            model.train(zip(patches, labels), chunk_size=1000)
+            model.train(zip(patches, labels))
         first = midsize_model(kind, units).train(zip(patches[:1000], labels[:1000]))
         assert model.log_table.tobytes() == first.log_table.tobytes()
         assert model._counts.itemsize == 1
@@ -865,24 +870,26 @@ class TestCountWidthRule:
 
     @pytest.mark.parametrize("kind", ["fern", "tree"])
     @pytest.mark.parametrize("repeats", [0, 300])
-    def test_counts_file_and_table_equal_a_uint64_oracle(self, kind, repeats):
+    def test_counts_file_and_table_equal_a_uint64_oracle(self, kind, repeats, monkeypatch):
         model = midsize_model(kind, MIDSIZE_UNITS[kind]())
         patches, labels = midsize_stream(repeats)
         oracle = add_at_oracle(model, patches, labels)
         # small chunks: the counts widen partway through the stream
-        model.train(zip(patches, labels), chunk_size=200)
+        monkeypatch.setattr("fernkit.ferns.TRAIN_CHUNK", 200)
+        model.train(zip(patches, labels))
         assert np.array_equal(model._counts, oracle._counts)
         assert model.save() == oracle.save()
         assert model.log_table.tobytes() == oracle.log_table.tobytes()
 
     @pytest.mark.parametrize("kind", ["fern", "tree"])
-    def test_a_stream_that_raises_keeps_the_widened_chunks(self, kind):
+    def test_a_stream_that_raises_keeps_the_widened_chunks(self, kind, monkeypatch):
         units = MIDSIZE_UNITS[kind]()
         patches, labels = midsize_stream(300)
         labels[2500] = 50
         model = midsize_model(kind, units)
+        monkeypatch.setattr("fernkit.ferns.TRAIN_CHUNK", 1000)
         with pytest.raises(InvalidLabel, match="label 50 "):
-            model.train(zip(patches, labels), chunk_size=1000)
+            model.train(zip(patches, labels))
         first = midsize_model(kind, units).train(zip(patches[:2000], labels[:2000]))
         assert model._counts.itemsize == 2
         assert model.save() == first.save()

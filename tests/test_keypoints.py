@@ -366,14 +366,12 @@ class TestSelectStableClasses:
         ]
         assert runs[0] == runs[1]
 
-    def test_single_identity_view_matches_detector(self, texture_small):
+    def test_single_identity_view_matches_detector(self, texture_small, monkeypatch):
         img = texture_small
-        cx, cy = img.center
-        identity = AffineDeform(0, 0, 1, 1, tx=cx, ty=cy)
-        got = select_stable_classes(
-            img, 10, 1, np.random.default_rng(0), patch_size=21,
-            deforms=[identity],
-        )
+        # the one view drawn is the identity (its centre is set to the image's)
+        identity = AffineDeform(0, 0, 1, 1)
+        monkeypatch.setattr("fernkit.keypoints.sample_deformation", lambda rng: identity)
+        got = select_stable_classes(img, 10, 1, np.random.default_rng(0), patch_size=21)
         # walk the detector's ordering, applying the same separation rule
         min_sep2 = (21 / 2.0) ** 2
         expected = []

@@ -15,7 +15,7 @@ from fernkit import (
     TreeForest,
     make_random_trees,
 )
-from fernkit.ferns import Combination, random_tests
+from fernkit.ferns import MAX_DEPTH, Combination, random_tests
 
 from support import (
     WIDTH_WORD,
@@ -314,6 +314,31 @@ class TestForestSerialization:
     def test_oversized_depth_is_a_format_error(self, depth):
         with pytest.raises(FormatError):
             TreeForest.load(forged_depth_file(trained_forest(), depth))
+
+
+class TestDepthBound:
+    """One depth bound, ``MAX_DEPTH``, holds on load, on construction and on
+    a random tree draw, which checks it before it draws a test."""
+
+    @pytest.mark.parametrize("kind", [FernModel, TreeForest])
+    def test_load(self, small_model, kind):
+        data = bytearray(small_model.save() if kind is FernModel else trained_forest().save())
+        struct.pack_into("<I", data, len(kind.magic) + 12, MAX_DEPTH + 1)
+        with pytest.raises(FormatError, match=f"depth {MAX_DEPTH + 1} exceeds {MAX_DEPTH}"):
+            kind.load(bytes(data))
+
+    def test_construction(self):
+        tests = random_tests(MAX_DEPTH + 1, 9, np.random.default_rng(0))
+        with pytest.raises(InvalidArgument, match=f"depth {MAX_DEPTH + 1} exceeds"):
+            FernModel(grid_classes(2, 9), [Fern(tuple(tests))])
+
+    @pytest.mark.parametrize("depth", [-1, 0, MAX_DEPTH + 1])
+    def test_random_trees_draw_no_test(self, depth):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidArgument, match="tree depth must be in"):
+            make_random_trees(2, depth, 9, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestTruncatedForest:
