@@ -1,14 +1,15 @@
 """Command-line front end: train, eval, sweep, compare, match, warp.
 
 Every run is a pure function of its files, flags, and mandatory seed;
-reruns produce byte-identical outputs. Exit codes: 0 success, 2 I/O or
-image errors, 3 training infeasible, 4 model format or mismatch errors.
+reruns produce byte-identical outputs. Exit codes: 0 success, 2 flag, I/O
+or image errors, 3 training infeasible, 4 model format or mismatch errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import dataset, evaluate
@@ -19,7 +20,7 @@ from .errors import (
     InsufficientKeypoints,
     InvalidArgument,
 )
-from .ferns import FernModel
+from .ferns import MAX_DEPTH, FernModel
 from .image import AffineDeform, GrayImage, read_pgm, write_pgm
 from .keypoints import detect_keypoints, select_stable_classes, window_fits
 from .trees import TreeForest
@@ -34,77 +35,52 @@ SELECTION_VIEWS = 50
 MATCH_HEADER = "scene_x,scene_y,class_id,model_x,model_y,log_score"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fernkit", description="Keypoint recognition with random ferns."
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _unit_counts(units) -> list[int]:
+    """The counts a --units value holds: one int, or comma-separated ints."""
+    counts = []
+    for v in filter(None, str(units).split(",")):
+        try:
+            counts.append(int(v))
+        except ValueError:
+            raise InvalidArgument(f"--units holds {v!r}, not an integer") from None
+    return counts
 
-    def common(p, image=True, model=False):
-        if image:
-            p.add_argument("--image", required=True, help="reference PGM image")
-        if model:
-            p.add_argument("--model", required=True, help="model file path")
-        p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--out", help="output path (default: stdout for CSVs)")
 
-    def view_flags(p):
-        p.add_argument("--views-per-degree", type=int, default=2)
-        p.add_argument("--degrees", type=int, default=360)
+# A flag rule: a test of the parsed value, what the value must be, and the
+# name the error gives the value when it is not the flag's.
+ANY = (lambda v: True, "any value", None)
+AT_LEAST_0 = (lambda v: v >= 0, ">= 0", None)
+AT_LEAST_1 = (lambda v: v >= 1, ">= 1", None)
+DEPTH = (lambda v: 1 <= v <= MAX_DEPTH, f"in [1, {MAX_DEPTH}]", None)
+ODD = (lambda v: v >= 3 and v % 2 == 1, "odd and >= 3", None)
+SIGMA = (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0", "noise_sigma")
+COUNTS = (lambda v: min(_unit_counts(v), default=0) >= 1, "one or more counts >= 1", None)
 
-    def train_flags(p):
-        p.add_argument("--classes", type=int, default=200)
-        p.add_argument("--ferns", type=int, default=30)
-        p.add_argument("--fern-size", type=int, default=10)
-        p.add_argument("--patch", type=int, default=31)
-        view_flags(p)
-
-    def eval_flags(p):
-        p.add_argument("--tests", type=int, default=1000)
-        p.add_argument("--noise", type=float, default=10.0)
-
-    p = sub.add_parser("train", help="select classes, synthesize views, train ferns")
-    common(p, model=True)
-    train_flags(p)
-
-    p = sub.add_parser("eval", help="recognition rate of a model on fresh test views")
-    common(p, model=True)
-    eval_flags(p)
-
-    p = sub.add_parser("sweep", help="recognition rate versus number of units")
-    common(p)
-    train_flags(p)
-    eval_flags(p)
-    p.add_argument("--units", default="1,5,10,20,30", help="comma-separated counts")
-    p.add_argument(
-        "--method",
-        default="FernNB",
-        choices=[m.value for m in evaluate.Method],
-    )
-
-    p = sub.add_parser("compare", help="four-way ferns/trees x NB/averaging run")
-    common(p)
-    train_flags(p)
-    eval_flags(p)
-    p.add_argument("--units", type=int, default=20)
-
-    p = sub.add_parser("match", help="detect and classify keypoints in a scene")
-    common(p, model=True)
-
-    p = sub.add_parser("warp", help="render one protocol view plus its manifest")
-    common(p)
-    p.add_argument("--kind", choices=["train", "test"], default="test")
-    p.add_argument("--view-id", type=int, default=0)
-    view_flags(p)
-    eval_flags(p)
-    p.add_argument("--manifest", help="manifest CSV path (default: <out>.manifest.csv)")
-    p.add_argument(
-        "--identity",
-        action="store_true",
-        help="render view --view-id of the --kind stream with the identity deformation",
-    )
-    return parser
+# flag: (rule, argparse keywords). A flag has one rule whichever subcommand
+# takes it, and main checks them all before a handler reads any file.
+FLAGS = {
+    "image": (ANY, dict(required=True, help="reference PGM image")),
+    "model": (ANY, dict(required=True, help="model file path")),
+    "seed": (AT_LEAST_0, dict(type=int, required=True, help="RNG seed (mandatory)")),
+    "threads": (AT_LEAST_1, dict(type=int, default=1)),
+    "out": (ANY, dict(help="output path (default: stdout for CSVs)")),
+    "classes": (AT_LEAST_1, dict(type=int, default=200)),
+    "ferns": (AT_LEAST_1, dict(type=int, default=30)),
+    "fern-size": (DEPTH, dict(type=int, default=10)),
+    "patch": (ODD, dict(type=int, default=31)),
+    "views-per-degree": (AT_LEAST_1, dict(type=int, default=2)),
+    "degrees": (AT_LEAST_1, dict(type=int, default=360)),
+    "tests": (AT_LEAST_1, dict(type=int, default=1000)),
+    "noise": (SIGMA, dict(type=float, default=10.0)),
+    "units": (COUNTS, dict(default="1,5,10,20,30", help="comma-separated counts")),
+    "method": (ANY, dict(default="FernNB", choices=[m.value for m in evaluate.Method])),
+    "kind": (ANY, dict(choices=["train", "test"], default="test")),
+    # protocol_view rejects an id beyond the stream before it renders
+    "view-id": (ANY, dict(type=int, default=0)),
+    "manifest": (ANY, dict(help="manifest CSV path (default: <out>.manifest.csv)")),
+    "identity": (ANY, dict(action="store_true", help=(
+        "render view --view-id of the --kind stream with the identity deformation"))),
+}
 
 
 def _read_image(path: str) -> GrayImage:
@@ -163,6 +139,7 @@ def _select_classes(args, img: GrayImage):
 
 
 def cmd_train(args) -> int:
+    """Select classes, synthesize views, train ferns."""
     img = _read_image(args.image)
     classes = _select_classes(args, img)
     model = FernModel.random(
@@ -189,6 +166,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Recognition rate of a model on fresh test views."""
     model = _load_model(args.model)
     img = _read_image(args.image)
     _check_fits(model, img)
@@ -220,19 +198,14 @@ def _sweep_setup(args):
 
 
 def cmd_sweep(args) -> int:
-    counts = []
-    for v in filter(None, args.units.split(",")):
-        try:
-            counts.append(int(v))
-        except ValueError:
-            raise InvalidArgument(f"--units holds {v!r}, not an integer") from None
+    """Recognition rate versus number of units."""
     img, classes, spec = _sweep_setup(args)
     records = evaluate.sweep_units(
         img,
         classes,
         spec,
         evaluate.Method(args.method),
-        counts,
+        _unit_counts(args.units),
         args.seed,
         fern_size=args.fern_size,
         threads=args.threads,
@@ -242,6 +215,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """Four-way ferns/trees x NB/averaging run."""
     img, classes, spec = _sweep_setup(args)
     records = evaluate.compare_methods(
         img,
@@ -257,6 +231,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_match(args) -> int:
+    """Detect and classify keypoints in a scene."""
     model = _load_model(args.model)
     scene = _read_image(args.image)
     # scenes need not match the reference frame; only the patch must fit
@@ -278,6 +253,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_warp(args) -> int:
+    """Render one protocol view plus its manifest."""
     img = _read_image(args.image)
     spec = _protocol(args)
     stream = dataset.STREAM_TRAIN if args.kind == "train" else dataset.STREAM_TEST
@@ -296,6 +272,38 @@ def cmd_warp(args) -> int:
     return EXIT_OK
 
 
+COMMON = ("image", "seed", "threads", "out")
+VIEWS = ("views-per-degree", "degrees")
+TESTS = ("tests", "noise")
+TRAIN = ("classes", "ferns", "fern-size", "patch", *VIEWS)
+PROTOCOL = (*COMMON, *TRAIN, *TESTS)
+
+# subcommand: (handler, flags), the handler's docstring its help; a (flag,
+# keywords) pair overrides the keywords of the flag's row
+COMMANDS = {
+    "train": (cmd_train, ("model", *COMMON, *TRAIN)),
+    "eval": (cmd_eval, ("model", *COMMON, *TESTS)),
+    "sweep": (cmd_sweep, (*PROTOCOL, "units", "method")),
+    "compare": (cmd_compare, (*PROTOCOL, ("units", dict(type=int, default=20)))),
+    "match": (cmd_match, ("model", *COMMON)),
+    "warp": (cmd_warp, (*COMMON, "kind", "view-id", *VIEWS, *TESTS,
+                        "manifest", "identity")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fernkit", description="Keypoint recognition with random ferns."
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
+        for flag in flags:
+            flag, form = flag if isinstance(flag, tuple) else (flag, {})
+            p.add_argument("--" + flag, **{**FLAGS[flag][1], **form})
+    return parser
+
+
 # main's parser, built on first use: parsing leaves it unchanged, and
 # building it costs milliseconds per call
 _parser = functools.cache(build_parser)
@@ -303,22 +311,13 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handler = {
-        "train": cmd_train,
-        "eval": cmd_eval,
-        "sweep": cmd_sweep,
-        "compare": cmd_compare,
-        "match": cmd_match,
-        "warp": cmd_warp,
-    }[args.command]
     try:
-        # every subcommand takes --threads and --seed; reject them before
-        # any work starts
-        if args.threads < 1:
-            raise InvalidArgument(f"threads must be >= 1, got {args.threads}")
-        if args.seed < 0:
-            raise InvalidArgument(f"seed must be >= 0, got {args.seed}")
-        return handler(args)
+        for dest, value in vars(args).items():
+            flag = dest.replace("_", "-")
+            test, must, name = FLAGS[flag][0] if flag in FLAGS else ANY
+            if not test(value):
+                raise InvalidArgument(f"{name or flag} must be {must}, got {value!r}")
+        return COMMANDS[args.command][0](args)
     except InsufficientKeypoints as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAIN

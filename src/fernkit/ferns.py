@@ -187,7 +187,10 @@ class LeafModel:
         shape = (self.num_units, self.num_leaves, self.num_classes)
         if counts is None:
             # the width save() picks for zero counts; training widens them
-            self._counts = np.zeros(shape, dtype=np.uint8)
+            try:
+                self._counts = np.zeros(shape, dtype=np.uint8)
+            except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+                raise InvalidArgument(f"cannot allocate counts of shape {shape}") from None
         else:
             # unsigned counts keep the width they came in (a loaded file's),
             # so a model that is only read never holds a uint64 copy
@@ -554,6 +557,11 @@ class FernModel(LeafModel):
     ) -> "FernModel":
         if rng is None:
             raise InvalidArgument("an explicit rng is required")
+        # checked before the S x M tests are drawn
+        if s < 1 or not 1 <= m <= MAX_DEPTH:
+            raise InvalidArgument(
+                f"need s >= 1 ferns of size m in [1, {MAX_DEPTH}], got s={s}, m={m}"
+            )
         return cls(classes, make_random_ferns(s, m, classes.patch_size, rng))
 
     @staticmethod

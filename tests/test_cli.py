@@ -512,15 +512,63 @@ class TestThreads:
         assert not out.exists()
 
 
+@pytest.fixture
+def pgm_reads(monkeypatch):
+    """The PGM images the CLI reads in a test, by size in bytes."""
+    from fernkit import cli
+
+    reads = []
+    real = cli.read_pgm
+
+    def spy(data):
+        reads.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(cli, "read_pgm", spy)
+    return reads
+
+
+TRAINING = ("train", "sweep", "compare")
+VIEWING = ("train", "sweep", "compare", "warp")
+TESTING = ("eval", "sweep", "compare", "warp")
+
+# flag, a value that breaks its rule, the error, and the subcommands taking it
+RULES = [
+    ("classes", 0, "classes must be >= 1, got 0", TRAINING),
+    ("ferns", 0, "ferns must be >= 1, got 0", TRAINING),
+    ("fern-size", 0, "fern-size must be in [1, 63], got 0", TRAINING),
+    ("patch", 30, "patch must be odd and >= 3, got 30", TRAINING),
+    ("views-per-degree", 0, "views-per-degree must be >= 1, got 0", VIEWING),
+    ("degrees", 0, "degrees must be >= 1, got 0", VIEWING),
+    ("tests", 0, "tests must be >= 1, got 0", TESTING),
+    ("noise", -1, "noise_sigma must be finite and >= 0, got -1.0", TESTING),
+    ("units", "1,0", "units must be one or more counts >= 1, got '1,0'", ("sweep",)),
+    ("units", 0, "units must be one or more counts >= 1, got 0", ("compare",)),
+]
+
+
 class TestSeed:
-    @pytest.mark.parametrize(
-        "command", ["train", "eval", "sweep", "compare", "match", "warp"]
-    )
+    """A flag value that breaks its rule exits 2 with an error line naming the
+    flag, before any image is read or output written: a negative seed on
+    every subcommand, and each other rule on every subcommand taking it."""
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        *[
+            pytest.param(command, "seed", -1, "seed must be >= 0, got -1", id=command)
+            for command in ["train", "eval", "sweep", "compare", "match", "warp"]
+        ],
+        *[
+            pytest.param(command, flag, value, message, id=f"{command}-{flag}")
+            for flag, value, message, commands in RULES
+            for command in commands
+        ],
+    ])
     def test_negative_seed_exits_2_before_any_output(
-        self, workdir, trained, capsys, command
+        self, workdir, trained, capsys, pgm_reads, command, flag, value, message
     ):
-        out = workdir / f"seed_{command}.out"
-        argv = [command, "--image", workdir / "ref.pgm", "--seed", -1]
+        out = workdir / f"rule_{command}_{flag}.out"
+        # a repeated flag takes its last value
+        argv = [command, "--image", workdir / "ref.pgm", "--seed", 1, f"--{flag}", value]
         if command == "train":
             argv += ["--model", out]
         else:
@@ -528,25 +576,47 @@ class TestSeed:
                 argv += ["--model", trained]
             argv += ["--out", out]
         assert run(*argv) == 2
-        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+        assert pgm_reads == []
 
 
 class TestUnitDepth:
-    """A fern size or tree depth above 63 exits 2 before a table is made."""
+    """A fern size or tree depth above 63 exits 2 before the image is read;
+    counts too large to allocate exit 2 with an error line."""
 
-    @pytest.mark.parametrize("command, method", [("train", None), ("sweep", "TreeNB")])
-    def test_depth_64_exits_2(self, workdir, capsys, command, method):
+    @pytest.mark.parametrize(
+        "command, method", [("train", None), ("sweep", "TreeNB"), ("compare", None)]
+    )
+    def test_depth_64_exits_2(self, workdir, capsys, pgm_reads, command, method):
         out = workdir / f"depth64_{command}.out"
         argv = [command, "--image", workdir / "ref.pgm", "--seed", 1, "--classes", 4,
                 "--patch", 21, "--fern-size", 64, "--degrees", 10]
-        if method:
-            argv += ["--method", method, "--units", 1, "--out", out]
-        else:
+        if command == "train":
             argv += ["--ferns", 2, "--model", out]
+        else:
+            argv += ["--units", 1, "--out", out]
+        if method:
+            argv += ["--method", method]
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "64" in err
+        assert not out.exists()
+        assert pgm_reads == []
+
+    # 2 x 2^56 x 4 counts are 512 PiB, more than a 57-bit address space
+    # holds; 2 x 2^62 x 4 are past numpy's size limit
+    @pytest.mark.parametrize("size", [56, 62])
+    def test_counts_past_memory_exit_2(self, workdir, capsys, size):
+        out = workdir / f"counts_depth{size}.bin"
+        code = run(
+            "train", "--image", workdir / "ref.pgm", "--model", out, "--seed", 1,
+            "--classes", 4, "--ferns", 2, "--fern-size", size, "--patch", 21,
+            "--degrees", 10,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot allocate counts of shape (2, {1 << size}, 4)\n"
         assert not out.exists()
 
 

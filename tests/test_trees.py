@@ -318,7 +318,7 @@ class TestForestSerialization:
 
 class TestDepthBound:
     """One depth bound, ``MAX_DEPTH``, holds on load, on construction and on
-    a random tree draw, which checks it before it draws a test."""
+    a random fern or tree draw, which checks it before it draws a test."""
 
     @pytest.mark.parametrize("kind", [FernModel, TreeForest])
     def test_load(self, small_model, kind):
@@ -339,6 +339,22 @@ class TestDepthBound:
         with pytest.raises(InvalidArgument, match="tree depth must be in"):
             make_random_trees(2, depth, 9, rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("s, m", [(0, 4), (2, 0), (2, MAX_DEPTH + 1), (2, 10**6)])
+    def test_random_ferns_draw_no_test(self, s, m):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidArgument, match=f"got s={s}, m={m}"):
+            FernModel.random(grid_classes(2, 9), s, m, rng)
+        assert rng.bit_generator.state == state
+
+    # 2 x 2^56 x 4 counts are 512 PiB, more than a 57-bit address space
+    # holds; 2 x 2^62 x 4 are past numpy's size limit
+    @pytest.mark.parametrize("m, cause", [(56, MemoryError), (62, ValueError)])
+    def test_counts_past_memory_are_an_invalid_argument(self, m, cause):
+        with pytest.raises(InvalidArgument, match=rf"shape \(2, {1 << m}, 4\)") as info:
+            FernModel.random(grid_classes(4, 9), 2, m, np.random.default_rng(0))
+        assert isinstance(info.value.__context__, cause)
 
 
 class TestTruncatedForest:
