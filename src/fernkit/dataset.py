@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import InvalidArgument, InvalidPatch
+from .errors import InvalidArgument, InvalidLabel, InvalidPatch
 from .image import (
     AffineDeform,
     GrayImage,
@@ -339,7 +339,9 @@ def sample_batches(
     """Stack PatchSamples, other ``patch``/``label`` objects, (patch, label)
     pairs or a view's (patches, labels) block into (n, h, w) patches and
     int64 labels, ``size`` at a time (the whole stream if None); a chunk
-    boundary may split a block. Items are not held, only pixels and labels."""
+    boundary may split a block. Items are not held, only pixels and labels.
+    A label that is not a whole number raises InvalidLabel before its chunk
+    is yielded."""
     if size is not None and size < 1:
         raise InvalidArgument(f"chunk size must be >= 1, got {size}")
     parts, labels = [], []
@@ -369,7 +371,13 @@ def sample_batches(
 def _stacked(parts: list, labels: list) -> tuple[np.ndarray, np.ndarray]:
     if len({p.shape[1:] for p in parts}) > 1:
         raise InvalidPatch("patches of one chunk differ in shape")
-    return np.concatenate(parts), np.array(labels, dtype=np.int64)
+    values = np.asarray(labels)
+    if values.dtype.kind in "fO":
+        # a cast would truncate a fractional label (a float, a Fraction) into a class
+        whole = (values == np.floor(values)) & (np.abs(values) < 2.0**63)
+        if not whole.all():
+            raise InvalidLabel(f"label {values[~whole][0]} is not a whole int64 number")
+    return np.concatenate(parts), values.astype(np.int64)
 
 
 def stream_digest(samples: Iterable[PatchSample]) -> str:

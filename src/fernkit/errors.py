@@ -22,7 +22,7 @@ class OutOfBounds(FernkitError, IndexError):
 
 
 class InvalidLabel(FernkitError, ValueError):
-    """Training label not in [0, H)."""
+    """Training label not a whole number in [0, H)."""
 
 
 class InvalidPatch(FernkitError, ValueError):

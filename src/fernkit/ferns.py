@@ -143,16 +143,15 @@ class LeafModel:
 
     A unit (fern or tree) maps a patch to one of 2^D leaves; subclasses say
     how (``leaf_indices``), and everything after that is shared. Counts are
-    the only state: they make training resumable and order-independent,
-    and the Laplace-regularized log tables are caches of them, built on
-    first read and dropped whenever they change.
-    Model files store the counts, so a loaded model's tables agree with its
-    counts by construction.
+    the only state: they reach a model through its constructor, training is
+    their only writer, and the Laplace-regularized log tables are caches of
+    them, built on first read and dropped whenever they change. Model files
+    store the counts, so a loaded model's tables agree with its counts.
 
     Counts are held at the narrowest width in ``COUNT_WIDTHS`` that their
-    class totals need, and training never widens them further. A read-only
-    counts array may be shared (a loaded file's bytes, a ``truncated``
-    prefix); a model copies it before it writes.
+    class totals need. A read-only counts array is shared (a loaded file's
+    bytes, a ``truncated`` prefix, a ``counts`` view); a model copies it
+    before it writes.
     """
 
     magic = b""
@@ -195,15 +194,18 @@ class LeafModel:
             # unsigned counts keep the width they came in (a loaded file's),
             # so a model that is only read never holds a uint64 copy
             counts = np.asarray(counts)
-            if not np.can_cast(counts.dtype, np.uint64):
+            if counts.dtype == np.bool_:
+                counts = counts.view(np.uint8)
+            elif not np.can_cast(counts.dtype, np.uint64):
                 # a negative count would wrap, a fractional one truncate
                 whole = (counts >= 0) & (counts < 2.0**64) & (counts == np.floor(counts))
                 if not whole.all():
                     raise InvalidArgument("counts must be whole numbers >= 0")
                 counts = counts.astype(np.uint64)
-            # a read-only array is shared: _accumulate copies it before it
-            # writes, and ``counts`` before it hands it out
-            shared = not counts.flags.writeable and counts.flags.c_contiguous
+            # shared only if neither it nor the array it views is writeable,
+            # so no caller can change it; _accumulate copies it before it writes
+            arrays = (counts, counts.base if isinstance(counts.base, np.ndarray) else counts)
+            shared = counts.flags.c_contiguous and not any(a.flags.writeable for a in arrays)
             self._counts = counts if shared else np.array(counts, order="C")
         if self._counts.shape != shape:
             raise InvalidArgument(f"counts must have shape {shape}")
@@ -219,16 +221,12 @@ class LeafModel:
 
     @property
     def counts(self) -> np.ndarray:
-        """(units, leaves, classes) uint64 counts, C-ordered and writeable.
-
-        Counts held narrower (a loaded file's, or any trained model's) or
-        shared read-only are copied to uint64 the first time they are read
-        here, and writes to the result change the model. Only callers
-        outside the model read this; training counts at the narrow width.
-        """
-        if self._counts.dtype != np.uint64 or not self._counts.flags.writeable:
-            self._counts = np.array(self._counts, dtype=np.uint64, order="C")
-        return self._counts
+        """(units, leaves, classes) counts as a read-only view, at the width
+        the model holds them (u8, u16, u32 or u64). Reading freezes the held
+        array, as ``truncated`` does, so training copies it before it next
+        counts and no write through a view reaches the model."""
+        self._counts.flags.writeable = False
+        return self._counts.view()
 
     # -- training ---------------------------------------------------------
 
@@ -289,9 +287,9 @@ class LeafModel:
         width of the same values gives the same bytes.
         """
         if self._log_table is None:
-            table = np.add(self._counts, 1.0, dtype=np.float64)
-            table /= self._denominators[:, None, :]
-            self._log_table = np.log(table, out=table)
+            table = np.empty(self._counts.shape)
+            denominators = self._denominators[:, None, :]
+            self._log_table = _log_leaf_probs(self._counts, denominators, table)
         return self._log_table
 
     def _unit_posteriors(self) -> np.ndarray:
@@ -309,15 +307,12 @@ class LeafModel:
     def truncated(self, k: int):
         """A model over the first k units, on read-only prefix views of this
         model's counts and of its log table when it is built (all unit
-        totals agree, so it is the sub-model's table bit for bit).
-
-        Both models' counts become read-only: whichever counts next copies
-        them first, so neither can write into the other.
+        totals agree, so it is the sub-model's table bit for bit). Both
+        models' counts become read-only, so neither writes into the other.
         """
         if not 1 <= k <= self.num_units:
             raise InvalidArgument(f"k must be in [1, {self.num_units}]")
-        self._counts.flags.writeable = False
-        sub = self._like(self._tests[:k], self._counts[:k])
+        sub = self._like(self._tests[:k], self.counts[:k])
         if self._log_table is not None:
             self._log_table.flags.writeable = False
             sub._log_table = self._log_table[:k]
@@ -454,13 +449,9 @@ class LeafModel:
     def _log_rows(self, ids: np.ndarray, first: int, out: np.ndarray) -> None:
         """Fill ``out`` with rows ``ids`` of the (units * leaves, H) view of
         ``log_table``, row i being a leaf of unit ``first + i``, computed
-        from the counts with the table's own ops, so they are its bytes."""
-        counts = self._counts.reshape(-1, self.num_classes)
-        # copyto casts without the buffer np.add(..., dtype=) would allocate
-        np.copyto(out, counts.take(ids, axis=0))
-        out += 1.0
-        out /= self._denominators[first : first + ids.size]
-        np.log(out, out=out)
+        from the counts by the table's own kernel, so they are its bytes."""
+        counts = self._counts.reshape(-1, self.num_classes).take(ids, axis=0)
+        _log_leaf_probs(counts, self._denominators[first : first + ids.size], out)
 
     # -- serialization ----------------------------------------------------
 
@@ -600,10 +591,9 @@ def train_models(models: Sequence[LeafModel], samples: Iterable):
 
     Tables go stale once counting starts, so they are dropped before the
     first chunk is counted. Each chunk is counted at the narrowest width that
-    holds its class totals (``LeafModel._accumulate``), never at uint64 for
-    its own sake; whether the stream ends or raises, each model's counts are
-    then narrowed to the width ``save()`` picks and checked, and its next
-    table is built from them on first read, so training builds no table.
+    holds its class totals (``LeafModel._accumulate``). Whether the stream
+    ends or raises, each model's counts are then narrowed to the width
+    ``save()`` picks and checked; training builds no table.
     """
     classes = min(model.num_classes for model in models)
     for model in models:
@@ -627,14 +617,22 @@ def _narrowest(counts: np.ndarray) -> np.ndarray:
     return counts.astype(f"u{_width(int(counts.max()))}", copy=False)
 
 
+def _log_leaf_probs(counts: np.ndarray, denominators: np.ndarray, out: np.ndarray):
+    """log((counts + 1) / denominators) in float64 ``out``: the one kernel of
+    ``log_table`` and the one-patch rows. copyto casts without a buffer."""
+    np.copyto(out, counts)
+    out += 1.0
+    out /= denominators
+    return np.log(out, out=out)
+
+
 def _total_dtype(dtype: np.dtype, terms: int) -> np.dtype:
     """The dtype to sum ``terms`` counts of ``dtype`` in: the narrowest
     unsigned width in ``COUNT_WIDTHS`` that holds ``terms`` times its largest
     count, so the sum is exact and equals float64's; float64 itself once
     that bound reaches 2^53, where a float64 sum may round and its bytes
     are the rule."""
-    largest = 1 if dtype == np.bool_ else int(np.iinfo(dtype).max)
-    bound = terms * largest
+    bound = terms * int(np.iinfo(dtype).max)
     return np.dtype(np.float64 if bound >= 2**53 else f"u{_width(bound)}")
 
 

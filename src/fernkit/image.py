@@ -164,7 +164,8 @@ def read_pgm(data: bytes) -> GrayImage:
     """Decode a binary "P5" PGM with maxval <= 255.
 
     Header comments (``#`` to end of line) and arbitrary whitespace between
-    tokens are accepted; the raster must hold one byte per pixel.
+    tokens are accepted; the raster must hold one byte per pixel, none of
+    them above maxval.
     """
     if len(data) < 2:
         raise ParseError("file too short for a PGM magic")
@@ -199,6 +200,10 @@ def read_pgm(data: bytes) -> GrayImage:
             f"truncated raster: expected {width * height} bytes, got {len(raster)}"
         )
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    # a maxval-255 file cannot break the rule, so it needs no pass
+    if maxval < 255 and pixels.max() > maxval:
+        y, x = np.argwhere(pixels > maxval)[0]
+        raise ParseError(f"sample {pixels[y, x]} at ({x}, {y}) exceeds maxval {maxval}")
     return GrayImage(pixels.copy())
 
 
@@ -448,9 +453,7 @@ def box_mean(values: np.ndarray, radius: int) -> np.ndarray:
     """Mean over the (2r+1)^2 window around each cell, clipped at borders.
 
     Takes integer values only and returns float64: each exact window sum
-    over its cell count. The frame is divided by the full window's count,
-    and the clipped edge rows and columns again by their own, which gives
-    every cell the same quotient as one full-frame division.
+    over its clipped cell count, in one division.
     """
     if radius < 0:
         raise InvalidArgument(f"radius must be >= 0, got {radius}")
@@ -462,13 +465,7 @@ def box_mean(values: np.ndarray, radius: int) -> np.ndarray:
     ys, xs = np.arange(h), np.arange(w)
     rows = np.minimum(ys + ry + 1, h) - np.maximum(ys - ry, 0)
     cols = np.minimum(xs + rx + 1, w) - np.maximum(xs - rx, 0)
-    sums = window_sums(arr, radius)
-    means = sums / float((2 * ry + 1) * (2 * rx + 1))
-    edge = np.flatnonzero(rows != 2 * ry + 1)
-    means[edge] = sums[edge] / (rows[edge, None] * cols)
-    edge = np.flatnonzero(cols != 2 * rx + 1)
-    means[:, edge] = sums[:, edge] / (rows[:, None] * cols[edge])
-    return means
+    return window_sums(arr, radius) / (rows[:, None] * cols)
 
 
 def window_sums(arr: np.ndarray, radius: int) -> np.ndarray:

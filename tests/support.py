@@ -352,8 +352,9 @@ def count_section(data: bytes, model) -> tuple[int, int]:
 
 
 def accumulate_oracle(model, patches: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The model's counts after one np.add.at per unit over a chunk."""
-    counts = model.counts.copy()
+    """The model's counts after one np.add.at per unit over a chunk, in
+    uint64, where a narrow copy would wrap."""
+    counts = model.counts.astype(np.uint64)
     leaves = model.leaf_indices(patches)
     for u in range(counts.shape[0]):
         np.add.at(counts[u], (leaves[:, u], labels), 1)

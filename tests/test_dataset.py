@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -10,11 +11,14 @@ from fernkit import (
     AffineDeform,
     ClassSet,
     DatasetSpec,
+    FernModel,
     GenStats,
     GrayImage,
     InvalidArgument,
+    InvalidLabel,
     InvalidPatch,
     Keypoint,
+    make_random_ferns,
 )
 from fernkit import dataset
 from fernkit.dataset import (
@@ -37,9 +41,10 @@ from fernkit.dataset import (
     write_manifest,
 )
 from fernkit.dataset import test_views as render_test_views
+from fernkit.evaluate import materialize
 from fernkit.image import BACKGROUND, add_noise, read_pgm, warp_image, warp_points
 
-from support import extract_patches_oracle, window_mask_oracle
+from support import extract_patches_oracle, grid_classes, random_patches, window_mask_oracle
 
 
 def identity_for(img):
@@ -319,6 +324,56 @@ class TestViewBlocks:
             list(sample_batches([(patches, np.arange(3)), (patches[:, :4], np.arange(3))]))
         with pytest.raises(InvalidArgument):
             list(sample_batches([(patches, np.arange(3))], 0))
+
+
+class TestWholeLabels:
+    """``sample_batches`` rejects a label that is not a whole number before
+    any model counts its chunk; ints and whole floats are accepted."""
+
+    PATCHES = random_patches(np.random.default_rng(120), 4, 5)
+    BAD = [
+        ([0.5, 1.7, 2.9, 1], "0.5"),
+        ([0.2, 1.9, 2.5, 0.0], "0.2"),
+        ([0, 1, 2.5, 1], "2.5"),
+        ([0, float("nan"), 1, 2], "nan"),
+        ([0, 1, float("-inf"), 2], "-inf"),
+        ([0, Fraction(1, 2), 1, 2], "1/2"),
+    ]
+
+    @staticmethod
+    def stream(form, labels):
+        if form == "pairs":
+            return zip(TestWholeLabels.PATCHES, labels)
+        return [(TestWholeLabels.PATCHES, np.array(labels))]
+
+    @staticmethod
+    def model():
+        return FernModel(grid_classes(3, 5), make_random_ferns(2, 3, 5, np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("form", ["pairs", "block"])
+    @pytest.mark.parametrize("labels, bad", BAD)
+    def test_train_rejects_before_counting(self, form, labels, bad):
+        model = self.model()
+        with pytest.raises(InvalidLabel, match=f"^label {bad} is not a whole"):
+            model.train(self.stream(form, labels))
+        assert not model.counts.any()
+
+    @pytest.mark.parametrize("form", ["pairs", "block"])
+    @pytest.mark.parametrize("labels, bad", BAD)
+    def test_materialize_rejects(self, form, labels, bad):
+        with pytest.raises(InvalidLabel, match=f"^label {bad} is not a whole"):
+            materialize(self.stream(form, labels))
+
+    @pytest.mark.parametrize("form", ["pairs", "block"])
+    def test_whole_floats_are_their_ints(self, form):
+        ints, floats = [0, 2, 1, 2], [0.0, 2.0, Fraction(1), np.float64(2)]
+        if form == "block":
+            floats = np.array(floats)
+        patches, labels = materialize(self.stream(form, floats))
+        assert labels.dtype == np.int64 and labels.tolist() == ints
+        assert patches.tobytes() == self.PATCHES.tobytes()
+        want = self.model().train(self.stream(form, ints))
+        assert self.model().train(self.stream(form, floats)).save() == want.save()
 
 
 class TestOneLayoutPerView:

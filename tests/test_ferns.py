@@ -142,16 +142,10 @@ class TestMakeRandomFerns:
         assert big[:5] == small
 
 
-def two_class_m1_model() -> FernModel:
-    """1 fern, M=1, counts c0: (3, 1), c1: (1, 3)."""
-    classes = grid_classes(2, 5)
-    model = FernModel(classes, [Fern((FeatureTest(-1, 0, 1, 0),))])
-    model.counts[0, 0, 0] = 3
-    model.counts[0, 1, 0] = 1
-    model.counts[0, 0, 1] = 1
-    model.counts[0, 1, 1] = 3
-    model._rebuild_tables()
-    return model
+def two_class_m1_model(c1=(1, 3)) -> FernModel:
+    """1 fern, M=1, counts c0: (3, 1), c1: ``c1`` over leaves 0 and 1."""
+    counts = np.array([[[3, c1[0]], [1, c1[1]]]], dtype=np.uint64)
+    return FernModel(grid_classes(2, 5), [Fern((FeatureTest(-1, 0, 1, 0),))], counts)
 
 
 def leaf1_patch() -> GrayImage:
@@ -262,7 +256,7 @@ class TestTrain:
         assert np.array_equal(once.log_table, twice.log_table)
 
     def test_starting_counts(self, small_model):
-        counts = small_model.counts.copy()
+        counts = small_model.counts.astype(np.uint64)
         model = FernModel(small_model.classes, small_model.ferns, counts)
         assert np.array_equal(model.log_table, small_model.log_table)
         counts[0, 0, 0] += 1  # the model keeps its own copy
@@ -301,9 +295,7 @@ class TestClassify:
         assert np.allclose(post, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
     def test_symmetric_model_splits_evenly(self):
-        model = two_class_m1_model()
-        model.counts[0, :, 1] = model.counts[0, :, 0]
-        model._rebuild_tables()
+        model = two_class_m1_model(c1=(3, 1))
         img = leaf1_patch()
         assert np.allclose(model.posterior(img, center_of(img)), [0.5, 0.5])
         assert model.classify(img, center_of(img))[0] == 0  # tie goes low
@@ -450,7 +442,7 @@ class TestSerialization:
     def test_tables_are_rebuilt_from_counts(self, small_model):
         # a count moved between two leaves of one class keeps every total,
         # so the file loads, and its tables follow the moved count
-        counts = small_model.counts.copy()
+        counts = small_model.counts.astype(np.uint64)
         src = int(np.argmax(counts[0, :, 0]))
         dst = (src + 1) % small_model.num_leaves
         counts[0, src, 0] -= 1
@@ -492,10 +484,9 @@ class TestSerialization:
 
 def one_cell_model(value: int) -> FernModel:
     """1 fern, M=1, 2 classes; a single count of ``value`` at leaf 1, class 1."""
-    model = FernModel(grid_classes(2, 5), [Fern((FeatureTest(-1, 0, 1, 0),))])
-    model.counts[0, 1, 1] = value
-    model._rebuild_tables()
-    return model
+    counts = np.zeros((1, 2, 2), dtype=np.uint64)
+    counts[0, 1, 1] = value
+    return FernModel(grid_classes(2, 5), [Fern((FeatureTest(-1, 0, 1, 0),))], counts)
 
 
 class TestCountWidth:
@@ -523,8 +514,9 @@ class TestCountWidth:
     @pytest.mark.parametrize("value", [255, 256, 65535, 65536, 2**32 - 1, 2**32])
     def test_round_trip_at_every_width(self, value):
         model = one_cell_model(value)
-        loaded = FernModel.load(model.save())
-        assert loaded.counts.dtype == np.uint64
+        data = model.save()
+        loaded = FernModel.load(data)
+        assert loaded.counts.itemsize == count_section(data, model)[1]
         assert np.array_equal(loaded.counts, model.counts)
         assert loaded.log_table.tobytes() == model.log_table.tobytes()
         probe = random_patches(np.random.default_rng(value % 1000), 50, 5)
@@ -564,13 +556,14 @@ class TestLoadedTables:
 
     @pytest.mark.parametrize("extra, width", [(0, 1), (1000, 2), (70000, 4), (2**33, 8)])
     def test_equal_to_a_model_built_from_uint64_counts(self, small_model, extra, width):
-        counts = small_model.counts.copy()
+        # uint64, so the added counts cannot wrap at the fixture's u8 width
+        counts = small_model.counts.astype(np.uint64)
         counts[:, 0, 0] += np.uint64(extra)  # in every unit, so totals agree
         built = FernModel(small_model.classes, small_model.ferns, counts)
         data = built.save()
         assert struct.unpack_from("<I", data, WIDTH_WORD) == (width,)
         loaded = FernModel.load(data)
-        assert loaded.counts.dtype == np.uint64
+        assert loaded.counts.dtype == np.dtype(f"u{width}")
         assert loaded.counts.flags.c_contiguous
         assert np.array_equal(loaded.counts, counts)
         assert loaded.log_table.tobytes() == built.log_table.tobytes()
@@ -623,7 +616,8 @@ class TestTotalsCheck:
         counts = np.stack([leaves] * 3).astype(dtype)
         ferns = make_random_ferns(3, 4, 9, rng)
         model = FernModel(grid_classes(3, 9), ferns, counts)
-        assert model._counts.dtype == np.dtype(dtype)
+        # a bool array is held as u8, so every held array is unsigned
+        assert model._counts.dtype == np.dtype("uint8" if dtype == "bool" else dtype)
         want = counts.sum(axis=1, dtype=np.float64) + 16.0
         assert model._denominators.dtype == np.float64
         assert model._denominators.tobytes() == want.tobytes()
@@ -646,7 +640,6 @@ class TestTotalsCheck:
         assert _total_dtype(np.dtype(np.uint64), 2) == np.float64
         assert _total_dtype(np.dtype(np.uint32), 1 << 21) == np.uint64
         assert _total_dtype(np.dtype(np.uint32), 1 << 22) == np.float64
-        assert _total_dtype(np.dtype(np.bool_), 1 << 7) == np.uint8
 
     @pytest.mark.parametrize("value, width", [(9, 1), (1000, 2), (70000, 4), (2**33, 8)])
     def test_disagreeing_totals_are_corrupt_at_each_width(self, value, width):
@@ -662,12 +655,13 @@ class TestTotalsCheck:
 
 
 class TestNarrowCounts:
-    """A loaded model holds the file's narrow counts until ``counts`` is read."""
+    """A loaded model holds the file's narrow counts, and ``counts`` reads
+    them at that width."""
 
     def test_loaded_model_holds_the_file_width(self, small_model):
         loaded = FernModel.load(small_model.save())
         assert loaded._counts.dtype == np.uint8
-        assert loaded._counts.nbytes * 8 == small_model.counts.nbytes
+        assert loaded._counts.nbytes == small_model.counts.size
 
     def test_accumulate_on_a_loaded_model(self, small_model):
         built = FernModel(small_model.classes, small_model.ferns, small_model.counts)
@@ -713,6 +707,8 @@ class TestNarrowCounts:
          "loaded1", "loaded2", "loaded4", "loaded8", "truncated"],
     )
     def test_every_read_is_c_ordered_uint64(self, source):
+        """Every read is a C-ordered read-only view of the held counts, at
+        their width, holding the uint64 counts the model was given."""
         counts = spread_counts({"loaded2": 300, "loaded4": 70000, "loaded8": 2**33}.get(source, 9))
         model = {
             "fresh": lambda: two_fern_model(None),
@@ -724,23 +720,35 @@ class TestNarrowCounts:
             "bool": lambda: two_fern_model(counts.astype(bool)),
             "truncated": lambda: FernModel.load(two_fern_model(counts).save()).truncated(1),
         }.get(source, lambda: FernModel.load(two_fern_model(counts).save()))()
+        held = {"fresh": "u1", "uint8": "u1", "bool": "u1", "truncated": "u1"}.get(source, "u8")
         if source.startswith("loaded"):
-            assert model._counts.itemsize == int(source[-1])
+            held = f"u{source[-1]}"
         for _ in range(2):
             got = model.counts
-            assert got.dtype == np.uint64
+            assert got.dtype == np.dtype(held) == model._counts.dtype
             assert got.flags.c_contiguous
-            assert got.flags.writeable
+            assert not got.flags.writeable
+            assert np.shares_memory(got, model._counts)
         want = {"fresh": 0, "bool": counts.astype(bool)}.get(source, counts)
         want = np.broadcast_to(want, counts.shape)[: got.shape[0]]
         assert np.array_equal(got, want)
 
+    def test_a_read_only_view_of_a_writeable_array_is_copied(self):
+        counts = spread_counts(9)
+        view = counts.view()
+        view.flags.writeable = False
+        model = two_fern_model(view)
+        assert not np.shares_memory(model._counts, counts)
+        counts[0, 0, 0] += 1  # a sample that only fern 0 saw
+        assert np.array_equal(model.counts, spread_counts(9))
+        assert FernModel.load(model.save()).save() == model.save()
+
     def test_load_holds_no_uint64_copy(self):
         ferns = make_random_ferns(4, 10, 9, np.random.default_rng(0))
-        model = FernModel(grid_classes(100, 9), ferns)
         rng = np.random.default_rng(72)
-        model.counts[:] = rng.integers(0, 200, model.counts.shape[1:])[None]
-        model._rebuild_tables()
+        # one row repeated in every fern, so unit totals agree
+        counts = np.broadcast_to(rng.integers(0, 200, (1 << 10, 100)), (4, 1 << 10, 100))
+        model = FernModel(grid_classes(100, 9), ferns, counts)
         blob = model.save()
         assert count_section(blob, model)[1] == 1
         # the table, plus the u8 copy of the counts (an eighth of it); a
@@ -796,7 +804,7 @@ class TestTrainingMemory:
         assert loaded.log_table.tobytes() == model.log_table.tobytes()
         if not repeats:
             assert sha256_of(model.log_table.astype("<f8")) == MIDSIZE_TABLE_SHA[kind]
-        assert model.counts.dtype == np.uint64
+        assert model.counts.itemsize == width
 
     def test_training_peak_holds_one_table(self, kind):
         units = MIDSIZE_UNITS[kind]()
@@ -829,7 +837,7 @@ class TestTrainingMemory:
     def test_rejected_rebuild_keeps_the_old_table(self, kind):
         model = midsize_model(kind, MIDSIZE_UNITS[kind]())
         table = model.log_table
-        model.counts[0, 0, 0] += 1  # a sample that only unit 0 saw
+        model._counts[0, 0, 0] += 1  # a sample that only unit 0 saw
         with pytest.raises(InvalidArgument, match="totals disagree"):
             model._rebuild_tables()
         assert model.log_table is table
@@ -1058,7 +1066,7 @@ class TestTruncated:
     @pytest.mark.parametrize("trained", ["parent", "sub"])
     @pytest.mark.parametrize("source", ["loaded", "built"])
     def test_counting_one_side_leaves_the_other(self, small_model, trained, source):
-        # u8 counts shared with the file, or writeable uint64 counts
+        # u8 counts shared with the file, or with the fixture model
         parent = {
             "loaded": lambda: FernModel.load(small_model.save()),
             "built": lambda: FernModel(small_model.classes, small_model.ferns, small_model.counts),
@@ -1074,7 +1082,6 @@ class TestTruncated:
         )
         model = sides[trained]
         model.train(zip(patches, np.zeros(340, np.int64)))
-        model.counts[0, 0, 1] += 1  # a write through ``counts`` stays in the model
         assert model.save() != before[trained][0]
         for name, other in sides.items():
             if name != trained:
@@ -1085,6 +1092,70 @@ class TestTruncated:
             small_model.truncated(0)
         with pytest.raises(InvalidArgument):
             small_model.truncated(99)
+
+
+def public_model(kind: str, source: str):
+    """A 3-unit, depth-4, 3-class fern or tree model as a public call leaves
+    it: fresh, trained, loaded at count width 1, 2, 4 or 8, or truncated."""
+    rng = np.random.default_rng(110)
+    classes = grid_classes(3, 9)
+    if kind == "fern":
+        model = FernModel(classes, make_random_ferns(3, 4, 9, rng))
+    else:
+        model = TreeForest(classes, make_random_trees(3, 4, 9, rng))
+    if source == "fresh":
+        return model
+    model.train(zip(random_patches(rng, 60, 9), rng.integers(0, 3, 60)))
+    if source == "trained":
+        return model
+    if source == "truncated":
+        return model.truncated(2)
+    extra = {"loaded1": 0, "loaded2": 300, "loaded4": 70000, "loaded8": 2**33}[source]
+    counts = model.counts.astype(np.uint64)
+    counts[:, 0, 0] += np.uint64(extra)  # in every unit, so totals agree
+    return type(model).load(model._like(model._tests, counts).save())
+
+
+@pytest.mark.parametrize("kind", ["fern", "tree"])
+class TestReadOnlyCounts:
+    """``counts`` is a read-only view of the held counts at their width, so
+    counts reach a model only through its constructor and training."""
+
+    @pytest.mark.parametrize(
+        "source", ["fresh", "trained", "loaded1", "loaded2", "loaded4", "loaded8", "truncated"]
+    )
+    def test_a_write_through_counts_raises_and_the_model_round_trips(self, kind, source):
+        model = public_model(kind, source)
+        counts = model.counts
+        assert counts.dtype.kind == "u"
+        assert counts.dtype == model._counts.dtype
+        if source.startswith("loaded"):
+            assert counts.itemsize == int(source[-1])
+        assert not counts.flags.writeable
+        assert np.shares_memory(counts, model._counts)
+        table, data = model.log_table.tobytes(), model.save()
+        with pytest.raises(ValueError, match="read-only"):
+            model.counts[0, 0, 0] += 1
+        assert (model.log_table.tobytes(), model.save()) == (table, data)
+        loaded = type(model).load(data)
+        assert (loaded.log_table.tobytes(), loaded.save()) == (table, data)
+
+    def test_training_after_a_read_leaves_the_view_and_its_sharers(self, kind):
+        model = public_model(kind, "trained")
+        view = model.counts
+        before = view.astype(np.uint64)
+        sharer = model._like(model._tests, view)  # shares the read-only view
+        assert np.shares_memory(sharer._counts, view)
+        rng = np.random.default_rng(111)
+        patches, labels = random_patches(rng, 30, 9), rng.integers(0, 3, 30)
+        model.train(zip(patches, labels))
+        # training copied the counts before it wrote
+        assert not np.shares_memory(view, model._counts)
+        assert np.array_equal(view, before)
+        assert np.array_equal(sharer.counts, before)
+        assert np.array_equal(model.counts, accumulate_oracle(sharer, patches, labels))
+        sharer.train(zip(patches, labels))
+        assert sharer.save() == model.save()
 
 
 class TestAverageCombination:

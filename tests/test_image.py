@@ -102,6 +102,18 @@ class TestPgm:
         with pytest.raises(ParseError):
             read_pgm(b"hello world")
 
+    @pytest.mark.parametrize("maxval, raster, message", [
+        (15, [7, 200], r"sample 200 at \(1, 0\) exceeds maxval 15"),
+        (1, [0, 1, 2], r"sample 2 at \(2, 0\) exceeds maxval 1"),
+        (254, [0, 254, 255], r"sample 255 at \(2, 0\) exceeds maxval 254"),
+    ])
+    def test_sample_above_maxval_is_a_parse_error(self, maxval, raster, message):
+        head = f"P5\n{len(raster)} 1\n{maxval}\n".encode()
+        with pytest.raises(ParseError, match=message):
+            read_pgm(head + bytes(raster))
+        within = [min(v, maxval) for v in raster]
+        assert read_pgm(head + bytes(within)).pixels.tolist() == [within]
+
     def test_maxval_above_255_unsupported(self):
         with pytest.raises(UnsupportedFormat):
             read_pgm(b"P5\n1 1\n65535\n\0\0")

@@ -250,9 +250,10 @@ class TestForestSerialization:
         "value, width", [(255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4), (2**32, 8)]
     )
     def test_narrowest_width_round_trip(self, value, width):
-        forest = trained_forest(t=1, depth=3)
-        forest.counts[0, 5, 2] = value
-        forest._rebuild_tables()
+        trained = trained_forest(t=1, depth=3)
+        counts = trained.counts.astype(np.uint64)
+        counts[0, 5, 2] = value
+        forest = TreeForest(trained.classes, trained.trees, trained.combination, counts)
         data = forest.save()
         assert struct.unpack_from("<I", data, WIDTH_WORD) == (width,)
         loaded = TreeForest.load(data)
@@ -267,7 +268,8 @@ class TestForestSerialization:
     @pytest.mark.parametrize("extra, width", [(0, 1), (1000, 2), (70000, 4), (2**33, 8)])
     def test_loaded_tables_equal_a_forest_built_from_uint64_counts(self, extra, width):
         forest = trained_forest(t=3, depth=4)
-        counts = forest.counts.copy()
+        # uint64, so the added counts cannot wrap at the trained u8 width
+        counts = forest.counts.astype(np.uint64)
         counts[:, 0, 0] += np.uint64(extra)  # in every unit, so totals agree
         for combination in Combination:
             built = TreeForest(forest.classes, forest.trees, combination, counts)
@@ -275,7 +277,7 @@ class TestForestSerialization:
             assert struct.unpack_from("<I", data, WIDTH_WORD) == (width,)
             loaded = TreeForest.load(data)
             assert loaded.combination is combination
-            assert loaded.counts.dtype == np.uint64
+            assert loaded.counts.dtype == np.dtype(f"u{width}")
             assert loaded.counts.flags.c_contiguous
             assert np.array_equal(loaded.counts, counts)
             assert loaded.log_table.tobytes() == built.log_table.tobytes()
