@@ -27,13 +27,7 @@ from .evaluate import (
     recognition_rate,
     sweep_units,
 )
-from .ferns import (
-    Combination,
-    FeatureTest,
-    Fern,
-    FernModel,
-    make_random_ferns,
-)
+from .ferns import Combination, FernModel
 from .image import (
     AffineDeform,
     GrayImage,
@@ -47,7 +41,7 @@ from .image import (
     write_pgm,
 )
 from .keypoints import ClassSet, Keypoint, detect_keypoints, select_stable_classes
-from .trees import RandomTree, TreeForest, make_random_trees
+from .trees import TreeForest
 
 __version__ = "0.1.0"
 
@@ -59,8 +53,6 @@ __all__ = [
     "DatasetSpec",
     "EmptyTestSet",
     "EvalRecord",
-    "FeatureTest",
-    "Fern",
     "FernModel",
     "FernkitError",
     "FormatError",
@@ -75,7 +67,6 @@ __all__ = [
     "OutOfBounds",
     "ParseError",
     "PatchSample",
-    "RandomTree",
     "TreeForest",
     "UnsupportedFormat",
     "add_noise",
@@ -85,8 +76,6 @@ __all__ = [
     "derive_rng",
     "detect_keypoints",
     "inverse_deform",
-    "make_random_ferns",
-    "make_random_trees",
     "read_pgm",
     "recognition_rate",
     "sample_deformation",

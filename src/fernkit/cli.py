@@ -62,7 +62,9 @@ FLAGS = {
     "image": (ANY, dict(required=True, help="reference PGM image")),
     "model": (ANY, dict(required=True, help="model file path")),
     "seed": (AT_LEAST_0, dict(type=int, required=True, help="RNG seed (mandatory)")),
-    "threads": (AT_LEAST_1, dict(type=int, default=1)),
+    "threads": (AT_LEAST_1, dict(
+        type=int, default=1, help="render views on N threads; match and warp ignore it"
+    )),
     "out": (ANY, dict(help="output path (default: stdout for CSVs)")),
     "classes": (AT_LEAST_1, dict(type=int, default=200)),
     "ferns": (AT_LEAST_1, dict(type=int, default=30)),
@@ -158,8 +160,8 @@ def cmd_train(args) -> int:
     with open(args.model, "wb") as f:
         f.write(model.save())
     print(
-        f"trained {len(classes)} classes, {model.num_ferns} ferns of size "
-        f"{model.fern_size}: {stats.samples} samples from {stats.views} views "
+        f"trained {len(classes)} classes, {model.num_units} ferns of size "
+        f"{model.depth}: {stats.samples} samples from {stats.views} views "
         f"({sum(stats.skips.values())} skips) -> {args.model}"
     )
     return EXIT_OK

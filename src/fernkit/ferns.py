@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,40 +57,9 @@ class Combination(enum.Enum):
     NAIVE_BAYES = 1
 
 
-@dataclass(frozen=True)
-class FeatureTest:
-    """One binary comparison between two pixel offsets from the patch center."""
-
-    dx1: int
-    dy1: int
-    dx2: int
-    dy2: int
-
-    def __post_init__(self):
-        if (self.dx1, self.dy1) == (self.dx2, self.dy2):
-            raise InvalidArgument("feature offsets must differ")
-
-
-@dataclass(frozen=True)
-class Fern:
-    """An ordered group of M feature tests; test 0 is the leaf's MSB."""
-
-    tests: tuple[FeatureTest, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "tests", tuple(self.tests))
-        if not self.tests:
-            raise InvalidArgument("a fern needs at least one test")
-
-    @property
-    def size(self) -> int:
-        return len(self.tests)
-
-
-def random_tests(
-    count: int, patch_size: int, rng: np.random.Generator
-) -> list[FeatureTest]:
-    """Draw ``count`` tests with offsets uniform over the patch square.
+def random_tests(count: int, patch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` tests with offsets uniform over the patch square, as a
+    (count, 4) array of ``(dx1, dy1, dx2, dy2)`` rows.
 
     Coincident offset pairs are redrawn. Draws are sequential, so the first
     k tests of a longer draw equal a fresh draw of k tests under one seed.
@@ -102,20 +70,11 @@ def random_tests(
     tests = []
     for _ in range(count):
         while True:
-            dx1, dy1, dx2, dy2 = (int(v) for v in rng.integers(-reach, reach + 1, 4))
+            dx1, dy1, dx2, dy2 = rng.integers(-reach, reach + 1, 4).tolist()
             if (dx1, dy1) != (dx2, dy2):
                 break
-        tests.append(FeatureTest(dx1, dy1, dx2, dy2))
-    return tests
-
-
-def make_random_ferns(
-    s: int, m: int, patch_size: int, rng: np.random.Generator
-) -> list[Fern]:
-    """Build S ferns of M random tests each, deterministic under the seed."""
-    if s < 1 or m < 1:
-        raise InvalidArgument("need at least one fern with one test")
-    return [Fern(tuple(random_tests(m, patch_size, rng))) for _ in range(s)]
+        tests.append((dx1, dy1, dx2, dy2))
+    return np.array(tests, dtype=np.intp).reshape(count, 4)
 
 
 def _check_patch_batch(patches: np.ndarray, patch_size: int) -> np.ndarray:
@@ -142,7 +101,12 @@ class LeafModel:
     """Per-unit leaf counts over classes, and the log tables built from them.
 
     A unit (fern or tree) maps a patch to one of 2^D leaves; subclasses say
-    how (``leaf_indices``), and everything after that is shared. Counts are
+    how (``leaf_indices``), and everything after that is shared. A model's
+    tests are one read-only (units, tests per unit, 4) integer array,
+    ``tests``: row ``(dx1, dy1, dx2, dy2)`` compares the pixels at those
+    offsets from the patch centre, and its bit is 1 when the first is darker.
+    A fern's D tests give its leaf's bits, test 0 the most significant; a
+    tree's 2^D - 1 node tests are in breadth-first order. Counts are
     the only state: they reach a model through its constructor, training is
     their only writer, and the Laplace-regularized log tables are caches of
     them, built on first read and dropped whenever they change. Model files
@@ -159,30 +123,44 @@ class LeafModel:
     def __init__(
         self,
         classes: ClassSet,
-        tests: Sequence[Sequence[FeatureTest]],
-        depth: int,
-        combination: Combination,
-        counts: np.ndarray | None,
+        tests: np.ndarray,
+        combination: Combination = Combination.AVERAGE,
+        counts: np.ndarray | None = None,
     ):
+        tests = np.asarray(tests)
+        if tests.ndim != 3 or tests.shape[2] != 4 or 0 in tests.shape:
+            raise InvalidArgument(
+                f"tests must be a non-empty (units, tests per unit, 4) array, got {tests.shape}"
+            )
+        if tests.dtype.kind not in "iu":
+            raise InvalidArgument(f"test offsets must be integers, got {tests.dtype}")
+        # compared as Python ints: exact for every integer dtype, before a cast
+        reach = classes.patch_size // 2
+        if int(tests.min()) < -reach or int(tests.max()) > reach:
+            raise InvalidArgument("test offset outside the patch square")
+        if ((tests[..., 0] == tests[..., 2]) & (tests[..., 1] == tests[..., 3])).any():
+            raise InvalidArgument("feature offsets must differ")
+        depth = self._depth(tests.shape[1])
         if depth > MAX_DEPTH:
             raise InvalidArgument(f"unit depth {depth} exceeds {MAX_DEPTH}")
-        offsets = np.array(
-            [[[t.dx1, t.dy1, t.dx2, t.dy2] for t in ts] for ts in tests], dtype=np.intp
-        )
-        if np.abs(offsets).max() > classes.patch_size // 2:
-            raise InvalidArgument("test offset outside the patch square")
+        if self._tests_per_unit(depth) != tests.shape[1]:
+            raise InvalidArgument(
+                f"a depth-{depth} unit needs {self._tests_per_unit(depth)} tests, "
+                f"got {tests.shape[1]}"
+            )
+        self.tests = tests.astype(np.intp)  # (units, tests per unit, 4)
+        self.tests.flags.writeable = False
         self.classes = classes
         self.combination = combination
         self.patch_size = classes.patch_size
         self.num_classes = len(classes)
+        self.num_units = tests.shape[0]
+        self.depth = depth
         self.num_leaves = 1 << depth
-        self._tests = tuple(tuple(ts) for ts in tests)
-        self.num_units = len(self._tests)
-        self._offsets = offsets  # (U, tests per unit, 4)
         # flat positions of each test's two pixels in the p x p window
-        p, r = self.patch_size, self.patch_size // 2
-        self._o1 = (offsets[..., 1] + r) * p + offsets[..., 0] + r
-        self._o2 = (offsets[..., 3] + r) * p + offsets[..., 2] + r
+        p = self.patch_size
+        self._o1 = (self.tests[..., 1] + reach) * p + self.tests[..., 0] + reach
+        self._o2 = (self.tests[..., 3] + reach) * p + self.tests[..., 2] + reach
         shape = (self.num_units, self.num_leaves, self.num_classes)
         if counts is None:
             # the width save() picks for zero counts; training widens them
@@ -312,15 +290,11 @@ class LeafModel:
         """
         if not 1 <= k <= self.num_units:
             raise InvalidArgument(f"k must be in [1, {self.num_units}]")
-        sub = self._like(self._tests[:k], self.counts[:k])
+        sub = type(self)(self.classes, self.tests[:k], self.combination, self.counts[:k])
         if self._log_table is not None:
             self._log_table.flags.writeable = False
             sub._log_table = self._log_table[:k]
         return sub
-
-    def _like(self, tests, counts):
-        depth = self.num_leaves.bit_length() - 1
-        return self._build(self.classes, depth, tests, self.combination, counts)
 
     # -- evaluation -------------------------------------------------------
 
@@ -467,13 +441,13 @@ class LeafModel:
             MODEL_VERSION,
             self.num_classes,
             self.num_units,
-            self.num_leaves.bit_length() - 1,
+            self.depth,
             self.patch_size,
             self.combination.value,
             width,
         )
         kp = self.classes.coords.astype("<f4").tobytes()
-        tests = self._offsets.astype("<i2").tobytes()
+        tests = self.tests.astype("<i2").tobytes()
         return head + kp + tests + counts.astype(f"<u{width}", copy=False).tobytes()
 
     @classmethod
@@ -503,12 +477,9 @@ class LeafModel:
         try:
             # tolist converts every value to a Python float or int at once
             classes = ClassSet(tuple(Keypoint(x, y) for x, y in kp.tolist()), patch_size)
-            unit_tests = [
-                tuple(FeatureTest(*row) for row in rows) for rows in tests.tolist()
-            ]
             # the totals check rejects counts whose unit totals disagree;
             # no table is built until one is read
-            return cls._build(classes, depth, unit_tests, Combination(combo), counts)
+            return cls(classes, tests, Combination(combo), counts)
         except FernkitError as exc:
             raise CorruptModel(str(exc)) from exc
 
@@ -521,22 +492,14 @@ class FernModel(LeafModel):
     def __init__(
         self,
         classes: ClassSet,
-        ferns: Sequence[Fern],
+        tests: np.ndarray,
+        combination: Combination = Combination.NAIVE_BAYES,
         counts: np.ndarray | None = None,
     ):
-        ferns = tuple(ferns)
-        if not ferns:
-            raise InvalidArgument("need at least one fern")
-        m = ferns[0].size
-        if any(f.size != m for f in ferns):
-            raise InvalidArgument("all ferns must share one size")
-        super().__init__(
-            classes, [f.tests for f in ferns], m, Combination.NAIVE_BAYES, counts
-        )
-        self.ferns = ferns
-        self.num_ferns = len(ferns)
-        self.fern_size = m
-        self._weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
+        if combination is not Combination.NAIVE_BAYES:
+            raise InvalidArgument("ferns are fused by Naive-Bayes")
+        super().__init__(classes, tests, combination, counts)
+        self._weights = (1 << np.arange(self.depth - 1, -1, -1)).astype(np.int64)
 
     @classmethod
     def random(
@@ -546,6 +509,7 @@ class FernModel(LeafModel):
         m: int = DEFAULT_FERN_SIZE,
         rng: np.random.Generator | None = None,
     ) -> "FernModel":
+        """S ferns of M random tests each, deterministic under the seed."""
         if rng is None:
             raise InvalidArgument("an explicit rng is required")
         # checked before the S x M tests are drawn
@@ -553,17 +517,15 @@ class FernModel(LeafModel):
             raise InvalidArgument(
                 f"need s >= 1 ferns of size m in [1, {MAX_DEPTH}], got s={s}, m={m}"
             )
-        return cls(classes, make_random_ferns(s, m, classes.patch_size, rng))
+        return cls(classes, random_tests(s * m, classes.patch_size, rng).reshape(s, m, 4))
+
+    @staticmethod
+    def _depth(tests_per_unit: int) -> int:
+        return tests_per_unit
 
     @staticmethod
     def _tests_per_unit(depth: int) -> int:
         return depth
-
-    @classmethod
-    def _build(cls, classes, depth, tests, combination, counts) -> "FernModel":
-        if combination is not Combination.NAIVE_BAYES:
-            raise InvalidArgument("ferns are fused by Naive-Bayes")
-        return cls(classes, [Fern(ts) for ts in tests], counts)
 
     def leaf_indices(self, patches: np.ndarray) -> np.ndarray:
         """(N, S) leaf indices for a batch of patches centered on themselves."""

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from fernkit import ClassSet, GrayImage, Keypoint, box_smooth
+from fernkit.ferns import random_tests
 from fernkit.image import BACKGROUND, deform_matrix, unwarp_points, warp_points
 
 
@@ -45,13 +46,30 @@ def grid_classes(h: int, patch_size: int) -> ClassSet:
     return ClassSet(tuple(kps), patch_size)
 
 
-def leaf_index_oracle(patch: np.ndarray, fern) -> int:
-    """Per-bit evaluation packed through a binary string, MSB first."""
+def fern_tests(s: int, m: int, patch_size: int, rng) -> np.ndarray:
+    """(S, M, 4) tests of S random ferns of size M, drawn as FernModel.random does."""
+    return random_tests(s * m, patch_size, rng).reshape(s, m, 4)
+
+
+def tree_tests(t: int, depth: int, patch_size: int, rng) -> np.ndarray:
+    """(T, 2^D - 1, 4) node tests of T random trees, drawn as TreeForest.random does."""
+    nodes = (1 << depth) - 1
+    return random_tests(t * nodes, patch_size, rng).reshape(t, nodes, 4)
+
+
+def with_counts(model, counts):
+    """A model over ``model``'s classes, tests and combination holding ``counts``."""
+    return type(model)(model.classes, model.tests, model.combination, counts)
+
+
+def leaf_index_oracle(patch: np.ndarray, fern: np.ndarray) -> int:
+    """Per-bit evaluation of a fern's (M, 4) test rows packed through a
+    binary string, MSB first."""
     cy, cx = patch.shape[0] // 2, patch.shape[1] // 2
     bits = ""
-    for t in fern.tests:
-        a = int(patch[cy + t.dy1, cx + t.dx1])
-        b = int(patch[cy + t.dy2, cx + t.dx2])
+    for dx1, dy1, dx2, dy2 in fern.tolist():
+        a = int(patch[cy + dy1, cx + dx1])
+        b = int(patch[cy + dy2, cx + dx2])
         bits += "1" if a < b else "0"
     return int(bits, 2)
 
@@ -60,11 +78,11 @@ def posterior_oracle(model, patch: np.ndarray) -> list[Fraction]:
     """Exact-rational posterior: prior times the product of per-fern leaf
     probabilities, normalized."""
     h = model.num_classes
-    m = model.fern_size
+    m = model.depth
     weights = []
     for c in range(h):
         p = Fraction(1, h)
-        for s, fern in enumerate(model.ferns):
+        for s, fern in enumerate(model.tests):
             leaf = leaf_index_oracle(patch, fern)
             n_c = int(model.counts[s, :, c].sum())
             p *= Fraction(int(model.counts[s, leaf, c]) + 1, n_c + 2**m)
@@ -73,16 +91,18 @@ def posterior_oracle(model, patch: np.ndarray) -> list[Fraction]:
     return [w / total for w in weights]
 
 
-def tree_leaf_oracle(patch: np.ndarray, tree) -> int:
-    """Explicit root-to-leaf path simulation."""
+def tree_leaf_oracle(patch: np.ndarray, tree: np.ndarray) -> int:
+    """Explicit root-to-leaf path simulation over a tree's (2^D - 1, 4)
+    node test rows, in breadth-first order."""
     cy, cx = patch.shape[0] // 2, patch.shape[1] // 2
+    rows = tree.tolist()
     node = 0
-    for _ in range(tree.depth):
-        t = tree.node_tests[node]
-        a = int(patch[cy + t.dy1, cx + t.dx1])
-        b = int(patch[cy + t.dy2, cx + t.dx2])
+    while node < len(rows):
+        dx1, dy1, dx2, dy2 = rows[node]
+        a = int(patch[cy + dy1, cx + dx1])
+        b = int(patch[cy + dy2, cx + dx2])
         node = 2 * node + 1 + (1 if a < b else 0)
-    return node - (tree.num_leaves - 1)
+    return node - len(rows)
 
 
 def rate_oracle(true_labels, predicted_labels) -> float:
@@ -306,15 +326,14 @@ def v1_fern_file(model) -> bytes:
     """The same model in the version-1 layout, which also stored the log
     prior and the log table."""
     head = b"FERNMDL1" + struct.pack(
-        "<5I", 1, model.num_classes, model.num_ferns, model.fern_size, model.patch_size
+        "<5I", 1, model.num_classes, model.num_units, model.depth, model.patch_size
     )
-    tests = [[[t.dx1, t.dy1, t.dx2, t.dy2] for t in f.tests] for f in model.ferns]
     return b"".join(
         [
             head,
             model.classes.coords.astype("<f4").tobytes(),
             model.log_prior.astype("<f8").tobytes(),
-            np.array(tests, dtype="<i2").tobytes(),
+            model.tests.astype("<i2").tobytes(),
             model.counts.astype("<u8").tobytes(),
             model.log_table.astype("<f8").tobytes(),
         ]
@@ -324,15 +343,14 @@ def v1_fern_file(model) -> bytes:
 def v2_fern_file(model) -> bytes:
     """The same model in the version-2 layout: six header words, u64 counts."""
     head = b"FERNMDL1" + struct.pack(
-        "<6I", 2, model.num_classes, model.num_ferns, model.fern_size,
+        "<6I", 2, model.num_classes, model.num_units, model.depth,
         model.patch_size, model.combination.value,
     )
-    tests = [[[t.dx1, t.dy1, t.dx2, t.dy2] for t in f.tests] for f in model.ferns]
     return b"".join(
         [
             head,
             model.classes.coords.astype("<f4").tobytes(),
-            np.array(tests, dtype="<i2").tobytes(),
+            model.tests.astype("<i2").tobytes(),
             model.counts.astype("<u8").tobytes(),
         ]
     )

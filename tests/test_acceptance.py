@@ -14,11 +14,9 @@ import pytest
 
 from fernkit import (
     DatasetSpec,
-    Fern,
     FernModel,
     GrayImage,
     Keypoint,
-    RandomTree,
     read_pgm,
     select_stable_classes,
     write_pgm,
@@ -31,7 +29,7 @@ from fernkit.dataset import (
     generate_training_set,
 )
 from fernkit.evaluate import Method, compare_methods, sweep_units
-from fernkit.ferns import make_random_ferns, random_tests
+from fernkit.ferns import random_tests
 
 from support import (
     grid_classes,
@@ -100,10 +98,7 @@ class TestCriterion1:
         for s in (1, 2, 3):
             for m in (1, 2, 3):
                 for h in (1, 2, 3, 4):
-                    model = FernModel(
-                        grid_classes(h, patch_size),
-                        make_random_ferns(s, m, patch_size, rng),
-                    )
+                    model = FernModel.random(grid_classes(h, patch_size), s, m, rng)
                     train_patches = random_patches(rng, 30 * h, patch_size)
                     labels = rng.integers(0, h, 30 * h)
                     model.train(
@@ -254,10 +249,10 @@ class TestCriterion6:
         samples = [
             (GrayImage(q), int(l)) for q, l in zip(train_patches, train_labels)
         ]
-        a = FernModel(small_model.classes, small_model.ferns).train(iter(samples))
+        a = FernModel(small_model.classes, small_model.tests).train(iter(samples))
         shuffled = list(samples)
         np.random.default_rng(601).shuffle(shuffled)
-        b = FernModel(small_model.classes, small_model.ferns).train(iter(shuffled))
+        b = FernModel(small_model.classes, small_model.tests).train(iter(shuffled))
         if not (
             np.array_equal(a.counts, b.counts)
             and np.array_equal(a.log_table, b.log_table)
@@ -279,12 +274,9 @@ class TestCriterion6:
 
         # fern vs level-shared-test tree equivalence on 1000 patches
         level_tests = random_tests(6, p, rng)
-        nodes = []
-        for level in range(6):
-            nodes.extend([level_tests[level]] * (1 << level))
-        tree = RandomTree(6, tuple(nodes))
-        fern = Fern(tuple(level_tests))
-        fern_model = FernModel(small_model.classes, [fern])
+        # breadth-first: level l holds nodes 2^l - 1 to 2^(l+1) - 2
+        tree = np.repeat(level_tests, 1 << np.arange(6), axis=0)
+        fern_model = FernModel(small_model.classes, level_tests[None])
         tree_leaves = np.array([tree_leaf_oracle(q, tree) for q in probe])
         if not np.array_equal(fern_model.leaf_indices(probe)[:, 0], tree_leaves):
             failures.append("fern and shared-test tree disagree on leaves")
@@ -301,10 +293,7 @@ class TestCriterion6:
 
 class TestCriterion7:
     def test_cost_contract(self):
-        model = FernModel(
-            grid_classes(200, 31),
-            make_random_ferns(30, 10, 31, np.random.default_rng(700)),
-        )
+        model = FernModel.random(grid_classes(200, 31), 30, 10, np.random.default_rng(700))
         probe = random_patches(np.random.default_rng(701), 20000, 32)
         model.classify_patches(probe)  # warm up
         before = model.pixel_comparisons

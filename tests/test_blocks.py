@@ -16,8 +16,6 @@ from fernkit import (
     Keypoint,
     TreeForest,
     add_noise,
-    make_random_ferns,
-    make_random_trees,
     warp_image,
 )
 from fernkit.ferns import PATCH_BLOCK, Combination
@@ -32,6 +30,7 @@ from support import (
     scores_oracle,
     stepwise_average_oracle,
     warp_image_oracle,
+    with_counts,
 )
 
 PATCH = 9
@@ -44,9 +43,9 @@ def trained(kind: str, combination: Combination, h: int = 5, units: int = 4):
     rng = np.random.default_rng(3)
     classes = grid_classes(h, PATCH)
     if kind == "fern":
-        model = FernModel(classes, make_random_ferns(units, 5, PATCH, rng))
+        model = FernModel.random(classes, units, 5, rng)
     else:
-        model = TreeForest(classes, make_random_trees(units, 4, PATCH, rng), combination)
+        model = TreeForest.random(classes, units, 4, rng, combination)
     patches = random_patches(rng, 300, PATCH)
     labels = rng.integers(0, h, 300)
     model.train([(GrayImage(p), int(l)) for p, l in zip(patches, labels)])
@@ -195,10 +194,8 @@ class TestUnitSteps:
 
 
 def rebuilt(model):
-    """A fresh model over ``model``'s units and a copy of its counts."""
-    if isinstance(model, FernModel):
-        return FernModel(model.classes, model.ferns, model.counts.copy())
-    return TreeForest(model.classes, model.trees, model.combination, model.counts.copy())
+    """A fresh model over ``model``'s tests and a copy of its counts."""
+    return with_counts(model, model.counts.copy())
 
 
 class TestCachedPosteriors:
@@ -254,8 +251,7 @@ class TestCachedPosteriors:
 class TestBoundedMemory:
     def test_classify_patches_holds_no_batch_sized_scores(self):
         h, n = 200, 8 * PATCH_BLOCK
-        ferns = make_random_ferns(10, 6, PATCH, np.random.default_rng(0))
-        model = FernModel(grid_classes(h, PATCH), ferns)
+        model = FernModel.random(grid_classes(h, PATCH), 10, 6, np.random.default_rng(0))
         patches = random_patches(np.random.default_rng(1), n, PATCH)
         peak = peak_traced_bytes(lambda: model.classify_patches(patches))
         assert peak < n * h * 8
@@ -265,8 +261,7 @@ class TestBoundedMemory:
         # more units than a block has rows: a scratch sized units x patches
         # would hold 3 x PATCH_BLOCK rows for one patch
         h, units = 100, 3 * PATCH_BLOCK
-        ferns = make_random_ferns(units, 1, PATCH, np.random.default_rng(0))
-        model = FernModel(grid_classes(h, PATCH), ferns)
+        model = FernModel.random(grid_classes(h, PATCH), units, 1, np.random.default_rng(0))
         patches = random_patches(np.random.default_rng(1), n, PATCH)
         scratch = []
         score_block = model._score_block

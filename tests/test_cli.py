@@ -48,8 +48,8 @@ class TestTrain:
     def test_model_headers_reflect_flags(self, trained):
         model = FernModel.load(trained.read_bytes())
         assert model.num_classes == 10
-        assert model.num_ferns == 16
-        assert model.fern_size == 8
+        assert model.num_units == 16
+        assert model.depth == 8
         assert model.patch_size == 21
 
     def test_deterministic_model_files(self, workdir, trained):

@@ -18,7 +18,6 @@ from fernkit import (
     InvalidLabel,
     InvalidPatch,
     Keypoint,
-    make_random_ferns,
 )
 from fernkit import dataset
 from fernkit.dataset import (
@@ -348,7 +347,7 @@ class TestWholeLabels:
 
     @staticmethod
     def model():
-        return FernModel(grid_classes(3, 5), make_random_ferns(2, 3, 5, np.random.default_rng(0)))
+        return FernModel.random(grid_classes(3, 5), 2, 3, np.random.default_rng(0))
 
     @pytest.mark.parametrize("form", ["pairs", "block"])
     @pytest.mark.parametrize("labels, bad", BAD)

@@ -82,7 +82,7 @@ class TestMethodOf:
     def test_fern_and_forest_methods(self, small_model, small_forest):
         from fernkit import Combination, TreeForest
 
-        nb = TreeForest(small_forest.classes, small_forest.trees, Combination.NAIVE_BAYES)
+        nb = TreeForest(small_forest.classes, small_forest.tests, Combination.NAIVE_BAYES)
         assert Method.of(small_model) is Method.FERN_NB
         assert Method.of(small_forest) is Method.TREE_AVG
         assert Method.of(nb) is Method.TREE_NB
@@ -101,7 +101,7 @@ class TestEvalRecord:
         model = FernModel.load(small_model.save())
         patches = random_patches(np.random.default_rng(5), 1, model.patch_size)
         row = record(Method.FERN_NB, model, patches, np.array([0]), seed=5)
-        assert row.units == model.num_ferns
+        assert row.units == model.num_units
         assert model._log_table is None
 
 

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from fernkit import (
     CorruptModel,
-    FeatureTest,
-    Fern,
     FernModel,
     FormatError,
     GrayImage,
@@ -19,8 +17,6 @@ from fernkit import (
     Keypoint,
     OutOfBounds,
     TreeForest,
-    make_random_ferns,
-    make_random_trees,
 )
 from fernkit.ferns import (
     DEFAULT_FERN_COUNT,
@@ -28,6 +24,7 @@ from fernkit.ferns import (
     PATCH_BLOCK,
     Combination,
     _total_dtype,
+    random_tests,
     train_models,
 )
 
@@ -36,6 +33,7 @@ from support import (
     WIDTH_WORD,
     accumulate_oracle,
     count_section,
+    fern_tests,
     grid_classes,
     leaf_index_oracle,
     peak_traced_bytes,
@@ -43,8 +41,10 @@ from support import (
     posterior_oracle,
     random_patches,
     sha256_of,
+    tree_tests,
     v1_fern_file,
     v2_fern_file,
+    with_counts,
 )
 
 
@@ -53,30 +53,29 @@ def center_of(img):
 
 
 def leaf_of(values, *tests) -> int:
-    """Leaf index of one fern made of ``tests`` on one square patch."""
+    """Leaf index of one fern made of ``tests`` rows on one square patch."""
     patch = np.array(values, dtype=np.uint8)
-    model = FernModel(grid_classes(1, patch.shape[0]), [Fern(tests)])
+    model = FernModel(grid_classes(1, patch.shape[0]), [tests])
     return int(model.leaf_indices(patch)[0, 0])
 
 
 class TestEvalFeature:
     def test_strictly_less_is_one(self):
-        test = FeatureTest(-1, -1, 0, -1)  # reads 10 then 20
+        test = (-1, -1, 0, -1)  # reads 10 then 20
         assert leaf_of([[10, 20, 0], [0, 0, 0], [0, 0, 0]], test) == 1
 
     def test_tie_is_zero(self):
-        test = FeatureTest(-1, -1, 0, -1)
+        test = (-1, -1, 0, -1)
         assert leaf_of([[10, 10, 0], [0, 0, 0], [0, 0, 0]], test) == 0
 
     def test_constant_image_always_zero(self):
         patch = np.full((9, 9), 42, dtype=np.uint8)
         rng = np.random.default_rng(0)
-        for fern in make_random_ferns(3, 4, 9, rng):
-            for t in fern.tests:
-                assert leaf_of(patch, t) == 0
+        for t in random_tests(12, 9, rng):
+            assert leaf_of(patch, t) == 0
 
     def test_out_of_bounds(self):
-        model = FernModel(grid_classes(1, 3), [Fern((FeatureTest(1, 0, 0, 1),))])
+        model = FernModel(grid_classes(1, 3), [[(1, 0, 0, 1)]])
         img = GrayImage(np.zeros((5, 5), dtype=np.uint8))
         with pytest.raises(OutOfBounds):
             model.classify(img, Keypoint(4, 4))
@@ -84,27 +83,29 @@ class TestEvalFeature:
             model.posterior(img, Keypoint(4, 4))
 
     def test_coincident_offsets_rejected(self):
-        with pytest.raises(InvalidArgument):
-            FeatureTest(1, 1, 1, 1)
+        with pytest.raises(InvalidArgument, match="offsets must differ"):
+            FernModel(grid_classes(1, 3), [[(-1, 0, 1, 0), (1, 1, 1, 1)]])
+        with pytest.raises(InvalidArgument, match="offsets must differ"):
+            TreeForest(grid_classes(1, 3), [[(1, 1, 1, 1)]])
 
 
 class TestEvalFern:
     def test_declared_bit_order(self):
         # three tests engineered to produce bits (1, 0, 1) -> 5
         patch = np.array([[5, 9, 0], [7, 1, 7], [0, 9, 5]], dtype=np.uint8)
-        fern = Fern(
-            (
-                FeatureTest(-1, -1, 0, -1),  # 5 < 9 -> 1
-                FeatureTest(1, 0, -1, 0),  # 7 < 7 -> 0
-                FeatureTest(-1, 1, 0, 1),  # 0 < 9 -> 1
-            )
+        fern = np.array(
+            [
+                (-1, -1, 0, -1),  # 5 < 9 -> 1
+                (1, 0, -1, 0),  # 7 < 7 -> 0
+                (-1, 1, 0, 1),  # 0 < 9 -> 1
+            ]
         )
-        assert leaf_of(patch, *fern.tests) == 5
+        assert leaf_of(patch, *fern) == 5
         assert leaf_index_oracle(patch, fern) == 5
 
     def test_constant_image_leaf_zero(self):
         patches = np.full((1, 11, 11), 8, dtype=np.uint8)
-        model = FernModel(grid_classes(1, 11), make_random_ferns(5, 6, 11, np.random.default_rng(1)))
+        model = FernModel.random(grid_classes(1, 11), 5, 6, np.random.default_rng(1))
         assert not model.leaf_indices(patches).any()
 
     @given(seed=st.integers(0, 2**31))
@@ -112,40 +113,114 @@ class TestEvalFern:
     def test_bit_packing_oracle(self, seed):
         rng = np.random.default_rng(seed)
         patches = random_patches(rng, 4, 13)
-        ferns = make_random_ferns(3, 7, 13, rng)
-        leaves = FernModel(grid_classes(1, 13), ferns).leaf_indices(patches)
-        expected = [[leaf_index_oracle(p, f) for f in ferns] for p in patches]
+        model = FernModel.random(grid_classes(1, 13), 3, 7, rng)
+        leaves = model.leaf_indices(patches)
+        expected = [[leaf_index_oracle(p, f) for f in model.tests] for p in patches]
         assert np.array_equal(leaves, expected)
 
 
 class TestMakeRandomFerns:
+    """``FernModel.random`` draws S x M tests in one ``random_tests`` call."""
+
     def test_deterministic(self):
-        a = make_random_ferns(4, 5, 31, np.random.default_rng(12))
-        b = make_random_ferns(4, 5, 31, np.random.default_rng(12))
-        assert a == b
+        classes = grid_classes(1, 31)
+        a = FernModel.random(classes, 4, 5, np.random.default_rng(12))
+        b = FernModel.random(classes, 4, 5, np.random.default_rng(12))
+        assert a.tests.tobytes() == b.tests.tobytes()
+        want = random_tests(20, 31, np.random.default_rng(12)).reshape(4, 5, 4)
+        assert np.array_equal(a.tests, want)
 
     def test_offsets_within_patch_and_distinct(self):
-        ferns = make_random_ferns(100, 100, 15, np.random.default_rng(3))
-        for fern in ferns:
-            for t in fern.tests:
-                assert max(abs(t.dx1), abs(t.dy1), abs(t.dx2), abs(t.dy2)) <= 7
-                assert (t.dx1, t.dy1) != (t.dx2, t.dy2)
+        tests = random_tests(100 * 100, 15, np.random.default_rng(3))
+        assert tests.shape == (100 * 100, 4)
+        for dx1, dy1, dx2, dy2 in tests.tolist():
+            assert max(abs(dx1), abs(dy1), abs(dx2), abs(dy2)) <= 7
+            assert (dx1, dy1) != (dx2, dy2)
 
     def test_default_budget_is_300_features(self):
-        ferns = make_random_ferns(30, 10, 31, np.random.default_rng(0))
-        assert sum(f.size for f in ferns) == 300
+        model = FernModel.random(grid_classes(1, 31), rng=np.random.default_rng(0))
+        assert model.tests.shape == (30, 10, 4)
+        assert (model.num_units, model.depth) == (30, 10)
 
     def test_prefix_stability(self):
         # the first k ferns of a big draw equal a fresh draw of k ferns
-        big = make_random_ferns(30, 6, 21, np.random.default_rng(77))
-        small = make_random_ferns(5, 6, 21, np.random.default_rng(77))
-        assert big[:5] == small
+        classes = grid_classes(1, 21)
+        big = FernModel.random(classes, 30, 6, np.random.default_rng(77))
+        small = FernModel.random(classes, 5, 6, np.random.default_rng(77))
+        assert np.array_equal(big.tests[:5], small.tests)
+
+
+MODEL_KINDS = {"fern": FernModel, "tree": TreeForest}
+
+
+@pytest.mark.parametrize("kind", ["fern", "tree"])
+class TestTestsArray:
+    """Both constructors take one (units, tests per unit, 4) integer array,
+    check it once and hold it read-only as ``tests``."""
+
+    @pytest.mark.parametrize(
+        "tests",
+        [
+            # truncated to the always-false (0, 0, 0, 0), whose file never loaded
+            np.array([[[0.2, 0, 0, 0]]]),
+            np.array([[[1.0, 0, 0, 1]]]),  # whole floats too: the dtype is checked
+            np.array([[[True, False, True, True]]]),  # was taken as (1, 0, 1, 1)
+            np.array([[[1, 0, 0, 1]]], dtype=object),
+        ],
+        ids=["fraction", "whole-float", "bool", "object"],
+    )
+    def test_offsets_that_are_not_integers_rejected(self, kind, tests):
+        with pytest.raises(InvalidArgument, match="must be integers"):
+            MODEL_KINDS[kind](grid_classes(2, 5), tests)
+
+    @pytest.mark.parametrize(
+        "dtype, value",
+        [("int8", -3), ("int8", 3), ("uint8", 3), ("int16", -32768), ("int64", 2**62),
+         ("uint64", 2**63), ("uint64", 2**64 - 1)],
+    )
+    def test_offsets_outside_the_patch_rejected_at_every_dtype(self, kind, dtype, value):
+        # 2^63 and 2^64 - 1 would cast to -2^63 and to -1, which is inside
+        tests = np.array([[[value, 0, 0, 1]]], dtype=dtype)
+        with pytest.raises(InvalidArgument, match="outside the patch"):
+            MODEL_KINDS[kind](grid_classes(2, 5), tests)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 1, 3), (0, 1, 4), (1, 0, 4), (1, 1, 1, 4)])
+    def test_shapes_other_than_units_by_tests_by_4_rejected(self, kind, shape):
+        with pytest.raises(InvalidArgument, match="tests must be"):
+            MODEL_KINDS[kind](grid_classes(2, 5), np.ones(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", ["int8", "uint8", "int16", "uint16", "int32", "uint64"])
+    def test_any_integer_dtype_gives_the_same_model(self, kind, dtype):
+        # offsets >= 0, so every dtype holds them
+        tests = np.array([[[0, 1, 2, 0]], [[1, 1, 0, 2]]])
+        counts = np.array([[[3, 1], [2, 0]]] * 2)
+        want = MODEL_KINDS[kind](grid_classes(2, 5), tests, counts=counts)
+        got = MODEL_KINDS[kind](grid_classes(2, 5), tests.astype(dtype), counts=counts)
+        assert got.tests.dtype == np.intp
+        assert got.save() == want.save()
+
+    def test_tests_are_a_read_only_copy(self, kind):
+        tests = np.array([[[-1, 0, 1, 0]]])
+        model = MODEL_KINDS[kind](grid_classes(2, 5), tests)
+        tests[0, 0, 0] = 0  # the caller's array, not the model's
+        assert model.tests.tolist() == [[[-1, 0, 1, 0]]]
+        with pytest.raises(ValueError, match="read-only"):
+            model.tests[0, 0, 0] = 0
+        assert (model.num_units, model.depth) == (1, 1)
+
+    def test_forged_int16_minimum_offset_is_corrupt(self, kind, small_model, small_forest):
+        model = small_model if kind == "fern" else small_forest
+        data = bytearray(model.save())
+        # the tests follow the header and the classes' f4 pairs
+        struct.pack_into("<h", data, KEYPOINT_WORD + 8 * model.num_classes, -32768)
+        with pytest.raises(CorruptModel, match="outside the patch"):
+            type(model).load(bytes(data))
 
 
 def two_class_m1_model(c1=(1, 3)) -> FernModel:
     """1 fern, M=1, counts c0: (3, 1), c1: ``c1`` over leaves 0 and 1."""
     counts = np.array([[[3, c1[0]], [1, c1[1]]]], dtype=np.uint64)
-    return FernModel(grid_classes(2, 5), [Fern((FeatureTest(-1, 0, 1, 0),))], counts)
+    return FernModel(grid_classes(2, 5), [[(-1, 0, 1, 0)]], counts=counts)
 
 
 def leaf1_patch() -> GrayImage:
@@ -156,7 +231,7 @@ def leaf1_patch() -> GrayImage:
 
 class TestTrain:
     def test_zero_samples_uniform_leaves(self):
-        model = FernModel(grid_classes(3, 7), make_random_ferns(2, 4, 7, np.random.default_rng(0)))
+        model = FernModel.random(grid_classes(3, 7), 2, 4, np.random.default_rng(0))
         assert np.allclose(np.exp(model.log_table), 1.0 / 16.0)
 
     def test_hand_computed_regularized_estimate(self):
@@ -171,9 +246,9 @@ class TestTrain:
         labels = rng.integers(0, 4, 60)
         samples = [(GrayImage(p), int(l)) for p, l in zip(patches, labels)]
 
-        a = FernModel(classes, make_random_ferns(3, 4, 9, np.random.default_rng(1)))
+        a = FernModel.random(classes, 3, 4, np.random.default_rng(1))
         a.train(iter(samples))
-        b = FernModel(classes, make_random_ferns(3, 4, 9, np.random.default_rng(1)))
+        b = FernModel.random(classes, 3, 4, np.random.default_rng(1))
         shuffled = list(samples)
         np.random.default_rng(9).shuffle(shuffled)
         b.train(iter(shuffled))
@@ -182,7 +257,7 @@ class TestTrain:
         assert np.array_equal(a.log_table, b.log_table)
 
     def test_invalid_label(self):
-        model = FernModel(grid_classes(2, 5), make_random_ferns(1, 2, 5, np.random.default_rng(0)))
+        model = FernModel.random(grid_classes(2, 5), 1, 2, np.random.default_rng(0))
         patch = GrayImage(np.zeros((5, 5), dtype=np.uint8))
         with pytest.raises(InvalidLabel):
             model.train([(patch, 2)])
@@ -216,7 +291,7 @@ class TestTrain:
         patches = random_patches(rng, 10, 9)
         labels = [0, 1, 2, 0, 1, 2, bad, 0, 1, 2]
         models = [
-            FernModel(classes, make_random_ferns(2, 3, 9, np.random.default_rng(i)))
+            FernModel.random(classes, 2, 3, np.random.default_rng(i))
             for i in range(2)
         ]
         monkeypatch.setattr("fernkit.ferns.TRAIN_CHUNK", 4)
@@ -225,17 +300,17 @@ class TestTrain:
         # the first chunk was counted into both models; the bad one into none
         for model in models:
             assert np.array_equal(model.counts, accumulate_oracle(
-                FernModel(classes, model.ferns), patches[:4], np.array(labels[:4])
+                FernModel(classes, model.tests), patches[:4], np.array(labels[:4])
             ))
 
     def test_undersized_patch(self):
-        model = FernModel(grid_classes(2, 9), make_random_ferns(1, 2, 9, np.random.default_rng(0)))
+        model = FernModel.random(grid_classes(2, 9), 1, 2, np.random.default_rng(0))
         patch = GrayImage(np.zeros((5, 5), dtype=np.uint8))
         with pytest.raises(InvalidPatch):
             model.train([(patch, 0)])
 
     def test_patches_of_one_chunk_differ_in_shape(self):
-        model = FernModel(grid_classes(2, 9), make_random_ferns(1, 2, 9, np.random.default_rng(0)))
+        model = FernModel.random(grid_classes(2, 9), 1, 2, np.random.default_rng(0))
         big, small = (GrayImage(np.zeros((n, n), dtype=np.uint8)) for n in (9, 5))
         with pytest.raises(InvalidPatch):
             model.train([(big, 0), (small, 1)])
@@ -247,9 +322,9 @@ class TestTrain:
         labels = rng.integers(0, 3, 40)
         samples = [(GrayImage(p), int(l)) for p, l in zip(patches, labels)]
 
-        once = FernModel(classes, make_random_ferns(2, 3, 9, np.random.default_rng(2)))
+        once = FernModel.random(classes, 2, 3, np.random.default_rng(2))
         once.train(iter(samples))
-        twice = FernModel(classes, make_random_ferns(2, 3, 9, np.random.default_rng(2)))
+        twice = FernModel.random(classes, 2, 3, np.random.default_rng(2))
         twice.train(iter(samples[:17]))
         twice.train(iter(samples[17:]))
         assert np.array_equal(once.counts, twice.counts)
@@ -257,15 +332,15 @@ class TestTrain:
 
     def test_starting_counts(self, small_model):
         counts = small_model.counts.astype(np.uint64)
-        model = FernModel(small_model.classes, small_model.ferns, counts)
+        model = FernModel(small_model.classes, small_model.tests, counts=counts)
         assert np.array_equal(model.log_table, small_model.log_table)
         counts[0, 0, 0] += 1  # the model keeps its own copy
         assert np.array_equal(model.counts, small_model.counts)
         with pytest.raises(InvalidArgument):
-            FernModel(small_model.classes, small_model.ferns, counts[:2])
+            FernModel(small_model.classes, small_model.tests, counts=counts[:2])
         # a sample reaches every fern, so unequal per-class totals are invalid
         with pytest.raises(InvalidArgument, match="totals disagree"):
-            FernModel(small_model.classes, small_model.ferns, counts)
+            FernModel(small_model.classes, small_model.tests, counts=counts)
 
     @pytest.mark.parametrize(
         "bad", [-1, 1.7, np.nan, np.inf, 2.0**64], ids=["-1", "1.7", "nan", "inf", "2**64"]
@@ -280,7 +355,7 @@ class TestTrain:
 class TestClassify:
     def test_single_class_always_wins(self):
         classes = grid_classes(1, 7)
-        model = FernModel(classes, make_random_ferns(2, 3, 7, np.random.default_rng(0)))
+        model = FernModel.random(classes, 2, 3, np.random.default_rng(0))
         img = GrayImage(random_patches(np.random.default_rng(1), 1, 7)[0])
         label, _ = model.classify(img, center_of(img))
         assert label == 0
@@ -301,13 +376,13 @@ class TestClassify:
         assert model.classify(img, center_of(img))[0] == 0  # tie goes low
 
     def test_untrained_model_scores_finite(self):
-        model = FernModel(grid_classes(4, 9), make_random_ferns(3, 4, 9, np.random.default_rng(1)))
+        model = FernModel.random(grid_classes(4, 9), 3, 4, np.random.default_rng(1))
         img = GrayImage(random_patches(np.random.default_rng(2), 1, 9)[0])
         label, score = model.classify(img, center_of(img))
         assert 0 <= label < 4 and np.isfinite(score)
 
     def test_out_of_bounds_center(self):
-        model = FernModel(grid_classes(2, 9), make_random_ferns(1, 2, 9, np.random.default_rng(0)))
+        model = FernModel.random(grid_classes(2, 9), 1, 2, np.random.default_rng(0))
         img = GrayImage(np.zeros((32, 32), dtype=np.uint8))
         with pytest.raises(OutOfBounds):
             model.classify(img, Keypoint(2, 2))
@@ -315,7 +390,7 @@ class TestClassify:
     def test_posterior_argmax_agrees_with_classify(self):
         rng = np.random.default_rng(10)
         classes = grid_classes(4, 9)
-        model = FernModel(classes, make_random_ferns(3, 3, 9, rng))
+        model = FernModel.random(classes, 3, 3, rng)
         patches = random_patches(rng, 80, 9)
         labels = rng.integers(0, 4, 80)
         model.train([(GrayImage(p), int(l)) for p, l in zip(patches, labels)])
@@ -327,7 +402,7 @@ class TestClassify:
 
     def test_batch_path_matches_scalar_path(self):
         rng = np.random.default_rng(11)
-        model = FernModel(grid_classes(3, 11), make_random_ferns(4, 5, 11, rng))
+        model = FernModel.random(grid_classes(3, 11), 4, 5, rng)
         patches = random_patches(rng, 100, 11)
         labels = rng.integers(0, 3, 100)
         model.train([(GrayImage(p), int(l)) for p, l in zip(patches, labels)])
@@ -344,7 +419,7 @@ class TestBruteForceOracle:
     def test_posterior_matches_exact_rationals(self):
         rng = np.random.default_rng(21)
         classes = grid_classes(3, 9)
-        model = FernModel(classes, make_random_ferns(3, 3, 9, rng))
+        model = FernModel.random(classes, 3, 3, rng)
         patches = random_patches(rng, 90, 9)
         labels = rng.integers(0, 3, 90)
         model.train([(GrayImage(p), int(l)) for p, l in zip(patches, labels)])
@@ -371,7 +446,7 @@ class TestMonotoneInvariance:
 class TestCostContract:
     def test_pixel_comparisons_and_lookups(self):
         rng = np.random.default_rng(31)
-        model = FernModel(grid_classes(4, 9), make_random_ferns(5, 4, 9, rng))
+        model = FernModel.random(grid_classes(4, 9), 5, 4, rng)
         img = GrayImage(random_patches(rng, 1, 9)[0])
         model.pixel_comparisons = 0
         model.table_lookups = 0
@@ -406,7 +481,7 @@ class TestSerialization:
         assert loaded.save() == data
         assert np.array_equal(loaded.log_table, small_model.log_table)
         assert np.array_equal(loaded.counts, small_model.counts)
-        assert loaded.ferns == small_model.ferns
+        assert loaded.tests.tobytes() == small_model.tests.tobytes()
 
     def test_behavioral_round_trip(self, small_model):
         loaded = FernModel.load(small_model.save())
@@ -486,7 +561,7 @@ def one_cell_model(value: int) -> FernModel:
     """1 fern, M=1, 2 classes; a single count of ``value`` at leaf 1, class 1."""
     counts = np.zeros((1, 2, 2), dtype=np.uint64)
     counts[0, 1, 1] = value
-    return FernModel(grid_classes(2, 5), [Fern((FeatureTest(-1, 0, 1, 0),))], counts)
+    return FernModel(grid_classes(2, 5), [[(-1, 0, 1, 0)]], counts=counts)
 
 
 class TestCountWidth:
@@ -559,7 +634,7 @@ class TestLoadedTables:
         # uint64, so the added counts cannot wrap at the fixture's u8 width
         counts = small_model.counts.astype(np.uint64)
         counts[:, 0, 0] += np.uint64(extra)  # in every unit, so totals agree
-        built = FernModel(small_model.classes, small_model.ferns, counts)
+        built = FernModel(small_model.classes, small_model.tests, counts=counts)
         data = built.save()
         assert struct.unpack_from("<I", data, WIDTH_WORD) == (width,)
         loaded = FernModel.load(data)
@@ -569,8 +644,7 @@ class TestLoadedTables:
         assert loaded.log_table.tobytes() == built.log_table.tobytes()
 
     def test_disagreeing_totals_rejected_before_any_table(self):
-        ferns = make_random_ferns(4, 10, 9, np.random.default_rng(0))
-        model = FernModel(grid_classes(100, 9), ferns)
+        model = FernModel.random(grid_classes(100, 9), 4, 10, np.random.default_rng(0))
         data = bytearray(model.save())
         start, _ = count_section(data, model)
         data[start] = 1  # a sample that only unit 0 saw
@@ -594,11 +668,8 @@ def spread_counts(value: int) -> np.ndarray:
 
 
 def two_fern_model(counts: np.ndarray) -> FernModel:
-    ferns = [
-        Fern((FeatureTest(-1, 0, 1, 0), FeatureTest(0, -1, 0, 1))),
-        Fern((FeatureTest(1, 1, -1, -1), FeatureTest(-1, 1, 1, -1))),
-    ]
-    return FernModel(grid_classes(2, 5), ferns, counts)
+    tests = [[(-1, 0, 1, 0), (0, -1, 0, 1)], [(1, 1, -1, -1), (-1, 1, 1, -1)]]
+    return FernModel(grid_classes(2, 5), tests, counts=counts)
 
 
 class TestTotalsCheck:
@@ -614,8 +685,8 @@ class TestTotalsCheck:
         leaves = rng.integers(0, largest, (16, 3), endpoint=True, dtype=np.uint64)
         # three units of the same leaves: their totals agree in any sum
         counts = np.stack([leaves] * 3).astype(dtype)
-        ferns = make_random_ferns(3, 4, 9, rng)
-        model = FernModel(grid_classes(3, 9), ferns, counts)
+        ferns = fern_tests(3, 4, 9, rng)
+        model = FernModel(grid_classes(3, 9), ferns, counts=counts)
         # a bool array is held as u8, so every held array is unsigned
         assert model._counts.dtype == np.dtype("uint8" if dtype == "bool" else dtype)
         want = counts.sum(axis=1, dtype=np.float64) + 16.0
@@ -630,8 +701,8 @@ class TestTotalsCheck:
         assert _total_dtype(np.dtype(np.uint8), 1 << depth) == acc
         counts = np.full((1, 1 << depth, 1), 255, dtype=np.uint8)
         counts.flags.writeable = False  # shared, not copied
-        ferns = make_random_ferns(1, depth, 9, np.random.default_rng(depth))
-        model = FernModel(grid_classes(1, 9), ferns, counts)
+        ferns = fern_tests(1, depth, 9, np.random.default_rng(depth))
+        model = FernModel(grid_classes(1, 9), ferns, counts=counts)
         want = counts.sum(axis=1, dtype=np.float64) + float(1 << depth)
         assert model._denominators.tobytes() == want.tobytes()
         assert model._denominators.tolist() == [[256.0 * (1 << depth)]]
@@ -664,7 +735,7 @@ class TestNarrowCounts:
         assert loaded._counts.nbytes == small_model.counts.size
 
     def test_accumulate_on_a_loaded_model(self, small_model):
-        built = FernModel(small_model.classes, small_model.ferns, small_model.counts)
+        built = FernModel(small_model.classes, small_model.tests, counts=small_model.counts)
         loaded = FernModel.load(small_model.save())
         rng = np.random.default_rng(70)
         # 300 copies of one patch push its cells past what u8 holds
@@ -679,7 +750,7 @@ class TestNarrowCounts:
         assert np.array_equal(loaded.counts, built.counts)
 
     def test_train_on_a_loaded_model(self, small_model):
-        built = FernModel(small_model.classes, small_model.ferns, small_model.counts)
+        built = FernModel(small_model.classes, small_model.tests, counts=small_model.counts)
         loaded = FernModel.load(small_model.save())
         rng = np.random.default_rng(71)
         patch = random_patches(rng, 1, built.patch_size)[0]
@@ -695,7 +766,7 @@ class TestNarrowCounts:
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_truncated_save_of_a_loaded_model(self, small_model, k):
-        built = FernModel(small_model.classes, small_model.ferns, small_model.counts)
+        built = FernModel(small_model.classes, small_model.tests, counts=small_model.counts)
         loaded = FernModel.load(small_model.save())
         assert loaded.truncated(k).save() == built.truncated(k).save()
         # truncating reads the narrow counts; the loaded model keeps them
@@ -744,11 +815,11 @@ class TestNarrowCounts:
         assert FernModel.load(model.save()).save() == model.save()
 
     def test_load_holds_no_uint64_copy(self):
-        ferns = make_random_ferns(4, 10, 9, np.random.default_rng(0))
+        ferns = fern_tests(4, 10, 9, np.random.default_rng(0))
         rng = np.random.default_rng(72)
         # one row repeated in every fern, so unit totals agree
         counts = np.broadcast_to(rng.integers(0, 200, (1 << 10, 100)), (4, 1 << 10, 100))
-        model = FernModel(grid_classes(100, 9), ferns, counts)
+        model = FernModel(grid_classes(100, 9), ferns, counts=counts)
         blob = model.save()
         assert count_section(blob, model)[1] == 1
         # the table, plus the u8 copy of the counts (an eighth of it); a
@@ -761,8 +832,8 @@ class TestNarrowCounts:
 
 # 8 units x 10 bits x 50 classes: counts and tables of 3.3 MB each
 MIDSIZE_UNITS = {
-    "fern": lambda: make_random_ferns(8, 10, 9, np.random.default_rng(80)),
-    "tree": lambda: make_random_trees(8, 10, 9, np.random.default_rng(80)),
+    "fern": lambda: fern_tests(8, 10, 9, np.random.default_rng(80)),
+    "tree": lambda: tree_tests(8, 10, 9, np.random.default_rng(80)),
 }
 # log tables of the models trained on ``midsize_stream(0)``, pinned from
 # the training path that rebuilt into a second table: the bytes must not move
@@ -847,10 +918,10 @@ def add_at_oracle(model, patches: np.ndarray, labels: np.ndarray):
     """A model like ``model`` on uint64 counts of the stream, one np.add.at
     per unit, counted by a fresh model over the same units."""
     counts = np.zeros(model._counts.shape, dtype=np.uint64)
-    leaves = model._like(model._tests, None).leaf_indices(patches)
+    leaves = with_counts(model, None).leaf_indices(patches)
     for u in range(counts.shape[0]):
         np.add.at(counts[u], (leaves[:, u], labels), 1)
-    return model._like(model._tests, counts)
+    return with_counts(model, counts)
 
 
 class TestCountWidthRule:
@@ -906,7 +977,7 @@ class TestCountWidthRule:
     def test_cli_shape_training_peaks_below_a_quarter_of_uint64_counts(self):
         rng = np.random.default_rng(101)
         s, m, h, p = DEFAULT_FERN_COUNT, DEFAULT_FERN_SIZE, 200, 9
-        classes, ferns = grid_classes(h, p), make_random_ferns(s, m, p, rng)
+        classes, ferns = grid_classes(h, p), fern_tests(s, m, p, rng)
         samples = list(zip(random_patches(rng, 10 * h, p), np.repeat(np.arange(h), 10)))
         trained = []
         peak = peak_traced_bytes(
@@ -939,7 +1010,7 @@ class TestTablesOnDemand:
     def test_one_patch_lookups_build_no_table(self, units):
         # more units than a step holds: the rows come in two steps
         rng = np.random.default_rng(90)
-        model = FernModel(grid_classes(5, 9), make_random_ferns(units, 6, 9, rng))
+        model = FernModel.random(grid_classes(5, 9), units, 6, rng)
         model.train(zip(random_patches(rng, 400, 9), rng.integers(0, 5, 400)))
         data = model.save()
         loaded, built = FernModel.load(data), FernModel.load(data)
@@ -992,7 +1063,7 @@ class TestTablesOnDemand:
         s, m, h, p = DEFAULT_FERN_COUNT, DEFAULT_FERN_SIZE, 200, 31
         # one row repeated in every fern, so unit totals agree
         counts = np.broadcast_to(rng.integers(0, 126, (1 << m, h), dtype=np.uint8), (s, 1 << m, h))
-        blob = FernModel(grid_classes(h, p), make_random_ferns(s, m, p, rng), counts).save()
+        blob = FernModel(grid_classes(h, p), fern_tests(s, m, p, rng), counts=counts).save()
         table_bytes = s * (1 << m) * h * 8
         loaded = []
         peak = peak_traced_bytes(lambda: loaded.append(FernModel.load(blob)))
@@ -1005,7 +1076,7 @@ class TestAccumulate:
     """One sort per chunk against one np.add.at per unit."""
 
     def test_repeated_leaf_label_pairs(self, small_model):
-        model = FernModel(small_model.classes, small_model.ferns, small_model.counts)
+        model = FernModel(small_model.classes, small_model.tests, counts=small_model.counts)
         rng = np.random.default_rng(60)
         patches = np.concatenate(
             [np.repeat(random_patches(rng, 3, model.patch_size), 40, axis=0),
@@ -1017,13 +1088,13 @@ class TestAccumulate:
         assert np.array_equal(model.counts, want)
 
     def test_one_patch_chunk(self, small_model):
-        model = FernModel(small_model.classes, small_model.ferns)
+        model = FernModel(small_model.classes, small_model.tests)
         patch = random_patches(np.random.default_rng(61), 1, model.patch_size)
         label = np.array([model.num_classes - 1])
         want = accumulate_oracle(model, patch, label)
         model._accumulate(patch, label)
         assert np.array_equal(model.counts, want)
-        assert int(model.counts.sum()) == model.num_ferns
+        assert int(model.counts.sum()) == model.num_units
 
     def test_truncated_model_counts(self, small_model):
         sub = small_model.truncated(3)
@@ -1038,7 +1109,7 @@ class TestAccumulate:
 
     def test_fortran_ordered_starting_counts(self, small_model):
         counts = np.asfortranarray(small_model.counts)
-        model = FernModel(small_model.classes, small_model.ferns, counts)
+        model = FernModel(small_model.classes, small_model.tests, counts=counts)
         rng = np.random.default_rng(63)
         patches = random_patches(rng, 100, model.patch_size)
         labels = rng.integers(0, model.num_classes, 100)
@@ -1050,7 +1121,7 @@ class TestAccumulate:
 class TestTruncated:
     def test_prefix_shares_counts_and_tables(self, small_model):
         sub = small_model.truncated(3)
-        assert sub.num_ferns == 3
+        assert sub.num_units == 3
         assert np.array_equal(sub.counts, small_model.counts[:3])
         assert np.array_equal(sub.log_table, small_model.log_table[:3])
 
@@ -1069,7 +1140,7 @@ class TestTruncated:
         # u8 counts shared with the file, or with the fixture model
         parent = {
             "loaded": lambda: FernModel.load(small_model.save()),
-            "built": lambda: FernModel(small_model.classes, small_model.ferns, small_model.counts),
+            "built": lambda: with_counts(small_model, small_model.counts),
         }[source]()
         parent.log_table
         sides = {"parent": parent, "sub": parent.truncated(3)}
@@ -1099,10 +1170,7 @@ def public_model(kind: str, source: str):
     it: fresh, trained, loaded at count width 1, 2, 4 or 8, or truncated."""
     rng = np.random.default_rng(110)
     classes = grid_classes(3, 9)
-    if kind == "fern":
-        model = FernModel(classes, make_random_ferns(3, 4, 9, rng))
-    else:
-        model = TreeForest(classes, make_random_trees(3, 4, 9, rng))
+    model = (FernModel if kind == "fern" else TreeForest).random(classes, 3, 4, rng)
     if source == "fresh":
         return model
     model.train(zip(random_patches(rng, 60, 9), rng.integers(0, 3, 60)))
@@ -1113,7 +1181,7 @@ def public_model(kind: str, source: str):
     extra = {"loaded1": 0, "loaded2": 300, "loaded4": 70000, "loaded8": 2**33}[source]
     counts = model.counts.astype(np.uint64)
     counts[:, 0, 0] += np.uint64(extra)  # in every unit, so totals agree
-    return type(model).load(model._like(model._tests, counts).save())
+    return type(model).load(with_counts(model, counts).save())
 
 
 @pytest.mark.parametrize("kind", ["fern", "tree"])
@@ -1144,7 +1212,7 @@ class TestReadOnlyCounts:
         model = public_model(kind, "trained")
         view = model.counts
         before = view.astype(np.uint64)
-        sharer = model._like(model._tests, view)  # shares the read-only view
+        sharer = with_counts(model, view)  # shares the read-only view
         assert np.shares_memory(sharer._counts, view)
         rng = np.random.default_rng(111)
         patches, labels = random_patches(rng, 30, 9), rng.integers(0, 3, 30)
@@ -1169,7 +1237,7 @@ class TestAverageCombination:
 
     def test_single_fern_modes_agree(self):
         rng = np.random.default_rng(51)
-        model = FernModel(grid_classes(3, 9), make_random_ferns(1, 4, 9, rng))
+        model = FernModel.random(grid_classes(3, 9), 1, 4, rng)
         patches = random_patches(rng, 60, 9)
         labels = rng.integers(0, 3, 60)
         model.train([(GrayImage(p), int(l)) for p, l in zip(patches, labels)])

@@ -5,15 +5,12 @@ import pytest
 
 from fernkit import (
     CorruptModel,
-    Fern,
     FernModel,
     FormatError,
     GrayImage,
     InvalidArgument,
     Keypoint,
-    RandomTree,
     TreeForest,
-    make_random_trees,
 )
 from fernkit.ferns import MAX_DEPTH, Combination, random_tests
 
@@ -47,16 +44,16 @@ def trained_forest(seed=3, t=3, depth=4, h=4, patch=9, n=120) -> TreeForest:
 class TestEvalTree:
     def test_constant_image_leftmost_leaf(self):
         rng = np.random.default_rng(0)
-        forest = TreeForest(grid_classes(1, 9), make_random_trees(3, 4, 9, rng))
+        forest = TreeForest.random(grid_classes(1, 9), 3, 4, rng)
         patches = np.full((1, 9, 9), 7, dtype=np.uint8)
         assert not forest.leaf_indices(patches).any()
 
     def test_path_oracle(self):
         rng = np.random.default_rng(1)
-        trees = make_random_trees(2, 5, 11, rng)
+        forest = TreeForest.random(grid_classes(1, 11), 2, 5, rng)
         patches = random_patches(rng, 50, 11)
-        leaves = TreeForest(grid_classes(1, 11), trees).leaf_indices(patches)
-        expected = [[tree_leaf_oracle(p, t) for t in trees] for p in patches]
+        leaves = forest.leaf_indices(patches)
+        expected = [[tree_leaf_oracle(p, t) for t in forest.tests] for p in patches]
         assert np.array_equal(leaves, expected)
 
     def test_tree_with_shared_level_tests_equals_fern(self):
@@ -64,22 +61,23 @@ class TestEvalTree:
         rng = np.random.default_rng(2)
         depth = 5
         level_tests = random_tests(depth, 11, rng)
-        nodes = []
-        for level in range(depth):
-            nodes.extend([level_tests[level]] * (1 << level))
-        tree = RandomTree(depth, tuple(nodes))
-        fern = Fern(tuple(level_tests))
+        # breadth-first: level l holds nodes 2^l - 1 to 2^(l+1) - 2
+        nodes = np.repeat(level_tests, 1 << np.arange(depth), axis=0)
         classes = grid_classes(1, 11)
         patches = random_patches(rng, 200, 11)
-        tree_leaves = TreeForest(classes, [tree]).leaf_indices(patches)
-        fern_leaves = FernModel(classes, [fern]).leaf_indices(patches)
+        tree_leaves = TreeForest(classes, nodes[None]).leaf_indices(patches)
+        fern_leaves = FernModel(classes, level_tests[None]).leaf_indices(patches)
         assert np.array_equal(tree_leaves, fern_leaves)
-        assert np.array_equal(fern_leaves[:, 0], [leaf_index_oracle(p, fern) for p in patches])
+        assert np.array_equal(
+            fern_leaves[:, 0], [leaf_index_oracle(p, level_tests) for p in patches]
+        )
 
     def test_wrong_test_count_rejected(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(InvalidArgument):
-            RandomTree(3, tuple(random_tests(5, 9, rng)))
+        # 2^D - 1 node tests per tree: 2, 5 and 8 fit no depth
+        for count in (2, 5, 8):
+            tests = random_tests(count, 9, np.random.default_rng(3))
+            with pytest.raises(InvalidArgument, match=f"tests, got {count}"):
+                TreeForest(grid_classes(1, 9), tests[None])
 
 
 class TestTrainForest:
@@ -94,7 +92,7 @@ class TestTrainForest:
         patch = random_patches(rng, 1, 9)[0]
         forest.train([(GrayImage(patch), 0)])
         for t in range(2):
-            leaf = tree_leaf_oracle(patch, forest.trees[t])
+            leaf = tree_leaf_oracle(patch, forest.tests[t])
             expected = np.zeros((8, 3), dtype=np.uint64)
             expected[leaf, 0] = 1
             assert np.array_equal(forest.counts[t], expected)
@@ -137,8 +135,7 @@ def rigged_forest(posteriors: list[list[float]]) -> TreeForest:
     patch reaches, the tree's (uniform-prior) posterior equals the target.
     """
     classes = grid_classes(len(posteriors[0]), 5)
-    trees = make_random_trees(len(posteriors), 1, 5, np.random.default_rng(0))
-    forest = TreeForest(classes, trees)
+    forest = TreeForest.random(classes, len(posteriors), 1, np.random.default_rng(0))
     for t, dist in enumerate(posteriors):
         forest.log_table[t, :, :] = np.log(np.array([dist, dist]))
     return forest
@@ -223,7 +220,7 @@ class TestForestSerialization:
         loaded = TreeForest.load(data)
         assert loaded.save() == data
         assert loaded.combination is Combination.NAIVE_BAYES
-        assert loaded.trees == forest.trees
+        assert loaded.tests.tobytes() == forest.tests.tobytes()
         probe = random_patches(np.random.default_rng(15), 50, 9)
         assert np.array_equal(
             loaded.classify_patches(probe)[0], forest.classify_patches(probe)[0]
@@ -253,7 +250,7 @@ class TestForestSerialization:
         trained = trained_forest(t=1, depth=3)
         counts = trained.counts.astype(np.uint64)
         counts[0, 5, 2] = value
-        forest = TreeForest(trained.classes, trained.trees, trained.combination, counts)
+        forest = TreeForest(trained.classes, trained.tests, trained.combination, counts)
         data = forest.save()
         assert struct.unpack_from("<I", data, WIDTH_WORD) == (width,)
         loaded = TreeForest.load(data)
@@ -272,7 +269,7 @@ class TestForestSerialization:
         counts = forest.counts.astype(np.uint64)
         counts[:, 0, 0] += np.uint64(extra)  # in every unit, so totals agree
         for combination in Combination:
-            built = TreeForest(forest.classes, forest.trees, combination, counts)
+            built = TreeForest(forest.classes, forest.tests, combination, counts)
             data = built.save()
             assert struct.unpack_from("<I", data, WIDTH_WORD) == (width,)
             loaded = TreeForest.load(data)
@@ -332,14 +329,14 @@ class TestDepthBound:
     def test_construction(self):
         tests = random_tests(MAX_DEPTH + 1, 9, np.random.default_rng(0))
         with pytest.raises(InvalidArgument, match=f"depth {MAX_DEPTH + 1} exceeds"):
-            FernModel(grid_classes(2, 9), [Fern(tuple(tests))])
+            FernModel(grid_classes(2, 9), tests[None])
 
     @pytest.mark.parametrize("depth", [-1, 0, MAX_DEPTH + 1])
     def test_random_trees_draw_no_test(self, depth):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(InvalidArgument, match="tree depth must be in"):
-            make_random_trees(2, depth, 9, rng)
+            TreeForest.random(grid_classes(2, 9), 2, depth, rng)
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("s, m", [(0, 4), (2, 0), (2, MAX_DEPTH + 1), (2, 10**6)])
@@ -363,7 +360,7 @@ class TestTruncatedForest:
     def test_prefix(self):
         forest = trained_forest(t=5)
         sub = forest.truncated(2)
-        assert sub.num_trees == 2
+        assert sub.num_units == 2
         assert np.array_equal(sub.counts, forest.counts[:2])
         assert np.array_equal(sub.log_table, forest.log_table[:2])
 
