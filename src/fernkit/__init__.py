@@ -40,7 +40,7 @@ from .image import (
     warp_image,
     write_pgm,
 )
-from .keypoints import ClassSet, Keypoint, detect_keypoints, select_stable_classes
+from .keypoints import ClassSet, detect_keypoints, select_stable_classes
 from .trees import TreeForest
 
 __version__ = "0.1.0"
@@ -62,7 +62,6 @@ __all__ = [
     "InvalidArgument",
     "InvalidLabel",
     "InvalidPatch",
-    "Keypoint",
     "Method",
     "OutOfBounds",
     "ParseError",

@@ -241,11 +241,11 @@ def cmd_match(args) -> int:
     found = detect_keypoints(
         scene, max_count=4 * model.num_classes, patch_size=model.patch_size
     )
+    refs = model.classes.coords.tolist()
     rows = []
-    for kp in found:
-        label, score = model.classify(scene, kp)
-        ref = model.classes.keypoints[label]
-        rows.append((kp.x, kp.y, label, ref.x, ref.y, score))
+    for x, y, _ in found.tolist():
+        label, score = model.classify(scene, x, y)
+        rows.append((x, y, label, *refs[label], score))
     rows.sort(key=lambda r: (-r[5], r[1], r[0]))
     lines = [MATCH_HEADER]
     for sx, sy, label, mx, my, score in rows:

@@ -28,7 +28,7 @@ from .errors import (
     OutOfBounds,
 )
 from .image import GrayImage
-from .keypoints import ClassSet, Keypoint, window_fits
+from .keypoints import ClassSet, window_fits
 
 MODEL_MAGIC = b"FERNMDL1"
 MODEL_VERSION = 3
@@ -127,6 +127,8 @@ class LeafModel:
         combination: Combination = Combination.AVERAGE,
         counts: np.ndarray | None = None,
     ):
+        if not isinstance(combination, Combination):
+            raise InvalidArgument(f"combination must be a Combination, got {combination!r}")
         tests = np.asarray(tests)
         if tests.ndim != 3 or tests.shape[2] != 4 or 0 in tests.shape:
             raise InvalidArgument(
@@ -325,20 +327,20 @@ class LeafModel:
             best[start : start + k] = scores[np.arange(k), chosen]
         return labels, best
 
-    def classify(self, img: GrayImage, center: Keypoint) -> tuple[int, float]:
-        """Most probable class at one location and its score; ties go low."""
-        scores = self._score_one(img, center)[0]
+    def classify(self, img: GrayImage, x: float, y: float) -> tuple[int, float]:
+        """Most probable class at location (x, y) and its score; ties go low."""
+        scores = self._score_one(img, x, y)[0]
         label = int(scores.argmax())
         return label, float(scores[label])
 
-    def posterior(self, img: GrayImage, center: Keypoint) -> np.ndarray:
+    def posterior(self, img: GrayImage, x: float, y: float) -> np.ndarray:
         """Normalized class posterior; sums to 1, argmax agrees with classify."""
-        scores = self._score_one(img, center).copy()
+        scores = self._score_one(img, x, y).copy()
         if self.combination is Combination.NAIVE_BAYES:
             scores = _softmax_rows(scores)
         return scores[0]
 
-    def _score_one(self, img: GrayImage, center: Keypoint) -> np.ndarray:
+    def _score_one(self, img: GrayImage, x: float, y: float) -> np.ndarray:
         """(1, H) scores of the patch at one location under the model's
         combination: one block, without classify_patches' batch loop.
 
@@ -348,16 +350,17 @@ class LeafModel:
         if self._one_patch is None:
             self._one_patch = self._buffers(1)
         scores, rows = self._one_patch
-        self._score_block(self._window(img, center), self.combination, scores, rows)
+        self._score_block(self._window(img, x, y), self.combination, scores, rows)
         return scores
 
-    def _window(self, img: GrayImage, center: Keypoint) -> np.ndarray:
-        """The (1, p, p) patch centered on the rounded location."""
-        cx, cy = int(round(center.x)), int(round(center.y))
+    def _window(self, img: GrayImage, x: float, y: float) -> np.ndarray:
+        """The (1, p, p) patch centered on the rounded location, if finite."""
         r = self.patch_size // 2
-        if not window_fits(cx, cy, img.width, img.height, r):
-            raise OutOfBounds(f"patch around ({cx}, {cy}) leaves the image")
-        return img.pixels[None, cy - r : cy + r + 1, cx - r : cx + r + 1]
+        if math.isfinite(x) and math.isfinite(y):
+            cx, cy = int(round(x)), int(round(y))
+            if window_fits(cx, cy, img.width, img.height, r):
+                return img.pixels[None, cy - r : cy + r + 1, cx - r : cx + r + 1]
+        raise OutOfBounds(f"patch around ({x}, {y}) leaves the image")
 
     def _buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Score rows for blocks of a batch of n patches, and the scratch
@@ -475,8 +478,7 @@ class LeafModel:
         if pos != len(data):
             raise FormatError(f"{len(data) - pos} trailing bytes")
         try:
-            # tolist converts every value to a Python float or int at once
-            classes = ClassSet(tuple(Keypoint(x, y) for x, y in kp.tolist()), patch_size)
+            classes = ClassSet(kp, patch_size)
             # the totals check rejects counts whose unit totals disagree;
             # no table is built until one is read
             return cls(classes, tests, Combination(combo), counts)

@@ -8,7 +8,7 @@ votes detections back into the reference frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,54 +27,46 @@ DEFAULT_PATCH_SIZE = 31
 SEPARATION_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class Keypoint:
-    """A detected interest point in reference-image coordinates."""
-
-    x: float
-    y: float
-    response: float = 0.0
-
-    def __post_init__(self):
-        if self.response < 0:
-            raise InvalidArgument("response must be >= 0")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassSet:
-    """The ordered keypoints that define the classifier's classes.
+    """The classifier's classes: an (H, 2) read-only float64 array of (x, y)
+    reference-image positions, ``coords``, and the patch size around them.
 
-    The list index is the class label; ordering is stable across runs
-    with the same seed.
+    The row index is the class label; ordering is stable across runs with
+    the same seed.
     """
 
-    keypoints: tuple[Keypoint, ...]
+    coords: np.ndarray
     patch_size: int
-    _coords: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.patch_size < 3 or self.patch_size % 2 == 0:
-            raise InvalidArgument("patch_size must be odd and >= 3")
-        object.__setattr__(self, "keypoints", tuple(self.keypoints))
-        if not self.keypoints:
-            raise InvalidArgument("a ClassSet needs at least one keypoint")
-        coords = np.array([[k.x, k.y] for k in self.keypoints], dtype=np.float64)
-        coords.flags.writeable = False
-        object.__setattr__(self, "_coords", coords)
+        p = self.patch_size
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 3 or p % 2 == 0:
+            raise InvalidArgument(f"patch_size must be an odd integer >= 3, got {p!r}")
+        object.__setattr__(self, "patch_size", int(p))
+        coords = np.array(self.coords, dtype=np.float64)
+        if coords.ndim != 2 or coords.shape[1] != 2 or len(coords) == 0:
+            raise InvalidArgument(f"coords must be a non-empty (H, 2) array, got {coords.shape}")
         if not np.isfinite(coords).all():
             raise InvalidArgument("keypoint coordinates must be finite")
         if _any_pair_closer(coords, self.min_separation):
             raise InvalidArgument(
                 f"keypoints closer than min separation {self.min_separation}"
             )
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassSet):
+            return NotImplemented
+        return self.patch_size == other.patch_size and np.array_equal(self.coords, other.coords)
+
+    def __hash__(self) -> int:
+        # adding 0.0 turns -0.0 into 0.0, which it equals
+        return hash((self.patch_size, (self.coords + 0.0).tobytes()))
 
     def __len__(self) -> int:
-        return len(self.keypoints)
-
-    @property
-    def coords(self) -> np.ndarray:
-        """(H, 2) read-only array of (x, y) positions."""
-        return self._coords
+        return len(self.coords)
 
     @property
     def min_separation(self) -> float:
@@ -163,27 +155,24 @@ def _local_maxima(resp: np.ndarray) -> np.ndarray:
 
 def detect_keypoints(
     img: GrayImage, max_count: int, patch_size: int = DEFAULT_PATCH_SIZE
-) -> list[Keypoint]:
-    """Detect up to ``max_count`` ring-contrast maxima away from the border.
+) -> np.ndarray:
+    """Detect up to ``max_count`` ring-contrast maxima away from the border,
+    as an (n, 3) float64 array of ``(x, y, response)`` rows.
 
-    Returned sorted by response descending, ties in scanline (y, x) order.
-    Images smaller than the patch yield an empty list. Maxima are found and
+    Rows are sorted by response descending, ties in scanline (y, x) order.
+    Images smaller than the patch yield no rows. Maxima are found and
     ranked on the exact integer responses of ``_response_sums``; only the
-    returned keypoints get a float response, with the float map's bytes.
+    returned rows get a float response, with the float map's bytes.
     """
-    if max_count < 1:
-        return []
+    if max_count < 1 or img.width < patch_size or img.height < patch_size:
+        return np.empty((0, 3))
     margin = patch_size // 2
-    if img.width < patch_size or img.height < patch_size:
-        return []
     sums = _response_sums(img)
     keep = _local_maxima(sums) & (sums > 0)
     # flat indices in scanline order, so (y, x) come out as np.nonzero's
     ys, xs = np.divmod(np.flatnonzero(keep), img.width)
     inside = window_fits(xs, ys, img.width, img.height, margin)
     ys, xs = ys[inside], xs[inside]
-    if ys.size == 0:
-        return []
     neg = -sums[ys, xs]
     if neg.size > max_count:
         # only maxima at or above the max_count-th response can be ranked in,
@@ -193,10 +182,7 @@ def detect_keypoints(
         ys, xs, neg = ys[near], xs[near], neg[near]
     order = np.lexsort((xs, ys, neg))[:max_count]
     xs, ys = xs[order], ys[order]
-    return [
-        Keypoint(float(x), float(y), r)
-        for x, y, r in zip(xs.tolist(), ys.tolist(), _response(sums[ys, xs]).tolist())
-    ]
+    return np.column_stack((xs, ys, _response(sums[ys, xs])))
 
 
 def select_stable_classes(
@@ -224,31 +210,25 @@ def select_stable_classes(
     for d in deforms:
         view = warp_image(img, d, img.width, img.height)
         found = detect_keypoints(view, max_count=4 * h, patch_size=patch_size)
-        if not found:
-            continue
-        pts = unwarp_points(d, img.width, img.height, [(k.x, k.y) for k in found])
+        pts = unwarp_points(d, img.width, img.height, found[:, :2])
         bins = np.rint(pts).astype(np.int64)
         ok = window_fits(bins[:, 0], bins[:, 1], img.width, img.height, margin)
         np.add.at(votes, (bins[ok, 1], bins[ok, 0]), 1)
-        np.add.at(
-            strength,
-            (bins[ok, 1], bins[ok, 0]),
-            [found[i].response for i in np.nonzero(ok)[0]],
-        )
+        np.add.at(strength, (bins[ok, 1], bins[ok, 0]), found[ok, 2])
 
     ys, xs = np.nonzero(votes)
     # Equal-vote bins rank by accumulated detector response, then scanline;
     # a single identity view then reproduces detect_keypoints' own ordering.
     order = np.lexsort((xs, ys, -strength[ys, xs], -votes[ys, xs]))
     min_sep2 = (patch_size / 2.0) ** 2
-    chosen: list[Keypoint] = []
+    chosen: list[tuple[float, float]] = []
     for i in order:
         x, y = float(xs[i]), float(ys[i])
-        if any((x - k.x) ** 2 + (y - k.y) ** 2 < min_sep2 for k in chosen):
+        if any((x - px) ** 2 + (y - py) ** 2 < min_sep2 for px, py in chosen):
             continue
-        chosen.append(Keypoint(x, y, float(votes[ys[i], xs[i]])))
+        chosen.append((x, y))
         if len(chosen) == h:
             break
     if len(chosen) < h:
         raise InsufficientKeypoints(found=len(chosen), requested=h)
-    return ClassSet(tuple(chosen), patch_size)
+    return ClassSet(chosen, patch_size)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fernkit import ClassSet, GrayImage, Keypoint, box_smooth
+from fernkit import ClassSet, GrayImage, box_smooth
 from fernkit.ferns import random_tests
 from fernkit.image import BACKGROUND, deform_matrix, unwarp_points, warp_points
 
@@ -38,12 +38,11 @@ def grid_classes(h: int, patch_size: int) -> ClassSet:
     table arithmetic but must satisfy the separation invariant."""
     step = patch_size
     cols = int(np.ceil(np.sqrt(h)))
-    kps = [
-        Keypoint(float(patch_size + step * (i % cols)),
-                 float(patch_size + step * (i // cols)))
+    coords = [
+        (patch_size + step * (i % cols), patch_size + step * (i // cols))
         for i in range(h)
     ]
-    return ClassSet(tuple(kps), patch_size)
+    return ClassSet(coords, patch_size)
 
 
 def fern_tests(s: int, m: int, patch_size: int, rng) -> np.ndarray:
@@ -195,11 +194,12 @@ def response_map_oracle(img: GrayImage) -> np.ndarray:
     return box_mean_corner_oracle(raw, 1)
 
 
-def detect_keypoints_oracle(img: GrayImage, max_count: int, patch_size: int) -> list:
-    """Detection that ranks every kept maximum with one full lexsort."""
+def detect_keypoints_oracle(img: GrayImage, max_count: int, patch_size: int) -> np.ndarray:
+    """Detection that ranks every kept maximum with one full lexsort, as
+    (n, 3) rows of (x, y, response)."""
     margin = patch_size // 2
     if max_count < 1 or img.width < patch_size or img.height < patch_size:
-        return []
+        return np.empty((0, 3))
     resp = response_map_oracle(img)
     keep = local_maxima_oracle(resp) & (resp > 0.0)
     keep[:margin, :] = False
@@ -208,10 +208,8 @@ def detect_keypoints_oracle(img: GrayImage, max_count: int, patch_size: int) -> 
     keep[:, img.width - margin :] = False
     ys, xs = np.nonzero(keep)
     order = np.lexsort((xs, ys, -resp[ys, xs]))[:max_count]
-    return [
-        Keypoint(float(xs[i]), float(ys[i]), float(resp[ys[i], xs[i]]))
-        for i in order
-    ]
+    rows = [(float(xs[i]), float(ys[i]), float(resp[ys[i], xs[i]])) for i in order]
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)
 
 
 def bilinear_oracle(pixels: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from fernkit import (
     DatasetSpec,
     FernModel,
     GrayImage,
-    Keypoint,
     read_pgm,
     select_stable_classes,
     write_pgm,
@@ -106,7 +105,7 @@ class TestCriterion1:
                         for p, l in zip(train_patches, labels)
                     )
                     for p in random_patches(rng, 200, patch_size):
-                        got = model.posterior(GrayImage(p), Keypoint(4, 4))
+                        got = model.posterior(GrayImage(p), 4, 4)
                         expected = [float(v) for v in posterior_oracle(model, p)]
                         worst = max(worst, float(np.max(np.abs(got - expected))))
         elapsed = time.perf_counter() - start

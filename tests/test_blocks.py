@@ -13,7 +13,6 @@ from fernkit import (
     AffineDeform,
     FernModel,
     GrayImage,
-    Keypoint,
     TreeForest,
     add_noise,
     warp_image,
@@ -63,8 +62,8 @@ MODELS = [
 
 def per_patch(model, patches):
     """Labels and scores from one classify call per patch."""
-    centre = Keypoint(PATCH // 2, PATCH // 2)
-    pairs = [model.classify(GrayImage(p), centre) for p in patches]
+    centre = (PATCH // 2, PATCH // 2)
+    pairs = [model.classify(GrayImage(p), *centre) for p in patches]
     labels = np.array([label for label, _ in pairs], dtype=np.intp)
     scores = np.array([score for _, score in pairs])
     return labels, scores
@@ -95,9 +94,9 @@ class TestReadPathBlocks:
         model = trained(kind, combination)
         patches = random_patches(np.random.default_rng(7), PATCH_BLOCK + 1, PATCH)
         labels, scores = model.classify_patches(patches)
-        centre = Keypoint(PATCH // 2, PATCH // 2)
+        centre = (PATCH // 2, PATCH // 2)
         for i in (0, PATCH_BLOCK - 1, PATCH_BLOCK):
-            post = model.posterior(GrayImage(patches[i]), centre)
+            post = model.posterior(GrayImage(patches[i]), *centre)
             assert int(np.argmax(post)) == labels[i]
             if combination is Combination.AVERAGE:
                 assert post[labels[i]] == scores[i]
@@ -113,8 +112,8 @@ class TestReadPathBlocks:
         assert scores.tobytes() == expected_scores.tobytes()
         assert np.array_equal(model.leaf_indices(big), model.leaf_indices(centred(big)))
         img = GrayImage(big[PATCH_BLOCK + 2])
-        centre = Keypoint(img.width // 2, img.height // 2)
-        assert model.classify(img, centre) == (
+        centre = (img.width // 2, img.height // 2)
+        assert model.classify(img, *centre) == (
             labels[PATCH_BLOCK + 2], scores[PATCH_BLOCK + 2]
         )
 
@@ -173,13 +172,13 @@ class TestUnitSteps:
     def test_posterior_equals_sequential_sum_oracle(self, kind, combination):
         model = trained(kind, combination, units=ORACLE_UNITS)
         patches = random_patches(np.random.default_rng(11), 3, PATCH)
-        centre = Keypoint(PATCH // 2, PATCH // 2)
+        centre = (PATCH // 2, PATCH // 2)
         for patch, row in zip(patches, scores_oracle(model, patches, combination)):
             expected = np.array(row)
             if combination is Combination.NAIVE_BAYES:
                 p = np.exp(expected - expected.max())
                 expected = p / p.sum()
-            post = model.posterior(GrayImage(patch), centre)
+            post = model.posterior(GrayImage(patch), *centre)
             assert post.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", ["fern", "tree"])
@@ -219,7 +218,7 @@ class TestCachedPosteriors:
         patches = random_patches(np.random.default_rng(6), 300, PATCH)
         model.classify_patches(patches)
         per_patch(model, patches[:3])
-        model.posterior(GrayImage(patches[0]), Keypoint(PATCH // 2, PATCH // 2))
+        model.posterior(GrayImage(patches[0]), PATCH // 2, PATCH // 2)
         loaded = type(model).load(model.save())
         loaded.classify_patches(patches)
         assert model._posteriors is None and loaded._posteriors is None
@@ -276,21 +275,21 @@ class TestBoundedMemory:
         if n == 1:
             # a one-patch call holds its score row, the scratch and small
             # index arrays, nothing as large as units x classes
-            img, centre = GrayImage(patches[0]), Keypoint(PATCH // 2, PATCH // 2)
-            peak = peak_traced_bytes(lambda: model.classify(img, centre))
+            img, centre = GrayImage(patches[0]), (PATCH // 2, PATCH // 2)
+            peak = peak_traced_bytes(lambda: model.classify(img, *centre))
             assert peak < 1.25 * (PATCH_BLOCK + 1) * h * 8
 
     def test_one_patch_classify_skips_the_batch_loop(self, monkeypatch):
         model = trained("fern", Combination.NAIVE_BAYES)
         patch = random_patches(np.random.default_rng(4), 1, PATCH)[0]
-        img, centre = GrayImage(patch), Keypoint(PATCH // 2, PATCH // 2)
+        img, centre = GrayImage(patch), (PATCH // 2, PATCH // 2)
         labels, scores = model.classify_patches(patch)
 
         def batch(*args, **kwargs):
             raise AssertionError("classify ran classify_patches")
 
         monkeypatch.setattr(model, "classify_patches", batch)
-        label, score = model.classify(img, centre)
+        label, score = model.classify(img, *centre)
         assert (label, np.float64(score).tobytes()) == (labels[0], scores[:1].tobytes())
 
     def test_response_map_overwrites_its_temporaries(self):

@@ -17,7 +17,6 @@ from fernkit import (
     InvalidArgument,
     InvalidLabel,
     InvalidPatch,
-    Keypoint,
 )
 from fernkit import dataset
 from fernkit.dataset import (
@@ -96,8 +95,7 @@ class TestDegenerateIdentity:
         assert len(samples) == len(small_classes)  # every class survives
         m = small_classes.margin
         for s in samples:
-            k = small_classes.keypoints[s.label]
-            x, y = int(k.x), int(k.y)
+            x, y = small_classes.coords[s.label].astype(int)
             crop = texture_small.pixels[y - m : y + m + 1, x - m : x + m + 1]
             assert np.array_equal(s.patch.pixels, crop)
 
@@ -472,8 +470,7 @@ class TestPatchLocalRendering:
         # sides of every skip threshold.
         w, h = texture_small.width, texture_small.height
         classes = ClassSet(
-            tuple(Keypoint(x, y) for x in np.linspace(0, w - 1, 23)
-                  for y in np.linspace(0, h - 1, 17)),
+            [(x, y) for x in np.linspace(0, w - 1, 23) for y in np.linspace(0, h - 1, 17)],
             patch_size=9,
         )
         rng = np.random.default_rng(31)
@@ -517,7 +514,7 @@ def border_classes(img, patch_size: int = 9) -> ClassSet:
     m = patch_size // 2
     xs = np.linspace(m, img.width - 1 - m, 7).round()
     ys = np.linspace(m, img.height - 1 - m, 5).round()
-    return ClassSet(tuple(Keypoint(x, y) for x in xs for y in ys), patch_size)
+    return ClassSet([(x, y) for x in xs for y in ys], patch_size)
 
 
 class TestWindowBlocks:

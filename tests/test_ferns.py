@@ -14,7 +14,6 @@ from fernkit import (
     InvalidArgument,
     InvalidLabel,
     InvalidPatch,
-    Keypoint,
     OutOfBounds,
     TreeForest,
 )
@@ -49,7 +48,7 @@ from support import (
 
 
 def center_of(img):
-    return Keypoint(img.width // 2, img.height // 2)
+    return img.width // 2, img.height // 2
 
 
 def leaf_of(values, *tests) -> int:
@@ -78,9 +77,9 @@ class TestEvalFeature:
         model = FernModel(grid_classes(1, 3), [[(1, 0, 0, 1)]])
         img = GrayImage(np.zeros((5, 5), dtype=np.uint8))
         with pytest.raises(OutOfBounds):
-            model.classify(img, Keypoint(4, 4))
+            model.classify(img, 4, 4)
         with pytest.raises(OutOfBounds):
-            model.posterior(img, Keypoint(4, 4))
+            model.posterior(img, 4, 4)
 
     def test_coincident_offsets_rejected(self):
         with pytest.raises(InvalidArgument, match="offsets must differ"):
@@ -207,6 +206,11 @@ class TestTestsArray:
         with pytest.raises(ValueError, match="read-only"):
             model.tests[0, 0, 0] = 0
         assert (model.num_units, model.depth) == (1, 1)
+
+    @pytest.mark.parametrize("combination", ["naive", 0, 1, None, True])
+    def test_combination_that_is_not_a_combination_rejected(self, kind, combination):
+        with pytest.raises(InvalidArgument, match="Combination|Naive-Bayes"):
+            MODEL_KINDS[kind](grid_classes(2, 5), [[(-1, 0, 1, 0)]], combination)
 
     def test_forged_int16_minimum_offset_is_corrupt(self, kind, small_model, small_forest):
         model = small_model if kind == "fern" else small_forest
@@ -357,35 +361,48 @@ class TestClassify:
         classes = grid_classes(1, 7)
         model = FernModel.random(classes, 2, 3, np.random.default_rng(0))
         img = GrayImage(random_patches(np.random.default_rng(1), 1, 7)[0])
-        label, _ = model.classify(img, center_of(img))
+        label, _ = model.classify(img, *center_of(img))
         assert label == 0
-        assert np.allclose(model.posterior(img, center_of(img)), [1.0])
+        assert np.allclose(model.posterior(img, *center_of(img)), [1.0])
 
     def test_hand_computed_two_class_posterior(self):
         model = two_class_m1_model()
         img = leaf1_patch()
-        label, _ = model.classify(img, center_of(img))
+        label, _ = model.classify(img, *center_of(img))
         assert label == 1
-        post = model.posterior(img, center_of(img))
+        post = model.posterior(img, *center_of(img))
         assert np.allclose(post, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
     def test_symmetric_model_splits_evenly(self):
         model = two_class_m1_model(c1=(3, 1))
         img = leaf1_patch()
-        assert np.allclose(model.posterior(img, center_of(img)), [0.5, 0.5])
-        assert model.classify(img, center_of(img))[0] == 0  # tie goes low
+        assert np.allclose(model.posterior(img, *center_of(img)), [0.5, 0.5])
+        assert model.classify(img, *center_of(img))[0] == 0  # tie goes low
 
     def test_untrained_model_scores_finite(self):
         model = FernModel.random(grid_classes(4, 9), 3, 4, np.random.default_rng(1))
         img = GrayImage(random_patches(np.random.default_rng(2), 1, 9)[0])
-        label, score = model.classify(img, center_of(img))
+        label, score = model.classify(img, *center_of(img))
         assert 0 <= label < 4 and np.isfinite(score)
 
     def test_out_of_bounds_center(self):
         model = FernModel.random(grid_classes(2, 9), 1, 2, np.random.default_rng(0))
         img = GrayImage(np.zeros((32, 32), dtype=np.uint8))
         with pytest.raises(OutOfBounds):
-            model.classify(img, Keypoint(2, 2))
+            model.classify(img, 2, 2)
+
+    @pytest.mark.parametrize("kind", ["fern", "tree"])
+    @pytest.mark.parametrize("x, y", [
+        (np.nan, 16.0), (16.0, np.nan), (np.inf, 16.0), (16.0, -np.inf),
+        (float("nan"), float("inf")),
+    ])
+    def test_non_finite_location_is_out_of_bounds(self, kind, x, y):
+        model = MODEL_KINDS[kind].random(grid_classes(2, 9), 1, 2, np.random.default_rng(0))
+        img = GrayImage(np.zeros((32, 32), dtype=np.uint8))
+        with pytest.raises(OutOfBounds):
+            model.classify(img, x, y)
+        with pytest.raises(OutOfBounds):
+            model.posterior(img, x, y)
 
     def test_posterior_argmax_agrees_with_classify(self):
         rng = np.random.default_rng(10)
@@ -396,9 +413,9 @@ class TestClassify:
         model.train([(GrayImage(p), int(l)) for p, l in zip(patches, labels)])
         for p in random_patches(rng, 50, 9):
             img = GrayImage(p)
-            post = model.posterior(img, center_of(img))
+            post = model.posterior(img, *center_of(img))
             assert abs(post.sum() - 1.0) < 1e-12
-            assert int(np.argmax(post)) == model.classify(img, center_of(img))[0]
+            assert int(np.argmax(post)) == model.classify(img, *center_of(img))[0]
 
     def test_batch_path_matches_scalar_path(self):
         rng = np.random.default_rng(11)
@@ -410,7 +427,7 @@ class TestClassify:
         batch_labels, batch_scores = model.classify_patches(probe)
         for i in range(30):
             img = GrayImage(probe[i])
-            label, score = model.classify(img, center_of(img))
+            label, score = model.classify(img, *center_of(img))
             assert label == batch_labels[i]
             assert score == batch_scores[i]
 
@@ -424,7 +441,7 @@ class TestBruteForceOracle:
         labels = rng.integers(0, 3, 90)
         model.train([(GrayImage(p), int(l)) for p, l in zip(patches, labels)])
         for p in random_patches(rng, 40, 9):
-            got = model.posterior(GrayImage(p), Keypoint(4, 4))
+            got = model.posterior(GrayImage(p), 4, 4)
             expected = [float(v) for v in posterior_oracle(model, p)]
             assert np.allclose(got, expected, atol=1e-9)
 
@@ -450,7 +467,7 @@ class TestCostContract:
         img = GrayImage(random_patches(rng, 1, 9)[0])
         model.pixel_comparisons = 0
         model.table_lookups = 0
-        model.classify(img, center_of(img))
+        model.classify(img, *center_of(img))
         assert model.pixel_comparisons == 5 * 4
         assert model.table_lookups == 5
 
@@ -482,6 +499,14 @@ class TestSerialization:
         assert np.array_equal(loaded.log_table, small_model.log_table)
         assert np.array_equal(loaded.counts, small_model.counts)
         assert loaded.tests.tobytes() == small_model.tests.tobytes()
+
+    def test_class_set_round_trip(self, small_model, small_forest):
+        # the fixtures' classes come from select_stable_classes
+        for model in (small_model, small_forest):
+            loaded = type(model).load(model.save())
+            assert loaded.classes == model.classes
+            assert hash(loaded.classes) == hash(model.classes)
+            assert loaded.classes.coords.tobytes() == model.classes.coords.tobytes()
 
     def test_behavioral_round_trip(self, small_model):
         loaded = FernModel.load(small_model.save())
@@ -1016,14 +1041,14 @@ class TestTablesOnDemand:
         loaded, built = FernModel.load(data), FernModel.load(data)
         assert built.log_table is built._log_table
         img = GrayImage(random_patches(rng, 1, 40)[0])
-        for centre in (Keypoint(4, 4), Keypoint(20, 17), Keypoint(35, 35)):
-            label, score = loaded.classify(img, centre)
-            want_label, want_score = built.classify(img, centre)
+        for centre in ((4, 4), (20, 17), (35, 35)):
+            label, score = loaded.classify(img, *centre)
+            want_label, want_score = built.classify(img, *centre)
             assert (label, np.float64(score).tobytes()) == (
                 want_label, np.float64(want_score).tobytes()
             )
-            posterior = loaded.posterior(img, centre)
-            assert posterior.tobytes() == built.posterior(img, centre).tobytes()
+            posterior = loaded.posterior(img, *centre)
+            assert posterior.tobytes() == built.posterior(img, *centre).tobytes()
         patch = random_patches(rng, 1, 9)
         labels, scores = loaded.classify_patches(patch)
         want_labels, want_scores = built.classify_patches(patch)

@@ -9,7 +9,6 @@ from fernkit import (
     GrayImage,
     InsufficientKeypoints,
     InvalidArgument,
-    Keypoint,
     add_noise,
     detect_keypoints,
     select_stable_classes,
@@ -25,22 +24,32 @@ from support import (
 )
 
 
+def is_empty(found) -> bool:
+    """Whether a detection result is the (0, 3) float64 array of no rows."""
+    return found.shape == (0, 3) and found.dtype == np.float64
+
+
 class TestDetect:
     def test_constant_image_empty(self):
         img = GrayImage(np.full((64, 64), 50, dtype=np.uint8))
-        assert detect_keypoints(img, 10) == []
+        assert is_empty(detect_keypoints(img, 10))
+
+    @pytest.mark.parametrize("max_count", [0, -3])
+    def test_no_count_is_empty(self, texture_small, max_count):
+        assert is_empty(detect_keypoints(texture_small, max_count, patch_size=21))
 
     def test_single_bright_pixel_wins(self):
         pixels = np.zeros((64, 64), dtype=np.uint8)
         pixels[10, 10] = 255
         kps = detect_keypoints(GrayImage(pixels), 5, patch_size=9)
-        assert (kps[0].x, kps[0].y) == (10.0, 10.0)
+        assert kps.dtype == np.float64 and kps.shape[1] == 3
+        assert kps[0, :2].tolist() == [10.0, 10.0]
 
     def test_sorted_by_response(self, texture_small):
         kps = detect_keypoints(texture_small, 200, patch_size=21)
         assert len(kps) > 20
-        resorted = sorted(kps, key=lambda k: (-k.response, k.y, k.x))
-        assert kps == resorted
+        rows = kps.tolist()
+        assert rows == sorted(rows, key=lambda k: (-k[2], k[1], k[0]))
 
     def test_max_count_cap(self, texture_small):
         assert len(detect_keypoints(texture_small, 7, patch_size=21)) == 7
@@ -48,24 +57,24 @@ class TestDetect:
     def test_border_margin_excluded(self):
         pixels = np.zeros((64, 64), dtype=np.uint8)
         pixels[2, 2] = 255  # inside the image but inside the margin
-        assert detect_keypoints(GrayImage(pixels), 10, patch_size=31) == []
+        assert is_empty(detect_keypoints(GrayImage(pixels), 10, patch_size=31))
 
     def test_margin_respected_on_texture(self, texture_small):
         margin = 21 // 2
-        for k in detect_keypoints(texture_small, 500, patch_size=21):
-            assert margin <= k.x <= texture_small.width - 1 - margin
-            assert margin <= k.y <= texture_small.height - 1 - margin
+        for x, y, _ in detect_keypoints(texture_small, 500, patch_size=21).tolist():
+            assert margin <= x <= texture_small.width - 1 - margin
+            assert margin <= y <= texture_small.height - 1 - margin
 
     def test_image_smaller_than_patch_is_empty(self):
         img = GrayImage(np.full((8, 8), 9, dtype=np.uint8))
-        assert detect_keypoints(img, 10, patch_size=31) == []
+        assert is_empty(detect_keypoints(img, 10, patch_size=31))
 
     def test_two_separated_peaks_both_found(self):
         pixels = np.zeros((64, 64), dtype=np.uint8)
         pixels[20, 20] = 200
         pixels[40, 44] = 255
         kps = detect_keypoints(GrayImage(pixels), 10, patch_size=9)
-        spots = {(k.x, k.y) for k in kps[:2]}
+        spots = {(x, y) for x, y, _ in kps[:2].tolist()}
         assert spots == {(20.0, 20.0), (44.0, 40.0)}
 
 
@@ -130,8 +139,9 @@ def tied_image(kind: str, seed: int) -> GrayImage:
     return make_texture(90, 70, seed)
 
 
-def keypoint_bytes(kps) -> bytes:
-    return np.array([(k.x, k.y, k.response) for k in kps], dtype=np.float64).tobytes()
+def keypoint_bytes(found) -> bytes:
+    assert found.dtype == np.float64 and found.ndim == 2 and found.shape[1] == 3
+    return found.tobytes()
 
 
 class TestTopKSelection:
@@ -144,7 +154,7 @@ class TestTopKSelection:
         ranked = detect_keypoints_oracle(img, img.width * img.height, patch)
         n = len(ranked)
         assert n > 10
-        responses = [k.response for k in ranked]
+        responses = ranked[:, 2].tolist()
         # cut-offs that split a run of equal responses
         split = [i for i in range(1, n) if responses[i - 1] == responses[i]]
         if kind != "texture":
@@ -160,14 +170,14 @@ class TestTopKSelection:
         pixels[8:-8:5, 8:-8:5] = 180
         img = GrayImage(pixels)
         ranked = detect_keypoints_oracle(img, 10**6, 9)
-        assert len({k.response for k in ranked[:len(ranked) // 2]}) == 1
+        assert len(set(ranked[:len(ranked) // 2, 2].tolist())) == 1
         for max_count in (1, 7, len(ranked) // 2, len(ranked)):
             got = detect_keypoints(img, max_count, 9)
             assert keypoint_bytes(got) == keypoint_bytes(ranked[:max_count])
 
 
 class TestDetectEqualsOracle:
-    """Every keypoint, ``response`` bytes included, equals the float
+    """Every detected row, response bytes included, equals the float
     oracle's, on frames small enough that most cells touch a clipped border
     and on frames that hold a 31-pixel patch."""
 
@@ -256,49 +266,83 @@ class TestLocalMaxima:
 class TestClassSet:
     def test_separation_invariant_enforced(self):
         with pytest.raises(InvalidArgument):
-            ClassSet((Keypoint(20, 20), Keypoint(22, 20)), patch_size=21)
+            ClassSet([(20, 20), (22, 20)], patch_size=21)
 
     def test_even_patch_rejected(self):
         with pytest.raises(InvalidArgument):
-            ClassSet((Keypoint(20, 20),), patch_size=20)
+            ClassSet([(20, 20)], patch_size=20)
+
+    @pytest.mark.parametrize("patch_size", [15.0, np.float64(15), True, "15", None])
+    def test_non_integer_patch_size_rejected(self, patch_size):
+        with pytest.raises(InvalidArgument, match="integer"):
+            ClassSet([(20, 20)], patch_size=patch_size)
+
+    @pytest.mark.parametrize("patch_size", [np.int64(15), np.uint8(15), np.int32(15)])
+    def test_numpy_integer_patch_size_is_a_python_int(self, patch_size):
+        classes = ClassSet([(20, 20)], patch_size=patch_size)
+        assert type(classes.patch_size) is int and classes.patch_size == 15
+        assert classes == ClassSet([(20, 20)], 15)
+        assert hash(classes) == hash(ClassSet([(20, 20)], 15))
+
+    @pytest.mark.parametrize("coords", [
+        [(20.0, 20.0, 1.0)],  # (H, 3): detection rows, not positions
+        [(20.0, 20.0, 1.0), (40.0, 40.0, 2.0)],
+        [20.0, 20.0],  # 1-D, though it holds one (x, y)
+        [[[20.0, 20.0]]],
+        np.empty((0, 2)),
+        [],
+    ])
+    def test_only_a_non_empty_h_by_2_array(self, coords):
+        with pytest.raises(InvalidArgument, match="H, 2"):
+            ClassSet(coords, 9)
 
     @pytest.mark.parametrize(
         "x, y", [(np.nan, 5.0), (5.0, np.nan), (np.inf, 5.0), (5.0, -np.inf)]
     )
     def test_non_finite_coordinates_rejected(self, x, y):
         with pytest.raises(InvalidArgument, match="finite"):
-            ClassSet((Keypoint(x, y),), patch_size=9)
+            ClassSet([(x, y)], patch_size=9)
         with pytest.raises(InvalidArgument, match="finite"):
-            ClassSet((Keypoint(50.0, 50.0), Keypoint(x, y)), patch_size=9)
+            ClassSet([(50.0, 50.0), (x, y)], patch_size=9)
 
     def test_coords_built_once_and_read_only(self):
-        kps = (Keypoint(10.0, 12.0), Keypoint(40.5, 12.0), Keypoint(10.0, 50.0, 3.0))
-        classes = ClassSet(kps, patch_size=9)
+        given = np.array([[10, 12], [40.5, 12], [10, 50]], dtype=np.float32)
+        classes = ClassSet(given, patch_size=9)
         coords = classes.coords
         assert coords is classes.coords
         assert coords.dtype == np.float64 and coords.shape == (3, 2)
         assert coords.tolist() == [[10.0, 12.0], [40.5, 12.0], [10.0, 50.0]]
+        assert len(classes) == 3
         with pytest.raises(ValueError):
             coords[0, 0] = 1.0
-        # equality, hashing and repr still see only keypoints and patch size
-        same = ClassSet(kps, 9)
+        # the caller's array stays writeable and is not shared
+        given[0, 0] = 11.0
+        assert coords[0, 0] == 10.0
+        # equality and hashing see the coordinates and the patch size
+        same = ClassSet(coords.tolist(), 9)
         assert same == classes and hash(same) == hash(classes)
-        assert ClassSet(kps[:2], 9) != classes
-        assert "coords" not in repr(classes)
-        moved = replace(classes, keypoints=kps[:2])
+        assert ClassSet(coords[:2], 9) != classes
+        assert ClassSet(coords, 11) != classes
+        assert classes != "not a ClassSet"
+        moved = replace(classes, coords=coords[:2])
         assert moved.coords.tolist() == [[10.0, 12.0], [40.5, 12.0]]
+
+    def test_negative_zero_compares_and_hashes_as_zero(self):
+        plus = ClassSet([(0.0, 0.0), (20.0, 0.0)], 9)
+        minus = ClassSet([(-0.0, 0.0), (20.0, -0.0)], 9)
+        assert plus.coords.tobytes() != minus.coords.tobytes()
+        assert plus == minus and hash(plus) == hash(minus)
 
     def test_infinitely_far_points_rejected(self):
         # inf - inf is nan, which no distance comparison catches
         with pytest.raises(InvalidArgument, match="finite"):
-            ClassSet((Keypoint(np.inf, 5), Keypoint(np.inf, 50)), 9)
+            ClassSet([(np.inf, 5), (np.inf, 50)], 9)
 
 
 def separation_verdict(coords: np.ndarray, patch_size: int) -> bool:
     """Whether ClassSet rejects the points as too close."""
-    keypoints = tuple(Keypoint(float(x), float(y)) for x, y in coords)
     try:
-        ClassSet(keypoints, patch_size)
+        ClassSet(coords, patch_size)
     except InvalidArgument:
         return True
     return False
@@ -375,15 +419,13 @@ class TestSelectStableClasses:
         # walk the detector's ordering, applying the same separation rule
         min_sep2 = (21 / 2.0) ** 2
         expected = []
-        for k in detect_keypoints(img, 4 * 10, patch_size=21):
-            if any((k.x - e.x) ** 2 + (k.y - e.y) ** 2 < min_sep2 for e in expected):
+        for x, y, _ in detect_keypoints(img, 4 * 10, patch_size=21).tolist():
+            if any((x - ex) ** 2 + (y - ey) ** 2 < min_sep2 for ex, ey in expected):
                 continue
-            expected.append(k)
+            expected.append([x, y])
             if len(expected) == 10:
                 break
-        assert [(k.x, k.y) for k in got.keypoints] == [
-            (k.x, k.y) for k in expected
-        ]
+        assert got.coords.tolist() == expected
 
     def test_unique_blob_dominates_checkerboard(self):
         # checkerboard: every cell corner is an equally good keypoint;
@@ -395,11 +437,11 @@ class TestSelectStableClasses:
         got = select_stable_classes(
             img, 1, 50, np.random.default_rng(3), patch_size=15
         )
-        k = got.keypoints[0]
-        assert abs(k.x - 47.5) <= 2.5 and abs(k.y - 47.5) <= 2.5
+        kx, ky = got.coords[0].tolist()
+        assert abs(kx - 47.5) <= 2.5 and abs(ky - 47.5) <= 2.5
 
         # independent recount: replay the same deform draws, detect, unwarp,
-        # and tally votes at the winning bin and around the blob
+        # and tally votes around the blob
         from dataclasses import replace
 
         from fernkit import sample_deformation, warp_image
@@ -410,17 +452,13 @@ class TestSelectStableClasses:
         deforms = [
             replace(sample_deformation(rng), tx=cx, ty=cy) for _ in range(50)
         ]
-        bin_votes = 0
         near_blob = 0
         for d in deforms:
             view = warp_image(img, d, 96, 96)
-            for kp in detect_keypoints(view, 4, patch_size=15):
-                r = unwarp_points(d, 96, 96, [(kp.x, kp.y)])[0]
-                if (round(r[0]), round(r[1])) == (k.x, k.y):
-                    bin_votes += 1
+            for x, y, _ in detect_keypoints(view, 4, patch_size=15).tolist():
+                r = unwarp_points(d, 96, 96, [(x, y)])[0]
                 if abs(r[0] - 47.5) <= 3 and abs(r[1] - 47.5) <= 3:
                     near_blob += 1
-        assert bin_votes == k.response
         assert near_blob >= 25  # the blob collects a majority of the views
 
     def test_min_separation_holds(self, texture_small):
@@ -440,6 +478,6 @@ class TestSelectStableClasses:
 
     def test_class_centers_inside_margin(self, small_classes, texture_small):
         m = small_classes.margin
-        for k in small_classes.keypoints:
-            assert m <= k.x <= texture_small.width - 1 - m
-            assert m <= k.y <= texture_small.height - 1 - m
+        for x, y in small_classes.coords.tolist():
+            assert m <= x <= texture_small.width - 1 - m
+            assert m <= y <= texture_small.height - 1 - m

@@ -9,7 +9,6 @@ from fernkit import (
     FormatError,
     GrayImage,
     InvalidArgument,
-    Keypoint,
     TreeForest,
 )
 from fernkit.ferns import MAX_DEPTH, Combination, random_tests
@@ -29,7 +28,7 @@ from support import (
 
 
 def center_of(img):
-    return Keypoint(img.width // 2, img.height // 2)
+    return img.width // 2, img.height // 2
 
 
 def trained_forest(seed=3, t=3, depth=4, h=4, patch=9, n=120) -> TreeForest:
@@ -179,7 +178,7 @@ class TestClassifyForest:
         batch_labels, batch_scores = forest.classify_patches(probe)
         for i in range(25):
             img = GrayImage(probe[i])
-            label, score = forest.classify(img, center_of(img))
+            label, score = forest.classify(img, *center_of(img))
             assert label == batch_labels[i]
             assert score == batch_scores[i]
 
@@ -189,9 +188,9 @@ class TestClassifyForest:
         forest.combination = combination
         for p in random_patches(np.random.default_rng(16), 20, 9):
             img = GrayImage(p)
-            post = forest.posterior(img, center_of(img))
+            post = forest.posterior(img, *center_of(img))
             assert abs(post.sum() - 1.0) < 1e-12
-            assert int(np.argmax(post)) == forest.classify(img, center_of(img))[0]
+            assert int(np.argmax(post)) == forest.classify(img, *center_of(img))[0]
 
     def test_cost_counter(self):
         forest = trained_forest(t=3, depth=4)
