@@ -33,8 +33,6 @@ from .image import (
     GrayImage,
     add_noise,
     box_smooth,
-    deform_matrix,
-    inverse_deform,
     read_pgm,
     sample_deformation,
     warp_image,
@@ -71,10 +69,8 @@ __all__ = [
     "add_noise",
     "box_smooth",
     "compare_methods",
-    "deform_matrix",
     "derive_rng",
     "detect_keypoints",
-    "inverse_deform",
     "read_pgm",
     "recognition_rate",
     "sample_deformation",

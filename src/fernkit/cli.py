@@ -63,7 +63,7 @@ FLAGS = {
     "model": (ANY, dict(required=True, help="model file path")),
     "seed": (AT_LEAST_0, dict(type=int, required=True, help="RNG seed (mandatory)")),
     "threads": (AT_LEAST_1, dict(
-        type=int, default=1, help="render views on N threads; match and warp ignore it"
+        type=int, default=1, help="render views on N threads; match takes it and ignores it"
     )),
     "out": (ANY, dict(help="output path (default: stdout for CSVs)")),
     "classes": (AT_LEAST_1, dict(type=int, default=200)),
@@ -288,7 +288,8 @@ COMMANDS = {
     "sweep": (cmd_sweep, (*PROTOCOL, "units", "method")),
     "compare": (cmd_compare, (*PROTOCOL, ("units", dict(type=int, default=20)))),
     "match": (cmd_match, ("model", *COMMON)),
-    "warp": (cmd_warp, (*COMMON, "kind", "view-id", *VIEWS, *TESTS,
+    # warp renders one view, so it takes no --threads
+    "warp": (cmd_warp, ("image", "seed", "out", "kind", "view-id", *VIEWS, *TESTS,
                         "manifest", "identity")),
 }
 

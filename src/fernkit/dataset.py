@@ -12,9 +12,7 @@ under equal seeds.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -98,8 +96,8 @@ class View:
     deform: AffineDeform
     image: GrayImage
     noise_sigma: float = 0.0
-    # (classes, src_size, centers, keep) of the window layout a patch stream
-    # rendered this view for, so extract_patches need not compute it again
+    # (classes, centers, keep) of the window layout a patch stream rendered
+    # this view for, so extract_patches need not compute it again
     layout: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -140,17 +138,15 @@ def _view_params(img: GrayImage, spec: DatasetSpec, seed: int, stream: int,
 
 
 def _window_layout(
-    deform: AffineDeform, classes: ClassSet, size: tuple[int, int],
-    src_size: tuple[int, int],
+    deform: AffineDeform, classes: ClassSet, w: int, h: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rounded window centres of every class in one view, and which to keep.
+    """Rounded window centres of every class in one w x h view of a w x h
+    source, and which to keep.
 
     A window is dropped when it would cross the view border or cover pixels
     the warped source never painted (background fill). One ``warp_points``
     and one ``unwarp_points`` call cover all classes and their 4 corners.
     """
-    w, h = size
-    src_w, src_h = src_size
     m = classes.margin
     centers = np.rint(warp_points(deform, w, h, classes.coords)).astype(np.int64)
     in_frame = window_fits(centers[:, 0], centers[:, 1], w, h, m)
@@ -158,8 +154,8 @@ def _window_layout(
     back = unwarp_points(deform, w, h, corners.reshape(-1, 2)).reshape(-1, 4, 2)
     low, high = back.min(axis=1), back.max(axis=1)
     in_src = (
-        (low[:, 0] >= 0) & (high[:, 0] <= src_w - 1)
-        & (low[:, 1] >= 0) & (high[:, 1] <= src_h - 1)
+        (low[:, 0] >= 0) & (high[:, 0] <= w - 1)
+        & (low[:, 1] >= 0) & (high[:, 1] <= h - 1)
     )
     return centers, in_frame & in_src
 
@@ -183,9 +179,8 @@ def _render(img: GrayImage, view_id: int, deform: AffineDeform,
             classes: ClassSet | None = None) -> View:
     mask = layout = None
     if classes is not None:
-        size = (img.width, img.height)
-        centers, keep = _window_layout(deform, classes, size, size)
-        layout = (classes, size, centers, keep)
+        centers, keep = _window_layout(deform, classes, img.width, img.height)
+        layout = (classes, centers, keep)
         mask = np.zeros((img.height, img.width), dtype=bool)
         windows, kept = _windows(mask, centers[keep], classes.margin, writeable=True)
         windows[kept] = True
@@ -224,14 +219,6 @@ def _views(
     return _iter_views(img, params, threads, classes)
 
 
-def training_views(
-    img: GrayImage, spec: DatasetSpec, seed: int, threads: int = 1
-) -> Iterator[View]:
-    """Render the training protocol's views_per_degree x degrees warped
-    views as full frames."""
-    return _views(img, spec, seed, STREAM_TRAIN, threads, None)
-
-
 def test_views(
     img: GrayImage, spec: DatasetSpec, seed: int, threads: int = 1
 ) -> Iterator[View]:
@@ -253,9 +240,9 @@ def protocol_view(
 
 
 def extract_patches(
-    view: View, classes: ClassSet, src_size: tuple[int, int]
+    view: View, classes: ClassSet
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Crop one patch per class from a rendered view.
+    """Crop one patch per class from a view rendered at its source's size.
 
     Returns the kept patches as one read-only (k, p, p) copy, their labels
     and the skipped labels. A class is skipped when its patch would cross
@@ -263,14 +250,13 @@ def extract_patches(
     (background fill). The view may be a full frame or a patch stream's
     render of the kept windows only; both give the same crops. A stream's
     view carries the layout it was rendered for, which is reused when it was
-    made for the same ``classes`` and ``src_size``.
+    made for the same ``classes``.
     """
     layout = view.layout
-    if layout is not None and layout[0] is classes and layout[1] == tuple(src_size):
-        centers, keep = layout[2:]
+    if layout is not None and layout[0] is classes:
+        centers, keep = layout[1:]
     else:
-        size = (view.image.width, view.image.height)
-        centers, keep = _window_layout(view.deform, classes, size, src_size)
+        centers, keep = _window_layout(view.deform, classes, view.image.width, view.image.height)
     windows, kept = _windows(view.image.pixels, centers[keep], classes.margin)
     patches = windows[kept]
     patches.flags.writeable = False
@@ -278,11 +264,11 @@ def extract_patches(
 
 
 def _view_blocks(
-    img: GrayImage, classes: ClassSet, views: Iterator[View], stats: GenStats | None
+    classes: ClassSet, views: Iterator[View], stats: GenStats | None
 ) -> Iterator[tuple[View, np.ndarray, np.ndarray]]:
     """Each view with its read-only (k, p, p) patch block and k labels."""
     for view in views:
-        patches, labels, skipped = extract_patches(view, classes, (img.width, img.height))
+        patches, labels, skipped = extract_patches(view, classes)
         if stats is not None:
             stats.views += 1
             stats.skips.update(skipped)
@@ -297,7 +283,7 @@ def _blocks(
     """The training or test protocol as one (patches, labels) block per view,
     which ``sample_batches`` stacks without a per-patch object."""
     views = _views(img, spec, seed, stream, threads, classes)
-    return ((p, l) for _, p, l in _view_blocks(img, classes, views, stats))
+    return ((p, l) for _, p, l in _view_blocks(classes, views, stats))
 
 
 def _samples(blocks: Iterator[tuple[View, np.ndarray, np.ndarray]]) -> Iterator[PatchSample]:
@@ -317,7 +303,7 @@ def generate_training_set(
 ) -> Iterator[PatchSample]:
     """Labeled patches from the rotation-bucketed training protocol."""
     views = _views(img, spec, seed, STREAM_TRAIN, threads, classes)
-    return _samples(_view_blocks(img, classes, views, stats))
+    return _samples(_view_blocks(classes, views, stats))
 
 
 def generate_test_set(
@@ -330,7 +316,7 @@ def generate_test_set(
 ) -> Iterator[PatchSample]:
     """Labeled noisy patches from independent full-range deformations."""
     views = _views(img, spec, seed, STREAM_TEST, threads, classes)
-    return _samples(_view_blocks(img, classes, views, stats))
+    return _samples(_view_blocks(classes, views, stats))
 
 
 def sample_batches(
@@ -380,33 +366,6 @@ def _stacked(parts: list, labels: list) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(parts), values.astype(np.int64)
 
 
-def stream_digest(samples: Iterable[PatchSample]) -> str:
-    """SHA-256 over (view_id, label, pixels) of every sample, in order."""
-    digest = hashlib.sha256()
-    for s in samples:
-        digest.update(struct.pack("<iq", s.label, s.view_id))
-        digest.update(s.patch.pixels.tobytes())
-    return digest.hexdigest()
-
-
-def dump_views(views: Iterable[View], directory) -> int:
-    """Write one PGM per view plus a manifest CSV; returns the view count."""
-    from pathlib import Path
-
-    from .image import write_pgm
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for view in views:
-        with open(directory / f"view_{view.view_id:05d}.pgm", "wb") as f:
-            f.write(write_pgm(view.image))
-        rows.append(manifest_row(view))
-    with open(directory / "manifest.csv", "w") as f:
-        write_manifest(rows, f)
-    return len(rows)
-
-
 def manifest_row(view: View) -> dict:
     d = view.deform
     return {
@@ -427,23 +386,3 @@ def write_manifest(rows: Iterable[dict], fileobj) -> None:
     for row in rows:
         writer.writerow(row)
 
-
-def read_manifest(fileobj) -> list[dict]:
-    reader = csv.DictReader(fileobj)
-    if reader.fieldnames != MANIFEST_HEADER:
-        raise InvalidArgument(f"unexpected manifest header {reader.fieldnames}")
-    return [
-        {
-            "view_id": int(r["view_id"]),
-            "deform": AffineDeform(
-                float(r["theta"]),
-                float(r["phi"]),
-                float(r["lambda1"]),
-                float(r["lambda2"]),
-                float(r["tx"]),
-                float(r["ty"]),
-            ),
-            "noise_sigma": float(r["noise_sigma"]),
-        }
-        for r in reader
-    ]

@@ -28,7 +28,7 @@ from .errors import (
     OutOfBounds,
 )
 from .image import GrayImage
-from .keypoints import ClassSet, window_fits
+from .keypoints import ClassSet, checked_patch_size, window_fits
 
 MODEL_MAGIC = b"FERNMDL1"
 MODEL_VERSION = 3
@@ -64,9 +64,9 @@ def random_tests(count: int, patch_size: int, rng: np.random.Generator) -> np.nd
     Coincident offset pairs are redrawn. Draws are sequential, so the first
     k tests of a longer draw equal a fresh draw of k tests under one seed.
     """
-    if patch_size < 3 or patch_size % 2 == 0:
-        raise InvalidArgument("patch_size must be odd and >= 3")
-    reach = patch_size // 2
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise InvalidArgument(f"count must be an integer >= 0, got {count!r}")
+    reach = checked_patch_size(patch_size) // 2
     tests = []
     for _ in range(count):
         while True:

@@ -76,9 +76,6 @@ class GrayImage:
         """Geometric center (cx, cy) with pixel centers on integer coords."""
         return (self.width - 1) / 2.0, (self.height - 1) / 2.0
 
-    def at(self, x: int, y: int) -> int:
-        return int(self.pixels[y, x])
-
     @cached_property
     def _edge_padded(self) -> np.ndarray:
         """``_padded(pixels)``, made on the first warp of this image; the
@@ -121,8 +118,7 @@ class AffineDeform:
 
     @cached_property
     def _matrix(self) -> np.ndarray:
-        """``deform_matrix(self)``, built once; read-only, as the deform is
-        frozen."""
+        """The induced matrix, built once; read-only, as the deform is frozen."""
         scale = np.diag([self.lambda1, self.lambda2])
         matrix = _rotation(self.theta) @ _rotation(-self.phi) @ scale @ _rotation(self.phi)
         matrix.flags.writeable = False
@@ -139,25 +135,6 @@ class AffineDeform:
 def _rotation(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
-
-
-def deform_matrix(d: AffineDeform) -> np.ndarray:
-    """2x2 matrix R(theta) . R(-phi) . diag(lambda1, lambda2) . R(phi)."""
-    return d._matrix.copy()
-
-
-def inverse_deform(d: AffineDeform, width: int, height: int) -> AffineDeform:
-    """Deform that undoes ``d`` when both warps are rendered at width x height."""
-    cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
-    t = d._matrix @ np.array([cx - d.tx, cy - d.ty]) + np.array([cx, cy])
-    return AffineDeform(
-        theta=-d.theta,
-        phi=d.phi - d.theta,
-        lambda1=1.0 / d.lambda1,
-        lambda2=1.0 / d.lambda2,
-        tx=float(t[0]),
-        ty=float(t[1]),
-    )
 
 
 def read_pgm(data: bytes) -> GrayImage:
@@ -301,7 +278,7 @@ def warp_image(
 ) -> GrayImage:
     """Render the deformed view of ``src`` at ``out_w`` x ``out_h``.
 
-    Each output pixel is mapped through the inverse of ``deform_matrix(d)``
+    Each output pixel is mapped through the inverse of ``d._matrix``
     about the output center, then translated by (tx, ty) into source
     coordinates and sampled bilinearly. Samples outside the source read the
     mid-gray background.

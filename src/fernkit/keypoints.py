@@ -33,22 +33,27 @@ class ClassSet:
     reference-image positions, ``coords``, and the patch size around them.
 
     The row index is the class label; ordering is stable across runs with
-    the same seed.
+    the same seed. Coordinates are rounded to float32, the precision a model
+    file stores them at, so a saved class set loads back equal.
     """
 
     coords: np.ndarray
     patch_size: int
 
     def __post_init__(self):
-        p = self.patch_size
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 3 or p % 2 == 0:
-            raise InvalidArgument(f"patch_size must be an odd integer >= 3, got {p!r}")
-        object.__setattr__(self, "patch_size", int(p))
-        coords = np.array(self.coords, dtype=np.float64)
+        object.__setattr__(self, "patch_size", checked_patch_size(self.patch_size))
+        try:
+            coords = np.asarray(self.coords)
+        except ValueError:  # a ragged sequence
+            raise InvalidArgument("coords must be a non-empty (H, 2) array") from None
+        if coords.dtype.kind not in "iuf":
+            raise InvalidArgument(f"keypoint coordinates must be numbers, got {coords.dtype}")
         if coords.ndim != 2 or coords.shape[1] != 2 or len(coords) == 0:
             raise InvalidArgument(f"coords must be a non-empty (H, 2) array, got {coords.shape}")
+        with np.errstate(over="ignore"):  # beyond float32 becomes inf, rejected next
+            coords = coords.astype(np.float32).astype(np.float64)
         if not np.isfinite(coords).all():
-            raise InvalidArgument("keypoint coordinates must be finite")
+            raise InvalidArgument("keypoint coordinates must be finite in float32")
         if _any_pair_closer(coords, self.min_separation):
             raise InvalidArgument(
                 f"keypoints closer than min separation {self.min_separation}"
@@ -75,6 +80,13 @@ class ClassSet:
     @property
     def margin(self) -> int:
         return self.patch_size // 2
+
+
+def checked_patch_size(p) -> int:
+    """``p`` as an int, if it is an odd integer >= 3 and not a bool."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 3 or p % 2 == 0:
+        raise InvalidArgument(f"patch_size must be an odd integer >= 3, got {p!r}")
+    return int(p)
 
 
 def window_fits(x, y, width: int, height: int, margin: int):

@@ -5,16 +5,19 @@ exact rationals, leaf indices come from per-bit evaluation with string
 packing, and window means come from nested loops.
 """
 
+import csv
 import hashlib
+import math
 import struct
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 
-from fernkit import ClassSet, GrayImage, box_smooth
+from fernkit import AffineDeform, ClassSet, GrayImage, InvalidArgument, box_smooth
+from fernkit.dataset import MANIFEST_HEADER
 from fernkit.ferns import random_tests
-from fernkit.image import BACKGROUND, deform_matrix, unwarp_points, warp_points
+from fernkit.image import BACKGROUND, unwarp_points, warp_points
 
 
 def make_texture(width: int, height: int, seed: int, block: int = 8) -> GrayImage:
@@ -231,9 +234,35 @@ def bilinear_oracle(pixels: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.nd
     return np.where(inside, top * (1.0 - fy) + bot * fy, float(BACKGROUND))
 
 
+def deform_matrix_oracle(d) -> np.ndarray:
+    """R(theta) . R(-phi) . diag(lambda1, lambda2) . R(phi), built here
+    rather than read from the deform."""
+
+    def rotation(angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([[c, -s], [s, c]])
+
+    scale = np.diag([d.lambda1, d.lambda2])
+    return rotation(d.theta) @ rotation(-d.phi) @ scale @ rotation(d.phi)
+
+
+def inverse_deform(d, width: int, height: int) -> AffineDeform:
+    """Deform that undoes ``d`` when both warps are rendered at width x height."""
+    cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
+    t = deform_matrix_oracle(d) @ np.array([cx - d.tx, cy - d.ty]) + np.array([cx, cy])
+    return AffineDeform(
+        theta=-d.theta,
+        phi=d.phi - d.theta,
+        lambda1=1.0 / d.lambda1,
+        lambda2=1.0 / d.lambda2,
+        tx=float(t[0]),
+        ty=float(t[1]),
+    )
+
+
 def warp_image_oracle(src, d, out_w: int, out_h: int, mask=None) -> np.ndarray:
     """Whole-frame render: one pass over every (or every masked) pixel."""
-    inv = np.linalg.inv(deform_matrix(d))
+    inv = np.linalg.inv(deform_matrix_oracle(d))
     cx, cy = (out_w - 1) / 2.0, (out_h - 1) / 2.0
     if mask is None:
         ys, xs = np.meshgrid(
@@ -262,13 +291,13 @@ def add_noise_oracle(pixels: np.ndarray, sigma: float, rng) -> np.ndarray:
     return np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
 
 
-def extract_patches_oracle(view, classes, src_size):
-    """Per-class crop-or-skip loop that unwarps each window's corners alone."""
+def extract_patches_oracle(view, classes):
+    """Per-class crop-or-skip loop that unwarps each window's corners alone,
+    for a view rendered at its source's size."""
     w, h = view.image.width, view.image.height
     m = classes.margin
     centers = np.rint(warp_points(view.deform, w, h, classes.coords)).astype(np.int64)
     out, skipped = [], []
-    src_w, src_h = src_size
     for label, (px, py) in enumerate(centers):
         if not (m <= px <= w - 1 - m and m <= py <= h - 1 - m):
             skipped.append(label)
@@ -277,9 +306,9 @@ def extract_patches_oracle(view, classes, src_size):
         back = unwarp_points(view.deform, w, h, corners)
         if (
             back[:, 0].min() < 0
-            or back[:, 0].max() > src_w - 1
+            or back[:, 0].max() > w - 1
             or back[:, 1].min() < 0
-            or back[:, 1].max() > src_h - 1
+            or back[:, 1].max() > h - 1
         ):
             skipped.append(label)
             continue
@@ -295,6 +324,37 @@ def window_mask_oracle(centers, shape, margin: int) -> np.ndarray:
     for px, py in np.asarray(centers).tolist():
         mask[py - m : py + m + 1, px - m : px + m + 1] = True
     return mask
+
+
+def stream_digest(samples) -> str:
+    """SHA-256 over (view_id, label, pixels) of every sample, in order."""
+    digest = hashlib.sha256()
+    for s in samples:
+        digest.update(struct.pack("<iq", s.label, s.view_id))
+        digest.update(s.patch.pixels.tobytes())
+    return digest.hexdigest()
+
+
+def read_manifest(fileobj) -> list[dict]:
+    """The rows of a view manifest, each with the deform it records."""
+    reader = csv.DictReader(fileobj)
+    if reader.fieldnames != MANIFEST_HEADER:
+        raise InvalidArgument(f"unexpected manifest header {reader.fieldnames}")
+    return [
+        {
+            "view_id": int(r["view_id"]),
+            "deform": AffineDeform(
+                float(r["theta"]),
+                float(r["phi"]),
+                float(r["lambda1"]),
+                float(r["lambda2"]),
+                float(r["tx"]),
+                float(r["ty"]),
+            ),
+            "noise_sigma": float(r["noise_sigma"]),
+        }
+        for r in reader
+    ]
 
 
 def peak_traced_bytes(fn) -> int:

@@ -32,17 +32,21 @@ from fernkit.dataset import (
     generate_training_set,
     manifest_row,
     protocol_view,
-    read_manifest,
     sample_batches,
-    stream_digest,
-    training_views,
     write_manifest,
 )
 from fernkit.dataset import test_views as render_test_views
 from fernkit.evaluate import materialize
-from fernkit.image import BACKGROUND, add_noise, read_pgm, warp_image, warp_points
+from fernkit.image import BACKGROUND, add_noise, warp_image, warp_points
 
-from support import extract_patches_oracle, grid_classes, random_patches, window_mask_oracle
+from support import (
+    extract_patches_oracle,
+    grid_classes,
+    random_patches,
+    read_manifest,
+    stream_digest,
+    window_mask_oracle,
+)
 
 
 def identity_for(img):
@@ -89,7 +93,7 @@ class TestDegenerateIdentity:
         identity = [identity_for(texture_small)]
         views = rendered(texture_small, spec, 0, STREAM_TRAIN, identity, small_classes)
         samples = list(
-            dataset._samples(dataset._view_blocks(texture_small, small_classes, views, stats))
+            dataset._samples(dataset._view_blocks(small_classes, views, stats))
         )
         assert stats.views == 1
         assert len(samples) == len(small_classes)  # every class survives
@@ -155,11 +159,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("threads", [0, -1])
     def test_fewer_than_one_thread_rejected(self, texture_small, small_classes, threads):
         spec = DatasetSpec(1, 2, test_views=2)
-        args = (texture_small, spec, 9, threads)
         with pytest.raises(InvalidArgument, match="threads"):
-            training_views(*args)
+            dataset._views(texture_small, spec, 9, STREAM_TRAIN, threads, None)
         with pytest.raises(InvalidArgument, match="threads"):
-            render_test_views(*args)
+            render_test_views(texture_small, spec, 9, threads)
         with pytest.raises(InvalidArgument, match="threads"):
             generate_training_set(texture_small, small_classes, spec, 9, threads=threads)
         with pytest.raises(InvalidArgument, match="threads"):
@@ -216,8 +219,7 @@ class TestProtocolView:
     @pytest.mark.parametrize("stream", [STREAM_TRAIN, STREAM_TEST])
     def test_equals_the_iterators_view(self, texture_small, stream, sigma):
         spec = self.spec(sigma)
-        iterate = training_views if stream == STREAM_TRAIN else render_test_views
-        streamed = list(iterate(texture_small, spec, self.SEED))
+        streamed = list(dataset._views(texture_small, spec, self.SEED, stream, 1, None))
         count = len(streamed)
         assert count == (10 if stream == STREAM_TRAIN else 7)
         for i in (0, count // 2, count - 1):
@@ -241,8 +243,10 @@ class TestProtocolView:
             protocol_view(texture_small, self.spec(6.0), self.SEED, stream, view_id)
         assert warp_calls == []
 
-    @pytest.mark.parametrize("iterate", [training_views, render_test_views])
-    def test_first_view_derives_one_rng(self, texture_small, monkeypatch, iterate):
+    @pytest.mark.parametrize(
+        "stream", [STREAM_TRAIN, STREAM_TEST], ids=["training_views", "test_views"]
+    )
+    def test_first_view_derives_one_rng(self, texture_small, monkeypatch, stream):
         keys = []
 
         def spy(seed, *key):
@@ -251,10 +255,9 @@ class TestProtocolView:
 
         monkeypatch.setattr(dataset, "derive_rng", spy)
         spec = DatasetSpec(2, 50, test_views=50)
-        views = iterate(texture_small, spec, self.SEED)
+        views = dataset._views(texture_small, spec, self.SEED, stream, 1, None)
         assert keys == []
         next(views)
-        stream = STREAM_TRAIN if iterate is training_views else STREAM_TEST
         assert keys == [(stream, 0)]
 
 
@@ -396,30 +399,34 @@ class TestOneLayoutPerView:
         assert train == "4967b6b84be0378e2ee9b5a9d78b0d70412e612b83d58bdc4253b3ae4c33bd67"
         assert test == "a111c54fc982504296bec4d076a6d2c372a00d124868ad47d596727eac904b65"
 
-    def test_layout_is_reused_only_for_its_classes_and_source_size(
-        self, texture_small, small_classes
+    def test_layout_is_reused_only_for_its_classes(
+        self, texture_small, small_classes, monkeypatch
     ):
         img = texture_small
-        size = (img.width, img.height)
-        cases = [
-            (small_classes, size),
-            (border_classes(img), size),
-            (small_classes, (img.width - 30, img.height - 20)),
-        ]
-        skips = []
+        # equal to small_classes, but not the object the views were rendered for
+        twin = ClassSet(small_classes.coords, small_classes.patch_size)
+        cases = [small_classes, twin, border_classes(img)]
         spec = DatasetSpec(1, 4, test_views=0)
-        for view in dataset._views(img, spec, 2, STREAM_TRAIN, 1, small_classes):
-            assert view.layout is not None
+        views = list(dataset._views(img, spec, 2, STREAM_TRAIN, 1, small_classes))
+        calls = []
+        layout = dataset._window_layout
+        monkeypatch.setattr(
+            dataset, "_window_layout", lambda *args: calls.append(args[1]) or layout(*args)
+        )
+        skips = []
+        for view in views:
+            assert view.layout[0] is small_classes
             bare = View(view.view_id, view.deform, view.image)
-            for classes, src_size in cases:
-                patches, labels, skipped = extract_patches(view, classes, src_size)
-                want = extract_patches(bare, classes, src_size)
+            for classes in cases:
+                patches, labels, skipped = extract_patches(view, classes)
+                want = extract_patches(bare, classes)
                 assert patches.tobytes() == want[0].tobytes()
                 assert (labels.tolist(), skipped) == (want[1].tolist(), want[2])
                 skips.append(skipped)
-        # each case skips other classes than the layout the view carries
-        assert any(skips[i] != skips[i + 2] for i in range(0, len(skips), 3))
-        assert any(len(skips[i]) != len(skips[i + 1]) for i in range(0, len(skips), 3))
+        # a streamed view reuses its layout only for the object it was rendered for
+        assert len(calls) == 5 * len(views)
+        assert sum(c is small_classes for c in calls) == len(views)
+        assert any(len(skips[i]) != len(skips[i + 2]) for i in range(0, len(skips), 3))
 
 
 def edge_deforms(img):
@@ -449,10 +456,8 @@ class TestPatchLocalRendering:
         full, skip_kinds = {}, set()
         m = classes.margin
         for view in rendered(img, spec, 3, stream, deforms):
-            patches, labels, skipped = extract_patches(view, classes, (img.width, img.height))
-            want_kept, want_skipped = extract_patches_oracle(
-                view, classes, (img.width, img.height)
-            )
+            patches, labels, skipped = extract_patches(view, classes)
+            want_kept, want_skipped = extract_patches_oracle(view, classes)
             assert (labels.tolist(), skipped) == ([l for l, _ in want_kept], want_skipped)
             assert [p.tobytes() for p in patches] == [p.pixels.tobytes() for _, p in want_kept]
             full.update(((view.view_id, l), p.tobytes()) for l, p in zip(labels.tolist(), patches))
@@ -462,7 +467,7 @@ class TestPatchLocalRendering:
                 skip_kinds.add("source edge" if in_frame else "frame border")
         assert skip_kinds == {"source edge", "frame border"}
         views = rendered(img, spec, 3, stream, deforms, classes)
-        samples = dataset._samples(dataset._view_blocks(img, classes, views, None))
+        samples = dataset._samples(dataset._view_blocks(classes, views, None))
         assert {(s.view_id, s.label): s.patch.pixels.tobytes() for s in samples} == full
 
     def test_crop_and_skip_decisions_match_per_class_oracle(self, texture_small):
@@ -482,8 +487,8 @@ class TestPatchLocalRendering:
         ]
         spec = DatasetSpec(1, 1, test_views=0)
         for view in rendered(texture_small, spec, 0, STREAM_TRAIN, deforms):
-            patches, labels, skipped = extract_patches(view, classes, (w, h))
-            want_kept, want_skipped = extract_patches_oracle(view, classes, (w, h))
+            patches, labels, skipped = extract_patches(view, classes)
+            want_kept, want_skipped = extract_patches_oracle(view, classes)
             assert skipped == want_skipped
             assert patches.shape == (len(labels), 9, 9) and patches.dtype == np.uint8
             assert list(zip(labels.tolist(), (p.tobytes() for p in patches))) == [
@@ -498,7 +503,7 @@ class TestPatchLocalRendering:
         spec = DatasetSpec(1, 1, test_views=0)
         full = rendered(img, spec, 3, STREAM_TRAIN, deforms)[0].image.pixels
         local = rendered(img, spec, 3, STREAM_TRAIN, deforms, classes)[0]
-        _, labels, skipped = extract_patches(local, classes, (img.width, img.height))
+        _, labels, skipped = extract_patches(local, classes)
         assert labels.size and skipped
         centers = np.rint(warp_points(local.deform, img.width, img.height, classes.coords))
         m = classes.margin
@@ -540,7 +545,7 @@ class TestWindowBlocks:
         size, m = (img.width, img.height), classes.margin
         every = []
         for view, mask in zip(rendered(img, spec, 3, stream, deforms, classes), masks):
-            kept, _ = extract_patches_oracle(view, classes, size)
+            kept, _ = extract_patches_oracle(view, classes)
             centers = np.rint(warp_points(view.deform, *size, classes.coords)).astype(int)
             centers = centers[[label for label, _ in kept]]
             assert np.array_equal(mask, window_mask_oracle(centers, mask.shape, m))
@@ -555,7 +560,7 @@ class TestWindowBlocks:
         frame = GrayImage(np.zeros((5, 7), dtype=np.uint8))
         cx, cy = frame.center
         view = View(0, AffineDeform(0, 0, 1, 1, tx=cx, ty=cy), frame)
-        patches, labels, skipped = extract_patches(view, small_classes, (7, 5))
+        patches, labels, skipped = extract_patches(view, small_classes)
         p = small_classes.patch_size
         assert patches.shape == (0, p, p) and labels.size == 0
         assert skipped == list(range(len(small_classes)))
@@ -584,9 +589,7 @@ class TestWindowBlocks:
     def test_block_is_not_a_view_of_the_frame(self, texture_small, small_classes):
         spec = DatasetSpec(1, 1, test_views=3)
         for view in dataset._views(texture_small, spec, 8, STREAM_TEST, 1, small_classes):
-            patches, labels, _ = extract_patches(
-                view, small_classes, (texture_small.width, texture_small.height)
-            )
+            patches, labels, _ = extract_patches(view, small_classes)
             assert labels.size and not np.shares_memory(patches, view.image.pixels)
             assert patches.flags.c_contiguous and not patches.flags.writeable
             with pytest.raises(ValueError):
@@ -617,7 +620,7 @@ class TestThetaCoverage:
         spec = DatasetSpec(views_per_degree=3, rotation_degrees=30, test_views=0)
         buckets = np.zeros(30, dtype=int)
         width = 2 * np.pi / 30
-        for view in training_views(texture_small, spec, 4):
+        for view in dataset._views(texture_small, spec, 4, STREAM_TRAIN, 1, None):
             buckets[int(view.deform.theta // width)] += 1
         assert np.all(buckets == 3)
 
@@ -639,40 +642,6 @@ class TestNoiseWiring:
             texture_small, noisy.deform, texture_small.width, texture_small.height
         )
         assert not np.array_equal(noisy.image.pixels, clean.pixels)
-
-
-class TestDump:
-    def test_one_pgm_per_view_plus_manifest(self, texture_small, tmp_path):
-        from fernkit.dataset import dump_views
-
-        spec = DatasetSpec(1, 4, test_views=0)
-        n = dump_views(training_views(texture_small, spec, 6), tmp_path / "dump")
-        assert n == 4
-        pgms = sorted((tmp_path / "dump").glob("view_*.pgm"))
-        assert [p.name for p in pgms] == [f"view_{i:05d}.pgm" for i in range(4)]
-        with open(tmp_path / "dump" / "manifest.csv") as f:
-            rows = read_manifest(f)
-        for row, path in zip(rows, pgms):
-            assert row["noise_sigma"] == 0.0
-            replayed = warp_image(
-                texture_small, row["deform"], texture_small.width,
-                texture_small.height,
-            )
-            assert read_pgm(path.read_bytes()) == replayed
-
-    def test_noisy_test_views_replay_from_their_manifest(self, texture_small, tmp_path):
-        from fernkit.dataset import dump_views
-
-        spec = DatasetSpec(0, 0, test_views=3, noise_sigma=6.0)
-        assert dump_views(render_test_views(texture_small, spec, 12), tmp_path) == 3
-        with open(tmp_path / "manifest.csv") as f:
-            rows = read_manifest(f)
-        assert [r["view_id"] for r in rows] == [0, 1, 2]
-        for row in rows:
-            assert row["noise_sigma"] == 6.0
-            assert replay(texture_small, row, 12) == read_pgm(
-                (tmp_path / f"view_{row['view_id']:05d}.pgm").read_bytes()
-            )
 
 
 def replay(img, row, seed):
@@ -703,7 +672,7 @@ class TestManifest:
     def test_rows_record_each_views_own_sigma(self, texture_small):
         spec = DatasetSpec(1, 2, test_views=2, noise_sigma=4.5)
         views = [
-            *training_views(texture_small, spec, 3),
+            *dataset._views(texture_small, spec, 3, STREAM_TRAIN, 1, None),
             *render_test_views(texture_small, spec, 3),
             protocol_view(texture_small, spec, 3, STREAM_TEST, 0, identity_for(texture_small)),
         ]

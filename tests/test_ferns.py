@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fernkit import (
+    ClassSet,
     CorruptModel,
     FernModel,
     FormatError,
@@ -135,6 +136,22 @@ class TestMakeRandomFerns:
         for dx1, dy1, dx2, dy2 in tests.tolist():
             assert max(abs(dx1), abs(dy1), abs(dx2), abs(dy2)) <= 7
             assert (dx1, dy1) != (dx2, dy2)
+
+    @pytest.mark.parametrize("count, patch_size, message", [
+        (2, 15.0, "patch_size must be an odd integer"),
+        (2, True, "patch_size must be an odd integer"),
+        (2, 14, "patch_size must be an odd integer"),
+        (-1, 15, "count must be an integer >= 0"),
+        (True, 15, "count must be an integer >= 0"),
+        (2.0, 15, "count must be an integer >= 0"),
+    ])
+    def test_bad_count_or_patch_size_rejected_before_any_draw(
+        self, count, patch_size, message
+    ):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidArgument, match=message):
+            random_tests(count, patch_size, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_default_budget_is_300_features(self):
         model = FernModel.random(grid_classes(1, 31), rng=np.random.default_rng(0))
@@ -507,6 +524,14 @@ class TestSerialization:
             assert loaded.classes == model.classes
             assert hash(loaded.classes) == hash(model.classes)
             assert loaded.classes.coords.tobytes() == model.classes.coords.tobytes()
+
+    def test_coordinates_off_the_float32_grid_round_trip(self):
+        classes = ClassSet([(40.1, 20.0), (10.0, 40.0)], 9)
+        model = FernModel.random(classes, 2, 3, np.random.default_rng(0))
+        loaded = FernModel.load(model.save())
+        assert loaded.classes == classes
+        assert loaded.classes.coords.tobytes() == classes.coords.tobytes()
+        assert loaded.save() == model.save()
 
     def test_behavioral_round_trip(self, small_model):
         loaded = FernModel.load(small_model.save())

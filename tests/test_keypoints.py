@@ -296,8 +296,22 @@ class TestClassSet:
         with pytest.raises(InvalidArgument, match="H, 2"):
             ClassSet(coords, 9)
 
+    @pytest.mark.parametrize("coords", [
+        "ab",
+        [["a", "b"]],
+        [("20", "20")],
+        [(True, False)],
+        [(20.0, 1j)],
+        [(20.0, None)],
+        [(20.0, 20.0), (40.0,)],  # ragged
+    ])
+    def test_non_numeric_coordinates_rejected(self, coords):
+        with pytest.raises(InvalidArgument):
+            ClassSet(coords, 9)
+
     @pytest.mark.parametrize(
-        "x, y", [(np.nan, 5.0), (5.0, np.nan), (np.inf, 5.0), (5.0, -np.inf)]
+        "x, y", [(np.nan, 5.0), (5.0, np.nan), (np.inf, 5.0), (5.0, -np.inf),
+                 (1e39, 0.0), (0.0, -1e39)]  # beyond float32
     )
     def test_non_finite_coordinates_rejected(self, x, y):
         with pytest.raises(InvalidArgument, match="finite"):
@@ -326,6 +340,12 @@ class TestClassSet:
         assert classes != "not a ClassSet"
         moved = replace(classes, coords=coords[:2])
         assert moved.coords.tolist() == [[10.0, 12.0], [40.5, 12.0]]
+
+    def test_coordinates_held_at_float32_precision(self):
+        classes = ClassSet([(40.1, 20.0), (10.0, 40.0)], 9)
+        assert classes.coords.dtype == np.float64
+        assert classes.coords[0, 0] == float(np.float32(40.1)) != 40.1
+        assert classes == ClassSet(classes.coords.astype(np.float32), 9)
 
     def test_negative_zero_compares_and_hashes_as_zero(self):
         plus = ClassSet([(0.0, 0.0), (20.0, 0.0)], 9)
@@ -356,13 +376,15 @@ class TestSeparationOracle:
     def test_random_sets(self, h, patch_size):
         rng = np.random.default_rng(h * 100 + patch_size)
         min_sep = patch_size / 2.0
-        # a grid at exactly the separation, jittered by about the 1e-9
-        # tolerance, shuffled so close pairs land in any block
+        # a grid at exactly the separation, jittered by a few float32 steps
+        # (ClassSet holds float32 values), shuffled so close pairs land in
+        # any block
         cols = int(np.ceil(np.sqrt(h)))
         grid = np.stack([np.arange(h) % cols, np.arange(h) // cols], axis=1) * min_sep
         verdicts = set()
-        for scale in (0.0, 1e-10, 3e-10, 1e-9):
-            coords = rng.permutation(grid + rng.uniform(-scale, scale, grid.shape))
+        for scale in (0.0, 1e-6, 3e-6, 1e-5):
+            jittered = grid + rng.uniform(-scale, scale, grid.shape)
+            coords = rng.permutation(jittered.astype(np.float32).astype(np.float64))
             want = separation_oracle(coords, min_sep)
             assert separation_verdict(coords, patch_size) == want
             verdicts.add(want)
@@ -386,10 +408,11 @@ class TestSeparationOracle:
     @pytest.mark.parametrize("axis", [0, 1])
     def test_pairs_at_the_threshold(self, patch_size, axis):
         min_sep = patch_size / 2.0
-        edge = np.sqrt(min_sep**2 - 1e-9)
+        # float32 steps: ClassSet holds its coordinates at that precision
+        edge = np.float32(np.sqrt(min_sep**2 - 1e-9))
         verdicts = set()
         for ulps in range(-3, 4):
-            d = edge + ulps * np.spacing(edge)
+            d = edge + np.float32(ulps) * np.spacing(edge)
             coords = np.zeros((3, 2))
             coords[1, axis] = d
             coords[2] = (100.0, 100.0)
