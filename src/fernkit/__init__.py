@@ -6,7 +6,7 @@ trees baseline and an evaluation harness cover the flat-versus-hierarchical
 and multiplied-versus-averaged comparisons.
 """
 
-from .dataset import DatasetSpec, GenStats, PatchSample, derive_rng
+from .dataset import DatasetSpec, GenStats, derive_rng
 from .errors import (
     CorruptModel,
     EmptyTestSet,
@@ -63,7 +63,6 @@ __all__ = [
     "Method",
     "OutOfBounds",
     "ParseError",
-    "PatchSample",
     "TreeForest",
     "UnsupportedFormat",
     "add_noise",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -34,7 +35,7 @@ from .image import (
     warp_points,
     unwarp_points,
 )
-from .keypoints import ClassSet, window_fits
+from .keypoints import ClassSet, checked_count, window_fits
 
 STREAM_TRAIN = 0
 STREAM_TEST = 1
@@ -68,26 +69,15 @@ class DatasetSpec:
     noise_sigma: float = 10.0
 
     def __post_init__(self):
-        if min(self.views_per_degree, self.rotation_degrees, self.test_views) < 0:
-            raise InvalidArgument("all counts must be >= 0")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise InvalidArgument(
-                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
-            )
+        for name in ("views_per_degree", "rotation_degrees", "test_views"):
+            checked_count(getattr(self, name), name)
+        sigma = self.noise_sigma
+        if not (isinstance(sigma, numbers.Real) and math.isfinite(sigma) and sigma >= 0):
+            raise InvalidArgument(f"noise_sigma must be a finite real >= 0, got {sigma!r}")
 
     @property
     def training_views(self) -> int:
         return self.views_per_degree * self.rotation_degrees
-
-
-@dataclass(frozen=True)
-class PatchSample:
-    """One labeled training or test patch with its generating deformation."""
-
-    patch: GrayImage
-    label: int
-    deform: AffineDeform
-    view_id: int
 
 
 @dataclass(frozen=True)
@@ -263,76 +253,70 @@ def extract_patches(
     return patches, np.flatnonzero(keep), np.flatnonzero(~keep).tolist()
 
 
-def _view_blocks(
-    classes: ClassSet, views: Iterator[View], stats: GenStats | None
-) -> Iterator[tuple[View, np.ndarray, np.ndarray]]:
-    """Each view with its read-only (k, p, p) patch block and k labels."""
-    for view in views:
-        patches, labels, skipped = extract_patches(view, classes)
-        if stats is not None:
-            stats.views += 1
-            stats.skips.update(skipped)
-            stats.samples += len(labels)
-        yield view, patches, labels
-
-
 def _blocks(
     img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int, stream: int,
     stats: GenStats | None = None, threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The training or test protocol as one (patches, labels) block per view,
-    which ``sample_batches`` stacks without a per-patch object."""
-    views = _views(img, spec, seed, stream, threads, classes)
-    return ((p, l) for _, p, l in _view_blocks(classes, views, stats))
+    """The training or test protocol as one read-only (k, p, p) patch block
+    and its k labels per view, cropped by ``extract_patches``, which
+    ``sample_batches`` stacks without a per-patch object."""
+    views = _views(img, spec, seed, stream, threads, classes)  # checks threads now
+
+    def blocks():
+        for view in views:
+            patches, labels, skipped = extract_patches(view, classes)
+            if stats is not None:
+                stats.views += 1
+                stats.skips.update(skipped)
+                stats.samples += len(labels)
+            yield patches, labels
+
+    return blocks()
 
 
-def _samples(blocks: Iterator[tuple[View, np.ndarray, np.ndarray]]) -> Iterator[PatchSample]:
-    """The per-patch flattening of view blocks: zero-copy rows of each block."""
-    for view, patches, labels in blocks:
-        for patch, label in zip(patches, labels.tolist()):
-            yield PatchSample(GrayImage(patch), label, view.deform, view.view_id)
+def _pairs(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[np.ndarray, int]]:
+    """The per-patch flattening of blocks: each zero-copy row and its int label."""
+    for patches, labels in blocks:
+        yield from zip(patches, labels.tolist())
 
 
 def generate_training_set(
-    img: GrayImage,
-    classes: ClassSet,
-    spec: DatasetSpec,
-    seed: int,
-    stats: GenStats | None = None,
-    threads: int = 1,
-) -> Iterator[PatchSample]:
-    """Labeled patches from the rotation-bucketed training protocol."""
-    views = _views(img, spec, seed, STREAM_TRAIN, threads, classes)
-    return _samples(_view_blocks(classes, views, stats))
+    img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int,
+    stats: GenStats | None = None, threads: int = 1,
+) -> Iterator[tuple[np.ndarray, int]]:
+    """(patch, label) pairs of the rotation-bucketed training protocol, each
+    patch a read-only (p, p) row of its view's block."""
+    return _pairs(_blocks(img, classes, spec, seed, STREAM_TRAIN, stats, threads))
 
 
 def generate_test_set(
-    img: GrayImage,
-    classes: ClassSet,
-    spec: DatasetSpec,
-    seed: int,
-    stats: GenStats | None = None,
-    threads: int = 1,
-) -> Iterator[PatchSample]:
-    """Labeled noisy patches from independent full-range deformations."""
-    views = _views(img, spec, seed, STREAM_TEST, threads, classes)
-    return _samples(_view_blocks(classes, views, stats))
+    img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int,
+    stats: GenStats | None = None, threads: int = 1,
+) -> Iterator[tuple[np.ndarray, int]]:
+    """(patch, label) pairs of noisy views with independent full-range
+    deformations, each patch a read-only (p, p) row of its view's block."""
+    return _pairs(_blocks(img, classes, spec, seed, STREAM_TEST, stats, threads))
 
 
 def sample_batches(
     samples: Iterable, size: int | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stack PatchSamples, other ``patch``/``label`` objects, (patch, label)
-    pairs or a view's (patches, labels) block into (n, h, w) patches and
-    int64 labels, ``size`` at a time (the whole stream if None); a chunk
-    boundary may split a block. Items are not held, only pixels and labels.
-    A label that is not a whole number raises InvalidLabel before its chunk
-    is yielded."""
+    """Stack a stream of (patch, label) pairs, the patch an (h, w) array or a
+    GrayImage, and (patches, labels) blocks of k (h, w) patches and k labels
+    into (n, h, w) patches and int64 labels, ``size`` at a time (the whole
+    stream if None); a chunk boundary may split a block. Items are not held,
+    only pixels and labels. Any other item raises InvalidPatch, and a label
+    that is not a whole number InvalidLabel, before its chunk is yielded."""
     if size is not None and size < 1:
         raise InvalidArgument(f"chunk size must be >= 1, got {size}")
     parts, labels = [], []
     for item in samples:
-        patch, label = (item.patch, item.label) if hasattr(item, "patch") else item
+        try:
+            patch, label = item
+        except (TypeError, ValueError):  # 5, a 3-tuple, a bare (3, 3) array
+            raise InvalidPatch(
+                "a stream item is a (patch, label) pair or a (patches, labels) block"
+            ) from None
         patch = patch.pixels if isinstance(patch, GrayImage) else np.asarray(patch)
         if np.ndim(label):  # a block: k patches and their k labels
             label = np.asarray(label)
@@ -340,6 +324,8 @@ def sample_batches(
                 raise InvalidPatch("a block needs one (h, w) patch per label")
             parts.append(patch)
             labels.extend(label.tolist())
+        elif patch.ndim != 2:
+            raise InvalidPatch(f"a pair needs one (h, w) patch, got shape {patch.shape}")
         else:
             parts.append(patch[None])
             labels.append(label)

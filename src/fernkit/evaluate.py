@@ -80,7 +80,7 @@ class EvalRecord:
 
 
 def materialize(samples: Iterable) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a sample or block stream into (N, p, p) patches and (N,) labels."""
+    """Stack a stream of (patch, label) pairs or blocks into (N, p, p) patches and (N,) labels."""
     for chunk in sample_batches(samples):
         return chunk
     raise EmptyTestSet("no test samples")

@@ -28,7 +28,7 @@ from .errors import (
     OutOfBounds,
 )
 from .image import GrayImage
-from .keypoints import ClassSet, checked_patch_size, window_fits
+from .keypoints import ClassSet, checked_count, checked_patch_size, window_fits
 
 MODEL_MAGIC = b"FERNMDL1"
 MODEL_VERSION = 3
@@ -64,8 +64,7 @@ def random_tests(count: int, patch_size: int, rng: np.random.Generator) -> np.nd
     Coincident offset pairs are redrawn. Draws are sequential, so the first
     k tests of a longer draw equal a fresh draw of k tests under one seed.
     """
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-        raise InvalidArgument(f"count must be an integer >= 0, got {count!r}")
+    count = checked_count(count)
     reach = checked_patch_size(patch_size) // 2
     tests = []
     for _ in range(count):
@@ -211,8 +210,8 @@ class LeafModel:
     # -- training ---------------------------------------------------------
 
     def train(self, samples: Iterable):
-        """Count a stream of samples or (patch, label) pairs (anything
-        ``fernkit.dataset.sample_batches`` takes); tables follow on first read."""
+        """Count a stream of (patch, label) pairs or (patches, labels) blocks
+        (what ``fernkit.dataset.sample_batches`` takes); tables follow on first read."""
         train_models((self,), samples)
         return self
 

@@ -82,6 +82,13 @@ class ClassSet:
         return self.patch_size // 2
 
 
+def checked_count(n, name: str = "count") -> int:
+    """``n`` as an int, if it is an integer >= 0 and not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise InvalidArgument(f"{name} must be an integer >= 0, got {n!r}")
+    return int(n)
+
+
 def checked_patch_size(p) -> int:
     """``p`` as an int, if it is an odd integer >= 3 and not a bool."""
     if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 3 or p % 2 == 0:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from fernkit import AffineDeform, ClassSet, GrayImage, InvalidArgument, box_smooth
-from fernkit.dataset import MANIFEST_HEADER
+from fernkit.dataset import MANIFEST_HEADER, extract_patches
 from fernkit.ferns import random_tests
 from fernkit.image import BACKGROUND, unwarp_points, warp_points
 
@@ -326,12 +326,15 @@ def window_mask_oracle(centers, shape, margin: int) -> np.ndarray:
     return mask
 
 
-def stream_digest(samples) -> str:
-    """SHA-256 over (view_id, label, pixels) of every sample, in order."""
+def stream_digest(views, classes) -> str:
+    """SHA-256 over (label, view_id, pixels) of every patch ``extract_patches``
+    crops from ``views`` for ``classes``, in order."""
     digest = hashlib.sha256()
-    for s in samples:
-        digest.update(struct.pack("<iq", s.label, s.view_id))
-        digest.update(s.patch.pixels.tobytes())
+    for view in views:
+        patches, labels, _ = extract_patches(view, classes)
+        for patch, label in zip(patches, labels.tolist()):
+            digest.update(struct.pack("<iq", label, view.view_id))
+            digest.update(patch.tobytes())
     return digest.hexdigest()
 
 

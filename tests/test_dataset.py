@@ -54,6 +54,21 @@ def identity_for(img):
     return AffineDeform(0, 0, 1, 1, tx=cx, ty=cy)
 
 
+def pair_bytes(pairs):
+    """(label, pixel bytes) of every (patch, label) pair of a stream, in order."""
+    return [(label, patch.tobytes()) for patch, label in pairs]
+
+
+def crop_bytes(views, classes):
+    """(label, pixel bytes) of every patch ``extract_patches`` crops from
+    ``views``, in order."""
+    crops = []
+    for view in views:
+        patches, labels, _ = extract_patches(view, classes)
+        crops += zip(labels.tolist(), (p.tobytes() for p in patches))
+    return crops
+
+
 def rendered(img, spec, seed, stream, deforms, classes=None):
     """The views of ``stream`` with ``deforms`` in place of the drawn ones,
     rendered as its iterator renders them (only kept windows with ``classes``)."""
@@ -80,6 +95,26 @@ class TestSpecCounts:
         with pytest.raises(InvalidArgument):
             DatasetSpec(views_per_degree=-1)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((1.5, 4, 2), "views_per_degree"), ((True, 4, 2), "views_per_degree"),
+         ((1, 4.0, 2), "rotation_degrees"), ((1, -1, 2), "rotation_degrees"),
+         ((1, 4, 2.0), "test_views"), ((1, 4, np.int64(-2)), "test_views"),
+         ((1, 4, "2"), "test_views"), ((1, 4, 2, "a"), "noise_sigma"),
+         ((1, 4, 2, None), "noise_sigma"), ((1, 4, 2, 1j), "noise_sigma")],
+    )
+    def test_counts_that_are_not_integers_and_sigmas_that_are_not_reals_rejected(
+        self, args, name
+    ):
+        with pytest.raises(InvalidArgument, match=f"^{name} must be"):
+            DatasetSpec(*args)
+
+    def test_numpy_integer_counts_and_real_sigmas_accepted(self):
+        spec = DatasetSpec(np.int64(2), np.uint16(3), np.int32(4), np.float32(1.5))
+        assert spec.training_views == 6
+        assert DatasetSpec(1, 4, 2, Fraction(1, 2)).noise_sigma == 0.5
+        assert DatasetSpec(1, 4, 2, 3).noise_sigma == 3
+
     @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
     def test_negative_or_non_finite_noise_rejected(self, sigma):
         with pytest.raises(InvalidArgument):
@@ -89,19 +124,15 @@ class TestSpecCounts:
 class TestDegenerateIdentity:
     def test_identity_views_equal_reference_crops(self, texture_small, small_classes):
         spec = DatasetSpec(1, 1, test_views=0)
-        stats = GenStats()
         identity = [identity_for(texture_small)]
-        views = rendered(texture_small, spec, 0, STREAM_TRAIN, identity, small_classes)
-        samples = list(
-            dataset._samples(dataset._view_blocks(small_classes, views, stats))
-        )
-        assert stats.views == 1
-        assert len(samples) == len(small_classes)  # every class survives
+        [view] = rendered(texture_small, spec, 0, STREAM_TRAIN, identity, small_classes)
+        patches, labels, skipped = extract_patches(view, small_classes)
+        assert skipped == [] and labels.tolist() == list(range(len(small_classes)))
         m = small_classes.margin
-        for s in samples:
-            x, y = small_classes.coords[s.label].astype(int)
+        for patch, label in zip(patches, labels.tolist()):
+            x, y = small_classes.coords[label].astype(int)
             crop = texture_small.pixels[y - m : y + m + 1, x - m : x + m + 1]
-            assert np.array_equal(s.patch.pixels, crop)
+            assert np.array_equal(patch, crop)
 
 
 class TestBookkeeping:
@@ -110,12 +141,10 @@ class TestBookkeeping:
     ):
         spec = DatasetSpec(1, 40, test_views=0)
         stats = GenStats()
-        samples = list(
-            generate_training_set(texture_small, small_classes, spec, 5, stats=stats)
-        )
+        pairs = generate_training_set(texture_small, small_classes, spec, 5, stats=stats)
         histogram = {label: 0 for label in range(len(small_classes))}
-        for s in samples:
-            histogram[s.label] += 1
+        for _, label in pairs:
+            histogram[label] += 1
         for label in range(len(small_classes)):
             assert histogram[label] == stats.views - stats.skips[label]
             assert histogram[label] <= stats.views
@@ -123,35 +152,35 @@ class TestBookkeeping:
     def test_patch_shape_and_dtype(self, texture_small, small_classes):
         spec = DatasetSpec(1, 10, test_views=0)
         p = small_classes.patch_size
-        for s in generate_training_set(texture_small, small_classes, spec, 5):
-            assert s.patch.pixels.shape == (p, p)
-            assert s.patch.pixels.dtype == np.uint8
+        for patch, label in generate_training_set(texture_small, small_classes, spec, 5):
+            assert patch.shape == (p, p) and patch.dtype == np.uint8
+            assert type(label) is int
 
 
 class TestDeterminism:
     def test_reproducible_streams(self, texture_small, small_classes):
         spec = DatasetSpec(1, 20, test_views=15)
-        a = stream_digest(generate_training_set(texture_small, small_classes, spec, 9))
-        b = stream_digest(generate_training_set(texture_small, small_classes, spec, 9))
-        assert a == b
-        c = stream_digest(generate_test_set(texture_small, small_classes, spec, 9))
-        d = stream_digest(generate_test_set(texture_small, small_classes, spec, 9))
-        assert c == d
+        a = pair_bytes(generate_training_set(texture_small, small_classes, spec, 9))
+        b = pair_bytes(generate_training_set(texture_small, small_classes, spec, 9))
+        assert a == b and a
+        c = pair_bytes(generate_test_set(texture_small, small_classes, spec, 9))
+        d = pair_bytes(generate_test_set(texture_small, small_classes, spec, 9))
+        assert c == d and c
 
     def test_train_and_test_streams_disjoint_under_same_seed(
         self, texture_small, small_classes
     ):
         spec = DatasetSpec(1, 20, test_views=20, noise_sigma=0.0)
-        a = stream_digest(generate_training_set(texture_small, small_classes, spec, 9))
-        b = stream_digest(generate_test_set(texture_small, small_classes, spec, 9))
+        a = pair_bytes(generate_training_set(texture_small, small_classes, spec, 9))
+        b = pair_bytes(generate_test_set(texture_small, small_classes, spec, 9))
         assert a != b
 
     def test_threads_do_not_change_the_stream(self, texture_small, small_classes):
         spec = DatasetSpec(1, 20, test_views=10)
-        serial = stream_digest(
+        serial = pair_bytes(
             generate_training_set(texture_small, small_classes, spec, 9, threads=1)
         )
-        threaded = stream_digest(
+        threaded = pair_bytes(
             generate_training_set(texture_small, small_classes, spec, 9, threads=4)
         )
         assert serial == threaded
@@ -172,10 +201,10 @@ class TestDeterminism:
         self, texture_small, small_classes
     ):
         spec = DatasetSpec(1, 1, test_views=12, noise_sigma=10.0)
-        serial = stream_digest(
+        serial = pair_bytes(
             generate_test_set(texture_small, small_classes, spec, 9, threads=1)
         )
-        threaded = stream_digest(
+        threaded = pair_bytes(
             generate_test_set(texture_small, small_classes, spec, 9, threads=3)
         )
         assert serial == threaded
@@ -185,22 +214,31 @@ class TestGoldenPins:
     """Exact streams of the small fixture; any change to synthesis shows here."""
 
     SPEC = DatasetSpec(1, 20, test_views=15)
+    TRAIN = "4967b6b84be0378e2ee9b5a9d78b0d70412e612b83d58bdc4253b3ae4c33bd67"
+    TEST = "a111c54fc982504296bec4d076a6d2c372a00d124868ad47d596727eac904b65"
+    STREAMS = [
+        (STREAM_TRAIN, generate_training_set, TRAIN),
+        (STREAM_TEST, generate_test_set, TEST),
+    ]
+
+    @classmethod
+    def pinned_stats(cls, img, classes, stream, generate, digest) -> GenStats:
+        """Stats of the pair stream, once its pairs are checked to be the
+        crops of the stream's views and those views' digest the pinned one."""
+        stats = GenStats()
+        pairs = pair_bytes(generate(img, classes, cls.SPEC, 9, stats=stats))
+        views = list(dataset._views(img, cls.SPEC, 9, stream, 1, classes))
+        assert stream_digest(views, classes) == digest
+        assert pairs == crop_bytes(views, classes)
+        return stats
 
     def test_training_stream(self, texture_small, small_classes):
-        stats = GenStats()
-        digest = stream_digest(
-            generate_training_set(texture_small, small_classes, self.SPEC, 9, stats=stats)
-        )
-        assert digest == "4967b6b84be0378e2ee9b5a9d78b0d70412e612b83d58bdc4253b3ae4c33bd67"
+        stats = self.pinned_stats(texture_small, small_classes, *self.STREAMS[0])
         assert (stats.views, stats.samples) == (20, 224)
         assert dict(stats.skips) == {0: 1, 2: 3, 3: 2, 6: 4, 9: 6}
 
     def test_noisy_test_stream(self, texture_small, small_classes):
-        stats = GenStats()
-        digest = stream_digest(
-            generate_test_set(texture_small, small_classes, self.SPEC, 9, stats=stats)
-        )
-        assert digest == "a111c54fc982504296bec4d076a6d2c372a00d124868ad47d596727eac904b65"
+        stats = self.pinned_stats(texture_small, small_classes, *self.STREAMS[1])
         assert (stats.views, stats.samples) == (15, 160)
         assert dict(stats.skips) == {0: 2, 2: 2, 3: 3, 5: 1, 6: 4, 8: 1, 9: 7}
 
@@ -263,7 +301,8 @@ class TestProtocolView:
 
 class TestViewBlocks:
     """Library callers stack one (patches, labels) block per view; the
-    PatchSample streams are the per-patch flattening of the same blocks."""
+    public (patch, label) pair streams are the per-patch flattening of the
+    same blocks."""
 
     # seed 3 ends no view on patch 1000 or 1024 of either stream, so those
     # chunk boundaries split a view
@@ -275,32 +314,32 @@ class TestViewBlocks:
 
     @pytest.fixture(scope="class", params=STREAMS, ids=["training", "noisy-test"])
     def both(self, request, texture_small, small_classes):
-        """(blocks, samples, block stats, sample stats) of one protocol."""
-        blocks_of, samples_of = request.param
+        """(blocks, pairs, block stats, pair stats) of one protocol."""
+        blocks_of, pairs_of = request.param
         args = (texture_small, small_classes, self.SPEC, self.SEED)
-        block_stats, sample_stats = GenStats(), GenStats()
+        block_stats, pair_stats = GenStats(), GenStats()
         blocks = list(blocks_of(*args, stats=block_stats))
-        samples = list(samples_of(*args, stats=sample_stats))
-        return blocks, samples, block_stats, sample_stats
+        pairs = list(pairs_of(*args, stats=pair_stats))
+        return blocks, pairs, block_stats, pair_stats
 
     @pytest.mark.parametrize("size", [None, 1, 1000, 1024])
     def test_blocks_stack_to_the_per_patch_bytes(self, both, size):
-        blocks, samples = both[:2]
+        blocks, pairs = both[:2]
         ends = np.cumsum([labels.size for _, labels in blocks]).tolist()
         if size and size > 1:
             assert size not in ends and size < ends[-1]
         got = list(sample_batches(iter(blocks), size))
-        want = list(sample_batches(iter(samples), size))
+        want = list(sample_batches(iter(pairs), size))
         assert [len(l) for _, l in got] == [len(l) for _, l in want]
         for (gp, gl), (wp, wl) in zip(got, want):
             assert gp.shape == wp.shape and gp.tobytes() == wp.tobytes()
             assert gl.dtype == wl.dtype == np.int64 and np.array_equal(gl, wl)
 
     def test_stats_equal_on_both_paths(self, both):
-        blocks, samples, block_stats, sample_stats = both
-        assert block_stats == sample_stats
+        blocks, pairs, block_stats, pair_stats = both
+        assert block_stats == pair_stats
         assert block_stats.views == len(blocks) == 120  # views of either protocol
-        assert block_stats.samples == len(samples) == sum(l.size for _, l in blocks)
+        assert block_stats.samples == len(pairs) == sum(l.size for _, l in blocks)
 
     def test_blocks_interleave_with_pairs(self, both):
         blocks = both[0][:4]
@@ -320,6 +359,9 @@ class TestViewBlocks:
                     (patches, np.zeros((3, 1), dtype=int))]:
             with pytest.raises(InvalidPatch):
                 list(sample_batches([bad]))
+        for bad in [5, (patches[0], 1, 2), patches[0], (patches[0, 0], 1), (patches, 1)]:
+            with pytest.raises(InvalidPatch, match="pair"):
+                list(sample_batches([(patches[0], 0), bad]))
         with pytest.raises(InvalidPatch, match="differ in shape"):
             list(sample_batches([(patches, np.arange(3)), (patches[:, :4], np.arange(3))]))
         with pytest.raises(InvalidArgument):
@@ -391,13 +433,16 @@ class TestOneLayoutPerView:
 
         monkeypatch.setattr(dataset, "_window_layout", counted)
         spec = TestGoldenPins.SPEC
-        train = stream_digest(generate_training_set(texture_small, small_classes, spec, 9))
-        assert len(calls) == spec.training_views
-        test = stream_digest(generate_test_set(texture_small, small_classes, spec, 9))
-        assert len(calls) == spec.training_views + spec.test_views
-        # the streams of TestGoldenPins
-        assert train == "4967b6b84be0378e2ee9b5a9d78b0d70412e612b83d58bdc4253b3ae4c33bd67"
-        assert test == "a111c54fc982504296bec4d076a6d2c372a00d124868ad47d596727eac904b65"
+        for stream, generate, digest in TestGoldenPins.STREAMS:
+            calls.clear()
+            pairs = pair_bytes(generate(texture_small, small_classes, spec, 9))
+            views = dataset._view_count(spec, stream)
+            assert len(calls) == views == (20 if stream == STREAM_TRAIN else 15)
+            # the streams of TestGoldenPins, cropped with the layout each view carries
+            streamed = list(dataset._views(texture_small, spec, 9, stream, 1, small_classes))
+            assert stream_digest(streamed, small_classes) == digest
+            assert pairs == crop_bytes(streamed, small_classes)
+            assert len(calls) == 2 * views
 
     def test_layout_is_reused_only_for_its_classes(
         self, texture_small, small_classes, monkeypatch
@@ -466,9 +511,11 @@ class TestPatchLocalRendering:
                 in_frame = m <= x <= img.width - 1 - m and m <= y <= img.height - 1 - m
                 skip_kinds.add("source edge" if in_frame else "frame border")
         assert skip_kinds == {"source edge", "frame border"}
-        views = rendered(img, spec, 3, stream, deforms, classes)
-        samples = dataset._samples(dataset._view_blocks(classes, views, None))
-        assert {(s.view_id, s.label): s.patch.pixels.tobytes() for s in samples} == full
+        local = {}
+        for view in rendered(img, spec, 3, stream, deforms, classes):
+            patches, labels, _ = extract_patches(view, classes)
+            local.update(((view.view_id, l), p.tobytes()) for l, p in zip(labels, patches))
+        assert local == full
 
     def test_crop_and_skip_decisions_match_per_class_oracle(self, texture_small):
         # Classes on a grid out to the source edges, so corners land on both
@@ -569,20 +616,19 @@ class TestWindowBlocks:
         self, texture_small, small_classes
     ):
         spec = DatasetSpec(1, 6, test_views=0)
-        samples = list(generate_training_set(texture_small, small_classes, spec, 4))
-        by_view = {}
-        for s in samples:
-            by_view.setdefault(s.view_id, []).append(s.patch.pixels)
-        assert len(by_view) == 6
-        blocks = []
-        for rows in by_view.values():
-            block = rows[0].base
-            assert all(r.base is block for r in rows)
-            assert block.shape[0] == len(rows) and not block.flags.writeable
-            for r in rows:
-                assert r.flags.c_contiguous and not r.flags.writeable
-                assert np.shares_memory(r, block)
-            blocks.append(block)
+        stats = GenStats()
+        blocks, rows = [], []  # the distinct blocks in stream order, and each one's rows
+        for patch, label in generate_training_set(texture_small, small_classes, spec, 4, stats):
+            assert type(label) is int
+            assert patch.flags.c_contiguous and not patch.flags.writeable
+            if not blocks or patch.base is not blocks[-1]:
+                blocks.append(patch.base)
+                rows.append(0)
+            assert np.shares_memory(patch, blocks[-1])
+            rows[-1] += 1
+        assert len(blocks) == stats.views == 6
+        for block, count in zip(blocks, rows):
+            assert block.shape[0] == count and not block.flags.writeable
         for a, b in zip(blocks, blocks[1:]):
             assert not np.shares_memory(a, b)
 
@@ -629,10 +675,10 @@ class TestNoiseWiring:
     def test_zero_sigma_equals_unnoised_run(self, texture_small, small_classes):
         base = DatasetSpec(1, 1, test_views=8, noise_sigma=0.0)
         noisy = DatasetSpec(1, 1, test_views=8, noise_sigma=10.0)
-        a = stream_digest(generate_test_set(texture_small, small_classes, base, 9))
-        b = stream_digest(generate_test_set(texture_small, small_classes, noisy, 9))
+        a = pair_bytes(generate_test_set(texture_small, small_classes, base, 9))
+        b = pair_bytes(generate_test_set(texture_small, small_classes, noisy, 9))
         assert a != b
-        c = stream_digest(generate_test_set(texture_small, small_classes, base, 9))
+        c = pair_bytes(generate_test_set(texture_small, small_classes, base, 9))
         assert a == c
 
     def test_test_views_carry_noise(self, texture_small):

@@ -9,6 +9,7 @@ from fernkit import (
     EmptyTestSet,
     EvalRecord,
     FernModel,
+    GrayImage,
     InvalidArgument,
     Method,
     compare_methods,
@@ -34,42 +35,32 @@ class StubModel:
         return labels, np.zeros(len(labels))
 
 
-class FakeSample:
-    def __init__(self, patch, label):
-        from fernkit import GrayImage
-
-        self.patch = GrayImage(patch)
-        self.label = label
-
-
 def labeled_stream(n, h, size=9, seed=0):
+    """(GrayImage patch, int label) pairs, with their patches and labels."""
     rng = np.random.default_rng(seed)
     patches = random_patches(rng, n, size)
     labels = rng.integers(0, h, n)
-    return [FakeSample(p, int(l)) for p, l in zip(patches, labels)], patches, labels
+    return [(GrayImage(p), int(l)) for p, l in zip(patches, labels)], patches, labels
 
 
 class TestRecognitionRate:
     def test_oracle_model_scores_one(self):
-        samples, patches, labels = labeled_stream(30, 4)
+        pairs, patches, labels = labeled_stream(30, 4)
         lookup = {p.tobytes(): int(l) for p, l in zip(patches, labels)}
         model = StubModel(lambda p: lookup[p.tobytes()])
-        assert recognition_rate(model, iter(samples)) == 1.0
+        assert recognition_rate(model, iter(pairs)) == 1.0
 
     def test_constant_model_on_balanced_two_classes(self):
-        samples, _, _ = labeled_stream(40, 2)
-        for s, label in zip(samples, [0, 1] * 20):
-            s.label = label
+        pairs, _, _ = labeled_stream(40, 2)
+        pairs = [(patch, label) for (patch, _), label in zip(pairs, [0, 1] * 20)]
         model = StubModel(lambda p: 0)
-        assert recognition_rate(model, iter(samples)) == 0.5
+        assert recognition_rate(model, iter(pairs)) == 0.5
 
     def test_matches_confusion_matrix_oracle(self, small_model, texture_small, small_classes):
         spec = DatasetSpec(1, 1, test_views=30)
-        samples = list(
-            generate_test_set(texture_small, small_classes, spec, seed=2)
-        )
-        rate = recognition_rate(small_model, iter(samples))
-        patches, labels = materialize(iter(samples))
+        pairs = list(generate_test_set(texture_small, small_classes, spec, seed=2))
+        rate = recognition_rate(small_model, iter(pairs))
+        patches, labels = materialize(iter(pairs))
         predicted, _ = small_model.classify_patches(patches)
         assert rate == pytest.approx(rate_oracle(labels, predicted), abs=1e-12)
 
@@ -176,13 +167,14 @@ class TestCompareMethods:
 
 
 class TestViewBlockCallers:
-    def test_no_patch_sample_is_made(self, texture_small, small_classes, monkeypatch, tmp_path):
-        """compare, sweep, and the CLI's train and eval stack view blocks."""
+    def test_no_per_patch_pair_is_made(self, texture_small, small_classes, monkeypatch, tmp_path):
+        """compare, sweep, and the CLI's train and eval stack view blocks,
+        not the per-patch (patch, label) pairs of the public streams."""
 
         def refuse(*args):
-            raise AssertionError("a PatchSample was made")
+            raise AssertionError("a block stream was flattened into pairs")
 
-        monkeypatch.setattr(dataset, "PatchSample", refuse)
+        monkeypatch.setattr(dataset, "_pairs", refuse)
         spec = DatasetSpec(1, 10, test_views=8)
         compare_methods(texture_small, small_classes, spec, 3, 5, fern_size=4)
         sweep_units(

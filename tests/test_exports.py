@@ -12,10 +12,10 @@ def test_helpers_no_caller_used_are_gone():
     from fernkit import dataset, image
 
     gone = {
-        dataset: ["dump_views", "read_manifest", "stream_digest", "training_views"],
+        dataset: ["PatchSample", "dump_views", "read_manifest", "stream_digest", "training_views"],
         image: ["deform_matrix", "inverse_deform"],
         image.GrayImage: ["at"],
-        fernkit: ["deform_matrix", "inverse_deform"],
+        fernkit: ["PatchSample", "deform_matrix", "inverse_deform"],
     }
     assert [(owner, name) for owner, names in gone.items() for name in names
             if hasattr(owner, name)] == []
