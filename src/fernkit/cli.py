@@ -20,9 +20,9 @@ from .errors import (
     InsufficientKeypoints,
     InvalidArgument,
 )
-from .ferns import MAX_DEPTH, FernModel
+from .ferns import DEFAULT_FERN_COUNT, DEFAULT_FERN_SIZE, MAX_DEPTH, FernModel
 from .image import AffineDeform, GrayImage, read_pgm, write_pgm
-from .keypoints import detect_keypoints, select_stable_classes, window_fits
+from .keypoints import DEFAULT_PATCH_SIZE, detect_keypoints, select_stable_classes, window_fits
 from .trees import TreeForest
 
 EXIT_OK = 0
@@ -67,9 +67,9 @@ FLAGS = {
     )),
     "out": (ANY, dict(help="output path (default: stdout for CSVs)")),
     "classes": (AT_LEAST_1, dict(type=int, default=200)),
-    "ferns": (AT_LEAST_1, dict(type=int, default=30)),
-    "fern-size": (DEPTH, dict(type=int, default=10)),
-    "patch": (ODD, dict(type=int, default=31)),
+    "ferns": (AT_LEAST_1, dict(type=int, default=DEFAULT_FERN_COUNT)),
+    "fern-size": (DEPTH, dict(type=int, default=DEFAULT_FERN_SIZE)),
+    "patch": (ODD, dict(type=int, default=DEFAULT_PATCH_SIZE)),
     "views-per-degree": (AT_LEAST_1, dict(type=int, default=2)),
     "degrees": (AT_LEAST_1, dict(type=int, default=360)),
     "tests": (AT_LEAST_1, dict(type=int, default=1000)),

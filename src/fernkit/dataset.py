@@ -12,7 +12,6 @@ under equal seeds.
 from __future__ import annotations
 
 import csv
-import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
@@ -30,6 +29,7 @@ from .image import (
     SCALE_LOW,
     TWO_PI,
     add_noise,
+    checked_sigma,
     sample_deformation,
     warp_image,
     warp_points,
@@ -71,9 +71,7 @@ class DatasetSpec:
     def __post_init__(self):
         for name in ("views_per_degree", "rotation_degrees", "test_views"):
             checked_count(getattr(self, name), name)
-        sigma = self.noise_sigma
-        if not (isinstance(sigma, numbers.Real) and math.isfinite(sigma) and sigma >= 0):
-            raise InvalidArgument(f"noise_sigma must be a finite real >= 0, got {sigma!r}")
+        checked_sigma(self.noise_sigma, "noise_sigma")
 
     @property
     def training_views(self) -> int:
@@ -344,8 +342,12 @@ def _stacked(parts: list, labels: list) -> tuple[np.ndarray, np.ndarray]:
     if len({p.shape[1:] for p in parts}) > 1:
         raise InvalidPatch("patches of one chunk differ in shape")
     values = np.asarray(labels)
-    if values.dtype.kind in "fO":
-        # a cast would truncate a fractional label (a float, a Fraction) into a class
+    if values.dtype.kind not in "iu":
+        # a cast would turn a str, bool or complex label into a class
+        for label in labels:
+            if isinstance(label, bool) or not isinstance(label, numbers.Real):
+                raise InvalidLabel(f"label {label!r} is not a whole int64 number")
+        # and truncate a fractional one (a float, a Fraction) into a class
         whole = (values == np.floor(values)) & (np.abs(values) < 2.0**63)
         if not whole.all():
             raise InvalidLabel(f"label {values[~whole][0]} is not a whole int64 number")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,17 +64,22 @@ def random_tests(count: int, patch_size: int, rng: np.random.Generator) -> np.nd
 
     Coincident offset pairs are redrawn. Draws are sequential, so the first
     k tests of a longer draw equal a fresh draw of k tests under one seed.
+    The array is allocated before the first draw, so a count too large to
+    hold raises InvalidArgument at once.
     """
     count = checked_count(count)
     reach = checked_patch_size(patch_size) // 2
-    tests = []
-    for _ in range(count):
+    try:
+        tests = np.empty((count, 4), dtype=np.intp)
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+        raise InvalidArgument(f"cannot allocate {count} tests") from None
+    for row in range(count):
         while True:
             dx1, dy1, dx2, dy2 = rng.integers(-reach, reach + 1, 4).tolist()
             if (dx1, dy1) != (dx2, dy2):
                 break
-        tests.append((dx1, dy1, dx2, dy2))
-    return np.array(tests, dtype=np.intp).reshape(count, 4)
+        tests[row] = dx1, dy1, dx2, dy2
+    return tests
 
 
 def _check_patch_batch(patches: np.ndarray, patch_size: int) -> np.ndarray:
@@ -118,16 +124,21 @@ class LeafModel:
     """
 
     magic = b""
+    # the combinations a model may take; the first is its default
+    combinations = (Combination.AVERAGE, Combination.NAIVE_BAYES)
 
     def __init__(
         self,
         classes: ClassSet,
         tests: np.ndarray,
-        combination: Combination = Combination.AVERAGE,
+        combination: Combination | None = None,
         counts: np.ndarray | None = None,
     ):
-        if not isinstance(combination, Combination):
-            raise InvalidArgument(f"combination must be a Combination, got {combination!r}")
+        if combination is None:
+            combination = self.combinations[0]
+        elif not isinstance(combination, Combination) or combination not in self.combinations:
+            allowed = " or ".join(map(str, self.combinations))
+            raise InvalidArgument(f"{type(self).__name__} takes {allowed}, got {combination!r}")
         tests = np.asarray(tests)
         if tests.ndim != 3 or tests.shape[2] != 4 or 0 in tests.shape:
             raise InvalidArgument(
@@ -197,6 +208,26 @@ class LeafModel:
         self._one_patch = None  # _score_one's buffers, made on first use
         self.pixel_comparisons = 0
         self.table_lookups = 0
+
+    @classmethod
+    def random(cls, classes: ClassSet, units: int, depth: int, rng: np.random.Generator,
+               combination: Combination | None = None):
+        """``units`` units of depth ``depth`` over random tests, drawn by one
+        ``random_tests`` call in unit order; deterministic under ``rng``.
+
+        The sizes are checked before any test is drawn. ``combination``
+        None is the class's default, as in the constructor.
+        """
+        sizes = (units, depth)
+        whole = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in sizes)
+        if not (whole and units >= 1 and 1 <= depth <= MAX_DEPTH):
+            raise InvalidArgument(
+                f"need an integer units >= 1 and depth in [1, {MAX_DEPTH}], "
+                f"got units={units!r}, depth={depth!r}"
+            )
+        units, per_unit = int(units), cls._tests_per_unit(int(depth))
+        tests = random_tests(units * per_unit, classes.patch_size, rng)
+        return cls(classes, tests.reshape(units, per_unit, 4), combination)
 
     @property
     def counts(self) -> np.ndarray:
@@ -486,39 +517,10 @@ class LeafModel:
 
 
 class FernModel(LeafModel):
-    """S ferns x 2^M leaves x H classes, fused by Naive-Bayes by default."""
+    """S ferns x 2^M leaves x H classes, fused by Naive-Bayes."""
 
     magic = MODEL_MAGIC
-
-    def __init__(
-        self,
-        classes: ClassSet,
-        tests: np.ndarray,
-        combination: Combination = Combination.NAIVE_BAYES,
-        counts: np.ndarray | None = None,
-    ):
-        if combination is not Combination.NAIVE_BAYES:
-            raise InvalidArgument("ferns are fused by Naive-Bayes")
-        super().__init__(classes, tests, combination, counts)
-        self._weights = (1 << np.arange(self.depth - 1, -1, -1)).astype(np.int64)
-
-    @classmethod
-    def random(
-        cls,
-        classes: ClassSet,
-        s: int = DEFAULT_FERN_COUNT,
-        m: int = DEFAULT_FERN_SIZE,
-        rng: np.random.Generator | None = None,
-    ) -> "FernModel":
-        """S ferns of M random tests each, deterministic under the seed."""
-        if rng is None:
-            raise InvalidArgument("an explicit rng is required")
-        # checked before the S x M tests are drawn
-        if s < 1 or not 1 <= m <= MAX_DEPTH:
-            raise InvalidArgument(
-                f"need s >= 1 ferns of size m in [1, {MAX_DEPTH}], got s={s}, m={m}"
-            )
-        return cls(classes, random_tests(s * m, classes.patch_size, rng).reshape(s, m, 4))
+    combinations = (Combination.NAIVE_BAYES,)
 
     @staticmethod
     def _depth(tests_per_unit: int) -> int:
@@ -527,6 +529,11 @@ class FernModel(LeafModel):
     @staticmethod
     def _tests_per_unit(depth: int) -> int:
         return depth
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """Each bit's weight in a leaf index, test 0 the most significant."""
+        return (1 << np.arange(self.depth - 1, -1, -1)).astype(np.int64)
 
     def leaf_indices(self, patches: np.ndarray) -> np.ndarray:
         """(N, S) leaf indices for a batch of patches centered on themselves."""

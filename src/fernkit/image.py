@@ -8,6 +8,7 @@ so warped images never contain holes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -404,11 +405,19 @@ def sample_deformation(rng: np.random.Generator) -> AffineDeform:
     return AffineDeform(theta, phi, lambda1, lambda2)
 
 
+def checked_sigma(sigma, name: str = "sigma"):
+    """``sigma`` if it is a real noise deviation >= 0, finite in float64."""
+    try:
+        if isinstance(sigma, numbers.Real) and math.isfinite(sigma) and sigma >= 0:
+            return sigma
+    except OverflowError:  # a real beyond float64, such as 10**400
+        pass
+    raise InvalidArgument(f"{name} must be a finite real >= 0, got {sigma!r}")
+
+
 def add_noise(img: GrayImage, sigma: float, rng: np.random.Generator) -> GrayImage:
     """Add i.i.d. Gaussian noise of the given std, rounded and clamped."""
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise InvalidArgument(f"sigma must be finite and >= 0, got {sigma}")
-    if sigma == 0:
+    if checked_sigma(sigma) == 0:
         return img
     # block by block, the draws concatenate to one draw over the whole frame;
     # rng.normal(0.0, sigma) is 0.0 + sigma * z for the same standard draws z

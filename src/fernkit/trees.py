@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgument
-from .ferns import MAX_DEPTH, Combination, LeafModel, _flat_windows, random_tests
-from .keypoints import ClassSet
+from .ferns import LeafModel, _flat_windows
 
 FOREST_MAGIC = b"RTRFMDL1"
 
@@ -22,25 +20,6 @@ class TreeForest(LeafModel):
     breadth-first order."""
 
     magic = FOREST_MAGIC
-
-    @classmethod
-    def random(
-        cls,
-        classes: ClassSet,
-        t: int,
-        depth: int,
-        rng: np.random.Generator,
-        combination: Combination = Combination.AVERAGE,
-    ) -> "TreeForest":
-        """T trees with independently drawn random node tests."""
-        if t < 1:
-            raise InvalidArgument("need at least one tree")
-        # checked before a tree's 2^D - 1 tests are drawn
-        if not 1 <= depth <= MAX_DEPTH:
-            raise InvalidArgument(f"tree depth must be in [1, {MAX_DEPTH}], got {depth}")
-        nodes = cls._tests_per_unit(depth)
-        tests = random_tests(t * nodes, classes.patch_size, rng)
-        return cls(classes, tests.reshape(t, nodes, 4), combination)
 
     @staticmethod
     def _depth(tests_per_unit: int) -> int:

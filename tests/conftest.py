@@ -23,9 +23,7 @@ def small_classes(texture_small):
 @pytest.fixture(scope="session")
 def small_model(texture_small, small_classes):
     """A genuinely trained model at toy scale, shared across test modules."""
-    model = FernModel.random(
-        small_classes, s=8, m=6, rng=derive_rng(11, STREAM_MODEL)
-    )
+    model = FernModel.random(small_classes, 8, 6, derive_rng(11, STREAM_MODEL))
     spec = DatasetSpec(views_per_degree=1, rotation_degrees=60, test_views=40)
     model.train(
         generate_training_set(texture_small, small_classes, spec, seed=11)

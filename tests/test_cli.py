@@ -588,7 +588,7 @@ class TestSeed:
 
 class TestUnitDepth:
     """A fern size or tree depth above 63 exits 2 before the image is read;
-    counts too large to allocate exit 2 with an error line."""
+    tests or counts too large to allocate exit 2 with an error line."""
 
     @pytest.mark.parametrize(
         "command, method", [("train", None), ("sweep", "TreeNB"), ("compare", None)]
@@ -622,6 +622,18 @@ class TestUnitDepth:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: cannot allocate counts of shape (2, {1 << size}, 4)\n"
+        assert not out.exists()
+
+    def test_tree_tests_past_memory_exit_2(self, workdir, capsys):
+        # a depth-40 tree has 2^40 - 1 node tests, 32 TiB of offsets
+        out = workdir / "tree_depth40.csv"
+        code = run(
+            "sweep", "--image", workdir / "ref.pgm", "--seed", 1, "--classes", 4,
+            "--method", "TreeNB", "--fern-size", 40, "--patch", 21, "--degrees", 10,
+            "--units", 1, "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot allocate {(1 << 40) - 1} tests\n"
         assert not out.exists()
 
 

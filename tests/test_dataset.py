@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -119,6 +120,17 @@ class TestSpecCounts:
     def test_negative_or_non_finite_noise_rejected(self, sigma):
         with pytest.raises(InvalidArgument):
             DatasetSpec(1, noise_sigma=sigma)
+
+    @pytest.mark.parametrize(
+        "sigma", [10**400, -(10**400), Fraction(10**401, 3)], ids=["1e400", "-1e400", "fraction"]
+    )
+    def test_noise_beyond_float64_rejected_by_spec_and_add_noise(self, sigma):
+        # math.isfinite raises OverflowError converting these to float
+        with pytest.raises(InvalidArgument, match="^noise_sigma must be a finite real"):
+            DatasetSpec(1, 4, 2, sigma)
+        img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(InvalidArgument, match="^sigma must be a finite real"):
+            add_noise(img, sigma, np.random.default_rng(0))
 
 
 class TestDegenerateIdentity:
@@ -370,7 +382,8 @@ class TestViewBlocks:
 
 class TestWholeLabels:
     """``sample_batches`` rejects a label that is not a whole number before
-    any model counts its chunk; ints and whole floats are accepted."""
+    any model counts its chunk; ints and whole floats are accepted, and a
+    str, bool, complex or None label is rejected, not cast."""
 
     PATCHES = random_patches(np.random.default_rng(120), 4, 5)
     BAD = [
@@ -380,6 +393,10 @@ class TestWholeLabels:
         ([0, float("nan"), 1, 2], "nan"),
         ([0, 1, float("-inf"), 2], "-inf"),
         ([0, Fraction(1, 2), 1, 2], "1/2"),
+        (["3", "0", "1", "2"], "'3'"),
+        ([True, False, True, False], "True"),
+        ([2 + 0j, 0, 1, 2], "(2+0j)"),
+        ([0, None, 1, 2], "None"),
     ]
 
     @staticmethod
@@ -396,14 +413,14 @@ class TestWholeLabels:
     @pytest.mark.parametrize("labels, bad", BAD)
     def test_train_rejects_before_counting(self, form, labels, bad):
         model = self.model()
-        with pytest.raises(InvalidLabel, match=f"^label {bad} is not a whole"):
+        with pytest.raises(InvalidLabel, match=f"^label {re.escape(bad)} is not a whole"):
             model.train(self.stream(form, labels))
         assert not model.counts.any()
 
     @pytest.mark.parametrize("form", ["pairs", "block"])
     @pytest.mark.parametrize("labels, bad", BAD)
     def test_materialize_rejects(self, form, labels, bad):
-        with pytest.raises(InvalidLabel, match=f"^label {bad} is not a whole"):
+        with pytest.raises(InvalidLabel, match=f"^label {re.escape(bad)} is not a whole"):
             materialize(self.stream(form, labels))
 
     @pytest.mark.parametrize("form", ["pairs", "block"])

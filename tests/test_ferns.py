@@ -18,6 +18,7 @@ from fernkit import (
     OutOfBounds,
     TreeForest,
 )
+from fernkit.cli import build_parser
 from fernkit.ferns import (
     DEFAULT_FERN_COUNT,
     DEFAULT_FERN_SIZE,
@@ -120,7 +121,7 @@ class TestEvalFern:
 
 
 class TestMakeRandomFerns:
-    """``FernModel.random`` draws S x M tests in one ``random_tests`` call."""
+    """``LeafModel.random`` draws units x tests per unit in one ``random_tests`` call."""
 
     def test_deterministic(self):
         classes = grid_classes(1, 31)
@@ -154,9 +155,8 @@ class TestMakeRandomFerns:
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_default_budget_is_300_features(self):
-        model = FernModel.random(grid_classes(1, 31), rng=np.random.default_rng(0))
-        assert model.tests.shape == (30, 10, 4)
-        assert (model.num_units, model.depth) == (30, 10)
+        args = build_parser().parse_args(["train", "--image", "a", "--model", "b", "--seed", "0"])
+        assert (args.ferns, args.fern_size, args.patch) == (30, 10, 31)
 
     def test_prefix_stability(self):
         # the first k ferns of a big draw equal a fresh draw of k ferns
@@ -224,10 +224,19 @@ class TestTestsArray:
             model.tests[0, 0, 0] = 0
         assert (model.num_units, model.depth) == (1, 1)
 
-    @pytest.mark.parametrize("combination", ["naive", 0, 1, None, True])
+    @pytest.mark.parametrize("combination", ["naive", 0, 1, True])
     def test_combination_that_is_not_a_combination_rejected(self, kind, combination):
-        with pytest.raises(InvalidArgument, match="Combination|Naive-Bayes"):
+        with pytest.raises(InvalidArgument, match="takes Combination"):
             MODEL_KINDS[kind](grid_classes(2, 5), [[(-1, 0, 1, 0)]], combination)
+
+    def test_no_combination_is_the_kind_default(self, kind):
+        default = {"fern": Combination.NAIVE_BAYES, "tree": Combination.AVERAGE}[kind]
+        tests = [[(-1, 0, 1, 0)]]
+        for model in (
+            MODEL_KINDS[kind](grid_classes(2, 5), tests, None),
+            MODEL_KINDS[kind].random(grid_classes(2, 5), 1, 1, np.random.default_rng(0)),
+        ):
+            assert model.combination is default
 
     def test_forged_int16_minimum_offset_is_corrupt(self, kind, small_model, small_forest):
         model = small_model if kind == "fern" else small_forest

@@ -330,20 +330,28 @@ class TestDepthBound:
         with pytest.raises(InvalidArgument, match=f"depth {MAX_DEPTH + 1} exceeds"):
             FernModel(grid_classes(2, 9), tests[None])
 
-    @pytest.mark.parametrize("depth", [-1, 0, MAX_DEPTH + 1])
+    # 2 x (2^40 - 1) tests are 64 TiB and 2 x (2^56 - 1) are 4 EiB: too
+    # large to allocate, so the draw fails before its first test
+    @pytest.mark.parametrize("depth", [-1, 0, MAX_DEPTH + 1, 40, 56])
     def test_random_trees_draw_no_test(self, depth):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(InvalidArgument, match="tree depth must be in"):
+        if 1 <= depth <= MAX_DEPTH:
+            message = f"cannot allocate {2 * ((1 << depth) - 1)} tests"
+        else:
+            message = f"got units=2, depth={depth}"
+        with pytest.raises(InvalidArgument, match=message):
             TreeForest.random(grid_classes(2, 9), 2, depth, rng)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("s, m", [(0, 4), (2, 0), (2, MAX_DEPTH + 1), (2, 10**6)])
-    def test_random_ferns_draw_no_test(self, s, m):
+    @pytest.mark.parametrize("units, depth", [
+        (0, 4), (2, 0), (2, MAX_DEPTH + 1), (2, 10**6), (2.0, 4), (2, 4.0), (True, 4), (2, None),
+    ])
+    def test_random_ferns_draw_no_test(self, units, depth):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(InvalidArgument, match=f"got s={s}, m={m}"):
-            FernModel.random(grid_classes(2, 9), s, m, rng)
+        with pytest.raises(InvalidArgument, match=f"got units={units!r}, depth={depth!r}"):
+            FernModel.random(grid_classes(2, 9), units, depth, rng)
         assert rng.bit_generator.state == state
 
     # 2 x 2^56 x 4 counts are 512 PiB, more than a 57-bit address space
