@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from . import dataset, evaluate
@@ -19,8 +18,11 @@ from .errors import (
     FormatError,
     InsufficientKeypoints,
     InvalidArgument,
+    checked_count,
+    checked_patch_size,
+    checked_sigma,
 )
-from .ferns import DEFAULT_FERN_COUNT, DEFAULT_FERN_SIZE, MAX_DEPTH, FernModel
+from .ferns import DEFAULT_FERN_COUNT, DEFAULT_FERN_SIZE, FernModel, checked_depth
 from .image import AffineDeform, GrayImage, read_pgm, write_pgm
 from .keypoints import DEFAULT_PATCH_SIZE, detect_keypoints, select_stable_classes, window_fits
 from .trees import TreeForest
@@ -35,52 +37,48 @@ SELECTION_VIEWS = 50
 MATCH_HEADER = "scene_x,scene_y,class_id,model_x,model_y,log_score"
 
 
-def _unit_counts(units) -> list[int]:
-    """The counts a --units value holds: one int, or comma-separated ints."""
+def _unit_counts(units, name: str = "units") -> list[int]:
+    """The counts a --units value holds, one int or comma-separated ints,
+    each an integer >= 1; there must be at least one."""
     counts = []
     for v in filter(None, str(units).split(",")):
         try:
             counts.append(int(v))
         except ValueError:
-            raise InvalidArgument(f"--units holds {v!r}, not an integer") from None
-    return counts
+            raise InvalidArgument(f"--{name} holds {v!r}, not an integer") from None
+    if not counts:
+        raise InvalidArgument(f"{name} must hold one or more counts, got {units!r}")
+    return [checked_count(n, name, low=1) for n in counts]
 
 
-# A flag rule: a test of the parsed value, what the value must be, and the
-# name the error gives the value when it is not the flag's.
-ANY = (lambda v: True, "any value", None)
-AT_LEAST_0 = (lambda v: v >= 0, ">= 0", None)
-AT_LEAST_1 = (lambda v: v >= 1, ">= 1", None)
-DEPTH = (lambda v: 1 <= v <= MAX_DEPTH, f"in [1, {MAX_DEPTH}]", None)
-ODD = (lambda v: v >= 3 and v % 2 == 1, "odd and >= 3", None)
-SIGMA = (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0", "noise_sigma")
-COUNTS = (lambda v: min(_unit_counts(v), default=0) >= 1, "one or more counts >= 1", None)
+# a count the library needs >= 1: a model's units, classes, views, threads
+POSITIVE = functools.partial(checked_count, low=1)
 
-# flag: (rule, argparse keywords). A flag has one rule whichever subcommand
-# takes it, and main checks them all before a handler reads any file.
+# flag: (the library's checker, which main calls with the parsed value and
+# the flag's name before a handler reads any file, or None; argparse keywords)
 FLAGS = {
-    "image": (ANY, dict(required=True, help="reference PGM image")),
-    "model": (ANY, dict(required=True, help="model file path")),
-    "seed": (AT_LEAST_0, dict(type=int, required=True, help="RNG seed (mandatory)")),
-    "threads": (AT_LEAST_1, dict(
+    "image": (None, dict(required=True, help="reference PGM image")),
+    "model": (None, dict(required=True, help="model file path")),
+    "seed": (checked_count, dict(type=int, required=True, help="RNG seed (mandatory)")),
+    "threads": (POSITIVE, dict(
         type=int, default=1, help="render views on N threads; match takes it and ignores it"
     )),
-    "out": (ANY, dict(help="output path (default: stdout for CSVs)")),
-    "classes": (AT_LEAST_1, dict(type=int, default=200)),
-    "ferns": (AT_LEAST_1, dict(type=int, default=DEFAULT_FERN_COUNT)),
-    "fern-size": (DEPTH, dict(type=int, default=DEFAULT_FERN_SIZE)),
-    "patch": (ODD, dict(type=int, default=DEFAULT_PATCH_SIZE)),
-    "views-per-degree": (AT_LEAST_1, dict(type=int, default=2)),
-    "degrees": (AT_LEAST_1, dict(type=int, default=360)),
-    "tests": (AT_LEAST_1, dict(type=int, default=1000)),
-    "noise": (SIGMA, dict(type=float, default=10.0)),
-    "units": (COUNTS, dict(default="1,5,10,20,30", help="comma-separated counts")),
-    "method": (ANY, dict(default="FernNB", choices=[m.value for m in evaluate.Method])),
-    "kind": (ANY, dict(choices=["train", "test"], default="test")),
+    "out": (None, dict(help="output path (default: stdout for CSVs)")),
+    "classes": (POSITIVE, dict(type=int, default=200)),
+    "ferns": (POSITIVE, dict(type=int, default=DEFAULT_FERN_COUNT)),
+    "fern-size": (checked_depth, dict(type=int, default=DEFAULT_FERN_SIZE)),
+    "patch": (checked_patch_size, dict(type=int, default=DEFAULT_PATCH_SIZE)),
+    "views-per-degree": (POSITIVE, dict(type=int, default=2)),
+    "degrees": (POSITIVE, dict(type=int, default=360)),
+    "tests": (POSITIVE, dict(type=int, default=1000)),
+    "noise": (checked_sigma, dict(type=float, default=10.0)),
+    "units": (_unit_counts, dict(default="1,5,10,20,30", help="comma-separated counts")),
+    "method": (None, dict(default="FernNB", choices=[m.value for m in evaluate.Method])),
+    "kind": (None, dict(choices=["train", "test"], default="test")),
     # protocol_view rejects an id beyond the stream before it renders
-    "view-id": (ANY, dict(type=int, default=0)),
-    "manifest": (ANY, dict(help="manifest CSV path (default: <out>.manifest.csv)")),
-    "identity": (ANY, dict(action="store_true", help=(
+    "view-id": (None, dict(type=int, default=0)),
+    "manifest": (None, dict(help="manifest CSV path (default: <out>.manifest.csv)")),
+    "identity": (None, dict(action="store_true", help=(
         "render view --view-id of the --kind stream with the identity deformation"))),
 }
 
@@ -317,9 +315,9 @@ def main(argv=None) -> int:
     try:
         for dest, value in vars(args).items():
             flag = dest.replace("_", "-")
-            test, must, name = FLAGS[flag][0] if flag in FLAGS else ANY
-            if not test(value):
-                raise InvalidArgument(f"{name or flag} must be {must}, got {value!r}")
+            check = FLAGS[flag][0] if flag in FLAGS else None
+            if check is not None:
+                check(value, flag)
         return COMMANDS[args.command][0](args)
     except InsufficientKeypoints as exc:
         print(f"error: {exc}", file=sys.stderr)

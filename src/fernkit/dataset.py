@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import InvalidArgument, InvalidLabel, InvalidPatch
+from .errors import InvalidArgument, InvalidLabel, InvalidPatch, checked_count, checked_sigma
 from .image import (
     AffineDeform,
     GrayImage,
@@ -29,13 +29,12 @@ from .image import (
     SCALE_LOW,
     TWO_PI,
     add_noise,
-    checked_sigma,
     sample_deformation,
     warp_image,
     warp_points,
     unwarp_points,
 )
-from .keypoints import ClassSet, checked_count, window_fits
+from .keypoints import ClassSet, window_fits
 
 STREAM_TRAIN = 0
 STREAM_TEST = 1
@@ -55,8 +54,8 @@ MANIFEST_HEADER = [
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for (seed, stream label, view id, ...)."""
-    return np.random.default_rng([int(seed), *map(int, key)])
+    """Independent generator for (seed >= 0, stream label, view id, ...)."""
+    return np.random.default_rng([checked_count(seed, "seed"), *map(int, key)])
 
 
 @dataclass(frozen=True)
@@ -199,8 +198,7 @@ def _views(
     view draws the same full-frame noise field either way.
     """
     # checked before any view is rendered, not when the iterator first runs
-    if threads < 1:
-        raise InvalidArgument(f"threads must be >= 1, got {threads}")
+    threads = checked_count(threads, "threads", low=1)
     params = (
         _view_params(img, spec, seed, stream, i) for i in range(_view_count(spec, stream))
     )
@@ -304,9 +302,10 @@ def sample_batches(
     into (n, h, w) patches and int64 labels, ``size`` at a time (the whole
     stream if None); a chunk boundary may split a block. Items are not held,
     only pixels and labels. Any other item raises InvalidPatch, and a label
-    that is not a whole number InvalidLabel, before its chunk is yielded."""
-    if size is not None and size < 1:
-        raise InvalidArgument(f"chunk size must be >= 1, got {size}")
+    that is not a whole number InvalidLabel (a bool as it enters, so it
+    cannot pass as an int among ints), before its chunk is yielded."""
+    if size is not None:
+        size = checked_count(size, "size", low=1)
     parts, labels = [], []
     for item in samples:
         try:
@@ -320,11 +319,14 @@ def sample_batches(
             label = np.asarray(label)
             if label.ndim != 1 or patch.ndim != 3 or len(patch) != label.size:
                 raise InvalidPatch("a block needs one (h, w) patch per label")
+            if label.dtype.kind in "bO":  # only these dtypes can hold a bool
+                _no_bools(label.tolist())
             parts.append(patch)
             labels.extend(label.tolist())
         elif patch.ndim != 2:
             raise InvalidPatch(f"a pair needs one (h, w) patch, got shape {patch.shape}")
         else:
+            _no_bools((label,))
             parts.append(patch[None])
             labels.append(label)
         if size is not None and len(labels) >= size:
@@ -338,14 +340,21 @@ def sample_batches(
         yield _stacked(parts, labels)
 
 
+def _no_bools(labels) -> None:
+    """Reject a bool label, which stacking among ints would make class 0 or 1."""
+    for label in labels:
+        if isinstance(label, (bool, np.bool_)):
+            raise InvalidLabel(f"label {label!r} is not a whole int64 number")
+
+
 def _stacked(parts: list, labels: list) -> tuple[np.ndarray, np.ndarray]:
     if len({p.shape[1:] for p in parts}) > 1:
         raise InvalidPatch("patches of one chunk differ in shape")
     values = np.asarray(labels)
     if values.dtype.kind not in "iu":
-        # a cast would turn a str, bool or complex label into a class
+        # a cast would turn a str or complex label into a class
         for label in labels:
-            if isinstance(label, bool) or not isinstance(label, numbers.Real):
+            if not isinstance(label, numbers.Real):
                 raise InvalidLabel(f"label {label!r} is not a whole int64 number")
         # and truncate a fractional one (a float, a Fraction) into a class
         whole = (values == np.floor(values)) & (np.abs(values) < 2.0**63)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input rules that
+raise them: one rule each for counts, patch sizes and noise deviations,
+which the library and the command line both check."""
+
+import math
+import numbers
 
 
 class FernkitError(Exception):
@@ -50,3 +55,32 @@ class InsufficientKeypoints(FernkitError):
 
 class EmptyTestSet(FernkitError):
     """Recognition rate asked for on an empty sample stream."""
+
+
+def checked_count(n, name: str, low: int = 0, high: int | None = None) -> int:
+    """``n`` as an int, if it is an integer in [low, high] (no upper bound
+    when ``high`` is None) and not a bool; numpy integers are integers."""
+    whole = isinstance(n, numbers.Integral) and not isinstance(n, bool)
+    if not (whole and low <= n and (high is None or n <= high)):
+        rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidArgument(f"{name} must be an integer {rule}, got {n!r}")
+    return int(n)
+
+
+def checked_patch_size(p, name: str = "patch_size") -> int:
+    """``p`` as an int, if it is an odd integer >= 3 and not a bool."""
+    if not isinstance(p, numbers.Integral) or isinstance(p, bool) or p < 3 or p % 2 == 0:
+        raise InvalidArgument(f"{name} must be an odd integer >= 3, got {p!r}")
+    return int(p)
+
+
+def checked_sigma(sigma, name: str = "sigma"):
+    """``sigma`` if it is a real noise deviation >= 0, finite in float64,
+    and not a bool."""
+    try:
+        real = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
+        if real and math.isfinite(sigma) and sigma >= 0:
+            return sigma
+    except OverflowError:  # a real beyond float64, such as 10**400
+        pass
+    raise InvalidArgument(f"{name} must be a finite real >= 0, got {sigma!r}")

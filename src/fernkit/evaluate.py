@@ -19,8 +19,8 @@ from .dataset import (
     derive_rng,
     sample_batches,
 )
-from .errors import EmptyTestSet, InvalidArgument
-from .ferns import Combination, FernModel, train_models
+from .errors import EmptyTestSet, InvalidArgument, checked_count
+from .ferns import DEFAULT_FERN_SIZE, Combination, FernModel, train_models
 from .image import GrayImage
 from .keypoints import ClassSet
 from .trees import TreeForest
@@ -122,7 +122,7 @@ def sweep_units(
     method: Method,
     unit_counts: Sequence[int],
     seed: int,
-    fern_size: int = 10,
+    fern_size: int = DEFAULT_FERN_SIZE,
     threads: int = 1,
 ) -> list[EvalRecord]:
     """Rate versus unit count, trained once at the maximum and truncated.
@@ -131,14 +131,12 @@ def sweep_units(
     on identical randomness; prefix k of the big model equals a model built
     with k units from the same seed.
     """
-    if not unit_counts or min(unit_counts) < 1:
-        raise InvalidArgument("unit_counts must be non-empty positive")
+    unit_counts = [checked_count(k, "unit count", low=1) for k in unit_counts]
+    if not unit_counts:
+        raise InvalidArgument("unit_counts must hold one or more counts")
     top = max(unit_counts)
     rng = derive_rng(seed, STREAM_MODEL)
-    if method.hierarchical:
-        model = TreeForest.random(classes, top, fern_size, rng)
-    else:
-        model = FernModel.random(classes, top, fern_size, rng)
+    model = (TreeForest if method.hierarchical else FernModel).random(classes, top, fern_size, rng)
     patches, labels = _fit_and_test((model,), img, classes, spec, seed, threads)
     records = []
     for k in unit_counts:
@@ -153,7 +151,7 @@ def compare_methods(
     spec: DatasetSpec,
     units: int,
     seed: int,
-    fern_size: int = 10,
+    fern_size: int = DEFAULT_FERN_SIZE,
     threads: int = 1,
 ) -> list[EvalRecord]:
     """The four-way comparison: {ferns, trees} x {Naive-Bayes, averaging}.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,9 +27,11 @@ from .errors import (
     InvalidLabel,
     InvalidPatch,
     OutOfBounds,
+    checked_count,
+    checked_patch_size,
 )
 from .image import GrayImage
-from .keypoints import ClassSet, checked_count, checked_patch_size, window_fits
+from .keypoints import ClassSet, window_fits
 
 MODEL_MAGIC = b"FERNMDL1"
 MODEL_VERSION = 3
@@ -51,6 +53,10 @@ PATCH_BLOCK = 256
 TRAIN_CHUNK = 1024
 
 
+# the rule for a unit depth (fern size or tree depth), called (depth, name)
+checked_depth = partial(checked_count, low=1, high=MAX_DEPTH)
+
+
 class Combination(enum.Enum):
     """How per-unit class probabilities are fused into one decision."""
 
@@ -67,7 +73,7 @@ def random_tests(count: int, patch_size: int, rng: np.random.Generator) -> np.nd
     The array is allocated before the first draw, so a count too large to
     hold raises InvalidArgument at once.
     """
-    count = checked_count(count)
+    count = checked_count(count, "count")
     reach = checked_patch_size(patch_size) // 2
     try:
         tests = np.empty((count, 4), dtype=np.intp)
@@ -218,14 +224,8 @@ class LeafModel:
         The sizes are checked before any test is drawn. ``combination``
         None is the class's default, as in the constructor.
         """
-        sizes = (units, depth)
-        whole = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in sizes)
-        if not (whole and units >= 1 and 1 <= depth <= MAX_DEPTH):
-            raise InvalidArgument(
-                f"need an integer units >= 1 and depth in [1, {MAX_DEPTH}], "
-                f"got units={units!r}, depth={depth!r}"
-            )
-        units, per_unit = int(units), cls._tests_per_unit(int(depth))
+        units = checked_count(units, "units", low=1)
+        per_unit = cls._tests_per_unit(checked_depth(depth, "depth"))
         tests = random_tests(units * per_unit, classes.patch_size, rng)
         return cls(classes, tests.reshape(units, per_unit, 4), combination)
 
@@ -320,8 +320,7 @@ class LeafModel:
         totals agree, so it is the sub-model's table bit for bit). Both
         models' counts become read-only, so neither writes into the other.
         """
-        if not 1 <= k <= self.num_units:
-            raise InvalidArgument(f"k must be in [1, {self.num_units}]")
+        k = checked_count(k, "k", low=1, high=self.num_units)
         sub = type(self)(self.classes, self.tests[:k], self.combination, self.counts[:k])
         if self._log_table is not None:
             self._log_table.flags.writeable = False
@@ -335,13 +334,15 @@ class LeafModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Labels and scores for a patch batch; ties go low.
 
-        ``combination`` defaults to the model's own. Naive-Bayes scores are
-        unnormalized log posteriors; averaging scores are the winning class's
-        mean per-unit posterior. The batch is scored in blocks of
-        ``PATCH_BLOCK`` patches, so temporaries do not grow with it.
+        ``combination``, a Combination, defaults to the model's own.
+        Naive-Bayes scores are unnormalized log posteriors; averaging scores
+        are the winning class's mean per-unit posterior. The batch is scored
+        in blocks of ``PATCH_BLOCK`` patches, so temporaries do not grow.
         """
         if combination is None:
             combination = self.combination
+        elif not isinstance(combination, Combination):
+            raise InvalidArgument(f"combination must be a Combination, got {combination!r}")
         arr = _check_patch_batch(patches, self.patch_size)
         n = arr.shape[0]
         labels = np.empty(n, dtype=np.intp)

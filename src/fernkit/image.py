@@ -8,13 +8,12 @@ so warped images never contain holes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgument, ParseError, UnsupportedFormat
+from .errors import InvalidArgument, ParseError, UnsupportedFormat, checked_count, checked_sigma
 
 # Fill value for samples that fall outside the source image. Mid-gray, so
 # background neither always wins nor always loses a binary comparison.
@@ -296,8 +295,7 @@ def warp_image(
     of a block that map onto the source are sampled; the rest keep the
     BACKGROUND the frame starts as.
     """
-    if out_w < 1 or out_h < 1:
-        raise InvalidArgument("output size must be at least 1x1")
+    out_w, out_h = checked_count(out_w, "out_w", low=1), checked_count(out_h, "out_h", low=1)
     if mask is not None:
         mask = np.asarray(mask)
         if mask.dtype != np.bool_ or mask.shape != (out_h, out_w):
@@ -405,16 +403,6 @@ def sample_deformation(rng: np.random.Generator) -> AffineDeform:
     return AffineDeform(theta, phi, lambda1, lambda2)
 
 
-def checked_sigma(sigma, name: str = "sigma"):
-    """``sigma`` if it is a real noise deviation >= 0, finite in float64."""
-    try:
-        if isinstance(sigma, numbers.Real) and math.isfinite(sigma) and sigma >= 0:
-            return sigma
-    except OverflowError:  # a real beyond float64, such as 10**400
-        pass
-    raise InvalidArgument(f"{name} must be a finite real >= 0, got {sigma!r}")
-
-
 def add_noise(img: GrayImage, sigma: float, rng: np.random.Generator) -> GrayImage:
     """Add i.i.d. Gaussian noise of the given std, rounded and clamped."""
     if checked_sigma(sigma) == 0:
@@ -441,8 +429,7 @@ def box_mean(values: np.ndarray, radius: int) -> np.ndarray:
     Takes integer values only and returns float64: each exact window sum
     over its clipped cell count, in one division.
     """
-    if radius < 0:
-        raise InvalidArgument(f"radius must be >= 0, got {radius}")
+    radius = checked_count(radius, "radius")
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         raise InvalidArgument(f"box_mean takes integer values, got {arr.dtype}")
@@ -494,6 +481,6 @@ def _line_sums(arr: np.ndarray, r: int) -> np.ndarray:
 
 def box_smooth(img: GrayImage, radius: int) -> GrayImage:
     """Box-filter the image; radius 0 is the identity."""
-    if radius == 0:
+    if checked_count(radius, "radius") == 0:
         return img
     return GrayImage(_to_u8(box_mean(img.pixels, radius)))

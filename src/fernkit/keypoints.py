@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientKeypoints, InvalidArgument
+from .errors import InsufficientKeypoints, InvalidArgument, checked_count, checked_patch_size
 from .image import (
     GrayImage,
     sample_deformation,
@@ -80,20 +80,6 @@ class ClassSet:
     @property
     def margin(self) -> int:
         return self.patch_size // 2
-
-
-def checked_count(n, name: str = "count") -> int:
-    """``n`` as an int, if it is an integer >= 0 and not a bool."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise InvalidArgument(f"{name} must be an integer >= 0, got {n!r}")
-    return int(n)
-
-
-def checked_patch_size(p) -> int:
-    """``p`` as an int, if it is an odd integer >= 3 and not a bool."""
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 3 or p % 2 == 0:
-        raise InvalidArgument(f"patch_size must be an odd integer >= 3, got {p!r}")
-    return int(p)
 
 
 def window_fits(x, y, width: int, height: int, margin: int):
@@ -179,13 +165,14 @@ def detect_keypoints(
     as an (n, 3) float64 array of ``(x, y, response)`` rows.
 
     Rows are sorted by response descending, ties in scanline (y, x) order.
-    Images smaller than the patch yield no rows. Maxima are found and
-    ranked on the exact integer responses of ``_response_sums``; only the
-    returned rows get a float response, with the float map's bytes.
+    A count of 0 or an image smaller than the patch yields no rows. Maxima
+    are ranked on the exact integer responses of ``_response_sums``; only
+    the returned rows get a float response, with the float map's bytes.
     """
-    if max_count < 1 or img.width < patch_size or img.height < patch_size:
+    max_count = checked_count(max_count, "max_count")
+    margin = checked_patch_size(patch_size) // 2
+    if max_count == 0 or img.width < patch_size or img.height < patch_size:
         return np.empty((0, 3))
-    margin = patch_size // 2
     sums = _response_sums(img)
     keep = _local_maxima(sums) & (sums > 0)
     # flat indices in scanline order, so (y, x) come out as np.nonzero's
@@ -217,13 +204,11 @@ def select_stable_classes(
     back to the reference frame, and votes into 1-pixel bins. The highest
     voted bins win, subject to a minimum separation of half the patch size.
     """
-    if h < 1:
-        raise InvalidArgument("h must be >= 1")
-    if num_views < 1:
-        raise InvalidArgument("num_views must be >= 1")
+    h = checked_count(h, "h", low=1)
+    num_views = checked_count(num_views, "num_views", low=1)
+    margin = checked_patch_size(patch_size) // 2
     cx, cy = img.center
     deforms = [replace(sample_deformation(rng), tx=cx, ty=cy) for _ in range(num_views)]
-    margin = patch_size // 2
     votes = np.zeros((img.height, img.width), dtype=np.int64)
     strength = np.zeros((img.height, img.width), dtype=np.float64)
     for d in deforms:

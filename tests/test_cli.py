@@ -143,7 +143,7 @@ class TestEval:
             "--out", workdir / "nan.csv",
         )
         assert code == 2
-        assert "noise_sigma" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: noise must be a finite real >= 0, got nan\n"
         assert not (workdir / "nan.csv").exists()
 
     def test_csv_contract_and_rerun(self, workdir, trained, capsys):
@@ -285,6 +285,15 @@ class TestSweepCompare:
         bad = units.split(",")[-1]
         assert f"error: --units holds '{bad}', not an integer" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_rejects_units_holding_no_count(self, workdir, capsys, pgm_reads):
+        out = workdir / "sweep_no_units.csv"
+        code = run("sweep", "--image", workdir / "ref.pgm", "--seed", 4, "--units", ",",
+                   "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == "error: units must hold one or more counts, got ','\n"
+        assert not out.exists()
+        assert pgm_reads == []
 
     def test_compare_emits_exactly_four_rows(self, workdir):
         out = workdir / "compare.csv"
@@ -537,18 +546,19 @@ TRAINING = ("train", "sweep", "compare")
 VIEWING = ("train", "sweep", "compare", "warp")
 TESTING = ("eval", "sweep", "compare", "warp")
 
-# flag, a value that breaks its rule, the error, and the subcommands taking it
+# flag, a value that breaks its rule, the error (the library checker's, naming
+# the flag), and the subcommands taking it
 RULES = [
-    ("classes", 0, "classes must be >= 1, got 0", TRAINING),
-    ("ferns", 0, "ferns must be >= 1, got 0", TRAINING),
-    ("fern-size", 0, "fern-size must be in [1, 63], got 0", TRAINING),
-    ("patch", 30, "patch must be odd and >= 3, got 30", TRAINING),
-    ("views-per-degree", 0, "views-per-degree must be >= 1, got 0", VIEWING),
-    ("degrees", 0, "degrees must be >= 1, got 0", VIEWING),
-    ("tests", 0, "tests must be >= 1, got 0", TESTING),
-    ("noise", -1, "noise_sigma must be finite and >= 0, got -1.0", TESTING),
-    ("units", "1,0", "units must be one or more counts >= 1, got '1,0'", ("sweep",)),
-    ("units", 0, "units must be one or more counts >= 1, got 0", ("compare",)),
+    ("classes", 0, "classes must be an integer >= 1, got 0", TRAINING),
+    ("ferns", 0, "ferns must be an integer >= 1, got 0", TRAINING),
+    ("fern-size", 0, "fern-size must be an integer in [1, 63], got 0", TRAINING),
+    ("patch", 30, "patch must be an odd integer >= 3, got 30", TRAINING),
+    ("views-per-degree", 0, "views-per-degree must be an integer >= 1, got 0", VIEWING),
+    ("degrees", 0, "degrees must be an integer >= 1, got 0", VIEWING),
+    ("tests", 0, "tests must be an integer >= 1, got 0", TESTING),
+    ("noise", -1, "noise must be a finite real >= 0, got -1.0", TESTING),
+    ("units", "1,0", "units must be an integer >= 1, got 0", ("sweep",)),
+    ("units", 0, "units must be an integer >= 1, got 0", ("compare",)),
 ]
 
 
@@ -559,7 +569,7 @@ class TestSeed:
 
     @pytest.mark.parametrize("command, flag, value, message", [
         *[
-            pytest.param(command, "seed", -1, "seed must be >= 0, got -1", id=command)
+            pytest.param(command, "seed", -1, "seed must be an integer >= 0, got -1", id=command)
             for command in ["train", "eval", "sweep", "compare", "match", "warp"]
         ],
         *[

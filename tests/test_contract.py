@@ -1,0 +1,118 @@
+"""One rule per kind of input, from ``fernkit.errors``: a count, a unit depth
+and a patch size are integers in their range. Every entry point below
+rejects a float, a bool, a numeric string and an integer out of its range
+with InvalidArgument before any work: no view rendered, no test drawn, no
+stream item read and the caller's rng untouched. Each takes a numpy integer
+as the int it holds."""
+
+import numpy as np
+import pytest
+
+from fernkit import (
+    AffineDeform,
+    ClassSet,
+    DatasetSpec,
+    FernModel,
+    InvalidArgument,
+    Method,
+    TreeForest,
+    box_smooth,
+    compare_methods,
+    derive_rng,
+    detect_keypoints,
+    select_stable_classes,
+    sweep_units,
+    warp_image,
+)
+from fernkit import dataset, ferns, keypoints
+from fernkit.dataset import STREAM_TEST, sample_batches
+from fernkit.ferns import MAX_DEPTH
+from fernkit.image import box_mean
+
+from support import make_texture
+
+IMAGE = make_texture(48, 40, seed=3)
+# two classes near the centre, so every view of the protocol keeps them
+CLASSES = ClassSet([(20, 20), (27, 20)], 5)
+SPEC = DatasetSpec(1, 4, 2, 0.0)
+DEFORM = AffineDeform(0.0, 0.0, 1.0, 1.0)
+MODEL = FernModel.random(CLASSES, 2, 2, np.random.default_rng(0))
+
+
+def pairs(work):
+    """A stream of two (patch, label) pairs that notes its first read."""
+    work.append("read")
+    yield from [(np.zeros((5, 5), np.uint8), 0), (np.zeros((5, 5), np.uint8), 1)]
+
+
+# id, the name the error gives the value, a call with the value, a value in
+# range, and one out of it; a call takes (value, rng, work)
+ENTRIES = [
+    ("random-units", "units",
+     lambda v, rng, work: FernModel.random(CLASSES, v, 2, rng), 2, 0),
+    ("random-depth", "depth",
+     lambda v, rng, work: TreeForest.random(CLASSES, 2, v, rng), 2, MAX_DEPTH + 1),
+    ("truncated", "k", lambda v, rng, work: MODEL.truncated(v), 1, 3),
+    ("select-h", "h",
+     lambda v, rng, work: select_stable_classes(IMAGE, v, 2, rng, patch_size=5), 1, 0),
+    ("select-views", "num_views",
+     lambda v, rng, work: select_stable_classes(IMAGE, 1, v, rng, patch_size=5), 1, 0),
+    ("select-patch", "patch_size",
+     lambda v, rng, work: select_stable_classes(IMAGE, 1, 2, rng, patch_size=v), 5, 4),
+    ("detect-count", "max_count", lambda v, rng, work: detect_keypoints(IMAGE, v, 5), 5, -1),
+    ("detect-patch", "patch_size", lambda v, rng, work: detect_keypoints(IMAGE, 5, v), 5, 4),
+    ("warp-width", "out_w", lambda v, rng, work: warp_image(IMAGE, DEFORM, v, 8), 8, 0),
+    ("warp-height", "out_h", lambda v, rng, work: warp_image(IMAGE, DEFORM, 8, v), 8, 0),
+    ("box-mean", "radius", lambda v, rng, work: box_mean(IMAGE.pixels, v), 1, -1),
+    ("box-smooth", "radius", lambda v, rng, work: box_smooth(IMAGE, v), 1, -1),
+    ("batch-size", "size", lambda v, rng, work: next(sample_batches(pairs(work), v)), 1, 0),
+    ("threads", "threads",
+     lambda v, rng, work: dataset._views(IMAGE, SPEC, 0, STREAM_TEST, v, None), 1, 0),
+    ("seed", "seed", lambda v, rng, work: derive_rng(v), 1, -1),
+    ("sweep-units", "unit count",
+     lambda v, rng, work: sweep_units(IMAGE, CLASSES, SPEC, Method.FERN_NB, [v], 0, 2), 1, 0),
+    ("compare-seed", "seed",
+     lambda v, rng, work: compare_methods(IMAGE, CLASSES, SPEC, 1, v, fern_size=2), 1, -1),
+]
+
+BAD = {"float": 2.5, "bool": True, "str": "3"}
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """What the library has begun: renders, test draws and stream reads."""
+    done = []
+
+    def spy(step, real):
+        def call(*args, **kwargs):
+            done.append(step)
+            return real(*args, **kwargs)
+
+        return call
+
+    for module in (keypoints, dataset):
+        monkeypatch.setattr(module, "warp_image", spy("render", module.warp_image))
+    monkeypatch.setattr(ferns, "random_tests", spy("draw", ferns.random_tests))
+    return done
+
+
+@pytest.mark.parametrize("kind", [*BAD, "out-of-range"])
+@pytest.mark.parametrize("name, call, good, out", [
+    pytest.param(*entry[1:], id=entry[0]) for entry in ENTRIES
+])
+def test_rejected_before_any_work(work, kind, name, call, good, out):
+    value = BAD.get(kind, out)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidArgument, match=f"^{name} must be"):
+        call(value, rng, work)
+    assert work == []
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("name, call, good, out", [
+    pytest.param(*entry[1:], id=entry[0]) for entry in ENTRIES
+])
+def test_numpy_integer_accepted(work, name, call, good, out):
+    for value in (good, np.int64(good), np.uint8(good)):
+        call(value, np.random.default_rng(0), work)

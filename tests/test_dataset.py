@@ -102,7 +102,8 @@ class TestSpecCounts:
          ((1, 4.0, 2), "rotation_degrees"), ((1, -1, 2), "rotation_degrees"),
          ((1, 4, 2.0), "test_views"), ((1, 4, np.int64(-2)), "test_views"),
          ((1, 4, "2"), "test_views"), ((1, 4, 2, "a"), "noise_sigma"),
-         ((1, 4, 2, None), "noise_sigma"), ((1, 4, 2, 1j), "noise_sigma")],
+         ((1, 4, 2, None), "noise_sigma"), ((1, 4, 2, 1j), "noise_sigma"),
+         ((1, 4, 2, True), "noise_sigma")],
     )
     def test_counts_that_are_not_integers_and_sigmas_that_are_not_reals_rejected(
         self, args, name
@@ -422,6 +423,20 @@ class TestWholeLabels:
     def test_materialize_rejects(self, form, labels, bad):
         with pytest.raises(InvalidLabel, match=f"^label {re.escape(bad)} is not a whole"):
             materialize(self.stream(form, labels))
+
+    # a bool among int labels stacked as the int 0 or 1
+    @pytest.mark.parametrize("stream", [
+        pytest.param(lambda p: [(p[0], 0), (p[1], True)], id="pairs"),
+        pytest.param(lambda p: [(p[:2], np.array([0, True], dtype=object))], id="object-block"),
+        pytest.param(lambda p: [(p[0], 0), (p[1:3], np.array([True, False]))], id="bool-block"),
+    ])
+    def test_a_bool_among_int_labels_rejected(self, stream):
+        with pytest.raises(InvalidLabel, match="^label True is not a whole"):
+            next(sample_batches(stream(self.PATCHES)))
+        model = self.model()
+        with pytest.raises(InvalidLabel, match="^label True is not a whole"):
+            model.train(stream(self.PATCHES))
+        assert not model.counts.any()
 
     @pytest.mark.parametrize("form", ["pairs", "block"])
     def test_whole_floats_are_their_ints(self, form):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -228,6 +229,12 @@ class TestTestsArray:
     def test_combination_that_is_not_a_combination_rejected(self, kind, combination):
         with pytest.raises(InvalidArgument, match="takes Combination"):
             MODEL_KINDS[kind](grid_classes(2, 5), [[(-1, 0, 1, 0)]], combination)
+        # classify_patches scored such a value by averaging
+        model = MODEL_KINDS[kind](grid_classes(2, 5), [[(-1, 0, 1, 0)]])
+        patches = np.zeros((2, 5, 5), dtype=np.uint8)
+        message = f"^combination must be a Combination, got {re.escape(repr(combination))}$"
+        with pytest.raises(InvalidArgument, match=message):
+            model.classify_patches(patches, combination)
 
     def test_no_combination_is_the_kind_default(self, kind):
         default = {"fern": Combination.NAIVE_BAYES, "tree": Combination.AVERAGE}[kind]

@@ -34,9 +34,13 @@ class TestDetect:
         img = GrayImage(np.full((64, 64), 50, dtype=np.uint8))
         assert is_empty(detect_keypoints(img, 10))
 
-    @pytest.mark.parametrize("max_count", [0, -3])
-    def test_no_count_is_empty(self, texture_small, max_count):
-        assert is_empty(detect_keypoints(texture_small, max_count, patch_size=21))
+    def test_no_count_is_empty(self, texture_small):
+        assert is_empty(detect_keypoints(texture_small, 0, patch_size=21))
+
+    def test_negative_count_rejected(self, texture_small):
+        # it read as no count, and so gave no rows
+        with pytest.raises(InvalidArgument, match=r"^max_count must be an integer >= 0, got -3$"):
+            detect_keypoints(texture_small, -3, patch_size=21)
 
     def test_single_bright_pixel_wins(self):
         pixels = np.zeros((64, 64), dtype=np.uint8)

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -339,18 +340,29 @@ class TestDepthBound:
         if 1 <= depth <= MAX_DEPTH:
             message = f"cannot allocate {2 * ((1 << depth) - 1)} tests"
         else:
-            message = f"got units=2, depth={depth}"
-        with pytest.raises(InvalidArgument, match=message):
+            message = re.escape(f"depth must be an integer in [1, {MAX_DEPTH}], got {depth}")
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
             TreeForest.random(grid_classes(2, 9), 2, depth, rng)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("units, depth", [
-        (0, 4), (2, 0), (2, MAX_DEPTH + 1), (2, 10**6), (2.0, 4), (2, 4.0), (True, 4), (2, None),
+    # the error names the size that breaks its rule, and its value
+    @pytest.mark.parametrize("units, depth, message", [
+        pytest.param(units, depth, message, id=f"{units}-{depth}")
+        for units, depth, message in [
+            (0, 4, "units must be an integer >= 1, got 0"),
+            (2, 0, "depth must be an integer in [1, 63], got 0"),
+            (2, MAX_DEPTH + 1, "depth must be an integer in [1, 63], got 64"),
+            (2, 10**6, "depth must be an integer in [1, 63], got 1000000"),
+            (2.0, 4, "units must be an integer >= 1, got 2.0"),
+            (2, 4.0, "depth must be an integer in [1, 63], got 4.0"),
+            (True, 4, "units must be an integer >= 1, got True"),
+            (2, None, "depth must be an integer in [1, 63], got None"),
+        ]
     ])
-    def test_random_ferns_draw_no_test(self, units, depth):
+    def test_random_ferns_draw_no_test(self, units, depth, message):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(InvalidArgument, match=f"got units={units!r}, depth={depth!r}"):
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
             FernModel.random(grid_classes(2, 9), units, depth, rng)
         assert rng.bit_generator.state == state
 
