@@ -6,7 +6,7 @@ trees baseline and an evaluation harness cover the flat-versus-hierarchical
 and multiplied-versus-averaged comparisons.
 """
 
-from .dataset import DatasetSpec, GenStats, derive_rng
+from .dataset import DatasetSpec, derive_rng
 from .errors import (
     CorruptModel,
     EmptyTestSet,
@@ -54,7 +54,6 @@ __all__ = [
     "FernModel",
     "FernkitError",
     "FormatError",
-    "GenStats",
     "GrayImage",
     "InsufficientKeypoints",
     "InvalidArgument",

@@ -149,18 +149,17 @@ def cmd_train(args) -> int:
         dataset.derive_rng(args.seed, dataset.STREAM_MODEL),
     )
     spec = dataset.DatasetSpec(args.views_per_degree, args.degrees)
-    stats = dataset.GenStats()
     model.train(
-        dataset._blocks(
-            img, classes, spec, args.seed, dataset.STREAM_TRAIN, stats, args.threads
-        )
+        dataset._blocks(img, classes, spec, args.seed, dataset.STREAM_TRAIN, args.threads)
     )
     with open(args.model, "wb") as f:
         f.write(model.save())
+    # each view is one block, and each sample adds 1 to one leaf of every unit
+    views, samples = spec.training_views, int(model.counts[0].sum())
     print(
         f"trained {len(classes)} classes, {model.num_units} ferns of size "
-        f"{model.depth}: {stats.samples} samples from {stats.views} views "
-        f"({sum(stats.skips.values())} skips) -> {args.model}"
+        f"{model.depth}: {samples} samples from {views} views "
+        f"({views * len(classes) - samples} skips) -> {args.model}"
     )
     return EXIT_OK
 

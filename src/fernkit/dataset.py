@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
@@ -86,15 +85,6 @@ class View:
     # (classes, centers, keep) of the window layout a patch stream rendered
     # this view for, so extract_patches need not compute it again
     layout: tuple | None = field(default=None, repr=False, compare=False)
-
-
-@dataclass
-class GenStats:
-    """Bookkeeping filled in while a generator runs."""
-
-    views: int = 0
-    samples: int = 0
-    skips: Counter = field(default_factory=Counter)
 
 
 def _view_count(spec: DatasetSpec, stream: int) -> int:
@@ -220,21 +210,22 @@ def protocol_view(
     full frame with the bytes the stream's iterator gives it; with
     ``deform``, that view rendered with ``deform`` in place of the drawn one
     (a test view keeps its noise)."""
+    if not isinstance(view_id, numbers.Integral) or isinstance(view_id, bool):
+        raise InvalidArgument(f"view id must be an integer, got {view_id!r}")
     if not 0 <= view_id < _view_count(spec, stream):
         raise InvalidArgument(f"view id {view_id} beyond the protocol's view count")
     return _render(img, *_view_params(img, spec, seed, stream, view_id, deform))
 
 
-def extract_patches(
-    view: View, classes: ClassSet
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def extract_patches(view: View, classes: ClassSet) -> tuple[np.ndarray, np.ndarray]:
     """Crop one patch per class from a view rendered at its source's size.
 
-    Returns the kept patches as one read-only (k, p, p) copy, their labels
-    and the skipped labels. A class is skipped when its patch would cross
-    the view border or cover pixels the warped source never painted
-    (background fill). The view may be a full frame or a patch stream's
-    render of the kept windows only; both give the same crops. A stream's
+    Returns the view's block: the kept patches as one read-only (k, p, p)
+    copy and their labels. A class is skipped, its label absent, when its
+    patch would cross the view border or cover pixels the warped source
+    never painted (background fill). The view may be a full frame or a
+    patch stream's render of the kept windows only; both give the same
+    crops. A stream's
     view carries the layout it was rendered for, which is reused when it was
     made for the same ``classes``.
     """
@@ -246,28 +237,18 @@ def extract_patches(
     windows, kept = _windows(view.image.pixels, centers[keep], classes.margin)
     patches = windows[kept]
     patches.flags.writeable = False
-    return patches, np.flatnonzero(keep), np.flatnonzero(~keep).tolist()
+    return patches, np.flatnonzero(keep)
 
 
 def _blocks(
     img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int, stream: int,
-    stats: GenStats | None = None, threads: int = 1,
+    threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The training or test protocol as one read-only (k, p, p) patch block
     and its k labels per view, cropped by ``extract_patches``, which
     ``sample_batches`` stacks without a per-patch object."""
     views = _views(img, spec, seed, stream, threads, classes)  # checks threads now
-
-    def blocks():
-        for view in views:
-            patches, labels, skipped = extract_patches(view, classes)
-            if stats is not None:
-                stats.views += 1
-                stats.skips.update(skipped)
-                stats.samples += len(labels)
-            yield patches, labels
-
-    return blocks()
+    return (extract_patches(view, classes) for view in views)
 
 
 def _pairs(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[np.ndarray, int]]:
@@ -278,20 +259,20 @@ def _pairs(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[np
 
 def generate_training_set(
     img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int,
-    stats: GenStats | None = None, threads: int = 1,
+    threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, int]]:
     """(patch, label) pairs of the rotation-bucketed training protocol, each
     patch a read-only (p, p) row of its view's block."""
-    return _pairs(_blocks(img, classes, spec, seed, STREAM_TRAIN, stats, threads))
+    return _pairs(_blocks(img, classes, spec, seed, STREAM_TRAIN, threads))
 
 
 def generate_test_set(
     img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int,
-    stats: GenStats | None = None, threads: int = 1,
+    threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, int]]:
     """(patch, label) pairs of noisy views with independent full-range
     deformations, each patch a read-only (p, p) row of its view's block."""
-    return _pairs(_blocks(img, classes, spec, seed, STREAM_TEST, stats, threads))
+    return _pairs(_blocks(img, classes, spec, seed, STREAM_TEST, threads))
 
 
 def sample_batches(

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the input rules that
-raise them: one rule each for counts, patch sizes and noise deviations,
-which the library and the command line both check."""
+raise them: one rule each for counts, patch sizes, real numbers and noise
+deviations, which the library and the command line both check."""
 
 import math
 import numbers
@@ -74,13 +74,21 @@ def checked_patch_size(p, name: str = "patch_size") -> int:
     return int(p)
 
 
+def is_finite(x, name: str) -> bool:
+    """Whether the real number ``x`` (a bool is 0 or 1) is finite in
+    float64; a value that is not a real number raises InvalidArgument."""
+    if not isinstance(x, numbers.Real):
+        raise InvalidArgument(f"{name} must be a real number, got {x!r}")
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # a real beyond float64, such as 10**400
+        return False
+
+
 def checked_sigma(sigma, name: str = "sigma"):
     """``sigma`` if it is a real noise deviation >= 0, finite in float64,
     and not a bool."""
-    try:
-        real = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
-        if real and math.isfinite(sigma) and sigma >= 0:
-            return sigma
-    except OverflowError:  # a real beyond float64, such as 10**400
-        pass
+    real = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
+    if real and is_finite(sigma, name) and sigma >= 0:
+        return sigma
     raise InvalidArgument(f"{name} must be a finite real >= 0, got {sigma!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import struct
 from functools import cached_property, partial
 from typing import Iterable, Sequence
@@ -29,6 +30,7 @@ from .errors import (
     OutOfBounds,
     checked_count,
     checked_patch_size,
+    is_finite,
 )
 from .image import GrayImage
 from .keypoints import ClassSet, window_fits
@@ -190,6 +192,11 @@ class LeafModel:
             # unsigned counts keep the width they came in (a loaded file's),
             # so a model that is only read never holds a uint64 copy
             counts = np.asarray(counts)
+            kind = counts.dtype.kind
+            if kind not in "biufO" or (
+                kind == "O" and not all(isinstance(c, numbers.Real) for c in counts.flat)
+            ):
+                raise InvalidArgument(f"counts must be whole numbers >= 0, got {counts.dtype}")
             if counts.dtype == np.bool_:
                 counts = counts.view(np.uint8)
             elif not np.can_cast(counts.dtype, np.uint64):
@@ -387,7 +394,7 @@ class LeafModel:
     def _window(self, img: GrayImage, x: float, y: float) -> np.ndarray:
         """The (1, p, p) patch centered on the rounded location, if finite."""
         r = self.patch_size // 2
-        if math.isfinite(x) and math.isfinite(y):
+        if is_finite(x, "x") and is_finite(y, "y"):
             cx, cy = int(round(x)), int(round(y))
             if window_fits(cx, cy, img.width, img.height, r):
                 return img.pixels[None, cy - r : cy + r + 1, cx - r : cx + r + 1]

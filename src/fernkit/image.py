@@ -13,7 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgument, ParseError, UnsupportedFormat, checked_count, checked_sigma
+from .errors import (
+    InvalidArgument, ParseError, UnsupportedFormat, checked_count, checked_sigma, is_finite,
+)
 
 # Fill value for samples that fall outside the source image. Mid-gray, so
 # background neither always wins nor always loses a binary comparison.
@@ -109,7 +111,7 @@ class AffineDeform:
 
     def __post_init__(self):
         for name in ("theta", "phi", "lambda1", "lambda2", "tx", "ty"):
-            if not math.isfinite(getattr(self, name)):
+            if not is_finite(getattr(self, name), name):
                 raise InvalidArgument(f"{name} must be finite")
         if self.lambda1 <= 0.0 or self.lambda2 <= 0.0:
             raise InvalidArgument("scales must be positive")
@@ -156,10 +158,9 @@ def read_pgm(data: bytes) -> GrayImage:
     fields = []
     for _ in range(3):
         token, pos = _next_header_token(data, pos)
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise ParseError(f"expected integer header field, got {token!r}") from None
+        if not token.isdigit():  # int() would take "+3", "1_0" and "-1"
+            raise ParseError(f"expected integer header field, got {token!r}")
+        fields.append(int(token))
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ParseError(f"bad dimensions {width}x{height}")

@@ -331,7 +331,7 @@ def stream_digest(views, classes) -> str:
     crops from ``views`` for ``classes``, in order."""
     digest = hashlib.sha256()
     for view in views:
-        patches, labels, _ = extract_patches(view, classes)
+        patches, labels = extract_patches(view, classes)
         for patch, label in zip(patches, labels.tolist()):
             digest.update(struct.pack("<iq", label, view.view_id))
             digest.update(patch.tobytes())

@@ -70,14 +70,19 @@ class TestTrain:
         assert again.read_bytes() == trained.read_bytes()
 
     def test_summary_printed(self, workdir, capsys):
-        run(
+        model = workdir / "m3.bin"
+        code = run(
             "train", "--image", workdir / "ref.pgm",
-            "--model", workdir / "m3.bin", "--seed", 1, "--classes", 5,
+            "--model", model, "--seed", 1, "--classes", 5,
             "--ferns", 2, "--fern-size", 4, "--patch", 21,
             "--views-per-degree", 1, "--degrees", 20,
         )
-        out = capsys.readouterr().out
-        assert "5 classes" in out and "views" in out and "skips" in out
+        assert code == 0
+        # 20 views x 5 classes = 89 samples + 11 skips
+        assert capsys.readouterr().out == (
+            "trained 5 classes, 2 ferns of size 4: 89 samples from 20 views "
+            f"(11 skips) -> {model}\n"
+        )
 
     def test_too_many_classes_exits_3(self, workdir, capsys):
         code = run(

@@ -3,7 +3,8 @@ and a patch size are integers in their range. Every entry point below
 rejects a float, a bool, a numeric string and an integer out of its range
 with InvalidArgument before any work: no view rendered, no test drawn, no
 stream item read and the caller's rng untouched. Each takes a numpy integer
-as the int it holds."""
+as the int it holds. A view id, a real number and a counts array of the
+wrong kind raise InvalidArgument before any work too."""
 
 import numpy as np
 import pytest
@@ -116,3 +117,37 @@ def test_rejected_before_any_work(work, kind, name, call, good, out):
 def test_numpy_integer_accepted(work, name, call, good, out):
     for value in (good, np.int64(good), np.uint8(good)):
         call(value, np.random.default_rng(0), work)
+
+
+# inputs of the wrong kind for entry points that take no count: each raises
+# InvalidArgument before any work
+WRONG_KIND = [
+    ("view-id-float", lambda: dataset.protocol_view(IMAGE, SPEC, 1, STREAM_TEST, 1.5)),
+    ("view-id-bool", lambda: dataset.protocol_view(IMAGE, SPEC, 1, STREAM_TEST, True)),
+    ("view-id-str", lambda: dataset.protocol_view(IMAGE, SPEC, 1, STREAM_TEST, "1")),
+    ("deform-none", lambda: AffineDeform(None, 0, 1, 1)),
+    ("deform-str", lambda: AffineDeform("1", 0, 1, 1)),
+    ("deform-beyond-float64", lambda: AffineDeform(10**400, 0, 1, 1)),
+    ("classify-none", lambda: MODEL.classify(IMAGE, None, 10)),
+    ("posterior-list", lambda: MODEL.posterior(IMAGE, [10], 10)),
+    ("counts-str", lambda: FernModel(CLASSES, MODEL.tests, None, "x")),
+    ("counts-object", lambda: FernModel(CLASSES, MODEL.tests, None, object())),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=i) for i, c in WRONG_KIND])
+def test_wrong_kind_rejected_before_any_work(work, call):
+    comparisons = MODEL.pixel_comparisons
+    with pytest.raises(InvalidArgument):
+        call()
+    assert work == []
+    assert MODEL.pixel_comparisons == comparisons
+
+
+def test_view_id_takes_numpy_integers():
+    view = dataset.protocol_view(IMAGE, SPEC, 1, STREAM_TEST, np.int64(1))
+    assert view.image == dataset.protocol_view(IMAGE, SPEC, 1, STREAM_TEST, 1).image
+
+
+def test_bool_is_a_real_number():
+    assert AffineDeform(0, 0, True, 1).lambda1 is True

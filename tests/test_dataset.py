@@ -1,6 +1,7 @@
 import io
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -13,7 +14,6 @@ from fernkit import (
     ClassSet,
     DatasetSpec,
     FernModel,
-    GenStats,
     GrayImage,
     InvalidArgument,
     InvalidLabel,
@@ -60,12 +60,26 @@ def pair_bytes(pairs):
     return [(label, patch.tobytes()) for patch, label in pairs]
 
 
+def skipped(labels, classes) -> list[int]:
+    """The labels a view's block lacks: the classes it skipped, ascending."""
+    return np.setdiff1d(np.arange(len(classes)), labels).tolist()
+
+
+def bookkeeping(blocks, classes) -> tuple[int, int, Counter]:
+    """(views, samples, skips per class) of a protocol's blocks."""
+    views, samples, skips = 0, 0, Counter()
+    for _, labels in blocks:
+        views, samples = views + 1, samples + labels.size
+        skips.update(skipped(labels, classes))
+    return views, samples, skips
+
+
 def crop_bytes(views, classes):
     """(label, pixel bytes) of every patch ``extract_patches`` crops from
     ``views``, in order."""
     crops = []
     for view in views:
-        patches, labels, _ = extract_patches(view, classes)
+        patches, labels = extract_patches(view, classes)
         crops += zip(labels.tolist(), (p.tobytes() for p in patches))
     return crops
 
@@ -82,15 +96,11 @@ def rendered(img, spec, seed, stream, deforms, classes=None):
 class TestSpecCounts:
     def test_training_view_count(self, texture_small, small_classes):
         spec = DatasetSpec(views_per_degree=2, rotation_degrees=15, test_views=0)
-        stats = GenStats()
-        list(generate_training_set(texture_small, small_classes, spec, 3, stats=stats))
-        assert stats.views == 30
+        assert len(list(_blocks(texture_small, small_classes, spec, 3, STREAM_TRAIN))) == 30
 
     def test_test_view_count(self, texture_small, small_classes):
         spec = DatasetSpec(1, 1, test_views=25, noise_sigma=5.0)
-        stats = GenStats()
-        list(generate_test_set(texture_small, small_classes, spec, 3, stats=stats))
-        assert stats.views == 25
+        assert len(list(_blocks(texture_small, small_classes, spec, 3, STREAM_TEST))) == 25
 
     def test_negative_counts_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -139,8 +149,8 @@ class TestDegenerateIdentity:
         spec = DatasetSpec(1, 1, test_views=0)
         identity = [identity_for(texture_small)]
         [view] = rendered(texture_small, spec, 0, STREAM_TRAIN, identity, small_classes)
-        patches, labels, skipped = extract_patches(view, small_classes)
-        assert skipped == [] and labels.tolist() == list(range(len(small_classes)))
+        patches, labels = extract_patches(view, small_classes)
+        assert labels.tolist() == list(range(len(small_classes)))
         m = small_classes.margin
         for patch, label in zip(patches, labels.tolist()):
             x, y = small_classes.coords[label].astype(int)
@@ -153,14 +163,13 @@ class TestBookkeeping:
         self, texture_small, small_classes
     ):
         spec = DatasetSpec(1, 40, test_views=0)
-        stats = GenStats()
-        pairs = generate_training_set(texture_small, small_classes, spec, 5, stats=stats)
-        histogram = {label: 0 for label in range(len(small_classes))}
-        for _, label in pairs:
-            histogram[label] += 1
+        blocks = list(_blocks(texture_small, small_classes, spec, 5, STREAM_TRAIN))
+        views, _, skips = bookkeeping(blocks, small_classes)
+        pairs = generate_training_set(texture_small, small_classes, spec, 5)
+        histogram = Counter(label for _, label in pairs)
+        assert views == 40 and sum(skips.values()) > 0
         for label in range(len(small_classes)):
-            assert histogram[label] == stats.views - stats.skips[label]
-            assert histogram[label] <= stats.views
+            assert histogram[label] == views - skips[label]
 
     def test_patch_shape_and_dtype(self, texture_small, small_classes):
         spec = DatasetSpec(1, 10, test_views=0)
@@ -235,25 +244,31 @@ class TestGoldenPins:
     ]
 
     @classmethod
-    def pinned_stats(cls, img, classes, stream, generate, digest) -> GenStats:
-        """Stats of the pair stream, once its pairs are checked to be the
-        crops of the stream's views and those views' digest the pinned one."""
-        stats = GenStats()
-        pairs = pair_bytes(generate(img, classes, cls.SPEC, 9, stats=stats))
+    def pinned_bookkeeping(cls, img, classes, stream, generate, digest) -> tuple:
+        """(views, samples, skips) of the stream's blocks, once its pairs are
+        checked to be the crops of the stream's views, those views' digest the
+        pinned one, and the blocks the pairs unflattened."""
+        pairs = pair_bytes(generate(img, classes, cls.SPEC, 9))
         views = list(dataset._views(img, cls.SPEC, 9, stream, 1, classes))
         assert stream_digest(views, classes) == digest
         assert pairs == crop_bytes(views, classes)
-        return stats
+        blocks = list(_blocks(img, classes, cls.SPEC, 9, stream))
+        assert pairs == [(l, p.tobytes()) for ps, ls in blocks for p, l in zip(ps, ls.tolist())]
+        return bookkeeping(blocks, classes)
 
     def test_training_stream(self, texture_small, small_classes):
-        stats = self.pinned_stats(texture_small, small_classes, *self.STREAMS[0])
-        assert (stats.views, stats.samples) == (20, 224)
-        assert dict(stats.skips) == {0: 1, 2: 3, 3: 2, 6: 4, 9: 6}
+        views, samples, skips = self.pinned_bookkeeping(
+            texture_small, small_classes, *self.STREAMS[0]
+        )
+        assert (views, samples) == (20, 224)
+        assert dict(skips) == {0: 1, 2: 3, 3: 2, 6: 4, 9: 6}
 
     def test_noisy_test_stream(self, texture_small, small_classes):
-        stats = self.pinned_stats(texture_small, small_classes, *self.STREAMS[1])
-        assert (stats.views, stats.samples) == (15, 160)
-        assert dict(stats.skips) == {0: 2, 2: 2, 3: 3, 5: 1, 6: 4, 8: 1, 9: 7}
+        views, samples, skips = self.pinned_bookkeeping(
+            texture_small, small_classes, *self.STREAMS[1]
+        )
+        assert (views, samples) == (15, 160)
+        assert dict(skips) == {0: 2, 2: 2, 3: 3, 5: 1, 6: 4, 8: 1, 9: 7}
 
 
 class TestProtocolView:
@@ -327,17 +342,14 @@ class TestViewBlocks:
 
     @pytest.fixture(scope="class", params=STREAMS, ids=["training", "noisy-test"])
     def both(self, request, texture_small, small_classes):
-        """(blocks, pairs, block stats, pair stats) of one protocol."""
+        """(blocks, pairs) of one protocol."""
         blocks_of, pairs_of = request.param
         args = (texture_small, small_classes, self.SPEC, self.SEED)
-        block_stats, pair_stats = GenStats(), GenStats()
-        blocks = list(blocks_of(*args, stats=block_stats))
-        pairs = list(pairs_of(*args, stats=pair_stats))
-        return blocks, pairs, block_stats, pair_stats
+        return list(blocks_of(*args)), list(pairs_of(*args))
 
     @pytest.mark.parametrize("size", [None, 1, 1000, 1024])
     def test_blocks_stack_to_the_per_patch_bytes(self, both, size):
-        blocks, pairs = both[:2]
+        blocks, pairs = both
         ends = np.cumsum([labels.size for _, labels in blocks]).tolist()
         if size and size > 1:
             assert size not in ends and size < ends[-1]
@@ -349,10 +361,10 @@ class TestViewBlocks:
             assert gl.dtype == wl.dtype == np.int64 and np.array_equal(gl, wl)
 
     def test_stats_equal_on_both_paths(self, both):
-        blocks, pairs, block_stats, pair_stats = both
-        assert block_stats == pair_stats
-        assert block_stats.views == len(blocks) == 120  # views of either protocol
-        assert block_stats.samples == len(pairs) == sum(l.size for _, l in blocks)
+        blocks, pairs = both
+        assert len(blocks) == 120  # views of either protocol
+        assert len(pairs) == sum(l.size for _, l in blocks)
+        assert Counter(l for _, l in pairs) == Counter(np.concatenate([l for _, l in blocks]).tolist())
 
     def test_blocks_interleave_with_pairs(self, both):
         blocks = both[0][:4]
@@ -495,11 +507,11 @@ class TestOneLayoutPerView:
             assert view.layout[0] is small_classes
             bare = View(view.view_id, view.deform, view.image)
             for classes in cases:
-                patches, labels, skipped = extract_patches(view, classes)
+                patches, labels = extract_patches(view, classes)
                 want = extract_patches(bare, classes)
                 assert patches.tobytes() == want[0].tobytes()
-                assert (labels.tolist(), skipped) == (want[1].tolist(), want[2])
-                skips.append(skipped)
+                assert labels.tolist() == want[1].tolist()
+                skips.append(skipped(labels, classes))
         # a streamed view reuses its layout only for the object it was rendered for
         assert len(calls) == 5 * len(views)
         assert sum(c is small_classes for c in calls) == len(views)
@@ -533,19 +545,20 @@ class TestPatchLocalRendering:
         full, skip_kinds = {}, set()
         m = classes.margin
         for view in rendered(img, spec, 3, stream, deforms):
-            patches, labels, skipped = extract_patches(view, classes)
+            patches, labels = extract_patches(view, classes)
             want_kept, want_skipped = extract_patches_oracle(view, classes)
-            assert (labels.tolist(), skipped) == ([l for l, _ in want_kept], want_skipped)
+            assert labels.tolist() == [l for l, _ in want_kept]
+            assert skipped(labels, classes) == want_skipped
             assert [p.tobytes() for p in patches] == [p.pixels.tobytes() for _, p in want_kept]
             full.update(((view.view_id, l), p.tobytes()) for l, p in zip(labels.tolist(), patches))
             centers = np.rint(warp_points(view.deform, img.width, img.height, classes.coords))
-            for x, y in centers[skipped]:
+            for x, y in centers[want_skipped]:
                 in_frame = m <= x <= img.width - 1 - m and m <= y <= img.height - 1 - m
                 skip_kinds.add("source edge" if in_frame else "frame border")
         assert skip_kinds == {"source edge", "frame border"}
         local = {}
         for view in rendered(img, spec, 3, stream, deforms, classes):
-            patches, labels, _ = extract_patches(view, classes)
+            patches, labels = extract_patches(view, classes)
             local.update(((view.view_id, l), p.tobytes()) for l, p in zip(labels, patches))
         assert local == full
 
@@ -566,9 +579,9 @@ class TestPatchLocalRendering:
         ]
         spec = DatasetSpec(1, 1, test_views=0)
         for view in rendered(texture_small, spec, 0, STREAM_TRAIN, deforms):
-            patches, labels, skipped = extract_patches(view, classes)
+            patches, labels = extract_patches(view, classes)
             want_kept, want_skipped = extract_patches_oracle(view, classes)
-            assert skipped == want_skipped
+            assert skipped(labels, classes) == want_skipped
             assert patches.shape == (len(labels), 9, 9) and patches.dtype == np.uint8
             assert list(zip(labels.tolist(), (p.tobytes() for p in patches))) == [
                 (l, p.pixels.tobytes()) for l, p in want_kept
@@ -582,8 +595,8 @@ class TestPatchLocalRendering:
         spec = DatasetSpec(1, 1, test_views=0)
         full = rendered(img, spec, 3, STREAM_TRAIN, deforms)[0].image.pixels
         local = rendered(img, spec, 3, STREAM_TRAIN, deforms, classes)[0]
-        _, labels, skipped = extract_patches(local, classes)
-        assert labels.size and skipped
+        _, labels = extract_patches(local, classes)
+        assert labels.size and skipped(labels, classes)
         centers = np.rint(warp_points(local.deform, img.width, img.height, classes.coords))
         m = classes.margin
         covered = np.zeros_like(full, dtype=bool)
@@ -639,18 +652,16 @@ class TestWindowBlocks:
         frame = GrayImage(np.zeros((5, 7), dtype=np.uint8))
         cx, cy = frame.center
         view = View(0, AffineDeform(0, 0, 1, 1, tx=cx, ty=cy), frame)
-        patches, labels, skipped = extract_patches(view, small_classes)
+        patches, labels = extract_patches(view, small_classes)
         p = small_classes.patch_size
         assert patches.shape == (0, p, p) and labels.size == 0
-        assert skipped == list(range(len(small_classes)))
 
     def test_stream_rows_are_zero_copy_rows_of_one_block_per_view(
         self, texture_small, small_classes
     ):
         spec = DatasetSpec(1, 6, test_views=0)
-        stats = GenStats()
         blocks, rows = [], []  # the distinct blocks in stream order, and each one's rows
-        for patch, label in generate_training_set(texture_small, small_classes, spec, 4, stats):
+        for patch, label in generate_training_set(texture_small, small_classes, spec, 4):
             assert type(label) is int
             assert patch.flags.c_contiguous and not patch.flags.writeable
             if not blocks or patch.base is not blocks[-1]:
@@ -658,7 +669,7 @@ class TestWindowBlocks:
                 rows.append(0)
             assert np.shares_memory(patch, blocks[-1])
             rows[-1] += 1
-        assert len(blocks) == stats.views == 6
+        assert len(blocks) == 6
         for block, count in zip(blocks, rows):
             assert block.shape[0] == count and not block.flags.writeable
         for a, b in zip(blocks, blocks[1:]):
@@ -667,7 +678,7 @@ class TestWindowBlocks:
     def test_block_is_not_a_view_of_the_frame(self, texture_small, small_classes):
         spec = DatasetSpec(1, 1, test_views=3)
         for view in dataset._views(texture_small, spec, 8, STREAM_TEST, 1, small_classes):
-            patches, labels, _ = extract_patches(view, small_classes)
+            patches, labels = extract_patches(view, small_classes)
             assert labels.size and not np.shares_memory(patches, view.image.pixels)
             assert patches.flags.c_contiguous and not patches.flags.writeable
             with pytest.raises(ValueError):
@@ -686,11 +697,6 @@ class TestWindowBlocks:
         if writeable:
             view[index] = 0
             assert not arr[: 2 * m + 1, : 2 * m + 1].any() and not arr[-1, -1]
-
-    def test_skips_default_to_a_fresh_counter(self):
-        a, b = GenStats(), GenStats()
-        a.skips.update([1, 1, 2])
-        assert a.skips == {1: 2, 2: 1} and b.skips == {}
 
 
 class TestThetaCoverage:

@@ -114,6 +114,11 @@ class TestPgm:
         within = [min(v, maxval) for v in raster]
         assert read_pgm(head + bytes(within)).pixels.tolist() == [within]
 
+    @pytest.mark.parametrize("header", [b"P5 1_0 1 255\n", b"P5 +3 1 255\n"])
+    def test_header_fields_take_only_ascii_digits(self, header):
+        with pytest.raises(ParseError, match="expected integer header field"):
+            read_pgm(header + bytes(10))
+
     def test_maxval_above_255_unsupported(self):
         with pytest.raises(UnsupportedFormat):
             read_pgm(b"P5\n1 1\n65535\n\0\0")
