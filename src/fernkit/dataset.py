@@ -53,8 +53,10 @@ MANIFEST_HEADER = [
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for (seed >= 0, stream label, view id, ...)."""
-    return np.random.default_rng([checked_count(seed, "seed"), *map(int, key)])
+    """Independent generator for (seed >= 0, stream label, view id, ...);
+    each key is an integer >= 0, as the seed is."""
+    keys = [checked_count(k, "key") for k in key]
+    return np.random.default_rng([checked_count(seed, "seed"), *keys])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Exception types shared across the package, and the input rules that
-raise them: one rule each for counts, patch sizes, real numbers and noise
-deviations, which the library and the command line both check."""
+raise them: one rule each for counts, patch sizes, real numbers, noise
+deviations and random sources, which the library and the command line both
+check."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class FernkitError(Exception):
@@ -92,3 +95,10 @@ def checked_sigma(sigma, name: str = "sigma"):
     if real and is_finite(sigma, name) and sigma >= 0:
         return sigma
     raise InvalidArgument(f"{name} must be a finite real >= 0, got {sigma!r}")
+
+
+def checked_rng(rng) -> np.random.Generator:
+    """``rng`` if it is a ``numpy.random.Generator``."""
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidArgument(f"rng must be a numpy.random.Generator, got {rng!r}")
+    return rng

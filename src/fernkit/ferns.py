@@ -30,6 +30,7 @@ from .errors import (
     OutOfBounds,
     checked_count,
     checked_patch_size,
+    checked_rng,
     is_finite,
 )
 from .image import GrayImage
@@ -77,6 +78,7 @@ def random_tests(count: int, patch_size: int, rng: np.random.Generator) -> np.nd
     """
     count = checked_count(count, "count")
     reach = checked_patch_size(patch_size) // 2
+    rng = checked_rng(rng)
     try:
         tests = np.empty((count, 4), dtype=np.intp)
     except (MemoryError, ValueError):  # ValueError: past numpy's size limit
@@ -218,7 +220,6 @@ class LeafModel:
         # exactly uniform (and stays finite for classes never seen)
         self.log_prior = np.full(self.num_classes, -np.log(self.num_classes))
         self._rebuild_tables()
-        self._one_patch = None  # _score_one's buffers, made on first use
         self.pixel_comparisons = 0
         self.table_lookups = 0
 
@@ -228,12 +229,12 @@ class LeafModel:
         """``units`` units of depth ``depth`` over random tests, drawn by one
         ``random_tests`` call in unit order; deterministic under ``rng``.
 
-        The sizes are checked before any test is drawn. ``combination``
-        None is the class's default, as in the constructor.
+        The sizes and ``rng`` are checked before any test is drawn.
+        ``combination`` None is the class's default, as in the constructor.
         """
         units = checked_count(units, "units", low=1)
         per_unit = cls._tests_per_unit(checked_depth(depth, "depth"))
-        tests = random_tests(units * per_unit, classes.patch_size, rng)
+        tests = random_tests(units * per_unit, classes.patch_size, checked_rng(rng))
         return cls(classes, tests.reshape(units, per_unit, 4), combination)
 
     @property
@@ -382,12 +383,10 @@ class LeafModel:
         """(1, H) scores of the patch at one location under the model's
         combination: one block, without classify_patches' batch loop.
 
-        The score row and the gather scratch are the model's own, made on
-        its first one-patch call, so the next call overwrites the row.
+        The score row and the gather scratch are made per call, so threads
+        may share a model.
         """
-        if self._one_patch is None:
-            self._one_patch = self._buffers(1)
-        scores, rows = self._one_patch
+        scores, rows = self._buffers(1)
         self._score_block(self._window(img, x, y), self.combination, scores, rows)
         return scores
 

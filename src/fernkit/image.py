@@ -14,7 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    InvalidArgument, ParseError, UnsupportedFormat, checked_count, checked_sigma, is_finite,
+    InvalidArgument, ParseError, UnsupportedFormat, checked_count, checked_rng, checked_sigma,
+    is_finite,
 )
 
 # Fill value for samples that fall outside the source image. Mid-gray, so
@@ -291,10 +292,10 @@ def warp_image(
 
     Both renders work on at most ``PIXEL_BLOCK`` pixels at a time with the
     same per-pixel arithmetic, so no temporary grows with the frame: a full
-    render walks the frame in runs of that many pixels, a masked one in
-    groups of whole rows holding that many selected pixels. Only the pixels
-    of a block that map onto the source are sampled; the rest keep the
-    BACKGROUND the frame starts as.
+    render walks the frame in runs of that many pixels, a masked one in runs
+    of four times that many, whose selected pixels it renders that many at a
+    time. Only the pixels of a block that map onto the source are sampled;
+    the rest keep the BACKGROUND the frame starts as.
     """
     out_w, out_h = checked_count(out_w, "out_w", low=1), checked_count(out_h, "out_h", low=1)
     if mask is not None:
@@ -307,17 +308,15 @@ def warp_image(
     padded = src._edge_padded
     size = min(PIXEL_BLOCK, out.size)
     scratch = _scratch(size)
-    grid = np.empty((2, size), dtype=np.intp)
     coords = np.empty((5, size))
     rounded = np.empty(size, dtype=np.uint8)
     for flat in _pixel_blocks(mask, out_h, out_w):
-        n = flat.size
-        ys, xs = grid[:, :n]
-        u, v, sx, sy, term = coords[:, :n]
-        np.floor_divide(flat, out_w, out=ys)
-        np.subtract(flat, np.multiply(ys, out_w, out=xs), out=xs)
-        np.subtract(xs, cx, out=u)
-        np.subtract(ys, cy, out=v)
+        u, v, sx, sy, term = coords[:, : flat.size]
+        # rows and columns are whole floats far below 2**53, so exact
+        np.floor_divide(flat, out_w, out=v)
+        np.subtract(flat, np.multiply(v, out_w, out=u), out=u)
+        u -= cx
+        v -= cy
         # sx = inv[0, 0] * u + inv[0, 1] * v + tx, and sy alike
         np.multiply(u, inv[0, 0], out=sx)
         sx += np.multiply(v, inv[0, 1], out=term)
@@ -338,36 +337,20 @@ def warp_image(
 def _pixel_blocks(mask, out_h: int, out_w: int):
     """Flat indices of the frame pixels to render, at most PIXEL_BLOCK at once.
 
-    Without a mask, runs of the frame. With one, groups of whole rows whose
-    selected pixels number at most PIXEL_BLOCK, each found by one
-    ``flatnonzero`` over its rows; a row holding more is split into runs.
+    Without a mask, runs of the frame. With one, the selected pixels of each
+    run of ``4 * PIXEL_BLOCK`` frame pixels, PIXEL_BLOCK of them at a time.
     """
+    size = out_h * out_w
     if mask is None:
-        size = out_h * out_w
         for start in range(0, size, PIXEL_BLOCK):
             yield np.arange(start, min(start + PIXEL_BLOCK, size))
         return
     flat_mask = mask.ravel()
-    # ends[r]: selected pixels in rows 0..r
-    ends = np.cumsum(np.count_nonzero(mask, axis=1))
-    row = 0
-    while row < out_h:
-        before = int(ends[row - 1]) if row else 0
-        stop = int(np.searchsorted(ends, before + PIXEL_BLOCK, side="right"))
-        if stop > row:
-            runs = [(row * out_w, stop * out_w)]
-        else:  # this row alone holds more than a block
-            stop = row + 1
-            runs = [
-                (start, min(start + PIXEL_BLOCK, stop * out_w))
-                for start in range(row * out_w, stop * out_w, PIXEL_BLOCK)
-            ]
-        for start, end in runs:
-            flat = np.flatnonzero(flat_mask[start:end])
-            if flat.size:
-                flat += start
-                yield flat
-        row = stop
+    for start in range(0, size, 4 * PIXEL_BLOCK):
+        selected = np.flatnonzero(flat_mask[start : start + 4 * PIXEL_BLOCK])
+        selected += start
+        for first in range(0, selected.size, PIXEL_BLOCK):
+            yield selected[first : first + PIXEL_BLOCK]
 
 
 def _frozen_image(pixels: np.ndarray) -> GrayImage:
@@ -397,6 +380,7 @@ def sample_deformation(rng: np.random.Generator) -> AffineDeform:
 
     Translation is left at zero; callers anchor it where the crop should land.
     """
+    rng = checked_rng(rng)
     theta = rng.uniform(0.0, TWO_PI)
     phi = rng.uniform(0.0, TWO_PI)
     lambda1 = rng.uniform(SCALE_LOW, SCALE_HIGH)
@@ -408,6 +392,7 @@ def add_noise(img: GrayImage, sigma: float, rng: np.random.Generator) -> GrayIma
     """Add i.i.d. Gaussian noise of the given std, rounded and clamped."""
     if checked_sigma(sigma) == 0:
         return img
+    rng = checked_rng(rng)
     # block by block, the draws concatenate to one draw over the whole frame;
     # rng.normal(0.0, sigma) is 0.0 + sigma * z for the same standard draws z
     pixels = img.pixels.ravel()

@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from fernkit import AffineDeform, ClassSet, GrayImage, InvalidArgument, box_smooth
+from fernkit import AffineDeform, ClassSet, GrayImage, InvalidArgument, box_smooth, cli
 from fernkit.dataset import MANIFEST_HEADER, extract_patches
 from fernkit.ferns import random_tests
-from fernkit.image import BACKGROUND, unwarp_points, warp_points
+from fernkit.image import BACKGROUND, unwarp_points, warp_points, write_pgm
 
 
 def make_texture(width: int, height: int, seed: int, block: int = 8) -> GrayImage:
@@ -336,6 +336,54 @@ def stream_digest(views, classes) -> str:
             digest.update(struct.pack("<iq", label, view.view_id))
             digest.update(patch.tobytes())
     return digest.hexdigest()
+
+
+def ransac_affine(src: np.ndarray, dst: np.ndarray, rng):
+    """The (3, 2) affine ``[x, y, 1] @ fit`` that maps most (n, 2) points
+    ``src`` onto ``dst``, or None when no 3 pairs fix one.
+
+    The pairs come best first, and each of 2000 samples takes 3 of the first
+    50 (PROSAC's prior: the best matches are the likeliest inliers). The
+    samples are solved in one batch, the fit with the most pairs within
+    3 px wins, and it is refit by least squares on those inliers.
+    """
+    points = np.hstack([src, np.ones((len(src), 1))])  # (n, 3)
+    picks = rng.integers(0, min(50, len(src)), (2000, 3))
+    a, b = points[picks], dst[picks]  # (2000, 3, 3), (2000, 3, 2)
+    solvable = np.abs(np.linalg.det(a)) > 1e-6  # no repeated or collinear picks
+    if not solvable.any():
+        return None
+    fits = np.linalg.solve(a[solvable], b[solvable])  # (k, 3, 2)
+    errors = np.linalg.norm(points @ fits - dst, axis=2)  # (k, n)
+    inliers = errors[np.argmax((errors < 3.0).sum(axis=1))] < 3.0
+    return np.linalg.lstsq(points[inliers], dst[inliers], rcond=None)[0]
+
+
+def frames_found(model_path, views, coords: np.ndarray, tmp_path) -> int:
+    """How many of ``views`` ``fernkit match`` locates the object in.
+
+    Each frame goes through ``cli.main(["match", ...])``, and
+    ``ransac_affine``, seeded by the view id, maps the matched model points
+    onto their scene points, best score first as the CSV lists them. A frame
+    counts when the fit's median error over the class points ``coords`` that
+    the view shows is under 3 px.
+    """
+    found = 0
+    frame, matches = tmp_path / "frame.pgm", tmp_path / "matches.csv"
+    for view in views:
+        w, h = view.image.width, view.image.height
+        frame.write_bytes(write_pgm(view.image))
+        argv = ["match", "--model", str(model_path), "--image", str(frame),
+                "--seed", "0", "--out", str(matches)]
+        assert cli.main(argv) == 0
+        rows = np.loadtxt(matches, delimiter=",", skiprows=1, ndmin=2)
+        fit = ransac_affine(rows[:, 3:5], rows[:, :2], np.random.default_rng(view.view_id))
+        truth = warp_points(view.deform, w, h, coords)
+        shown = (truth >= 0).all(axis=1) & (truth[:, 0] <= w - 1) & (truth[:, 1] <= h - 1)
+        if fit is not None and shown.any():
+            guess = np.hstack([coords, np.ones((len(coords), 1))]) @ fit
+            found += int(np.median(np.linalg.norm(guess - truth, axis=1)[shown]) < 3.0)
+    return found
 
 
 def read_manifest(fileobj) -> list[dict]:

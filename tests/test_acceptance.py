@@ -20,11 +20,15 @@ from fernkit import (
     select_stable_classes,
     write_pgm,
 )
-from fernkit.dataset import STREAM_CLASSES, STREAM_TEST, STREAM_TRAIN, _blocks, derive_rng
+from fernkit.dataset import (
+    STREAM_CLASSES, STREAM_MODEL, STREAM_TEST, STREAM_TRAIN, _blocks, derive_rng,
+)
+from fernkit.dataset import test_views as render_test_views
 from fernkit.evaluate import Method, compare_methods, sweep_units
 from fernkit.ferns import random_tests
 
 from support import (
+    frames_found,
     grid_classes,
     make_texture,
     posterior_oracle,
@@ -147,6 +151,26 @@ class TestDeskGoldenRates:
             "TreeNB": 0.7126410732901237,
             "TreeAvg": 0.6167338983819064,
         }
+
+
+@pytest.fixture(scope="module")
+def desk_fern_file(desk_image, desk_classes, desk_spec, tmp_path_factory):
+    """The FernNB model of ``desk_records``, trained alone and saved."""
+    rng = derive_rng(RUN_SEED, STREAM_MODEL)
+    model = FernModel.random(desk_classes, DESK["units"], DESK["fern_size"], rng)
+    model.train(_blocks(desk_image, desk_classes, desk_spec, RUN_SEED, STREAM_TRAIN))
+    path = tmp_path_factory.mktemp("desk") / "desk.fern"
+    path.write_bytes(model.save())
+    return path
+
+
+class TestDeskFramesFound:
+    def test_match_frames_found_is_pinned(self, desk_image, desk_classes, desk_fern_file,
+                                          tmp_path):
+        """Frames of the test protocol in which ``fernkit match`` locates the
+        object; a detection or scoring change must say how it moves."""
+        views = render_test_views(desk_image, DatasetSpec(0, 0, 40, 10.0), 5)
+        assert frames_found(desk_fern_file, views, desk_classes.coords, tmp_path) == 21
 
 
 class TestCriterion4:

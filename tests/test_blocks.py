@@ -346,7 +346,7 @@ class TestSynthesisOracles:
 
 class TestLeanRender:
     """Only pixels that map onto the source are sampled, from a copy padded
-    by one edge column and row; masked renders walk groups of whole rows."""
+    by one edge column and row; masked renders walk fixed runs of the frame."""
 
     @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (-0.5, -0.5)])
     @pytest.mark.parametrize("masked", [False, True])
@@ -383,18 +383,16 @@ class TestLeanRender:
                 want = warp_image_oracle(src, d, out_w, out_h, mask=mask)
                 assert got.tobytes() == want.tobytes()
 
-    def test_row_groups_end_mid_frame(self):
+    def test_masked_walk_is_fixed_runs(self):
         h, w = 160, 240
         rng = np.random.default_rng(11)
         mask = rng.random((h, w)) < rng.uniform(0.0, 1.0, (h, 1))  # uneven rows
         blocks = list(_pixel_blocks(mask, h, w))
         assert len(blocks) >= 2
         assert np.array_equal(np.concatenate(blocks), np.flatnonzero(mask))
-        for a, b in zip(blocks, blocks[1:]):
-            assert a.size <= PIXEL_BLOCK
-            # whole rows, and no room left for the next group's first row
-            assert a[-1] // w < b[0] // w
-            assert a.size + np.count_nonzero(mask[b[0] // w]) > PIXEL_BLOCK
+        assert max(b.size for b in blocks) <= PIXEL_BLOCK
+        # each block within one run of 4 * PIXEL_BLOCK frame pixels
+        assert all(b[0] // (4 * PIXEL_BLOCK) == b[-1] // (4 * PIXEL_BLOCK) for b in blocks)
         src = GrayImage(rng.integers(0, 256, (h, w)).astype(np.uint8))
         d = AffineDeform(0.5, 1.3, 0.9, 1.1, tx=w / 2, ty=h / 2)
         got = warp_image(src, d, w, h, mask=mask).pixels
@@ -408,7 +406,8 @@ class TestLeanRender:
         blocks = list(_pixel_blocks(mask, h, w))
         assert np.array_equal(np.concatenate(blocks), np.flatnonzero(mask))
         assert max(b.size for b in blocks) <= PIXEL_BLOCK
-        assert sum(b[0] // w == 1 for b in blocks) == 3
+        # row 1's 2 * PIXEL_BLOCK + 5 pixels span at least three blocks
+        assert sum(np.any(b // w == 1) for b in blocks) >= 3
         src = GrayImage(rng.integers(0, 256, (8, w // 2)).astype(np.uint8))
         d = AffineDeform(0.01, 0.0, 1.0, 1.0, tx=src.width / 2, ty=src.height / 2)
         got = warp_image(src, d, w, h, mask=mask).pixels

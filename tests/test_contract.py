@@ -3,8 +3,10 @@ and a patch size are integers in their range. Every entry point below
 rejects a float, a bool, a numeric string and an integer out of its range
 with InvalidArgument before any work: no view rendered, no test drawn, no
 stream item read and the caller's rng untouched. Each takes a numpy integer
-as the int it holds. A view id, a real number and a counts array of the
-wrong kind raise InvalidArgument before any work too."""
+as the int it holds. A view id, a real number, a counts array and a random
+source of the wrong kind raise InvalidArgument before any work too."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,17 +19,19 @@ from fernkit import (
     InvalidArgument,
     Method,
     TreeForest,
+    add_noise,
     box_smooth,
     compare_methods,
     derive_rng,
     detect_keypoints,
     select_stable_classes,
+    sample_deformation,
     sweep_units,
     warp_image,
 )
 from fernkit import dataset, ferns, keypoints
 from fernkit.dataset import STREAM_TEST, sample_batches
-from fernkit.ferns import MAX_DEPTH
+from fernkit.ferns import MAX_DEPTH, random_tests
 from fernkit.image import box_mean
 
 from support import make_texture
@@ -70,6 +74,7 @@ ENTRIES = [
     ("threads", "threads",
      lambda v, rng, work: dataset._views(IMAGE, SPEC, 0, STREAM_TEST, v, None), 1, 0),
     ("seed", "seed", lambda v, rng, work: derive_rng(v), 1, -1),
+    ("key", "key", lambda v, rng, work: derive_rng(1, v), 2, -1),
     ("sweep-units", "unit count",
      lambda v, rng, work: sweep_units(IMAGE, CLASSES, SPEC, Method.FERN_NB, [v], 0, 2), 1, 0),
     ("compare-seed", "seed",
@@ -132,6 +137,20 @@ WRONG_KIND = [
     ("posterior-list", lambda: MODEL.posterior(IMAGE, [10], 10)),
     ("counts-str", lambda: FernModel(CLASSES, MODEL.tests, None, "x")),
     ("counts-object", lambda: FernModel(CLASSES, MODEL.tests, None, object())),
+]
+
+# every entry point that draws takes a numpy Generator and nothing else
+DRAWS = [
+    ("random-tests", partial(random_tests, 4, 5)),
+    ("random-model", lambda rng: FernModel.random(CLASSES, 2, 2, rng)),
+    ("deformation", sample_deformation),
+    ("select", lambda rng: select_stable_classes(IMAGE, 1, 2, rng, patch_size=5)),
+    ("noise", lambda rng: add_noise(IMAGE, 1.0, rng)),
+]
+NOT_GENERATORS = {"none": None, "int": 0, "random-state": np.random.RandomState(0)}
+WRONG_KIND += [
+    (f"{name}-rng-{kind}", partial(draw, rng))
+    for name, draw in DRAWS for kind, rng in NOT_GENERATORS.items()
 ]
 
 

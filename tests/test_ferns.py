@@ -1,6 +1,8 @@
 import hashlib
 import re
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -463,6 +465,33 @@ class TestClassify:
             label, score = model.classify(img, *center_of(img))
             assert label == batch_labels[i]
             assert score == batch_scores[i]
+
+    def test_threads_share_one_model(self):
+        # one-patch scores and their scratch are made per call, so calls on
+        # more threads than cores, switching often, give the serial results
+        rng = np.random.default_rng(12)
+        units, depth, p = DEFAULT_FERN_COUNT, DEFAULT_FERN_SIZE, 15
+        leaves = rng.integers(0, 8, (1 << depth, 200), dtype=np.uint8)
+        # each unit a shuffle of one leaf table, so unit totals agree
+        counts = np.stack([leaves[rng.permutation(1 << depth)] for _ in range(units)])
+        model = FernModel(grid_classes(200, p), fern_tests(units, depth, p, rng), None, counts)
+        img = GrayImage(random_patches(rng, 1, 64)[0])
+        spots = rng.uniform(p // 2, 63 - p // 2, (400, 2)).tolist()
+
+        def calls():
+            return [(model.classify(img, x, y), model.posterior(img, x, y).tobytes())
+                    for x, y in spots]
+
+        serial = calls()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = [pool.submit(calls) for _ in range(4)]
+                got = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [sum(a != b for a, b in zip(g, serial)) for g in got] == [0] * 4
 
 
 class TestBruteForceOracle:
