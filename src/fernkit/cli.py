@@ -51,7 +51,7 @@ def _unit_counts(units, name: str = "units") -> list[int]:
     return [checked_count(n, name, low=1) for n in counts]
 
 
-# a count the library needs >= 1: a model's units, classes, views, threads
+# a count the library needs >= 1: a model's units, classes, views
 POSITIVE = functools.partial(checked_count, low=1)
 
 # flag: (the library's checker, which main calls with the parsed value and
@@ -60,9 +60,8 @@ FLAGS = {
     "image": (None, dict(required=True, help="reference PGM image")),
     "model": (None, dict(required=True, help="model file path")),
     "seed": (checked_count, dict(type=int, required=True, help="RNG seed (mandatory)")),
-    "threads": (POSITIVE, dict(
-        type=int, default=1, help="render views on N threads; match takes it and ignores it"
-    )),
+    "threads": (functools.partial(checked_count, low=1, high=1), dict(
+        type=int, default=1, help="only 1: views render on one thread")),
     "out": (None, dict(help="output path (default: stdout for CSVs)")),
     "classes": (POSITIVE, dict(type=int, default=200)),
     "ferns": (POSITIVE, dict(type=int, default=DEFAULT_FERN_COUNT)),
@@ -149,9 +148,7 @@ def cmd_train(args) -> int:
         dataset.derive_rng(args.seed, dataset.STREAM_MODEL),
     )
     spec = dataset.DatasetSpec(args.views_per_degree, args.degrees)
-    model.train(
-        dataset._blocks(img, classes, spec, args.seed, dataset.STREAM_TRAIN, args.threads)
-    )
+    model.train(dataset._blocks(img, classes, spec, args.seed, dataset.STREAM_TRAIN))
     with open(args.model, "wb") as f:
         f.write(model.save())
     # each view is one block, and each sample adds 1 to one leaf of every unit
@@ -171,10 +168,7 @@ def cmd_eval(args) -> int:
     _check_fits(model, img)
     spec = dataset.DatasetSpec(0, 0, args.tests, args.noise)
     patches, labels = evaluate.materialize(
-        dataset._blocks(
-            img, model.classes, spec, args.seed, dataset.STREAM_TEST,
-            threads=args.threads,
-        )
+        dataset._blocks(img, model.classes, spec, args.seed, dataset.STREAM_TEST)
     )
     record = evaluate.record(
         evaluate.Method.of(model), model, patches, labels, args.seed
@@ -199,15 +193,9 @@ def _sweep_setup(args):
 def cmd_sweep(args) -> int:
     """Recognition rate versus number of units."""
     img, classes, spec = _sweep_setup(args)
+    method, units = evaluate.Method(args.method), _unit_counts(args.units)
     records = evaluate.sweep_units(
-        img,
-        classes,
-        spec,
-        evaluate.Method(args.method),
-        _unit_counts(args.units),
-        args.seed,
-        fern_size=args.fern_size,
-        threads=args.threads,
+        img, classes, spec, method, units, args.seed, fern_size=args.fern_size
     )
     _write_text(args.out, _records_csv(records))
     return EXIT_OK
@@ -217,13 +205,7 @@ def cmd_compare(args) -> int:
     """Four-way ferns/trees x NB/averaging run."""
     img, classes, spec = _sweep_setup(args)
     records = evaluate.compare_methods(
-        img,
-        classes,
-        spec,
-        args.units,
-        args.seed,
-        fern_size=args.fern_size,
-        threads=args.threads,
+        img, classes, spec, args.units, args.seed, fern_size=args.fern_size
     )
     _write_text(args.out, _records_csv(records))
     return EXIT_OK
@@ -271,7 +253,7 @@ def cmd_warp(args) -> int:
     return EXIT_OK
 
 
-COMMON = ("image", "seed", "threads", "out")
+COMMON = ("image", "seed", "out")
 VIEWS = ("views-per-degree", "degrees")
 TESTS = ("tests", "noise")
 TRAIN = ("classes", "ferns", "fern-size", "patch", *VIEWS)
@@ -284,8 +266,7 @@ COMMANDS = {
     "eval": (cmd_eval, ("model", *COMMON, *TESTS)),
     "sweep": (cmd_sweep, (*PROTOCOL, "units", "method")),
     "compare": (cmd_compare, (*PROTOCOL, ("units", dict(type=int, default=20)))),
-    "match": (cmd_match, ("model", *COMMON)),
-    # warp renders one view, so it takes no --threads
+    "match": (cmd_match, ("model", *COMMON, "threads")),
     "warp": (cmd_warp, ("image", "seed", "out", "kind", "view-id", *VIEWS, *TESTS,
                         "manifest", "identity")),
 }

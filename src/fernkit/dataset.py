@@ -4,23 +4,23 @@ Training views cover every rotation bucket with a fixed number of random
 deformations each; test views draw all parameters from the full ranges and
 get additive noise. View ``i`` of a stream is one function of (seed, stream,
 view_id), ``_view_params``, which every iterator and ``protocol_view`` use:
-parallel and serial generation emit identical streams, any view renders
-alone with the same bytes, and training and test streams stay disjoint
-under equal seeds.
+any view renders alone with the same bytes, and training and test streams
+stay disjoint under equal seeds.
 """
 
 from __future__ import annotations
 
 import csv
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import InvalidArgument, InvalidLabel, InvalidPatch, checked_count, checked_sigma
+from .errors import (
+    InvalidArgument, InvalidLabel, InvalidPatch, checked_array, checked_count, checked_sigma,
+)
 from .image import (
     AffineDeform,
     GrayImage,
@@ -169,18 +169,8 @@ def _render(img: GrayImage, view_id: int, deform: AffineDeform,
     return View(view_id, deform, rendered, sigma, layout)
 
 
-def _iter_views(img, params, threads: int, classes: ClassSet | None) -> Iterator[View]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(lambda p: _render(img, *p, classes), params)
-    else:
-        for p in params:
-            yield _render(img, *p, classes)
-
-
 def _views(
-    img: GrayImage, spec: DatasetSpec, seed: int, stream: int, threads: int,
-    classes: ClassSet | None,
+    img: GrayImage, spec: DatasetSpec, seed: int, stream: int, classes: ClassSet | None,
 ) -> Iterator[View]:
     """The views of one stream, their parameters drawn as they are rendered.
 
@@ -189,19 +179,17 @@ def _views(
     read BACKGROUND. Crops from either render are identical, and a noisy
     view draws the same full-frame noise field either way.
     """
-    # checked before any view is rendered, not when the iterator first runs
-    threads = checked_count(threads, "threads", low=1)
-    params = (
-        _view_params(img, spec, seed, stream, i) for i in range(_view_count(spec, stream))
-    )
-    return _iter_views(img, params, threads, classes)
+    for i in range(_view_count(spec, stream)):
+        yield _render(img, *_view_params(img, spec, seed, stream, i), classes)
 
 
 def test_views(
     img: GrayImage, spec: DatasetSpec, seed: int, threads: int = 1
 ) -> Iterator[View]:
-    """Render test views as full frames: full-range deforms plus additive noise."""
-    return _views(img, spec, seed, STREAM_TEST, threads, None)
+    """Render test views as full frames: full-range deforms plus additive
+    noise. Views render on one thread, so ``threads`` must be 1."""
+    checked_count(threads, "threads", low=1, high=1)
+    return _views(img, spec, seed, STREAM_TEST, None)
 
 
 def protocol_view(
@@ -244,13 +232,11 @@ def extract_patches(view: View, classes: ClassSet) -> tuple[np.ndarray, np.ndarr
 
 def _blocks(
     img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int, stream: int,
-    threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The training or test protocol as one read-only (k, p, p) patch block
     and its k labels per view, cropped by ``extract_patches``, which
     ``sample_batches`` stacks without a per-patch object."""
-    views = _views(img, spec, seed, stream, threads, classes)  # checks threads now
-    return (extract_patches(view, classes) for view in views)
+    return (extract_patches(view, classes) for view in _views(img, spec, seed, stream, classes))
 
 
 def _pairs(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[np.ndarray, int]]:
@@ -260,21 +246,21 @@ def _pairs(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[np
 
 
 def generate_training_set(
-    img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int,
-    threads: int = 1,
+    img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int, threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, int]]:
     """(patch, label) pairs of the rotation-bucketed training protocol, each
     patch a read-only (p, p) row of its view's block."""
-    return _pairs(_blocks(img, classes, spec, seed, STREAM_TRAIN, threads))
+    checked_count(threads, "threads", low=1, high=1)
+    return _pairs(_blocks(img, classes, spec, seed, STREAM_TRAIN))
 
 
 def generate_test_set(
-    img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int,
-    threads: int = 1,
+    img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int, threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, int]]:
     """(patch, label) pairs of noisy views with independent full-range
     deformations, each patch a read-only (p, p) row of its view's block."""
-    return _pairs(_blocks(img, classes, spec, seed, STREAM_TEST, threads))
+    checked_count(threads, "threads", low=1, high=1)
+    return _pairs(_blocks(img, classes, spec, seed, STREAM_TEST))
 
 
 def sample_batches(
@@ -284,9 +270,10 @@ def sample_batches(
     GrayImage, and (patches, labels) blocks of k (h, w) patches and k labels
     into (n, h, w) patches and int64 labels, ``size`` at a time (the whole
     stream if None); a chunk boundary may split a block. Items are not held,
-    only pixels and labels. Any other item raises InvalidPatch, and a label
-    that is not a whole number InvalidLabel (a bool as it enters, so it
-    cannot pass as an int among ints), before its chunk is yielded."""
+    only pixels and labels. Any other item raises InvalidPatch (a ragged
+    patch InvalidArgument), and a label that is not a whole number
+    InvalidLabel (a bool as it enters, so it cannot pass as an int among
+    ints), before its chunk is yielded."""
     if size is not None:
         size = checked_count(size, "size", low=1)
     parts, labels = [], []
@@ -297,7 +284,7 @@ def sample_batches(
             raise InvalidPatch(
                 "a stream item is a (patch, label) pair or a (patches, labels) block"
             ) from None
-        patch = patch.pixels if isinstance(patch, GrayImage) else np.asarray(patch)
+        patch = patch.pixels if isinstance(patch, GrayImage) else checked_array(patch, "patch")
         if np.ndim(label):  # a block: k patches and their k labels
             label = np.asarray(label)
             if label.ndim != 1 or patch.ndim != 3 or len(patch) != label.size:

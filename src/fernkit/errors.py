@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the input rules that
 raise them: one rule each for counts, patch sizes, real numbers, noise
-deviations and random sources, which the library and the command line both
-check."""
+deviations, arrays, file contents and random sources, which the library
+and the command line both check."""
 
 import math
 import numbers
@@ -68,6 +68,24 @@ def checked_count(n, name: str, low: int = 0, high: int | None = None) -> int:
         rule = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise InvalidArgument(f"{name} must be an integer {rule}, got {n!r}")
     return int(n)
+
+
+def checked_array(values, name: str) -> np.ndarray:
+    """``values`` as an array, if it is not a ragged sequence."""
+    try:
+        return np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise InvalidArgument(f"{name} must be a rectangular array, not ragged") from None
+
+
+def checked_bytes(data) -> bytes | bytearray:
+    """A file's contents given as bytes or a bytearray, or a memoryview's bytes."""
+    if isinstance(data, memoryview):
+        return data.tobytes()
+    if not isinstance(data, (bytes, bytearray)):
+        kind = type(data).__name__
+        raise InvalidArgument(f"data must be bytes, a bytearray or a memoryview, got {kind}")
+    return data
 
 
 def checked_patch_size(p, name: str = "patch_size") -> int:

@@ -107,12 +107,12 @@ def record(method: Method, model, patches, labels, seed: int) -> EvalRecord:
     return EvalRecord(method.value, units, rate, int(labels.size), ns, seed)
 
 
-def _fit_and_test(models, img, classes, spec, seed, threads):
+def _fit_and_test(models, img, classes, spec, seed):
     """Train ``models`` in one pass over the protocol's training blocks and
     return its test set, materialized once for every record to share."""
     protocol = (img, classes, spec, seed)
-    train_models(models, _blocks(*protocol, STREAM_TRAIN, threads=threads))
-    return materialize(_blocks(*protocol, STREAM_TEST, threads=threads))
+    train_models(models, _blocks(*protocol, STREAM_TRAIN))
+    return materialize(_blocks(*protocol, STREAM_TEST))
 
 
 def sweep_units(
@@ -123,7 +123,6 @@ def sweep_units(
     unit_counts: Sequence[int],
     seed: int,
     fern_size: int = DEFAULT_FERN_SIZE,
-    threads: int = 1,
 ) -> list[EvalRecord]:
     """Rate versus unit count, trained once at the maximum and truncated.
 
@@ -137,7 +136,7 @@ def sweep_units(
     top = max(unit_counts)
     rng = derive_rng(seed, STREAM_MODEL)
     model = (TreeForest if method.hierarchical else FernModel).random(classes, top, fern_size, rng)
-    patches, labels = _fit_and_test((model,), img, classes, spec, seed, threads)
+    patches, labels = _fit_and_test((model,), img, classes, spec, seed)
     records = []
     for k in unit_counts:
         sub = model if k == top else model.truncated(k)
@@ -158,12 +157,14 @@ def compare_methods(
 
     Both structures train in a single pass over one training stream and are
     scored on one materialized test set, so all four records share their
-    randomness byte for byte.
+    randomness byte for byte. Views render on one thread, so ``threads``
+    must be 1.
     """
+    checked_count(threads, "threads", low=1, high=1)
     rng = derive_rng(seed, STREAM_MODEL)
     ferns = FernModel.random(classes, units, fern_size, rng)
     forest = TreeForest.random(classes, units, fern_size, rng)
-    patches, labels = _fit_and_test((ferns, forest), img, classes, spec, seed, threads)
+    patches, labels = _fit_and_test((ferns, forest), img, classes, spec, seed)
     return [
         record(Method.FERN_NB, ferns, patches, labels, seed),
         record(Method.FERN_AVG, ferns, patches, labels, seed),

@@ -28,6 +28,8 @@ from .errors import (
     InvalidLabel,
     InvalidPatch,
     OutOfBounds,
+    checked_array,
+    checked_bytes,
     checked_count,
     checked_patch_size,
     checked_rng,
@@ -94,7 +96,7 @@ def random_tests(count: int, patch_size: int, rng: np.random.Generator) -> np.nd
 
 def _check_patch_batch(patches: np.ndarray, patch_size: int) -> np.ndarray:
     """The (N, p, p) windows centred on each patch of a uint8 batch (a view)."""
-    arr = np.asarray(patches)
+    arr = checked_array(patches, "patches")
     if arr.ndim == 2:
         arr = arr[None, :, :]
     if arr.ndim != 3 or arr.dtype != np.uint8:
@@ -144,12 +146,14 @@ class LeafModel:
         combination: Combination | None = None,
         counts: np.ndarray | None = None,
     ):
+        if not isinstance(classes, ClassSet):
+            raise InvalidArgument(f"classes must be a ClassSet, got {classes!r}")
         if combination is None:
             combination = self.combinations[0]
         elif not isinstance(combination, Combination) or combination not in self.combinations:
             allowed = " or ".join(map(str, self.combinations))
             raise InvalidArgument(f"{type(self).__name__} takes {allowed}, got {combination!r}")
-        tests = np.asarray(tests)
+        tests = checked_array(tests, "tests")
         if tests.ndim != 3 or tests.shape[2] != 4 or 0 in tests.shape:
             raise InvalidArgument(
                 f"tests must be a non-empty (units, tests per unit, 4) array, got {tests.shape}"
@@ -193,7 +197,7 @@ class LeafModel:
         else:
             # unsigned counts keep the width they came in (a loaded file's),
             # so a model that is only read never holds a uint64 copy
-            counts = np.asarray(counts)
+            counts = checked_array(counts, "counts")
             kind = counts.dtype.kind
             if kind not in "biufO" or (
                 kind == "O" and not all(isinstance(c, numbers.Real) for c in counts.flat)
@@ -492,6 +496,8 @@ class LeafModel:
 
     @classmethod
     def load(cls, data: bytes):
+        """The model a ``save`` file holds, given as bytes, a bytearray or a memoryview."""
+        data = checked_bytes(data)
         pos = len(cls.magic) + HEADER.size
         if len(data) < pos:
             raise FormatError("file shorter than its header")

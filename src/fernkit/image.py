@@ -14,8 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    InvalidArgument, ParseError, UnsupportedFormat, checked_count, checked_rng, checked_sigma,
-    is_finite,
+    InvalidArgument, ParseError, UnsupportedFormat, checked_array, checked_bytes, checked_count,
+    checked_rng, checked_sigma, is_finite,
 )
 
 # Fill value for samples that fall outside the source image. Mid-gray, so
@@ -59,7 +59,7 @@ class GrayImage:
     @classmethod
     def from_array(cls, values) -> "GrayImage":
         """Build from any integer array with values in [0, 255]."""
-        arr = np.asarray(values)
+        arr = checked_array(values, "values")
         if arr.dtype.kind not in "iu" and arr.dtype != np.uint8:
             raise InvalidArgument(f"expected integer values, got {arr.dtype}")
         if arr.size and (arr.min() < 0 or arr.max() > 255):
@@ -145,8 +145,9 @@ def read_pgm(data: bytes) -> GrayImage:
 
     Header comments (``#`` to end of line) and arbitrary whitespace between
     tokens are accepted; the raster must hold one byte per pixel, none of
-    them above maxval.
+    them above maxval. ``data`` is bytes, a bytearray or a memoryview.
     """
+    data = checked_bytes(data)
     if len(data) < 2:
         raise ParseError("file too short for a PGM magic")
     magic = data[:2]
@@ -299,7 +300,7 @@ def warp_image(
     """
     out_w, out_h = checked_count(out_w, "out_w", low=1), checked_count(out_h, "out_h", low=1)
     if mask is not None:
-        mask = np.asarray(mask)
+        mask = checked_array(mask, "mask")
         if mask.dtype != np.bool_ or mask.shape != (out_h, out_w):
             raise InvalidArgument(f"mask must be a boolean {out_h}x{out_w} array")
     inv = d._inverse
@@ -416,7 +417,7 @@ def box_mean(values: np.ndarray, radius: int) -> np.ndarray:
     over its clipped cell count, in one division.
     """
     radius = checked_count(radius, "radius")
-    arr = np.asarray(values)
+    arr = checked_array(values, "values")
     if arr.dtype.kind not in "iu":
         raise InvalidArgument(f"box_mean takes integer values, got {arr.dtype}")
     h, w = arr.shape

@@ -12,7 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientKeypoints, InvalidArgument, checked_count, checked_patch_size
+from .errors import (
+    InsufficientKeypoints, InvalidArgument, checked_array, checked_count, checked_patch_size,
+)
 from .image import (
     GrayImage,
     sample_deformation,
@@ -42,10 +44,7 @@ class ClassSet:
 
     def __post_init__(self):
         object.__setattr__(self, "patch_size", checked_patch_size(self.patch_size))
-        try:
-            coords = np.asarray(self.coords)
-        except ValueError:  # a ragged sequence
-            raise InvalidArgument("coords must be a non-empty (H, 2) array") from None
+        coords = checked_array(self.coords, "coords")
         if coords.dtype.kind not in "iuf":
             raise InvalidArgument(f"keypoint coordinates must be numbers, got {coords.dtype}")
         if coords.ndim != 2 or coords.shape[1] != 2 or len(coords) == 0:

@@ -103,14 +103,16 @@ class TestTrain:
         assert code == 2
 
     def test_zero_threads_exits_2(self, workdir, capsys):
-        code = run(
-            "train", "--image", workdir / "ref.pgm",
-            "--model", workdir / "zero.bin", "--seed", 1, "--classes", 5,
-            "--ferns", 2, "--fern-size", 4, "--patch", 21,
-            "--views-per-degree", 1, "--degrees", 20, "--threads", 0,
-        )
-        assert code == 2
-        assert "threads" in capsys.readouterr().err
+        # views render on one thread, so train takes no --threads at all
+        with pytest.raises(SystemExit) as exit:
+            run(
+                "train", "--image", workdir / "ref.pgm",
+                "--model", workdir / "zero.bin", "--seed", 1, "--classes", 5,
+                "--ferns", 2, "--fern-size", 4, "--patch", 21,
+                "--views-per-degree", 1, "--degrees", 20, "--threads", 0,
+            )
+        assert exit.value.code == 2
+        assert "unrecognized arguments: --threads 0" in capsys.readouterr().err
         assert not (workdir / "zero.bin").exists()
 
 
@@ -136,8 +138,11 @@ class TestDefaults:
     def test_threads_default_to_one(self):
         from fernkit.cli import build_parser
 
-        args = build_parser().parse_args(["compare", "--image", "x.pgm", "--seed", "1"])
+        parser = build_parser()
+        args = parser.parse_args(["match", "--image", "x.pgm", "--model", "m", "--seed", "1"])
         assert args.threads == 1
+        args = parser.parse_args(["compare", "--image", "x.pgm", "--seed", "1"])
+        assert not hasattr(args, "threads")
 
 
 class TestEval:
@@ -520,6 +525,17 @@ class TestThreads:
         assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep", "compare"])
+    def test_protocol_commands_take_no_threads(self, workdir, capsys, command):
+        out = workdir / f"threads-{command}.csv"
+        model = ("--model", workdir / "model.bin") if command in ("train", "eval") else ()
+        with pytest.raises(SystemExit) as exit:
+            run(command, "--image", workdir / "ref.pgm", *model, "--seed", 3,
+                "--threads", 1, "--out", out)
+        assert exit.value.code == 2
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_match_rejects_threads_below_one(self, workdir, trained, capsys):
         out = workdir / "threads0.csv"
         code = run(
@@ -529,6 +545,16 @@ class TestThreads:
         assert code == 2
         assert "threads" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_match_takes_only_one_thread(self, workdir, trained, capsys):
+        out = workdir / "threads2.csv"
+        match = ("match", "--image", workdir / "ref.pgm", "--model", trained, "--seed", 1)
+        assert run(*match, "--threads", 2, "--out", out) == 2
+        assert "threads must be an integer in [1, 1], got 2" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(*match, "--threads", 1, "--out", out) == 0
+        assert run(*match, "--out", workdir / "threads-default.csv") == 0
+        assert out.read_bytes() == (workdir / "threads-default.csv").read_bytes()
 
 
 @pytest.fixture

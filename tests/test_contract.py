@@ -3,19 +3,25 @@ and a patch size are integers in their range. Every entry point below
 rejects a float, a bool, a numeric string and an integer out of its range
 with InvalidArgument before any work: no view rendered, no test drawn, no
 stream item read and the caller's rng untouched. Each takes a numpy integer
-as the int it holds. A view id, a real number, a counts array and a random
-source of the wrong kind raise InvalidArgument before any work too."""
+as the int it holds. A view id, a real number, a counts array, a ragged
+array, a model's classes, file contents and a random source of the wrong
+kind raise InvalidArgument before any work too, and a file with flipped,
+cut or added bytes reads back equal or raises a FernkitError."""
 
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fernkit import (
     AffineDeform,
     ClassSet,
     DatasetSpec,
     FernModel,
+    FernkitError,
+    GrayImage,
     InvalidArgument,
     Method,
     TreeForest,
@@ -24,10 +30,12 @@ from fernkit import (
     compare_methods,
     derive_rng,
     detect_keypoints,
+    read_pgm,
     select_stable_classes,
     sample_deformation,
     sweep_units,
     warp_image,
+    write_pgm,
 )
 from fernkit import dataset, ferns, keypoints
 from fernkit.dataset import STREAM_TEST, sample_batches
@@ -71,14 +79,25 @@ ENTRIES = [
     ("box-mean", "radius", lambda v, rng, work: box_mean(IMAGE.pixels, v), 1, -1),
     ("box-smooth", "radius", lambda v, rng, work: box_smooth(IMAGE, v), 1, -1),
     ("batch-size", "size", lambda v, rng, work: next(sample_batches(pairs(work), v)), 1, 0),
-    ("threads", "threads",
-     lambda v, rng, work: dataset._views(IMAGE, SPEC, 0, STREAM_TEST, v, None), 1, 0),
     ("seed", "seed", lambda v, rng, work: derive_rng(v), 1, -1),
     ("key", "key", lambda v, rng, work: derive_rng(1, v), 2, -1),
     ("sweep-units", "unit count",
      lambda v, rng, work: sweep_units(IMAGE, CLASSES, SPEC, Method.FERN_NB, [v], 0, 2), 1, 0),
     ("compare-seed", "seed",
      lambda v, rng, work: compare_methods(IMAGE, CLASSES, SPEC, 1, v, fern_size=2), 1, -1),
+]
+
+# views render on one thread: the calls that still take ``threads`` take
+# only 1, and reject 0 and 2 alike
+THREADS = [
+    ("test-views", partial(dataset.test_views, IMAGE, SPEC, 0)),
+    ("training-set", lambda v: dataset.generate_training_set(IMAGE, CLASSES, SPEC, 0, v)),
+    ("test-set", lambda v: dataset.generate_test_set(IMAGE, CLASSES, SPEC, 0, v)),
+    ("compare", lambda v: compare_methods(IMAGE, CLASSES, SPEC, 1, 0, 2, threads=v)),
+]
+ENTRIES += [
+    (f"threads-{name}-{out}", "threads", lambda v, rng, work, call=call: call(v), 1, out)
+    for name, call in THREADS for out in (0, 2)
 ]
 
 BAD = {"float": 2.5, "bool": True, "str": "3"}
@@ -137,6 +156,20 @@ WRONG_KIND = [
     ("posterior-list", lambda: MODEL.posterior(IMAGE, [10], 10)),
     ("counts-str", lambda: FernModel(CLASSES, MODEL.tests, None, "x")),
     ("counts-object", lambda: FernModel(CLASSES, MODEL.tests, None, object())),
+    ("tests-ragged", lambda: FernModel(CLASSES, [[[1, 0, 0, 1]], [[1, 2]]])),
+    ("counts-ragged", lambda: FernModel(CLASSES, MODEL.tests, None, [[1], [2, 3]])),
+    ("classes-none", lambda: FernModel(None, MODEL.tests)),
+    ("classes-coords", lambda: TreeForest(CLASSES.coords, MODEL.tests)),
+    ("patches-ragged", lambda: MODEL.classify_patches([[[1, 2], [3]]])),
+    ("image-ragged", lambda: GrayImage.from_array([[1, 2], [3]])),
+    ("batch-ragged", lambda: next(sample_batches([([[1, 2], [3]], 0)]))),
+    ("box-mean-ragged", lambda: box_mean([[1, 2], [3]], 1)),
+    ("warp-mask-ragged", lambda: warp_image(IMAGE, DEFORM, 2, 2, mask=[[True, False], [True]])),
+    # file readers take bytes, a bytearray or a memoryview
+    ("pgm-none", lambda: read_pgm(None)),
+    ("pgm-str", lambda: read_pgm("P5 1 1 255 a")),
+    ("load-none", lambda: FernModel.load(None)),
+    ("load-str", lambda: TreeForest.load(MODEL.save().decode("latin-1"))),
 ]
 
 # every entry point that draws takes a numpy Generator and nothing else
@@ -170,3 +203,66 @@ def test_view_id_takes_numpy_integers():
 
 def test_bool_is_a_real_number():
     assert AffineDeform(0, 0, True, 1).lambda1 is True
+
+
+def test_readers_take_any_bytes_like_file():
+    pgm, model = write_pgm(IMAGE), MODEL.save()
+    for kind in (bytearray, memoryview):
+        assert read_pgm(kind(pgm)) == IMAGE
+        assert FernModel.load(kind(model)).save() == model
+
+
+def trained(kind):
+    model = kind.random(CLASSES, 2, 2, np.random.default_rng(1))
+    return model.train(dataset._blocks(IMAGE, CLASSES, SPEC, 1, dataset.STREAM_TRAIN))
+
+
+def pgm_round_trip(img):
+    assert read_pgm(write_pgm(img)) == img
+
+
+def model_round_trip(model):
+    again = type(model).load(model.save())
+    assert again.save() == model.save()
+    assert again.classes == model.classes and again.combination == model.combination
+    assert np.array_equal(again.tests, model.tests)
+    assert np.array_equal(again.counts, model.counts)
+
+
+# a valid file of each kind the library reads, its reader, and the round
+# trip what it reads must pass
+FILES = [
+    (write_pgm(make_texture(6, 5, seed=1)), read_pgm, pgm_round_trip),
+    (b"P5 # a comment\n3 2\n7\n" + bytes([0, 1, 2, 5, 6, 7]), read_pgm, pgm_round_trip),
+    (trained(FernModel).save(), FernModel.load, model_round_trip),
+    (trained(TreeForest).save(), TreeForest.load, model_round_trip),
+]
+
+
+@st.composite
+def mutated(draw):
+    """One of FILES with bytes flipped, then cut short or extended."""
+    data, read, round_trip = draw(st.sampled_from(FILES))
+    data = bytearray(data)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(data) - 1))
+        data[i] ^= draw(st.integers(1, 255))
+    end = draw(st.sampled_from(["keep", "truncate", "append"]))
+    if end == "truncate":
+        del data[draw(st.integers(0, len(data))):]
+    elif end == "append":
+        data += draw(st.binary(min_size=1, max_size=8))
+    return bytes(data), read, round_trip
+
+
+@given(mutated())
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_mutated_files_round_trip_or_raise_fernkit_errors(case):
+    """A file with flipped, cut or added bytes either reads and round-trips
+    or raises a FernkitError; a bare numpy or Python error fails."""
+    data, read, round_trip = case
+    try:
+        found = read(data)
+    except FernkitError:
+        return
+    round_trip(found)

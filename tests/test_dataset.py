@@ -37,7 +37,7 @@ from fernkit.dataset import (
     write_manifest,
 )
 from fernkit.dataset import test_views as render_test_views
-from fernkit.evaluate import materialize
+from fernkit.evaluate import compare_methods, materialize
 from fernkit.image import BACKGROUND, add_noise, warp_image, warp_points
 
 from support import (
@@ -197,39 +197,19 @@ class TestDeterminism:
         b = pair_bytes(generate_test_set(texture_small, small_classes, spec, 9))
         assert a != b
 
-    def test_threads_do_not_change_the_stream(self, texture_small, small_classes):
-        spec = DatasetSpec(1, 20, test_views=10)
-        serial = pair_bytes(
-            generate_training_set(texture_small, small_classes, spec, 9, threads=1)
-        )
-        threaded = pair_bytes(
-            generate_training_set(texture_small, small_classes, spec, 9, threads=4)
-        )
-        assert serial == threaded
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_fewer_than_one_thread_rejected(self, texture_small, small_classes, threads):
+    @pytest.mark.parametrize("threads", [0, -1, 2])
+    def test_threads_other_than_one_rejected(self, texture_small, small_classes, threads):
         spec = DatasetSpec(1, 2, test_views=2)
-        with pytest.raises(InvalidArgument, match="threads"):
-            dataset._views(texture_small, spec, 9, STREAM_TRAIN, threads, None)
-        with pytest.raises(InvalidArgument, match="threads"):
-            render_test_views(texture_small, spec, 9, threads)
-        with pytest.raises(InvalidArgument, match="threads"):
-            generate_training_set(texture_small, small_classes, spec, 9, threads=threads)
-        with pytest.raises(InvalidArgument, match="threads"):
-            generate_test_set(texture_small, small_classes, spec, 9, threads=threads)
-
-    def test_threads_do_not_change_the_noisy_test_stream(
-        self, texture_small, small_classes
-    ):
-        spec = DatasetSpec(1, 1, test_views=12, noise_sigma=10.0)
-        serial = pair_bytes(
-            generate_test_set(texture_small, small_classes, spec, 9, threads=1)
-        )
-        threaded = pair_bytes(
-            generate_test_set(texture_small, small_classes, spec, 9, threads=3)
-        )
-        assert serial == threaded
+        protocol = (texture_small, small_classes, spec, 9)
+        calls = [
+            partial(render_test_views, texture_small, spec, 9, threads),
+            partial(generate_training_set, *protocol, threads=threads),
+            partial(generate_test_set, *protocol, threads=threads),
+            partial(compare_methods, *protocol[:3], 1, 9, fern_size=2, threads=threads),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidArgument, match="threads"):
+                call()
 
 
 class TestGoldenPins:
@@ -249,7 +229,7 @@ class TestGoldenPins:
         checked to be the crops of the stream's views, those views' digest the
         pinned one, and the blocks the pairs unflattened."""
         pairs = pair_bytes(generate(img, classes, cls.SPEC, 9))
-        views = list(dataset._views(img, cls.SPEC, 9, stream, 1, classes))
+        views = list(dataset._views(img, cls.SPEC, 9, stream, classes))
         assert stream_digest(views, classes) == digest
         assert pairs == crop_bytes(views, classes)
         blocks = list(_blocks(img, classes, cls.SPEC, 9, stream))
@@ -285,7 +265,7 @@ class TestProtocolView:
     @pytest.mark.parametrize("stream", [STREAM_TRAIN, STREAM_TEST])
     def test_equals_the_iterators_view(self, texture_small, stream, sigma):
         spec = self.spec(sigma)
-        streamed = list(dataset._views(texture_small, spec, self.SEED, stream, 1, None))
+        streamed = list(dataset._views(texture_small, spec, self.SEED, stream, None))
         count = len(streamed)
         assert count == (10 if stream == STREAM_TRAIN else 7)
         for i in (0, count // 2, count - 1):
@@ -321,7 +301,7 @@ class TestProtocolView:
 
         monkeypatch.setattr(dataset, "derive_rng", spy)
         spec = DatasetSpec(2, 50, test_views=50)
-        views = dataset._views(texture_small, spec, self.SEED, stream, 1, None)
+        views = dataset._views(texture_small, spec, self.SEED, stream, None)
         assert keys == []
         next(views)
         assert keys == [(stream, 0)]
@@ -483,7 +463,7 @@ class TestOneLayoutPerView:
             views = dataset._view_count(spec, stream)
             assert len(calls) == views == (20 if stream == STREAM_TRAIN else 15)
             # the streams of TestGoldenPins, cropped with the layout each view carries
-            streamed = list(dataset._views(texture_small, spec, 9, stream, 1, small_classes))
+            streamed = list(dataset._views(texture_small, spec, 9, stream, small_classes))
             assert stream_digest(streamed, small_classes) == digest
             assert pairs == crop_bytes(streamed, small_classes)
             assert len(calls) == 2 * views
@@ -496,7 +476,7 @@ class TestOneLayoutPerView:
         twin = ClassSet(small_classes.coords, small_classes.patch_size)
         cases = [small_classes, twin, border_classes(img)]
         spec = DatasetSpec(1, 4, test_views=0)
-        views = list(dataset._views(img, spec, 2, STREAM_TRAIN, 1, small_classes))
+        views = list(dataset._views(img, spec, 2, STREAM_TRAIN, small_classes))
         calls = []
         layout = dataset._window_layout
         monkeypatch.setattr(
@@ -677,7 +657,7 @@ class TestWindowBlocks:
 
     def test_block_is_not_a_view_of_the_frame(self, texture_small, small_classes):
         spec = DatasetSpec(1, 1, test_views=3)
-        for view in dataset._views(texture_small, spec, 8, STREAM_TEST, 1, small_classes):
+        for view in dataset._views(texture_small, spec, 8, STREAM_TEST, small_classes):
             patches, labels = extract_patches(view, small_classes)
             assert labels.size and not np.shares_memory(patches, view.image.pixels)
             assert patches.flags.c_contiguous and not patches.flags.writeable
@@ -704,7 +684,7 @@ class TestThetaCoverage:
         spec = DatasetSpec(views_per_degree=3, rotation_degrees=30, test_views=0)
         buckets = np.zeros(30, dtype=int)
         width = 2 * np.pi / 30
-        for view in dataset._views(texture_small, spec, 4, STREAM_TRAIN, 1, None):
+        for view in dataset._views(texture_small, spec, 4, STREAM_TRAIN, None):
             buckets[int(view.deform.theta // width)] += 1
         assert np.all(buckets == 3)
 
@@ -756,7 +736,7 @@ class TestManifest:
     def test_rows_record_each_views_own_sigma(self, texture_small):
         spec = DatasetSpec(1, 2, test_views=2, noise_sigma=4.5)
         views = [
-            *dataset._views(texture_small, spec, 3, STREAM_TRAIN, 1, None),
+            *dataset._views(texture_small, spec, 3, STREAM_TRAIN, None),
             *render_test_views(texture_small, spec, 3),
             protocol_view(texture_small, spec, 3, STREAM_TEST, 0, identity_for(texture_small)),
         ]
