@@ -11,6 +11,7 @@ stay disjoint under equal seeds.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
@@ -39,6 +40,12 @@ STREAM_TRAIN = 0
 STREAM_TEST = 1
 STREAM_MODEL = 2
 STREAM_CLASSES = 3
+
+# Room a stack starts with. glibc's malloc serves a request this large from
+# a mapping of its own (its mmap threshold never exceeds 32 MiB), so growing
+# the stack remaps it instead of copying it, whatever else the heap holds;
+# pages never written take no memory.
+RESERVED_BYTES = 2**25
 
 MANIFEST_HEADER = [
     "view_id",
@@ -269,45 +276,91 @@ def sample_batches(
     """Stack a stream of (patch, label) pairs, the patch an (h, w) array or a
     GrayImage, and (patches, labels) blocks of k (h, w) patches and k labels
     into (n, h, w) patches and int64 labels, ``size`` at a time (the whole
-    stream if None); a chunk boundary may split a block. Items are not held,
-    only pixels and labels. Any other item raises InvalidPatch (a ragged
-    patch InvalidArgument), and a label that is not a whole number
+    stream if None); a chunk boundary may split a block. A chunk has the
+    result type of its items, and of the chunk before it when a block spans
+    the two.
+
+    Items are not held: each one's pixels are copied into its chunk's array
+    as it arrives, and the array grows in place, so a stream is held once,
+    not also as its items. A chunk is an array of its own, never written
+    again once yielded. Any other item raises InvalidPatch (a ragged patch
+    or label list InvalidArgument), and a label that is not a whole number
     InvalidLabel (a bool as it enters, so it cannot pass as an int among
     ints), before its chunk is yielded."""
     if size is not None:
         size = checked_count(size, "size", low=1)
-    parts, labels = [], []
+    stack, n, labels, full = None, 0, [], []  # full: chunks yet to be yielded
     for item in samples:
-        try:
-            patch, label = item
-        except (TypeError, ValueError):  # 5, a 3-tuple, a bare (3, 3) array
-            raise InvalidPatch(
-                "a stream item is a (patch, label) pair or a (patches, labels) block"
-            ) from None
-        patch = patch.pixels if isinstance(patch, GrayImage) else checked_array(patch, "patch")
-        if np.ndim(label):  # a block: k patches and their k labels
-            label = np.asarray(label)
-            if label.ndim != 1 or patch.ndim != 3 or len(patch) != label.size:
-                raise InvalidPatch("a block needs one (h, w) patch per label")
-            if label.dtype.kind in "bO":  # only these dtypes can hold a bool
-                _no_bools(label.tolist())
-            parts.append(patch)
-            labels.extend(label.tolist())
-        elif patch.ndim != 2:
-            raise InvalidPatch(f"a pair needs one (h, w) patch, got shape {patch.shape}")
-        else:
-            _no_bools((label,))
-            parts.append(patch[None])
-            labels.append(label)
-        if size is not None and len(labels) >= size:
-            patches, stacked = _stacked(parts, labels)
-            whole = len(labels) - len(labels) % size
-            for start in range(0, whole, size):
-                yield patches[start : start + size], stacked[start : start + size]
-            parts = [patches[whole:]] if whole < len(labels) else []
-            labels = labels[whole:]
+        rows, new = _rows(item)
+        labels += new
+        if stack is not None:
+            stack = _widened(stack, n, rows)
+        dtype = rows.dtype if stack is None else stack.dtype
+        while True:  # the rows fill the chunk up to size; the rest start the next
+            if stack is None:
+                stack, n = _reserved(rows.shape[1:], dtype, size), 0
+            put = rows if size is None else rows[: size - n]
+            if n + len(put) > len(stack):
+                # resize moves or remaps the buffer, of which no view is out
+                grown = max(n + len(put), len(stack) * 5 // 4)
+                stack.resize((min(grown, size or grown), *stack.shape[1:]), refcheck=False)
+            stack[n : n + len(put)] = put
+            n, rows = n + len(put), rows[len(put) :]
+            if n == size:
+                full.append(stack)
+                stack = None
+            if not len(rows):
+                break
+        if full:
+            values = _whole_labels(labels)
+            for i, chunk in enumerate(full):
+                yield chunk, values[i * size : (i + 1) * size]
+            labels, full = labels[len(full) * size :], []
     if labels:
-        yield _stacked(parts, labels)
+        stack.resize((n, *stack.shape[1:]), refcheck=False)
+        yield stack, _whole_labels(labels)
+
+
+def _reserved(shape: tuple, dtype: np.dtype, size: int | None) -> np.ndarray:
+    """An empty stack of ``shape`` rows with room for ``size`` of them, or
+    for RESERVED_BYTES of them if fewer or ``size`` is None."""
+    rows = RESERVED_BYTES // max(1, math.prod(shape) * dtype.itemsize) + 1
+    return np.empty((rows if size is None else min(size, rows), *shape), dtype)
+
+
+def _rows(item) -> tuple[np.ndarray, list]:
+    """A stream item's patches as (k, h, w) rows, and its k labels."""
+    try:
+        patch, label = item
+    except (TypeError, ValueError):  # 5, a 3-tuple, a bare (3, 3) array
+        raise InvalidPatch(
+            "a stream item is a (patch, label) pair or a (patches, labels) block"
+        ) from None
+    patch = patch.pixels if isinstance(patch, GrayImage) else checked_array(patch, "patch")
+    block = None if isinstance(label, numbers.Number) else checked_array(label, "labels")
+    if block is not None and block.ndim:  # k patches and their k labels
+        if block.ndim != 1 or patch.ndim != 3 or len(patch) != block.size:
+            raise InvalidPatch("a block needs one (h, w) patch per label")
+        if block.dtype.kind in "bO":  # only these dtypes can hold a bool
+            _no_bools(block.tolist())
+        return patch, block.tolist()
+    if patch.ndim != 2:
+        raise InvalidPatch(f"a pair needs one (h, w) patch, got shape {patch.shape}")
+    _no_bools((label,))
+    return patch[None], [label]
+
+
+def _widened(stack: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
+    """``stack``, its first ``n`` rows cast to the result type of it and
+    ``rows`` if that is wider, if ``rows`` have its patch shape."""
+    if rows.shape[1:] != stack.shape[1:]:
+        raise InvalidPatch("patches of one chunk differ in shape")
+    dtype = stack.dtype if rows.dtype == stack.dtype else np.result_type(stack, rows)
+    if dtype == stack.dtype:
+        return stack
+    wider = np.empty_like(stack, dtype=dtype)
+    wider[:n] = stack[:n]
+    return wider
 
 
 def _no_bools(labels) -> None:
@@ -317,9 +370,8 @@ def _no_bools(labels) -> None:
             raise InvalidLabel(f"label {label!r} is not a whole int64 number")
 
 
-def _stacked(parts: list, labels: list) -> tuple[np.ndarray, np.ndarray]:
-    if len({p.shape[1:] for p in parts}) > 1:
-        raise InvalidPatch("patches of one chunk differ in shape")
+def _whole_labels(labels: list) -> np.ndarray:
+    """``labels`` as int64, if each is a whole number int64 holds."""
     values = np.asarray(labels)
     if values.dtype.kind not in "iu":
         # a cast would turn a str or complex label into a class
@@ -330,7 +382,7 @@ def _stacked(parts: list, labels: list) -> tuple[np.ndarray, np.ndarray]:
         whole = (values == np.floor(values)) & (np.abs(values) < 2.0**63)
         if not whole.all():
             raise InvalidLabel(f"label {values[~whole][0]} is not a whole int64 number")
-    return np.concatenate(parts), values.astype(np.int64)
+    return values.astype(np.int64)
 
 
 def manifest_row(view: View) -> dict:

@@ -362,7 +362,7 @@ def _frozen_image(pixels: np.ndarray) -> GrayImage:
 
 def warp_points(d: AffineDeform, out_w: int, out_h: int, points) -> np.ndarray:
     """Map source-frame points to the output frame of ``warp_image``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    pts = np.atleast_2d(np.asarray(checked_array(points, "points"), dtype=np.float64))
     a = d._matrix
     center = np.array([(out_w - 1) / 2.0, (out_h - 1) / 2.0])
     return (pts - np.array([d.tx, d.ty])) @ a.T + center
@@ -370,7 +370,7 @@ def warp_points(d: AffineDeform, out_w: int, out_h: int, points) -> np.ndarray:
 
 def unwarp_points(d: AffineDeform, out_w: int, out_h: int, points) -> np.ndarray:
     """Map output-frame points back to the source frame of ``warp_image``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    pts = np.atleast_2d(np.asarray(checked_array(points, "points"), dtype=np.float64))
     inv = d._inverse
     center = np.array([(out_w - 1) / 2.0, (out_h - 1) / 2.0])
     return (pts - center) @ inv.T + np.array([d.tx, d.ty])

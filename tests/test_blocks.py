@@ -17,6 +17,7 @@ from fernkit import (
     add_noise,
     warp_image,
 )
+from fernkit.dataset import RESERVED_BYTES, sample_batches
 from fernkit.ferns import PATCH_BLOCK, Combination
 from fernkit.image import PIXEL_BLOCK, _pixel_blocks
 from fernkit.keypoints import detect_keypoints
@@ -311,6 +312,25 @@ class TestBoundedMemory:
             mask[::2] = True  # half the frame
         peak = peak_traced_bytes(lambda: warp_image(src, d, w, h, mask=mask))
         assert peak < w * h * 8
+
+    def test_a_stacked_stream_holds_one_copy(self):
+        # a stream of fresh view-sized blocks, as a test set arrives: each is
+        # copied into the stack as it comes, not kept until the stream ends
+        views, k, p = 240, 128, 31
+
+        def blocks():
+            rng = np.random.default_rng(6)
+            for _ in range(views):
+                yield rng.integers(0, 256, (k, p, p), dtype=np.uint8), rng.integers(0, 50, k)
+
+        stacked = []
+        peak = peak_traced_bytes(lambda: stacked.extend(sample_batches(blocks())))
+        [(patches, labels)] = stacked
+        assert patches.shape == (views * k, p, p) and labels.size == views * k
+        # tracemalloc counts the stack's first RESERVED_BYTES of room whole,
+        # written or not, so the stream must be larger than 2/3 of it
+        assert RESERVED_BYTES < 1.5 * patches.nbytes
+        assert peak < 1.5 * patches.nbytes
 
     def test_add_noise_holds_no_frame_sized_floats(self):
         w, h = 640, 480

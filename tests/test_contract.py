@@ -40,7 +40,7 @@ from fernkit import (
 from fernkit import dataset, ferns, keypoints
 from fernkit.dataset import STREAM_TEST, sample_batches
 from fernkit.ferns import MAX_DEPTH, random_tests
-from fernkit.image import box_mean
+from fernkit.image import box_mean, unwarp_points, warp_points
 
 from support import make_texture
 
@@ -163,6 +163,10 @@ WRONG_KIND = [
     ("patches-ragged", lambda: MODEL.classify_patches([[[1, 2], [3]]])),
     ("image-ragged", lambda: GrayImage.from_array([[1, 2], [3]])),
     ("batch-ragged", lambda: next(sample_batches([([[1, 2], [3]], 0)]))),
+    ("batch-labels-ragged",
+     lambda: next(sample_batches([(np.zeros((2, 5, 5), np.uint8), [[1], [2, 3]])]))),
+    ("warp-points-ragged", lambda: warp_points(DEFORM, 10, 10, [[1, 2], [3]])),
+    ("unwarp-points-ragged", lambda: unwarp_points(DEFORM, 10, 10, [[1, 2], [3]])),
     ("box-mean-ragged", lambda: box_mean([[1, 2], [3]], 1)),
     ("warp-mask-ragged", lambda: warp_image(IMAGE, DEFORM, 2, 2, mask=[[True, False], [True]])),
     # file readers take bytes, a bytearray or a memoryview

@@ -358,6 +358,27 @@ class TestViewBlocks:
             for (gp, gl), (wp, wl) in zip(got, want):
                 assert gp.tobytes() == wp.tobytes() and np.array_equal(gl, wl)
 
+    @pytest.mark.parametrize("room", [dataset.RESERVED_BYTES, 4096], ids=["reserved", "grown"])
+    @pytest.mark.parametrize("size", [None, 1, 3, 1024])
+    def test_chunks_stay_as_yielded(self, both, size, room, monkeypatch):
+        # a stack that grows in place (from 4096 bytes, ~9 patches, it grows
+        # many times) must not move or overwrite a chunk it has handed out
+        monkeypatch.setattr(dataset, "RESERVED_BYTES", room)
+        blocks, pairs = both
+        mixed = []
+        for patches, labels in blocks:
+            mixed += [(patches[0], int(labels[0])), (patches[1:], labels[1:])]
+        chunks, copies = [], []
+        for patches, labels in sample_batches(iter(mixed), size):
+            chunks.append((patches, labels))
+            copies.append((patches.copy(), labels.copy()))
+        assert [len(l) for _, l in chunks] == [len(l) for _, l in copies]
+        for (patches, labels), (want, want_labels) in zip(chunks, copies):
+            assert patches.tobytes() == want.tobytes()
+            assert np.array_equal(labels, want_labels)
+        stacked = np.concatenate([p for p, _ in chunks])
+        assert stacked.tobytes() == np.stack([p for p, _ in pairs]).tobytes()
+
     def test_malformed_blocks_and_sizes_rejected(self):
         patches = np.zeros((3, 5, 5), dtype=np.uint8)
         for bad in [(patches, np.arange(2)), (patches[0], np.arange(5)),
@@ -371,6 +392,42 @@ class TestViewBlocks:
             list(sample_batches([(patches, np.arange(3)), (patches[:, :4], np.arange(3))]))
         with pytest.raises(InvalidArgument):
             list(sample_batches([(patches, np.arange(3))], 0))
+
+
+class TestStackedTypes:
+    """A chunk stacks at the result type of its items, as concatenating them
+    would, and its patches share one shape."""
+
+    PATCHES = random_patches(np.random.default_rng(121), 5, 5)
+
+    # uint8 pairs around an int64 block; a block that a chunk boundary splits
+    # brings the chunk before it's type into the next chunk
+    @pytest.mark.parametrize("size, dtypes", [
+        (None, ["int64"]),
+        (2, ["int64", "int64", "uint8"]),
+        (3, ["int64", "uint8"]),
+    ])
+    def test_mixed_dtypes_stack_at_their_result_type(self, size, dtypes):
+        p = self.PATCHES
+        wide = p[1:3].astype(np.int64) + 256
+        stream = [(p[0], 0), (wide, np.array([1, 2])), (p[3], 3), (p[4], 4)]
+        chunks = list(sample_batches(iter(stream), size))
+        assert [str(patches.dtype) for patches, _ in chunks] == dtypes
+        got = np.concatenate([patches.astype(np.int64) for patches, _ in chunks])
+        assert got.tolist() == np.concatenate([p[:1], wide, p[3:]]).tolist()
+        assert np.concatenate([labels for _, labels in chunks]).tolist() == [0, 1, 2, 3, 4]
+
+    # a patch shape that changes mid-stream raises before the chunk it would
+    # join is yielded, whichever item the chunk starts with
+    @pytest.mark.parametrize("size, yielded", [(None, 0), (2, 1), (3, 0)])
+    def test_a_shape_change_raises_before_its_chunk(self, size, yielded):
+        p = self.PATCHES
+        stream = [(p[0], 0), (p[1], 1), (p[2, :4], 2), (p[3], 3)]
+        got = []
+        with pytest.raises(InvalidPatch, match="differ in shape"):
+            for chunk in sample_batches(iter(stream), size):
+                got.append(chunk)
+        assert len(got) == yielded
 
 
 class TestWholeLabels:
