@@ -11,6 +11,8 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from . import dataset, evaluate
 from .errors import (
     CorruptModel,
@@ -220,14 +222,17 @@ def cmd_match(args) -> int:
     found = detect_keypoints(
         scene, max_count=4 * model.num_classes, patch_size=model.patch_size
     )
+    labels, scores = np.empty(len(found), dtype=np.intp), np.empty(len(found))
+    for i, (x, y, _) in enumerate(found.tolist()):
+        labels[i], scores[i] = model.classify(scene, x, y)
+    # best score first, then by y and x; lexsort is stable, so ties keep
+    # detection order
+    order = np.lexsort((found[:, 0], found[:, 1], -scores))
     refs = model.classes.coords.tolist()
-    rows = []
-    for x, y, _ in found.tolist():
-        label, score = model.classify(scene, x, y)
-        rows.append((x, y, label, *refs[label], score))
-    rows.sort(key=lambda r: (-r[5], r[1], r[0]))
     lines = [MATCH_HEADER]
-    for sx, sy, label, mx, my, score in rows:
+    rows = zip(found[order].tolist(), labels[order].tolist(), scores[order].tolist())
+    for (sx, sy, _), label, score in rows:
+        mx, my = refs[label]
         lines.append(f"{sx!r},{sy!r},{label},{mx!r},{my!r},{score!r}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -98,7 +98,8 @@ def checked_patch_size(p, name: str = "patch_size") -> int:
 def is_finite(x, name: str) -> bool:
     """Whether the real number ``x`` (a bool is 0 or 1) is finite in
     float64; a value that is not a real number raises InvalidArgument."""
-    if not isinstance(x, numbers.Real):
+    # the common case, a float, skips the slower ABC test
+    if type(x) is not float and not isinstance(x, numbers.Real):
         raise InvalidArgument(f"{name} must be a real number, got {x!r}")
     try:
         return math.isfinite(x)

@@ -125,7 +125,8 @@ class LeafModel:
     A fern's D tests give its leaf's bits, test 0 the most significant; a
     tree's 2^D - 1 node tests are in breadth-first order. Counts are
     the only state: they reach a model through its constructor, training is
-    their only writer, and the Laplace-regularized log tables are caches of
+    their only writer, and the Laplace-regularized log tables (and the
+    per-class count lookup that one-location scoring reads) are caches of
     them, built on first read and dropped whenever they change. Model files
     store the counts, so a loaded model's tables agree with its counts.
 
@@ -298,7 +299,7 @@ class LeafModel:
         totals = totals.astype(np.float64, copy=False)
         totals += float(self.num_leaves)
         self._denominators = totals
-        self._log_table = self._posteriors = None
+        self._log_table = self._posteriors = self._lookup = None
 
     @property
     def log_table(self) -> np.ndarray:
@@ -313,6 +314,24 @@ class LeafModel:
             denominators = self._denominators[:, None, :]
             self._log_table = _log_leaf_probs(self._counts, denominators, table)
         return self._log_table
+
+    def _count_lookup(self) -> np.ndarray | None:
+        """(H, T + 1) float64 count lookup: entry [h, c] is log((c + 1) /
+        (total_h + 2^D)) for each count c up to the largest class total T,
+        which is every ``log_table`` value of class h with count c, made by
+        the same kernel, so with its bytes. Built on first use; None, with
+        nothing allocated, when it would hold more values than the table.
+        """
+        if self._lookup is None:
+            # every count is at most its class total, and the totals check
+            # keeps total_h + 2^D for each class
+            largest = int(self._denominators[0].max()) - self.num_leaves
+            if largest + 1 > self.num_units * self.num_leaves:
+                return None
+            lookup = np.empty((self.num_classes, largest + 1))
+            denominators = self._denominators[0][:, None]
+            self._lookup = _log_leaf_probs(np.arange(largest + 1), denominators, lookup)
+        return self._lookup
 
     def _unit_posteriors(self) -> np.ndarray:
         """(units * leaves, H) per-unit class posteriors that averaging adds:
@@ -385,14 +404,43 @@ class LeafModel:
 
     def _score_one(self, img: GrayImage, x: float, y: float) -> np.ndarray:
         """(1, H) scores of the patch at one location under the model's
-        combination: one block, without classify_patches' batch loop.
+        combination, without classify_patches' batch loop.
 
-        The score row and the gather scratch are made per call, so threads
-        may share a model.
+        A Naive-Bayes model without a built table maps each unit's counts
+        row through the count lookup (``_count_lookup``), in pieces of at
+        most ``PATCH_BLOCK // 8`` rows, and adds the rows to the log prior
+        in unit order. These are ``_score_block``'s float64 sums, so its
+        bytes, and a model that only scores single locations builds no
+        table. Otherwise the patch is one ``_score_block`` block. Scratch is
+        made per call, so threads may share a model.
         """
-        scores, rows = self._buffers(1)
-        self._score_block(self._window(img, x, y), self.combination, scores, rows)
-        return scores
+        block = self._window(img, x, y)
+        naive_bayes = self.combination is Combination.NAIVE_BAYES
+        lookup = self._count_lookup() if naive_bayes and self._log_table is None else None
+        if lookup is None:
+            scores, rows = self._buffers(1)
+            self._score_block(block, self.combination, scores, rows)
+            return scores
+        leaves = self.leaf_indices(block)
+        self.table_lookups += leaves.size
+        h = self.num_classes
+        counts = self._counts.reshape(-1, h)
+        cells = leaves[0] + self._unit_rows
+        # lookup entry [h, c] is flat entry h * (T + 1) + c
+        columns = np.arange(0, lookup.size, lookup.shape[1])
+        # a reduction over a single column sums pairwise, not in order
+        step = PATCH_BLOCK // 8 if h > 1 else 1
+        total = self.log_prior
+        for start in range(0, cells.size, step):
+            # intp also for u64 counts, which would promote to float64
+            at = np.add(counts.take(cells[start : start + step], axis=0), columns, dtype=np.intp)
+            # counts are at most T, so every entry is in range
+            got = lookup.take(at, mode="clip")
+            # r + s equals s + r bit for bit, and a reduction over the outer
+            # axis adds its rows in order
+            got[0] += total
+            total = np.add.reduce(got, axis=0)
+        return total.reshape(1, h)
 
     def _window(self, img: GrayImage, x: float, y: float) -> np.ndarray:
         """The (1, p, p) patch centered on the rounded location, if finite."""
@@ -423,18 +471,12 @@ class LeafModel:
         is therefore the same float64 sum whatever the block size. The rows
         are log-probabilities for Naive-Bayes and the cached per-unit
         posteriors for averaging.
-
-        A one-patch Naive-Bayes block on a model whose table is not built
-        computes its U rows from the counts with the table's own ops, so a
-        model that only scores single patches never builds the table.
         """
         leaves = self.leaf_indices(block)
         self.table_lookups += leaves.size
         k, units = leaves.shape
         naive_bayes = combination is Combination.NAIVE_BAYES
-        if naive_bayes and k == 1 and self._log_table is None:
-            table = None  # rows come from the counts
-        elif naive_bayes:
+        if naive_bayes:
             table = self.log_table.reshape(-1, self.num_classes)
         else:
             table = self._unit_posteriors()
@@ -447,12 +489,9 @@ class LeafModel:
         for start in range(0, cells.size, step):
             ids = cells[start : start + step]
             got = rows[: ids.size]
-            if table is None:
-                self._log_rows(ids, start, got)
-            else:
-                # leaves are in range by construction; clip mode lets take
-                # write straight into ``got`` instead of buffering it
-                table.take(ids, axis=0, out=got, mode="clip")
+            # leaves are in range by construction; clip mode lets take
+            # write straight into ``got`` instead of buffering it
+            table.take(ids, axis=0, out=got, mode="clip")
             if ids.size == k:
                 np.add(total, got, out=scores)
             else:
@@ -463,13 +502,6 @@ class LeafModel:
             total = scores
         if not naive_bayes:
             scores /= units
-
-    def _log_rows(self, ids: np.ndarray, first: int, out: np.ndarray) -> None:
-        """Fill ``out`` with rows ``ids`` of the (units * leaves, H) view of
-        ``log_table``, row i being a leaf of unit ``first + i``, computed
-        from the counts by the table's own kernel, so they are its bytes."""
-        counts = self._counts.reshape(-1, self.num_classes).take(ids, axis=0)
-        _log_leaf_probs(counts, self._denominators[first : first + ids.size], out)
 
     # -- serialization ----------------------------------------------------
 
@@ -580,7 +612,7 @@ def train_models(models: Sequence[LeafModel], samples: Iterable):
     """
     classes = min(model.num_classes for model in models)
     for model in models:
-        model._log_table = model._posteriors = None
+        model._log_table = model._posteriors = model._lookup = None
     try:
         for patches, labels in sample_batches(samples, TRAIN_CHUNK):
             bad = labels[(labels < 0) | (labels >= classes)]
@@ -602,7 +634,7 @@ def _narrowest(counts: np.ndarray) -> np.ndarray:
 
 def _log_leaf_probs(counts: np.ndarray, denominators: np.ndarray, out: np.ndarray):
     """log((counts + 1) / denominators) in float64 ``out``: the one kernel of
-    ``log_table`` and the one-patch rows. copyto casts without a buffer."""
+    ``log_table`` and the count lookup. copyto casts without a buffer."""
     np.copyto(out, counts)
     out += 1.0
     out /= denominators

@@ -6,7 +6,9 @@ stream item read and the caller's rng untouched. Each takes a numpy integer
 as the int it holds. A view id, a real number, a counts array, a ragged
 array, a model's classes, file contents and a random source of the wrong
 kind raise InvalidArgument before any work too, and a file with flipped,
-cut or added bytes reads back equal or raises a FernkitError."""
+cut or added bytes reads back equal or raises a FernkitError. A model built
+from generated counts scores one location with the bytes of a batch, or its
+constructor raises a FernkitError."""
 
 from functools import partial
 
@@ -42,7 +44,7 @@ from fernkit.dataset import STREAM_TEST, sample_batches
 from fernkit.ferns import MAX_DEPTH, random_tests
 from fernkit.image import box_mean, unwarp_points, warp_points
 
-from support import make_texture
+from support import fern_tests, grid_classes, make_texture, random_patches, tree_tests
 
 IMAGE = make_texture(48, 40, seed=3)
 # two classes near the centre, so every view of the protocol keeps them
@@ -270,3 +272,44 @@ def test_mutated_files_round_trip_or_raise_fernkit_errors(case):
     except FernkitError:
         return
     round_trip(found)
+
+
+@st.composite
+def counted_models(draw):
+    """A fern or tree model's parts around generated counts: a count width,
+    a largest count from 1 to the width's limit, and unit 0's leaf rows held
+    by every unit in another leaf order, so unit totals agree unless one
+    count is then flipped. Small counts put the count lookup within the
+    table's size, large ones past it."""
+    kind = draw(st.sampled_from([FernModel, TreeForest]))
+    h, units, depth = draw(st.integers(1, 4)), draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    width = draw(st.sampled_from(ferns.COUNT_WIDTHS))
+    largest = draw(st.sampled_from([1, 3, 40, 2 ** (8 * width) - 1]))
+    leaves = 1 << depth
+    cells = draw(st.lists(st.integers(0, largest), min_size=leaves * h, max_size=leaves * h))
+    rows = np.array(cells, dtype=f"u{width}").reshape(leaves, h)
+    shifts = draw(st.lists(st.integers(0, leaves - 1), min_size=units, max_size=units))
+    counts = np.stack([np.roll(rows, shift, axis=0) for shift in shifts])
+    if draw(st.booleans()):
+        counts[-1, 0, 0] ^= 1
+    draw_tests = fern_tests if kind is FernModel else tree_tests
+    tests = draw_tests(units, depth, 5, np.random.default_rng(draw(st.integers(0, 2**16))))
+    return kind, tests, draw(st.sampled_from(kind.combinations)), counts
+
+
+@given(counted_models(), st.integers(0, 2**16))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_generated_counts_score_one_location_as_a_batch_or_raise(case, seed):
+    """One-location scores (through the count lookup or the table) equal a
+    one-patch batch's bytes; the constructor may raise a FernkitError."""
+    kind, tests, combination, counts = case
+    try:
+        model = kind(grid_classes(counts.shape[2], 5), tests, combination, counts)
+    except FernkitError:
+        return
+    patch = random_patches(np.random.default_rng(seed), 1, 5)
+    label, score = model.classify(GrayImage(patch[0]), 2, 2)
+    # a lookup is built only when it holds no more values than the table
+    assert model._lookup is None or model._lookup.size <= model._counts.size
+    labels, scores = model.classify_patches(patch)
+    assert (label, np.float64(score).tobytes()) == (labels[0], scores.tobytes())

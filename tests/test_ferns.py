@@ -1086,8 +1086,8 @@ class TestCountWidthRule:
 
 class TestTablesOnDemand:
     """``log_table`` is a cache of the counts, built on first read; a
-    one-patch Naive-Bayes lookup on a model without one computes its rows
-    from the counts."""
+    one-location Naive-Bayes call on a model without one maps its counts
+    through the per-class count lookup."""
 
     @pytest.mark.parametrize("kind", ["fern", "tree"])
     @pytest.mark.parametrize("repeats, width", [(0, 1), (300, 2)])
@@ -1095,11 +1095,12 @@ class TestTablesOnDemand:
         model = midsize_model(kind, MIDSIZE_UNITS[kind]())
         model.train(zip(*midsize_stream(repeats)))
         assert model._counts.itemsize == width
-        got = np.empty((model.num_leaves, model.num_units, model.num_classes))
-        for leaf in range(model.num_leaves):
-            model._log_rows(model._unit_rows + leaf, 0, got[leaf])
+        lookup = model._count_lookup()
+        # one entry per count up to the largest class total
+        assert lookup.shape == (model.num_classes, int(model.counts[0].sum(axis=0).max()) + 1)
+        got = lookup[np.arange(model.num_classes), model._counts]
         assert model._log_table is None
-        assert got.transpose(1, 0, 2).tobytes() == model.log_table.tobytes()
+        assert got.tobytes() == model.log_table.tobytes()
 
     @pytest.mark.parametrize("units", [8, PATCH_BLOCK + 44])
     def test_one_patch_lookups_build_no_table(self, units):
@@ -1119,12 +1120,13 @@ class TestTablesOnDemand:
             )
             posterior = loaded.posterior(img, *centre)
             assert posterior.tobytes() == built.posterior(img, *centre).tobytes()
+        assert loaded._log_table is None
+        # a batch, even of one patch, is scored from the table
         patch = random_patches(rng, 1, 9)
         labels, scores = loaded.classify_patches(patch)
         want_labels, want_scores = built.classify_patches(patch)
         assert labels.tobytes() == want_labels.tobytes()
         assert scores.tobytes() == want_scores.tobytes()
-        assert loaded._log_table is None
 
     def test_batches_build_the_table_once_and_counting_drops_it(self, small_model):
         model = FernModel.load(small_model.save())
@@ -1165,6 +1167,45 @@ class TestTablesOnDemand:
         # the u8 copy of the counts is an eighth of the table
         assert peak < 0.25 * table_bytes
         assert loaded[0]._log_table is None
+
+    def test_a_lookup_larger_than_the_table_is_never_allocated(self):
+        # one unit of depth 1 holds 2 x H values; counts of 2**40 would need
+        # a lookup of H x (2**41 + 1)
+        h, p = 3, 9
+        counts = np.full((1, 2, h), 2**40, dtype=np.uint64)
+        model = FernModel(grid_classes(h, p), [[(1, 0, -1, 0)]], counts=counts)
+        patch = random_patches(np.random.default_rng(94), 1, p)
+        label, score = model.classify(GrayImage(patch[0]), p // 2, p // 2)
+        assert model._lookup is None
+        labels, scores = model.classify_patches(patch)
+        assert (label, np.float64(score).tobytes()) == (labels[0], scores.tobytes())
+
+    def test_training_and_truncation_drop_the_lookup(self):
+        rng = np.random.default_rng(95)
+        model = FernModel.random(grid_classes(5, 9), 6, 4, rng)
+        model.train(zip(random_patches(rng, 40, 9), rng.integers(0, 5, 40)))
+        img = GrayImage(random_patches(rng, 1, 40)[0])
+        centres = ((4, 4), (20, 17), (35, 35))
+
+        def one_location_bytes(m):
+            return [(label, np.float64(score).tobytes())
+                    for label, score in (m.classify(img, *c) for c in centres)]
+
+        def batch_bytes(m):
+            patches = np.stack([img.pixels[y - 4 : y + 5, x - 4 : x + 5] for x, y in centres])
+            labels, scores = FernModel.load(m.save()).classify_patches(patches)
+            return [(int(a), np.float64(s).tobytes()) for a, s in zip(labels, scores)]
+
+        assert one_location_bytes(model) == batch_bytes(model)
+        first = model._lookup
+        # more samples raise the largest class total, so the lookup grows
+        model.train(zip(random_patches(rng, 400, 9), rng.integers(0, 5, 400)))
+        assert model._lookup is None and model._log_table is None
+        assert one_location_bytes(model) == batch_bytes(model)
+        assert model._lookup.shape[1] > first.shape[1]
+        for k in (1, 4):
+            fresh = FernModel(model.classes, model.tests[:k], counts=model.counts[:k])
+            assert one_location_bytes(model.truncated(k)) == one_location_bytes(fresh)
 
 
 class TestAccumulate:
