@@ -53,6 +53,9 @@ DEFAULT_FERN_SIZE = 10  # 30 x 10 = 300 binary features
 # Patches scored per step of classify_patches: its score buffers stay
 # cache-sized whatever the batch size.
 PATCH_BLOCK = 256
+# Unit rows gathered per step when scoring one patch: a one-location call's
+# scratch and index arrays hold an eighth of a block's rows.
+ONE_PATCH_ROWS = PATCH_BLOCK // 8
 
 # Samples counted per step of training.
 TRAIN_CHUNK = 1024
@@ -315,12 +318,16 @@ class LeafModel:
             self._log_table = _log_leaf_probs(self._counts, denominators, table)
         return self._log_table
 
-    def _count_lookup(self) -> np.ndarray | None:
-        """(H, T + 1) float64 count lookup: entry [h, c] is log((c + 1) /
-        (total_h + 2^D)) for each count c up to the largest class total T,
-        which is every ``log_table`` value of class h with count c, made by
-        the same kernel, so with its bytes. Built on first use; None, with
-        nothing allocated, when it would hold more values than the table.
+    def _count_lookup(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(H, T + 1) float64 count lookup, and the flat offsets of its
+        class rows for a step of one-patch counts rows.
+
+        Lookup entry [h, c] is log((c + 1) / (total_h + 2^D)) for each count
+        c up to the largest class total T, which is every ``log_table``
+        value of class h with count c, made by the same kernel, so with its
+        bytes; it is flat entry ``offsets[i, h] + c`` for any row i. Built
+        on first use; None, with nothing allocated, when the lookup would
+        hold more values than the table.
         """
         if self._lookup is None:
             # every count is at most its class total, and the totals check
@@ -330,7 +337,11 @@ class LeafModel:
                 return None
             lookup = np.empty((self.num_classes, largest + 1))
             denominators = self._denominators[0][:, None]
-            self._lookup = _log_leaf_probs(np.arange(largest + 1), denominators, lookup)
+            _log_leaf_probs(np.arange(largest + 1), denominators, lookup)
+            # whole rows: numpy buffers an add that broadcasts a row
+            shape = (min(ONE_PATCH_ROWS, self.num_units), self.num_classes)
+            rows = np.arange(0, lookup.size, largest + 1)
+            self._lookup = lookup, np.broadcast_to(rows, shape).copy()
         return self._lookup
 
     def _unit_posteriors(self) -> np.ndarray:
@@ -404,43 +415,14 @@ class LeafModel:
 
     def _score_one(self, img: GrayImage, x: float, y: float) -> np.ndarray:
         """(1, H) scores of the patch at one location under the model's
-        combination, without classify_patches' batch loop.
+        combination: one block, without classify_patches' batch loop.
 
-        A Naive-Bayes model without a built table maps each unit's counts
-        row through the count lookup (``_count_lookup``), in pieces of at
-        most ``PATCH_BLOCK // 8`` rows, and adds the rows to the log prior
-        in unit order. These are ``_score_block``'s float64 sums, so its
-        bytes, and a model that only scores single locations builds no
-        table. Otherwise the patch is one ``_score_block`` block. Scratch is
-        made per call, so threads may share a model.
+        The score row and the gather scratch are made per call, so threads
+        may share a model.
         """
-        block = self._window(img, x, y)
-        naive_bayes = self.combination is Combination.NAIVE_BAYES
-        lookup = self._count_lookup() if naive_bayes and self._log_table is None else None
-        if lookup is None:
-            scores, rows = self._buffers(1)
-            self._score_block(block, self.combination, scores, rows)
-            return scores
-        leaves = self.leaf_indices(block)
-        self.table_lookups += leaves.size
-        h = self.num_classes
-        counts = self._counts.reshape(-1, h)
-        cells = leaves[0] + self._unit_rows
-        # lookup entry [h, c] is flat entry h * (T + 1) + c
-        columns = np.arange(0, lookup.size, lookup.shape[1])
-        # a reduction over a single column sums pairwise, not in order
-        step = PATCH_BLOCK // 8 if h > 1 else 1
-        total = self.log_prior
-        for start in range(0, cells.size, step):
-            # intp also for u64 counts, which would promote to float64
-            at = np.add(counts.take(cells[start : start + step], axis=0), columns, dtype=np.intp)
-            # counts are at most T, so every entry is in range
-            got = lookup.take(at, mode="clip")
-            # r + s equals s + r bit for bit, and a reduction over the outer
-            # axis adds its rows in order
-            got[0] += total
-            total = np.add.reduce(got, axis=0)
-        return total.reshape(1, h)
+        scores, rows = self._buffers(1)
+        self._score_block(self._window(img, x, y), self.combination, scores, rows)
+        return scores
 
     def _window(self, img: GrayImage, x: float, y: float) -> np.ndarray:
         """The (1, p, p) patch centered on the rounded location, if finite."""
@@ -453,9 +435,10 @@ class LeafModel:
 
     def _buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Score rows for blocks of a batch of n patches, and the scratch
-        ``_score_block`` gathers into; neither has over ``PATCH_BLOCK`` rows."""
+        ``_score_block`` gathers into; neither has over ``PATCH_BLOCK`` rows,
+        and one patch's scratch has at most ``ONE_PATCH_ROWS``."""
         k = min(PATCH_BLOCK, n)
-        rows = min(PATCH_BLOCK, k * self.num_units)
+        rows = min(PATCH_BLOCK if k > 1 else ONE_PATCH_ROWS, k * self.num_units)
         buffer = np.empty((k + rows, self.num_classes))
         return buffer[:k], buffer[k:]
 
@@ -465,33 +448,60 @@ class LeafModel:
     ) -> None:
         """Fill ``scores`` with the (k, H) class scores of k patches.
 
-        Units are scored in steps of ``PATCH_BLOCK // k``: one take gathers
-        the table rows of every unit in a step into the ``rows`` scratch,
-        unit-major, and they are added to the scores in unit order. A score
-        is therefore the same float64 sum whatever the block size. The rows
-        are log-probabilities for Naive-Bayes and the cached per-unit
+        Units are scored in steps of ``PATCH_BLOCK // k`` (of
+        ``ONE_PATCH_ROWS`` for one patch): one take gathers the table rows
+        of every unit in a step into the ``rows`` scratch, unit-major, and
+        they are added to the scores in unit order. A score is therefore
+        the same float64 sum whatever the block size. The rows are
+        log-probabilities for Naive-Bayes and the cached per-unit
         posteriors for averaging.
+
+        A one-patch Naive-Bayes block on a model whose table is not built
+        gathers counts rows instead and maps them through the count lookup
+        (``_count_lookup``), whose entries are the table's bytes; only past
+        the lookup's size rule does it build the table. A model that only
+        scores single patches therefore computes no log per call and never
+        builds the table, while a built table, whose row gathers are
+        cheaper than the lookup's index arithmetic, is read.
         """
         leaves = self.leaf_indices(block)
         self.table_lookups += leaves.size
         k, units = leaves.shape
         naive_bayes = combination is Combination.NAIVE_BAYES
-        if naive_bayes:
+        counted = None
+        if naive_bayes and k == 1 and self._log_table is None:
+            counted = self._count_lookup()
+        if counted is not None:
+            lookup, offsets = counted
+            table = self._counts.reshape(-1, self.num_classes)
+        elif naive_bayes:
             table = self.log_table.reshape(-1, self.num_classes)
         else:
             table = self._unit_posteriors()
         # rows of ``table`` to add, unit-major: unit u's k rows, then u + 1's
         cells = (leaves + self._unit_rows).T.ravel()
-        # a reduction over a single column sums pairwise, not in order
-        step = k * max(1, PATCH_BLOCK // k) if scores.size > 1 else k
+        if scores.size == 1:
+            step = 1  # a reduction over a single column sums pairwise
+        elif k == 1:
+            step = ONE_PATCH_ROWS
+        else:
+            step = k * max(1, PATCH_BLOCK // k)
         # what the scores start from, and then the scores so far
         total = self.log_prior if naive_bayes else 0.0
         for start in range(0, cells.size, step):
             ids = cells[start : start + step]
             got = rows[: ids.size]
-            # leaves are in range by construction; clip mode lets take
-            # write straight into ``got`` instead of buffering it
-            table.take(ids, axis=0, out=got, mode="clip")
+            if counted is None:
+                # leaves are in range by construction; clip mode lets take
+                # write straight into ``got`` instead of buffering it
+                table.take(ids, axis=0, out=got, mode="clip")
+            else:
+                # cast before adding: a mixed-type add buffers its cast, and
+                # u64 counts would promote to float64; counts are at most
+                # T, so every entry is in range
+                at = table.take(ids, axis=0).astype(np.intp)
+                at += offsets[: ids.size]
+                lookup.take(at, out=got, mode="clip")
             if ids.size == k:
                 np.add(total, got, out=scores)
             else:

@@ -301,15 +301,16 @@ def counted_models(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_generated_counts_score_one_location_as_a_batch_or_raise(case, seed):
     """One-location scores (through the count lookup or the table) equal a
-    one-patch batch's bytes; the constructor may raise a FernkitError."""
+    two-patch batch's bytes; the constructor may raise a FernkitError."""
     kind, tests, combination, counts = case
     try:
         model = kind(grid_classes(counts.shape[2], 5), tests, combination, counts)
     except FernkitError:
         return
-    patch = random_patches(np.random.default_rng(seed), 1, 5)
-    label, score = model.classify(GrayImage(patch[0]), 2, 2)
+    patches = random_patches(np.random.default_rng(seed), 2, 5)
+    label, score = model.classify(GrayImage(patches[0]), 2, 2)
     # a lookup is built only when it holds no more values than the table
-    assert model._lookup is None or model._lookup.size <= model._counts.size
-    labels, scores = model.classify_patches(patch)
-    assert (label, np.float64(score).tobytes()) == (labels[0], scores.tobytes())
+    assert model._lookup is None or model._lookup[0].size <= model._counts.size
+    # a two-patch batch reads the table or the per-unit posteriors
+    labels, scores = model.classify_patches(patches)
+    assert (label, np.float64(score).tobytes()) == (labels[0], scores[:1].tobytes())

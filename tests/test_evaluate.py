@@ -88,17 +88,9 @@ class TestEvalRecord:
         with pytest.raises(InvalidArgument):
             EvalRecord("FernNB", 1, 0.5, 0, 1.0, 0)
 
-    def test_record_counts_units_without_building_a_table(self, small_model, monkeypatch):
+    def test_record_counts_units_without_building_a_table(self, small_model):
         model = FernModel.load(small_model.save())
         patches = random_patches(np.random.default_rng(5), 1, model.patch_size)
-        centre = model.patch_size // 2
-
-        def one_location(batch, combination):
-            # scored through the count lookup, so only record could build a table
-            label, score = model.classify(GrayImage(batch[0]), centre, centre)
-            return np.array([label]), np.array([score])
-
-        monkeypatch.setattr(model, "classify_patches", one_location)
         row = record(Method.FERN_NB, model, patches, np.array([0]), seed=5)
         assert row.units == model.num_units
         assert model._log_table is None

@@ -1086,8 +1086,9 @@ class TestCountWidthRule:
 
 class TestTablesOnDemand:
     """``log_table`` is a cache of the counts, built on first read; a
-    one-location Naive-Bayes call on a model without one maps its counts
-    through the per-class count lookup."""
+    one-patch Naive-Bayes lookup maps its counts rows through the per-class
+    count lookup instead, so a model that only scores single patches never
+    builds one."""
 
     @pytest.mark.parametrize("kind", ["fern", "tree"])
     @pytest.mark.parametrize("repeats, width", [(0, 1), (300, 2)])
@@ -1095,7 +1096,7 @@ class TestTablesOnDemand:
         model = midsize_model(kind, MIDSIZE_UNITS[kind]())
         model.train(zip(*midsize_stream(repeats)))
         assert model._counts.itemsize == width
-        lookup = model._count_lookup()
+        lookup, _ = model._count_lookup()
         # one entry per count up to the largest class total
         assert lookup.shape == (model.num_classes, int(model.counts[0].sum(axis=0).max()) + 1)
         got = lookup[np.arange(model.num_classes), model._counts]
@@ -1104,7 +1105,7 @@ class TestTablesOnDemand:
 
     @pytest.mark.parametrize("units", [8, PATCH_BLOCK + 44])
     def test_one_patch_lookups_build_no_table(self, units):
-        # more units than a step holds: the rows come in two steps
+        # more units than a step holds: the rows come in several steps
         rng = np.random.default_rng(90)
         model = FernModel.random(grid_classes(5, 9), units, 6, rng)
         model.train(zip(random_patches(rng, 400, 9), rng.integers(0, 5, 400)))
@@ -1120,13 +1121,12 @@ class TestTablesOnDemand:
             )
             posterior = loaded.posterior(img, *centre)
             assert posterior.tobytes() == built.posterior(img, *centre).tobytes()
-        assert loaded._log_table is None
-        # a batch, even of one patch, is scored from the table
         patch = random_patches(rng, 1, 9)
         labels, scores = loaded.classify_patches(patch)
         want_labels, want_scores = built.classify_patches(patch)
         assert labels.tobytes() == want_labels.tobytes()
         assert scores.tobytes() == want_scores.tobytes()
+        assert loaded._log_table is None
 
     def test_batches_build_the_table_once_and_counting_drops_it(self, small_model):
         model = FernModel.load(small_model.save())
@@ -1174,11 +1174,12 @@ class TestTablesOnDemand:
         h, p = 3, 9
         counts = np.full((1, 2, h), 2**40, dtype=np.uint64)
         model = FernModel(grid_classes(h, p), [[(1, 0, -1, 0)]], counts=counts)
-        patch = random_patches(np.random.default_rng(94), 1, p)
-        label, score = model.classify(GrayImage(patch[0]), p // 2, p // 2)
+        patches = random_patches(np.random.default_rng(94), 2, p)
+        label, score = model.classify(GrayImage(patches[0]), p // 2, p // 2)
         assert model._lookup is None
-        labels, scores = model.classify_patches(patch)
-        assert (label, np.float64(score).tobytes()) == (labels[0], scores.tobytes())
+        # a two-patch batch reads the table
+        labels, scores = model.classify_patches(patches)
+        assert (label, np.float64(score).tobytes()) == (labels[0], scores[:1].tobytes())
 
     def test_training_and_truncation_drop_the_lookup(self):
         rng = np.random.default_rng(95)
@@ -1197,12 +1198,12 @@ class TestTablesOnDemand:
             return [(int(a), np.float64(s).tobytes()) for a, s in zip(labels, scores)]
 
         assert one_location_bytes(model) == batch_bytes(model)
-        first = model._lookup
+        first, _ = model._lookup
         # more samples raise the largest class total, so the lookup grows
         model.train(zip(random_patches(rng, 400, 9), rng.integers(0, 5, 400)))
         assert model._lookup is None and model._log_table is None
         assert one_location_bytes(model) == batch_bytes(model)
-        assert model._lookup.shape[1] > first.shape[1]
+        assert model._lookup[0].shape[1] > first.shape[1]
         for k in (1, 4):
             fresh = FernModel(model.classes, model.tests[:k], counts=model.counts[:k])
             assert one_location_bytes(model.truncated(k)) == one_location_bytes(fresh)
