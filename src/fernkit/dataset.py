@@ -273,63 +273,63 @@ def generate_test_set(
 def sample_batches(
     samples: Iterable, size: int | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stack a stream of (patch, label) pairs, the patch an (h, w) array or a
-    GrayImage, and (patches, labels) blocks of k (h, w) patches and k labels
-    into (n, h, w) patches and int64 labels, ``size`` at a time (the whole
-    stream if None); a chunk boundary may split a block. A chunk has the
-    result type of its items, and of the chunk before it when a block spans
-    the two.
+    """Stack a stream of (patch, label) pairs, the patch an (h, w) uint8
+    array or a GrayImage, and (patches, labels) blocks of k (h, w) uint8
+    patches and k labels into (n, h, w) uint8 patches and int64 labels,
+    ``size`` at a time (the whole stream if None); a chunk boundary may
+    split a block.
 
-    Items are not held: each one's pixels are copied into its chunk's array
-    as it arrives, and the array grows in place, so a stream is held once,
-    not also as its items. A chunk is an array of its own, never written
-    again once yielded. Any other item raises InvalidPatch (a ragged patch
-    or label list InvalidArgument), and a label that is not a whole number
-    InvalidLabel (a bool as it enters, so it cannot pass as an int among
-    ints), before its chunk is yielded."""
+    Each item is checked whole as it arrives, then its pixels and labels
+    are copied into its chunk's arrays, which grow in place, so a stream is
+    held once, not also as its items. A chunk is yielded as soon as it is
+    full, as arrays of its own that are never written again. Any other item
+    or patch dtype raises InvalidPatch (a ragged patch or label list
+    InvalidArgument), and a label that is not a whole number int64 holds
+    InvalidLabel."""
     if size is not None:
         size = checked_count(size, "size", low=1)
-    stack, n, labels, full = None, 0, [], []  # full: chunks yet to be yielded
+    stack, n = None, 0
     for item in samples:
-        rows, new = _rows(item)
-        labels += new
-        if stack is not None:
-            stack = _widened(stack, n, rows)
-        dtype = rows.dtype if stack is None else stack.dtype
+        rows, values = _rows(item)
+        if stack is not None and rows.shape[1:] != stack.shape[1:]:
+            raise InvalidPatch("patches of one chunk differ in shape")
         while True:  # the rows fill the chunk up to size; the rest start the next
             if stack is None:
-                stack, n = _reserved(rows.shape[1:], dtype, size), 0
-            put = rows if size is None else rows[: size - n]
-            if n + len(put) > len(stack):
-                # resize moves or remaps the buffer, of which no view is out
-                grown = max(n + len(put), len(stack) * 5 // 4)
-                stack.resize((min(grown, size or grown), *stack.shape[1:]), refcheck=False)
-            stack[n : n + len(put)] = put
-            n, rows = n + len(put), rows[len(put) :]
+                stack, labels = _reserved(rows.shape[1:], size)
+            put = len(rows) if size is None else min(len(rows), size - n)
+            if n + put > len(stack):
+                # resize moves or remaps the buffers, of which no view is out
+                grown = max(n + put, len(stack) * 5 // 4)
+                grown = min(grown, size or grown)
+                stack.resize((grown, *stack.shape[1:]), refcheck=False)
+                labels.resize(grown, refcheck=False)
+            stack[n : n + put] = rows[:put]
+            labels[n : n + put] = values[:put]
+            n, rows, values = n + put, rows[put:], values[put:]
             if n == size:
-                full.append(stack)
-                stack = None
+                yield stack, labels
+                stack, n = None, 0
             if not len(rows):
                 break
-        if full:
-            values = _whole_labels(labels)
-            for i, chunk in enumerate(full):
-                yield chunk, values[i * size : (i + 1) * size]
-            labels, full = labels[len(full) * size :], []
-    if labels:
+    if n:
         stack.resize((n, *stack.shape[1:]), refcheck=False)
-        yield stack, _whole_labels(labels)
+        labels.resize(n, refcheck=False)
+        yield stack, labels
 
 
-def _reserved(shape: tuple, dtype: np.dtype, size: int | None) -> np.ndarray:
-    """An empty stack of ``shape`` rows with room for ``size`` of them, or
-    for RESERVED_BYTES of them if fewer or ``size`` is None."""
-    rows = RESERVED_BYTES // max(1, math.prod(shape) * dtype.itemsize) + 1
-    return np.empty((rows if size is None else min(size, rows), *shape), dtype)
+def _reserved(shape: tuple, size: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """An empty uint8 stack of ``shape`` rows and its int64 labels, with room
+    for ``size`` rows, or for RESERVED_BYTES of them if fewer or ``size`` is
+    None."""
+    rows = RESERVED_BYTES // max(1, math.prod(shape)) + 1
+    if size is not None:
+        rows = min(size, rows)
+    return np.empty((rows, *shape), np.uint8), np.empty(rows, np.int64)
 
 
-def _rows(item) -> tuple[np.ndarray, list]:
-    """A stream item's patches as (k, h, w) rows, and its k labels."""
+def _rows(item) -> tuple[np.ndarray, np.ndarray | list]:
+    """A stream item's patches as (k, h, w) uint8 rows, and its k labels as
+    int64 values."""
     try:
         patch, label = item
     except (TypeError, ValueError):  # 5, a 3-tuple, a bare (3, 3) array
@@ -341,47 +341,28 @@ def _rows(item) -> tuple[np.ndarray, list]:
     if block is not None and block.ndim:  # k patches and their k labels
         if block.ndim != 1 or patch.ndim != 3 or len(patch) != block.size:
             raise InvalidPatch("a block needs one (h, w) patch per label")
-        if block.dtype.kind in "bO":  # only these dtypes can hold a bool
-            _no_bools(block.tolist())
-        return patch, block.tolist()
-    if patch.ndim != 2:
+    elif patch.ndim != 2:
         raise InvalidPatch(f"a pair needs one (h, w) patch, got shape {patch.shape}")
-    _no_bools((label,))
-    return patch[None], [label]
+    else:
+        patch, block = patch[None], [label]
+    if patch.dtype != np.uint8:
+        raise InvalidPatch(f"patches must be uint8, got {patch.dtype}")
+    if type(label) is int and -(2**63) <= label < 2**63:  # most pairs' label
+        return patch, block
+    return patch, _whole_labels(block)
 
 
-def _widened(stack: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
-    """``stack``, its first ``n`` rows cast to the result type of it and
-    ``rows`` if that is wider, if ``rows`` have its patch shape."""
-    if rows.shape[1:] != stack.shape[1:]:
-        raise InvalidPatch("patches of one chunk differ in shape")
-    dtype = stack.dtype if rows.dtype == stack.dtype else np.result_type(stack, rows)
-    if dtype == stack.dtype:
-        return stack
-    wider = np.empty_like(stack, dtype=dtype)
-    wider[:n] = stack[:n]
-    return wider
-
-
-def _no_bools(labels) -> None:
-    """Reject a bool label, which stacking among ints would make class 0 or 1."""
-    for label in labels:
-        if isinstance(label, (bool, np.bool_)):
-            raise InvalidLabel(f"label {label!r} is not a whole int64 number")
-
-
-def _whole_labels(labels: list) -> np.ndarray:
-    """``labels`` as int64, if each is a whole number int64 holds."""
+def _whole_labels(labels) -> np.ndarray:
+    """1-d ``labels`` as int64, if each is a whole number int64 holds and
+    not a bool, which would pass as class 0 or 1."""
     values = np.asarray(labels)
-    if values.dtype.kind not in "iu":
-        # a cast would turn a str or complex label into a class
-        for label in labels:
-            if not isinstance(label, numbers.Real):
+    if values.dtype.kind not in "iu" or values.max(initial=0) >= 2**63:
+        for label in values.tolist():
+            if isinstance(label, (bool, np.bool_)) or not isinstance(label, numbers.Real):
                 raise InvalidLabel(f"label {label!r} is not a whole int64 number")
-        # and truncate a fractional one (a float, a Fraction) into a class
-        whole = (values == np.floor(values)) & (np.abs(values) < 2.0**63)
-        if not whole.all():
-            raise InvalidLabel(f"label {values[~whole][0]} is not a whole int64 number")
+            # a cast would truncate a fractional label and wrap a large one
+            if not (-(2**63) <= label < 2**63 and label == math.floor(label)):
+                raise InvalidLabel(f"label {label} is not a whole int64 number")
     return values.astype(np.int64)
 
 

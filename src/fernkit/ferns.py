@@ -54,7 +54,7 @@ DEFAULT_FERN_SIZE = 10  # 30 x 10 = 300 binary features
 # cache-sized whatever the batch size.
 PATCH_BLOCK = 256
 # Unit rows gathered per step when scoring one patch: a one-location call's
-# scratch and index arrays hold an eighth of a block's rows.
+# scratch holds an eighth of a block's rows.
 ONE_PATCH_ROWS = PATCH_BLOCK // 8
 
 # Samples counted per step of training.
@@ -128,10 +128,9 @@ class LeafModel:
     A fern's D tests give its leaf's bits, test 0 the most significant; a
     tree's 2^D - 1 node tests are in breadth-first order. Counts are
     the only state: they reach a model through its constructor, training is
-    their only writer, and the Laplace-regularized log tables (and the
-    per-class count lookup that one-location scoring reads) are caches of
-    them, built on first read and dropped whenever they change. Model files
-    store the counts, so a loaded model's tables agree with its counts.
+    their only writer, and the Laplace-regularized log tables and count
+    lookup are caches of them, built on first read and dropped whenever
+    they change. Model files store the counts.
 
     Counts are held at the narrowest width in ``COUNT_WIDTHS`` that their
     class totals need. A read-only counts array is shared (a loaded file's
@@ -320,7 +319,7 @@ class LeafModel:
 
     def _count_lookup(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(H, T + 1) float64 count lookup, and the flat offsets of its
-        class rows for a step of one-patch counts rows.
+        class rows for a step of one patch's counts rows.
 
         Lookup entry [h, c] is log((c + 1) / (total_h + 2^D)) for each count
         c up to the largest class total T, which is every ``log_table``
@@ -339,7 +338,7 @@ class LeafModel:
             denominators = self._denominators[0][:, None]
             _log_leaf_probs(np.arange(largest + 1), denominators, lookup)
             # whole rows: numpy buffers an add that broadcasts a row
-            shape = (min(ONE_PATCH_ROWS, self.num_units), self.num_classes)
+            shape = (min(PATCH_BLOCK, self.num_units), self.num_classes)
             rows = np.arange(0, lookup.size, largest + 1)
             self._lookup = lookup, np.broadcast_to(rows, shape).copy()
         return self._lookup
@@ -448,29 +447,21 @@ class LeafModel:
     ) -> None:
         """Fill ``scores`` with the (k, H) class scores of k patches.
 
-        Units are scored in steps of ``PATCH_BLOCK // k`` (of
-        ``ONE_PATCH_ROWS`` for one patch): one take gathers the table rows
-        of every unit in a step into the ``rows`` scratch, unit-major, and
-        they are added to the scores in unit order. A score is therefore
-        the same float64 sum whatever the block size. The rows are
-        log-probabilities for Naive-Bayes and the cached per-unit
-        posteriors for averaging.
-
-        A one-patch Naive-Bayes block on a model whose table is not built
-        gathers counts rows instead and maps them through the count lookup
-        (``_count_lookup``), whose entries are the table's bytes; only past
-        the lookup's size rule does it build the table. A model that only
-        scores single patches therefore computes no log per call and never
-        builds the table, while a built table, whose row gathers are
-        cheaper than the lookup's index arithmetic, is read.
+        Units are scored in steps of as many whole patches' rows as the
+        ``rows`` scratch holds: one take gathers the table rows of every
+        unit in a step into it, unit-major, and they are added to the scores
+        in unit order. A score is therefore the same float64 sum whatever
+        the block size. The rows are log-probabilities for Naive-Bayes and
+        the cached per-unit posteriors for averaging; a one-patch
+        Naive-Bayes block maps its counts rows through the count lookup
+        (``_count_lookup``) instead whenever that fits, with the table's
+        bytes: one-location scoring then computes no log and builds no table.
         """
         leaves = self.leaf_indices(block)
         self.table_lookups += leaves.size
         k, units = leaves.shape
         naive_bayes = combination is Combination.NAIVE_BAYES
-        counted = None
-        if naive_bayes and k == 1 and self._log_table is None:
-            counted = self._count_lookup()
+        counted = self._count_lookup() if naive_bayes and k == 1 else None
         if counted is not None:
             lookup, offsets = counted
             table = self._counts.reshape(-1, self.num_classes)
@@ -480,12 +471,8 @@ class LeafModel:
             table = self._unit_posteriors()
         # rows of ``table`` to add, unit-major: unit u's k rows, then u + 1's
         cells = (leaves + self._unit_rows).T.ravel()
-        if scores.size == 1:
-            step = 1  # a reduction over a single column sums pairwise
-        elif k == 1:
-            step = ONE_PATCH_ROWS
-        else:
-            step = k * max(1, PATCH_BLOCK // k)
+        # a reduction over a single column would sum pairwise
+        step = 1 if scores.size == 1 else len(rows) - len(rows) % k
         # what the scores start from, and then the scores so far
         total = self.log_prior if naive_bayes else 0.0
         for start in range(0, cells.size, step):

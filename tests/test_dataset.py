@@ -7,6 +7,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from fernkit import (
@@ -395,27 +397,70 @@ class TestViewBlocks:
 
 
 class TestStackedTypes:
-    """A chunk stacks at the result type of its items, as concatenating them
-    would, and its patches share one shape."""
+    """A chunk stacks uint8 patches of one shape; each item is checked whole
+    as it arrives."""
 
     PATCHES = random_patches(np.random.default_rng(121), 5, 5)
 
-    # uint8 pairs around an int64 block; a block that a chunk boundary splits
-    # brings the chunk before it's type into the next chunk
-    @pytest.mark.parametrize("size, dtypes", [
-        (None, ["int64"]),
-        (2, ["int64", "int64", "uint8"]),
-        (3, ["int64", "uint8"]),
-    ])
-    def test_mixed_dtypes_stack_at_their_result_type(self, size, dtypes):
+    # any other patch dtype raises as its item arrives, after the chunk
+    # before it is yielded
+    @pytest.mark.parametrize("dtype", ["int64", "uint16", "int8", "float64", "bool"])
+    @pytest.mark.parametrize("form", ["pair", "block"])
+    def test_other_dtypes_raise_as_they_arrive(self, dtype, form):
         p = self.PATCHES
-        wide = p[1:3].astype(np.int64) + 256
-        stream = [(p[0], 0), (wide, np.array([1, 2])), (p[3], 3), (p[4], 4)]
+        other = p[1:3].astype(dtype)
+        item = (other[0], 1) if form == "pair" else (other, np.array([1, 2]))
+        got = []
+        with pytest.raises(InvalidPatch, match=f"^patches must be uint8, got {dtype}$"):
+            for chunk in sample_batches(iter([(p[0], 0), item, (p[3], 3)]), 1):
+                got.append(chunk)
+        assert len(got) == 1
+
+    def test_an_empty_first_block_fixes_the_patch_shape(self):
+        p = self.PATCHES
+        with pytest.raises(InvalidPatch, match="differ in shape"):
+            list(sample_batches(iter([(p[:0], np.arange(0)), (p[0, :4], 0)])))
+
+    # the block's first row would fill the first chunk
+    def test_a_bad_label_in_a_split_block_raises_before_any_chunk(self):
+        p = self.PATCHES
+        got = []
+        with pytest.raises(InvalidLabel, match="^label 2.5 is not a whole"):
+            for chunk in sample_batches(iter([(p[0], 0), (p[1:5], [1, 2, 2.5, 3])]), 2):
+                got.append(chunk)
+        assert got == []
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(["pair", "image", "block"]), st.integers(0, 6)),
+                 max_size=12),
+        st.sampled_from([None, 1, 3, 7, 1024]),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_chunks_are_the_concatenated_items(self, forms, size, seed):
+        # uint8 pairs, GrayImage pairs, and blocks of 0 to 6 patches
+        rng = np.random.default_rng(seed)
+        stream, blocks = [], []
+        for form, k in forms:
+            patches = random_patches(rng, 1 if form != "block" else k, 3)
+            labels = rng.integers(0, 50, len(patches))
+            blocks.append((patches, labels))
+            if form == "block":
+                stream.append((patches, labels))
+            else:
+                patch = patches[0] if form == "pair" else GrayImage(patches[0])
+                stream.append((patch, int(labels[0])))
         chunks = list(sample_batches(iter(stream), size))
-        assert [str(patches.dtype) for patches, _ in chunks] == dtypes
-        got = np.concatenate([patches.astype(np.int64) for patches, _ in chunks])
-        assert got.tolist() == np.concatenate([p[:1], wide, p[3:]]).tolist()
-        assert np.concatenate([labels for _, labels in chunks]).tolist() == [0, 1, 2, 3, 4]
+        rows = [len(labels) for _, labels in chunks]
+        assert all(n == size for n in rows[:-1]) and 0 not in rows
+        if chunks:
+            assert all(p.dtype == np.uint8 and l.dtype == np.int64 for p, l in chunks)
+            got = [np.concatenate(parts) for parts in zip(*chunks)]
+        else:
+            got = [np.zeros((0, 3, 3), np.uint8), np.zeros(0, np.int64)]
+        want = [np.concatenate(parts) for parts in zip(*blocks)] if blocks else got
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tolist() == want[1].tolist()
 
     # a patch shape that changes mid-stream raises before the chunk it would
     # join is yielded, whichever item the chunk starts with
@@ -486,6 +531,32 @@ class TestWholeLabels:
         with pytest.raises(InvalidLabel, match="^label True is not a whole"):
             model.train(stream(self.PATCHES))
         assert not model.counts.any()
+
+    # a cast would wrap them into negative classes
+    @pytest.mark.parametrize("stream, bad", [
+        pytest.param(lambda p: [(p[0], 2**63)], 2**63, id="int-pair"),
+        pytest.param(lambda p: [(p[0], np.uint64(2**63))], 2**63, id="uint64-pair"),
+        pytest.param(lambda p: [(p[:2], np.array([1, 2**63], np.uint64))], 2**63,
+                     id="uint64-block"),
+        pytest.param(lambda p: [(p[:2], np.array([1, 2**63], dtype=object))], 2**63,
+                     id="object-block"),
+        pytest.param(lambda p: [(p[0], 0), (p[1], 2**64)], 2**64, id="int-pair-2**64"),
+        pytest.param(lambda p: [(p[0], -(2**63) - 1)], -(2**63) - 1, id="negative-pair"),
+    ])
+    def test_labels_beyond_int64_rejected_as_given(self, stream, bad):
+        with pytest.raises(InvalidLabel, match=f"^label {bad} is not a whole int64 number$"):
+            next(sample_batches(stream(self.PATCHES)))
+        model = self.model()
+        with pytest.raises(InvalidLabel, match=f"^label {bad} is not a whole"):
+            model.train(stream(self.PATCHES))
+        assert not model.counts.any()
+
+    def test_the_int64_extremes_are_accepted(self):
+        p, top = self.PATCHES, 2**63 - 1
+        stream = [(p[0], top), (p[1], np.uint64(top)), (p[2], -(2**63)),
+                  (p[2:4], np.array([top, 0], np.uint64)), (p[:2], np.array([top, 1], object))]
+        _, labels = next(sample_batches(stream))
+        assert labels.tolist() == [top, top, -(2**63), top, 0, top, 1]
 
     @pytest.mark.parametrize("form", ["pairs", "block"])
     def test_whole_floats_are_their_ints(self, form):

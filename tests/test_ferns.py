@@ -27,6 +27,8 @@ from fernkit.ferns import (
     DEFAULT_FERN_SIZE,
     PATCH_BLOCK,
     Combination,
+    LeafModel,
+    _softmax_rows,
     _total_dtype,
     random_tests,
     train_models,
@@ -1084,6 +1086,14 @@ class TestCountWidthRule:
         assert int(trained[0]._counts[0].sum()) == 10 * h
 
 
+def table_scores(model: LeafModel, window: np.ndarray) -> np.ndarray:
+    """The (H,) Naive-Bayes scores of a (1, p, p) window, summed from
+    ``log_table`` rows as in a two-patch batch."""
+    scores, rows = model._buffers(2)
+    model._score_block(np.concatenate([window, window]), Combination.NAIVE_BAYES, scores, rows)
+    return scores[0].copy()
+
+
 class TestTablesOnDemand:
     """``log_table`` is a cache of the counts, built on first read; a
     one-patch Naive-Bayes lookup maps its counts rows through the per-class
@@ -1111,22 +1121,48 @@ class TestTablesOnDemand:
         model.train(zip(random_patches(rng, 400, 9), rng.integers(0, 5, 400)))
         data = model.save()
         loaded, built = FernModel.load(data), FernModel.load(data)
-        assert built.log_table is built._log_table
         img = GrayImage(random_patches(rng, 1, 40)[0])
         for centre in ((4, 4), (20, 17), (35, 35)):
             label, score = loaded.classify(img, *centre)
-            want_label, want_score = built.classify(img, *centre)
-            assert (label, np.float64(score).tobytes()) == (
-                want_label, np.float64(want_score).tobytes()
-            )
+            # the reference: the window's score row in a two-patch batch,
+            # which sums table rows
+            want = table_scores(built, loaded._window(img, *centre))
+            assert (label, np.float64(score).tobytes()) == (want.argmax(), want.max().tobytes())
             posterior = loaded.posterior(img, *centre)
-            assert posterior.tobytes() == built.posterior(img, *centre).tobytes()
+            assert posterior.tobytes() == _softmax_rows(want[None])[0].tobytes()
         patch = random_patches(rng, 1, 9)
         labels, scores = loaded.classify_patches(patch)
-        want_labels, want_scores = built.classify_patches(patch)
-        assert labels.tobytes() == want_labels.tobytes()
-        assert scores.tobytes() == want_scores.tobytes()
-        assert loaded._log_table is None
+        want_labels, want_scores = built.classify_patches(np.concatenate([patch, patch]))
+        assert labels.tobytes() == want_labels[:1].tobytes()
+        assert scores.tobytes() == want_scores[:1].tobytes()
+        assert loaded._log_table is None and built._log_table is not None
+
+    def test_one_location_reads_the_lookup_after_a_batch(self, small_model):
+        model = FernModel.load(small_model.save())
+        img = GrayImage(random_patches(np.random.default_rng(94), 1, 64)[0])
+        r = model.patch_size // 2
+        centres = ((r, r), (32, 30), (63 - r, 63 - r))
+
+        def one_location():
+            return [(model.classify(img, *c), model.posterior(img, *c).tobytes()) for c in centres]
+
+        want = one_location()
+        model.classify_patches(random_patches(np.random.default_rng(95), 50, model.patch_size))
+        assert model._log_table is not None
+        # a table read would now give NaN scores
+        model._log_table = np.full_like(model._log_table, np.nan)
+        assert one_location() == want
+        assert model._lookup is not None
+
+    def test_a_batch_ending_in_one_patch_keeps_its_bytes(self):
+        # its last block is one patch, scored in steps of a whole block's scratch
+        rng = np.random.default_rng(96)
+        model = FernModel.random(grid_classes(5, 9), PATCH_BLOCK + 44, 6, rng)
+        model.train(zip(random_patches(rng, 400, 9), rng.integers(0, 5, 400)))
+        patches = random_patches(rng, PATCH_BLOCK + 1, 9)
+        labels, scores = model.classify_patches(patches)
+        want = table_scores(model, patches[-1:])
+        assert (labels[-1], scores[-1:].tobytes()) == (want.argmax(), want.max().tobytes())
 
     def test_batches_build_the_table_once_and_counting_drops_it(self, small_model):
         model = FernModel.load(small_model.save())

@@ -165,13 +165,14 @@ class TestClassifyForest:
     )
     def test_hand_arithmetic(self, posteriors, avg_winner, nb_winner):
         forest = rigged_forest(posteriors)
-        patch = random_patches(np.random.default_rng(12), 1, 5)
-        avg_label, avg_score = forest.classify_patches(patch, Combination.AVERAGE)
-        nb_label, _ = forest.classify_patches(patch, Combination.NAIVE_BAYES)
-        assert int(avg_label[0]) == avg_winner
-        assert int(nb_label[0]) == nb_winner
+        # two patches: one Naive-Bayes patch reads the counts, not the rigged table
+        patches = random_patches(np.random.default_rng(12), 2, 5)
+        avg_labels, avg_scores = forest.classify_patches(patches, Combination.AVERAGE)
+        nb_labels, _ = forest.classify_patches(patches, Combination.NAIVE_BAYES)
+        assert avg_labels.tolist() == [avg_winner] * 2
+        assert nb_labels.tolist() == [nb_winner] * 2
         expected_avg = np.mean([p[avg_winner] for p in posteriors])
-        assert np.isclose(float(avg_score[0]), expected_avg)
+        assert np.allclose(avg_scores, expected_avg)
 
     def test_scalar_path_matches_batch(self):
         forest = trained_forest(t=4, depth=3)
