@@ -142,6 +142,14 @@ class LeafModel:
     # the combinations a model may take; the first is its default
     combinations = (Combination.AVERAGE, Combination.NAIVE_BAYES)
 
+    def __init_subclass__(cls, **kwargs):
+        # perfbench/spans.py wraps the methods it finds in a model class's own
+        # __dict__, so every subclass binds the shared ones (or its overrides).
+        super().__init_subclass__(**kwargs)
+        for name in ("train", "_accumulate", "_rebuild_tables", "classify_patches",
+                     "classify", "save", "load"):
+            setattr(cls, name, next(vars(c)[name] for c in cls.__mro__ if name in vars(c)))
+
     def __init__(
         self,
         classes: ClassSet,
@@ -209,9 +217,10 @@ class LeafModel:
             if counts.dtype == np.bool_:
                 counts = counts.view(np.uint8)
             elif not np.can_cast(counts.dtype, np.uint64):
-                # a negative count would wrap, a fractional one truncate
-                whole = (counts >= 0) & (counts < 2.0**64) & (counts == np.floor(counts))
-                if not whole.all():
+                # a negative count would wrap, a fractional one truncate; a
+                # float64 bound keeps a float16 comparison from overflowing
+                ok = (counts >= 0) & (counts < np.float64(2**64)) & (counts == np.floor(counts))
+                if not ok.all():
                     raise InvalidArgument("counts must be whole numbers >= 0")
                 counts = counts.astype(np.uint64)
             # shared only if neither it nor the array it views is writeable,
@@ -288,22 +297,22 @@ class LeafModel:
         counts from unequal streams are rejected.
 
         Every sample reaches one leaf of every unit, so each unit's
-        per-class totals must agree. The check keeps the (U, H) Laplace
-        denominators ``totals + 2^D`` that every table row divides by; the
-        tables themselves are built on first read. The totals are summed in
-        the narrowest integers that hold them exactly (``_total_dtype``),
-        which gives the values of a float64 sum at a fraction of its cost.
+        per-class totals must agree. The check keeps the (H,) Laplace
+        denominators ``totals + 2^D`` that every table row divides by, and
+        is the one place that drops the tables built on first read. Totals
+        are summed in the narrowest integers that hold them exactly
+        (``_total_dtype``): a float64 sum's values at a fraction of its cost.
         """
         acc = _total_dtype(self._counts.dtype, self.num_leaves)
         totals = self._counts.sum(axis=1, dtype=acc)  # (U, H)
         if np.any(totals != totals[0]):
             raise InvalidArgument("per-class sample totals disagree across units")
-        totals = totals.astype(np.float64, copy=False)
-        totals += float(self.num_leaves)
-        self._denominators = totals
-        self._log_table = self._posteriors = self._lookup = None
+        self._denominators = totals[0].astype(np.float64)
+        self._denominators += float(self.num_leaves)
+        for name in ("log_table", "_count_lookup", "_unit_posteriors"):
+            vars(self).pop(name, None)
 
-    @property
+    @cached_property
     def log_table(self) -> np.ndarray:
         """(units, leaves, classes) float64 log P(leaf | class), built from
         the counts on first read: log((count + 1) / (total + 2^D)).
@@ -311,12 +320,9 @@ class LeafModel:
         The table reads the counts at the width they are held; any unsigned
         width of the same values gives the same bytes.
         """
-        if self._log_table is None:
-            table = np.empty(self._counts.shape)
-            denominators = self._denominators[:, None, :]
-            self._log_table = _log_leaf_probs(self._counts, denominators, table)
-        return self._log_table
+        return _log_leaf_probs(self._counts, self._denominators, np.empty(self._counts.shape))
 
+    @cached_property
     def _count_lookup(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(H, T + 1) float64 count lookup, and the flat offsets of its
         class rows for a step of one patch's counts rows.
@@ -325,48 +331,37 @@ class LeafModel:
         c up to the largest class total T, which is every ``log_table``
         value of class h with count c, made by the same kernel, so with its
         bytes; it is flat entry ``offsets[i, h] + c`` for any row i. Built
-        on first use; None, with nothing allocated, when the lookup would
+        on first read; None, with nothing allocated, when the lookup would
         hold more values than the table.
         """
-        if self._lookup is None:
-            # every count is at most its class total, and the totals check
-            # keeps total_h + 2^D for each class
-            largest = int(self._denominators[0].max()) - self.num_leaves
-            if largest + 1 > self.num_units * self.num_leaves:
-                return None
-            lookup = np.empty((self.num_classes, largest + 1))
-            denominators = self._denominators[0][:, None]
-            _log_leaf_probs(np.arange(largest + 1), denominators, lookup)
-            # whole rows: numpy buffers an add that broadcasts a row
-            shape = (min(PATCH_BLOCK, self.num_units), self.num_classes)
-            rows = np.arange(0, lookup.size, largest + 1)
-            self._lookup = lookup, np.broadcast_to(rows, shape).copy()
-        return self._lookup
+        # every count is at most its class total, and the totals check
+        # keeps total_h + 2^D for each class
+        largest = int(self._denominators.max()) - self.num_leaves
+        if largest + 1 > self.num_units * self.num_leaves:
+            return None
+        lookup = np.empty((self.num_classes, largest + 1))
+        _log_leaf_probs(np.arange(largest + 1), self._denominators[:, None], lookup)
+        # whole rows: numpy buffers an add that broadcasts a row
+        shape = (min(PATCH_BLOCK, self.num_units), self.num_classes)
+        rows = np.arange(0, lookup.size, largest + 1)
+        return lookup, np.broadcast_to(rows, shape).copy()
 
+    @cached_property
     def _unit_posteriors(self) -> np.ndarray:
         """(units * leaves, H) per-unit class posteriors that averaging adds:
         row r is the softmax of ``log_table`` row r plus the log prior.
 
         A row depends only on its (unit, leaf), so the table is built once,
-        on first use, and Naive-Bayes models never build it.
+        on first read, and Naive-Bayes models never build it.
         """
-        if self._posteriors is None:
-            rows = self.log_table.reshape(-1, self.num_classes) + self.log_prior
-            self._posteriors = _softmax_rows(rows)
-        return self._posteriors
+        return _softmax_rows(self.log_table.reshape(-1, self.num_classes) + self.log_prior)
 
     def truncated(self, k: int):
-        """A model over the first k units, on read-only prefix views of this
-        model's counts and of its log table when it is built (all unit
-        totals agree, so it is the sub-model's table bit for bit). Both
-        models' counts become read-only, so neither writes into the other.
-        """
+        """A model over the first k units, on a read-only prefix view of this
+        model's counts; both models' counts become read-only, so neither
+        writes into the other."""
         k = checked_count(k, "k", low=1, high=self.num_units)
-        sub = type(self)(self.classes, self.tests[:k], self.combination, self.counts[:k])
-        if self._log_table is not None:
-            self._log_table.flags.writeable = False
-            sub._log_table = self._log_table[:k]
-        return sub
+        return type(self)(self.classes, self.tests[:k], self.combination, self.counts[:k])
 
     # -- evaluation -------------------------------------------------------
 
@@ -461,14 +456,14 @@ class LeafModel:
         self.table_lookups += leaves.size
         k, units = leaves.shape
         naive_bayes = combination is Combination.NAIVE_BAYES
-        counted = self._count_lookup() if naive_bayes and k == 1 else None
+        counted = self._count_lookup if naive_bayes and k == 1 else None
         if counted is not None:
             lookup, offsets = counted
             table = self._counts.reshape(-1, self.num_classes)
         elif naive_bayes:
             table = self.log_table.reshape(-1, self.num_classes)
         else:
-            table = self._unit_posteriors()
+            table = self._unit_posteriors
         # rows of ``table`` to add, unit-major: unit u's k rows, then u + 1's
         cells = (leaves + self._unit_rows).T.ravel()
         # a reduction over a single column would sum pairwise
@@ -584,16 +579,6 @@ class FernModel(LeafModel):
         self.pixel_comparisons += bits.size
         return bits @ self._weights
 
-    # The benchmark tracer (perfbench/spans.py) finds the methods it wraps
-    # in each model class's own __dict__, so the shared ones are bound here.
-    train = LeafModel.train
-    _accumulate = LeafModel._accumulate
-    _rebuild_tables = LeafModel._rebuild_tables
-    classify_patches = LeafModel.classify_patches
-    classify = LeafModel.classify
-    save = LeafModel.save
-    load = LeafModel.__dict__["load"]
-
 
 def train_models(models: Sequence[LeafModel], samples: Iterable):
     """Train several models in one pass: each chunk of ``TRAIN_CHUNK``
@@ -601,15 +586,12 @@ def train_models(models: Sequence[LeafModel], samples: Iterable):
     get alone. A chunk holding a label outside [0, H) raises InvalidLabel
     before any model counts it.
 
-    Tables go stale once counting starts, so they are dropped before the
-    first chunk is counted. Each chunk is counted at the narrowest width that
-    holds its class totals (``LeafModel._accumulate``). Whether the stream
-    ends or raises, each model's counts are then narrowed to the width
-    ``save()`` picks and checked; training builds no table.
+    Each chunk is counted at the narrowest width that holds its class
+    totals (``LeafModel._accumulate``). Whether the stream ends or raises,
+    each model's counts are then narrowed to the width ``save()`` picks and
+    checked, which drops its stale tables; training builds no table.
     """
     classes = min(model.num_classes for model in models)
-    for model in models:
-        model._log_table = model._posteriors = model._lookup = None
     try:
         for patches, labels in sample_batches(samples, TRAIN_CHUNK):
             bad = labels[(labels < 0) | (labels >= classes)]

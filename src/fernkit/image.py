@@ -360,9 +360,17 @@ def _frozen_image(pixels: np.ndarray) -> GrayImage:
     return GrayImage(pixels)
 
 
+def _checked_points(points) -> np.ndarray:
+    """An (n, 2) real array of points, or one (2,) point, as (n, 2) float64."""
+    pts = np.atleast_2d(checked_array(points, "points"))
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.dtype.kind not in "iuf":
+        raise InvalidArgument(f"points must be an (n, 2) real array, got {pts.dtype} {pts.shape}")
+    return pts.astype(np.float64, copy=False)
+
+
 def warp_points(d: AffineDeform, out_w: int, out_h: int, points) -> np.ndarray:
     """Map source-frame points to the output frame of ``warp_image``."""
-    pts = np.atleast_2d(np.asarray(checked_array(points, "points"), dtype=np.float64))
+    pts = _checked_points(points)
     a = d._matrix
     center = np.array([(out_w - 1) / 2.0, (out_h - 1) / 2.0])
     return (pts - np.array([d.tx, d.ty])) @ a.T + center
@@ -370,7 +378,7 @@ def warp_points(d: AffineDeform, out_w: int, out_h: int, points) -> np.ndarray:
 
 def unwarp_points(d: AffineDeform, out_w: int, out_h: int, points) -> np.ndarray:
     """Map output-frame points back to the source frame of ``warp_image``."""
-    pts = np.atleast_2d(np.asarray(checked_array(points, "points"), dtype=np.float64))
+    pts = _checked_points(points)
     inv = d._inverse
     center = np.array([(out_w - 1) / 2.0, (out_h - 1) / 2.0])
     return (pts - center) @ inv.T + np.array([d.tx, d.ty])
@@ -418,8 +426,8 @@ def box_mean(values: np.ndarray, radius: int) -> np.ndarray:
     """
     radius = checked_count(radius, "radius")
     arr = checked_array(values, "values")
-    if arr.dtype.kind not in "iu":
-        raise InvalidArgument(f"box_mean takes integer values, got {arr.dtype}")
+    if arr.ndim != 2 or arr.dtype.kind not in "iu":
+        raise InvalidArgument(f"box_mean takes a 2-D integer array, got {arr.dtype} {arr.shape}")
     h, w = arr.shape
     ry, rx = min(radius, h - 1), min(radius, w - 1)
     ys, xs = np.arange(h), np.arange(w)

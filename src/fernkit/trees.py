@@ -45,13 +45,3 @@ class TreeForest(LeafModel):
             node = 2 * node + 1 + (a < b)
         self.pixel_comparisons += n * self.num_units * self.depth
         return node - (self.num_leaves - 1)
-
-    # The benchmark tracer (perfbench/spans.py) finds the methods it wraps
-    # in each model class's own __dict__, so the shared ones are bound here.
-    train = LeafModel.train
-    _accumulate = LeafModel._accumulate
-    _rebuild_tables = LeafModel._rebuild_tables
-    classify_patches = LeafModel.classify_patches
-    classify = LeafModel.classify
-    save = LeafModel.save
-    load = LeafModel.__dict__["load"]

@@ -64,6 +64,12 @@ def with_counts(model, counts):
     return type(model)(model.classes, model.tests, model.combination, counts)
 
 
+def cached(model, name: str):
+    """The value a model's cached property ``name`` holds (``log_table``,
+    ``_count_lookup`` or ``_unit_posteriors``), or None while it is unbuilt."""
+    return vars(model).get(name)
+
+
 def leaf_index_oracle(patch: np.ndarray, fern: np.ndarray) -> int:
     """Per-bit evaluation of a fern's (M, 4) test rows packed through a
     binary string, MSB first."""

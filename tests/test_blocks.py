@@ -24,6 +24,7 @@ from fernkit.keypoints import detect_keypoints
 
 from support import (
     add_noise_oracle,
+    cached,
     grid_classes,
     peak_traced_bytes,
     random_patches,
@@ -222,12 +223,13 @@ class TestCachedPosteriors:
         model.posterior(GrayImage(patches[0]), PATCH // 2, PATCH // 2)
         loaded = type(model).load(model.save())
         loaded.classify_patches(patches)
-        assert model._posteriors is None and loaded._posteriors is None
+        assert cached(model, "_unit_posteriors") is None
+        assert cached(loaded, "_unit_posteriors") is None
         model.classify_patches(patches, Combination.AVERAGE)
-        table = model._posteriors
+        table = cached(model, "_unit_posteriors")
         assert table.shape == (model.log_table.size // model.num_classes, model.num_classes)
         model.classify_patches(patches[:3], Combination.AVERAGE)
-        assert model._posteriors is table
+        assert cached(model, "_unit_posteriors") is table
 
     @pytest.mark.parametrize("kind", ["fern", "tree"])
     def test_no_stale_table_after_train_or_truncated(self, kind):

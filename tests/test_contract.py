@@ -44,7 +44,7 @@ from fernkit.dataset import STREAM_TEST, sample_batches
 from fernkit.ferns import MAX_DEPTH, random_tests
 from fernkit.image import box_mean, unwarp_points, warp_points
 
-from support import fern_tests, grid_classes, make_texture, random_patches, tree_tests
+from support import cached, fern_tests, grid_classes, make_texture, random_patches, tree_tests
 
 IMAGE = make_texture(48, 40, seed=3)
 # two classes near the centre, so every view of the protocol keeps them
@@ -170,6 +170,9 @@ WRONG_KIND = [
     ("warp-points-ragged", lambda: warp_points(DEFORM, 10, 10, [[1, 2], [3]])),
     ("unwarp-points-ragged", lambda: unwarp_points(DEFORM, 10, 10, [[1, 2], [3]])),
     ("box-mean-ragged", lambda: box_mean([[1, 2], [3]], 1)),
+    ("warp-points-three-columns", lambda: warp_points(DEFORM, 10, 10, [[1, 2, 3]])),
+    ("unwarp-points-str", lambda: unwarp_points(DEFORM, 10, 10, [["a", "b"]])),
+    ("box-mean-1d", lambda: box_mean(np.arange(5), 1)),
     ("warp-mask-ragged", lambda: warp_image(IMAGE, DEFORM, 2, 2, mask=[[True, False], [True]])),
     # file readers take bytes, a bytearray or a memoryview
     ("pgm-none", lambda: read_pgm(None)),
@@ -310,7 +313,8 @@ def test_generated_counts_score_one_location_as_a_batch_or_raise(case, seed):
     patches = random_patches(np.random.default_rng(seed), 2, 5)
     label, score = model.classify(GrayImage(patches[0]), 2, 2)
     # a lookup is built only when it holds no more values than the table
-    assert model._lookup is None or model._lookup[0].size <= model._counts.size
+    lookup = cached(model, "_count_lookup")
+    assert lookup is None or lookup[0].size <= model._counts.size
     # a two-patch batch reads the table or the per-unit posteriors
     labels, scores = model.classify_patches(patches)
     assert (label, np.float64(score).tobytes()) == (labels[0], scores[:1].tobytes())

@@ -21,7 +21,7 @@ from fernkit.cli import main
 from fernkit.dataset import STREAM_MODEL, derive_rng, generate_test_set
 from fernkit.evaluate import CSV_HEADER, materialize, record, write_records_csv
 
-from support import random_patches, rate_oracle
+from support import cached, random_patches, rate_oracle
 
 
 class StubModel:
@@ -93,7 +93,7 @@ class TestEvalRecord:
         patches = random_patches(np.random.default_rng(5), 1, model.patch_size)
         row = record(Method.FERN_NB, model, patches, np.array([0]), seed=5)
         assert row.units == model.num_units
-        assert model._log_table is None
+        assert cached(model, "log_table") is None
 
 
 class TestSweep:

@@ -38,6 +38,7 @@ from support import (
     KEYPOINT_WORD,
     WIDTH_WORD,
     accumulate_oracle,
+    cached,
     count_section,
     fern_tests,
     grid_classes,
@@ -391,6 +392,17 @@ class TestTrain:
         counts[:, 0, 0] = bad  # in both ferns, so unit totals still agree
         with pytest.raises(InvalidArgument, match="whole numbers"):
             two_fern_model(counts)
+
+    def test_float16_counts_are_checked_without_a_warning(self):
+        # compared at float16, the 2**64 bound would overflow and warn
+        classes = grid_classes(2, 9)
+        tests = [[[1, 0, -1, 0], [0, 1, 0, -1]]]
+        counts = np.array([[[1, 0], [2, 7], [3, 0], [2048, 1]]], np.float16)
+        model = FernModel(classes, tests, counts=counts)
+        assert model.save() == FernModel(classes, tests, counts=counts.astype(np.uint64)).save()
+        counts[0, 0, 0] = 0.5
+        with pytest.raises(InvalidArgument, match="whole numbers"):
+            FernModel(classes, tests, counts=counts)
 
 
 class TestClassify:
@@ -786,7 +798,7 @@ class TestTotalsCheck:
         model = FernModel(grid_classes(3, 9), ferns, counts=counts)
         # a bool array is held as u8, so every held array is unsigned
         assert model._counts.dtype == np.dtype("uint8" if dtype == "bool" else dtype)
-        want = counts.sum(axis=1, dtype=np.float64) + 16.0
+        want = counts[0].sum(axis=0, dtype=np.float64) + 16.0
         assert model._denominators.dtype == np.float64
         assert model._denominators.tobytes() == want.tobytes()
 
@@ -800,9 +812,9 @@ class TestTotalsCheck:
         counts.flags.writeable = False  # shared, not copied
         ferns = fern_tests(1, depth, 9, np.random.default_rng(depth))
         model = FernModel(grid_classes(1, 9), ferns, counts=counts)
-        want = counts.sum(axis=1, dtype=np.float64) + float(1 << depth)
+        want = counts[0].sum(axis=0, dtype=np.float64) + float(1 << depth)
         assert model._denominators.tobytes() == want.tobytes()
-        assert model._denominators.tolist() == [[256.0 * (1 << depth)]]
+        assert model._denominators.tolist() == [256.0 * (1 << depth)]
 
     def test_float64_past_two_to_the_53(self):
         assert _total_dtype(np.dtype(np.uint64), 2) == np.float64
@@ -1106,11 +1118,11 @@ class TestTablesOnDemand:
         model = midsize_model(kind, MIDSIZE_UNITS[kind]())
         model.train(zip(*midsize_stream(repeats)))
         assert model._counts.itemsize == width
-        lookup, _ = model._count_lookup()
+        lookup, _ = model._count_lookup
         # one entry per count up to the largest class total
         assert lookup.shape == (model.num_classes, int(model.counts[0].sum(axis=0).max()) + 1)
         got = lookup[np.arange(model.num_classes), model._counts]
-        assert model._log_table is None
+        assert cached(model, "log_table") is None
         assert got.tobytes() == model.log_table.tobytes()
 
     @pytest.mark.parametrize("units", [8, PATCH_BLOCK + 44])
@@ -1135,7 +1147,7 @@ class TestTablesOnDemand:
         want_labels, want_scores = built.classify_patches(np.concatenate([patch, patch]))
         assert labels.tobytes() == want_labels[:1].tobytes()
         assert scores.tobytes() == want_scores[:1].tobytes()
-        assert loaded._log_table is None and built._log_table is not None
+        assert cached(loaded, "log_table") is None and cached(built, "log_table") is not None
 
     def test_one_location_reads_the_lookup_after_a_batch(self, small_model):
         model = FernModel.load(small_model.save())
@@ -1148,11 +1160,11 @@ class TestTablesOnDemand:
 
         want = one_location()
         model.classify_patches(random_patches(np.random.default_rng(95), 50, model.patch_size))
-        assert model._log_table is not None
+        assert cached(model, "log_table") is not None
         # a table read would now give NaN scores
-        model._log_table = np.full_like(model._log_table, np.nan)
+        model.log_table = np.full_like(model.log_table, np.nan)
         assert one_location() == want
-        assert model._lookup is not None
+        assert cached(model, "_count_lookup") is not None
 
     def test_a_batch_ending_in_one_patch_keeps_its_bytes(self):
         # its last block is one patch, scored in steps of a whole block's scratch
@@ -1169,17 +1181,17 @@ class TestTablesOnDemand:
         rng = np.random.default_rng(91)
         patches = random_patches(rng, 50, model.patch_size)
         model.classify_patches(patches)
-        table = model._log_table
+        table = cached(model, "log_table")
         assert table is not None
         model.classify_patches(patches[:1])
         model.classify_patches(patches)
-        assert model._log_table is table
+        assert cached(model, "log_table") is table
         model._rebuild_tables()
-        assert model._log_table is None
+        assert cached(model, "log_table") is None
         model.classify_patches(patches)
-        assert model._log_table is not None
+        assert cached(model, "log_table") is not None
         model.train(zip(patches, rng.integers(0, model.num_classes, 50)))
-        assert model._log_table is None
+        assert cached(model, "log_table") is None
         assert model.log_table.tobytes() == FernModel.load(model.save()).log_table.tobytes()
 
     def test_fresh_models_hold_narrow_zero_counts_and_no_table(self, small_model):
@@ -1188,7 +1200,7 @@ class TestTablesOnDemand:
             TreeForest.random(small_model.classes, 4, 3, np.random.default_rng(92)),
         ):
             assert model._counts.dtype == np.uint8
-            assert model._log_table is None
+            assert cached(model, "log_table") is None
             assert not model._counts.any()
 
     def test_loading_a_cli_shape_model_builds_no_table(self):
@@ -1202,7 +1214,7 @@ class TestTablesOnDemand:
         peak = peak_traced_bytes(lambda: loaded.append(FernModel.load(blob)))
         # the u8 copy of the counts is an eighth of the table
         assert peak < 0.25 * table_bytes
-        assert loaded[0]._log_table is None
+        assert cached(loaded[0], "log_table") is None
 
     def test_a_lookup_larger_than_the_table_is_never_allocated(self):
         # one unit of depth 1 holds 2 x H values; counts of 2**40 would need
@@ -1212,7 +1224,7 @@ class TestTablesOnDemand:
         model = FernModel(grid_classes(h, p), [[(1, 0, -1, 0)]], counts=counts)
         patches = random_patches(np.random.default_rng(94), 2, p)
         label, score = model.classify(GrayImage(patches[0]), p // 2, p // 2)
-        assert model._lookup is None
+        assert "_count_lookup" in vars(model) and cached(model, "_count_lookup") is None
         # a two-patch batch reads the table
         labels, scores = model.classify_patches(patches)
         assert (label, np.float64(score).tobytes()) == (labels[0], scores[:1].tobytes())
@@ -1234,12 +1246,12 @@ class TestTablesOnDemand:
             return [(int(a), np.float64(s).tobytes()) for a, s in zip(labels, scores)]
 
         assert one_location_bytes(model) == batch_bytes(model)
-        first, _ = model._lookup
+        first, _ = cached(model, "_count_lookup")
         # more samples raise the largest class total, so the lookup grows
         model.train(zip(random_patches(rng, 400, 9), rng.integers(0, 5, 400)))
-        assert model._lookup is None and model._log_table is None
+        assert cached(model, "_count_lookup") is None and cached(model, "log_table") is None
         assert one_location_bytes(model) == batch_bytes(model)
-        assert model._lookup[0].shape[1] > first.shape[1]
+        assert cached(model, "_count_lookup")[0].shape[1] > first.shape[1]
         for k in (1, 4):
             fresh = FernModel(model.classes, model.tests[:k], counts=model.counts[:k])
             assert one_location_bytes(model.truncated(k)) == one_location_bytes(fresh)
@@ -1300,11 +1312,10 @@ class TestTruncated:
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_prefix_tables_are_views_equal_to_the_slice(self, small_model, k):
-        small_model.log_table  # built, so the prefix shares it
+        small_model.log_table  # built first; the prefix still builds its own
         sub = small_model.truncated(k)
         assert sub.log_table.tobytes() == small_model.log_table[:k].tobytes()
         assert np.shares_memory(sub._counts, small_model._counts)
-        assert np.shares_memory(sub.log_table, small_model.log_table)
         assert sub.counts.tobytes() == small_model.counts[:k].tobytes()
 
     @pytest.mark.parametrize("trained", ["parent", "sub"])
