@@ -2,7 +2,7 @@
 
 Binary pixel-pair features grouped into ferns index per-class probability
 tables; classification multiplies the tables in log space. A randomized-
-trees baseline and an evaluation harness cover the flat-versus-hierarchical
+trees baseline and an evaluation harness cover the ferns-versus-trees
 and multiplied-versus-averaged comparisons.
 """
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -47,16 +47,7 @@ STREAM_CLASSES = 3
 # pages never written take no memory.
 RESERVED_BYTES = 2**25
 
-MANIFEST_HEADER = [
-    "view_id",
-    "theta",
-    "phi",
-    "lambda1",
-    "lambda2",
-    "tx",
-    "ty",
-    "noise_sigma",
-]
+MANIFEST_HEADER = ["view_id", *(f.name for f in fields(AffineDeform)), "noise_sigma"]
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -367,17 +358,8 @@ def _whole_labels(labels) -> np.ndarray:
 
 
 def manifest_row(view: View) -> dict:
-    d = view.deform
-    return {
-        "view_id": view.view_id,
-        "theta": repr(d.theta),
-        "phi": repr(d.phi),
-        "lambda1": repr(d.lambda1),
-        "lambda2": repr(d.lambda2),
-        "tx": repr(d.tx),
-        "ty": repr(d.ty),
-        "noise_sigma": repr(float(view.noise_sigma)),
-    }
+    values = (view.view_id, *map(repr, astuple(view.deform)), repr(float(view.noise_sigma)))
+    return dict(zip(MANIFEST_HEADER, values))
 
 
 def write_manifest(rows: Iterable[dict], fileobj) -> None:

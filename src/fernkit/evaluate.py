@@ -41,14 +41,14 @@ class Method(enum.Enum):
         return Combination.AVERAGE
 
     @property
-    def hierarchical(self) -> bool:
-        return self in (Method.TREE_NB, Method.TREE_AVG)
+    def kind(self) -> type:
+        return TreeForest if self in (Method.TREE_NB, Method.TREE_AVG) else FernModel
 
     @classmethod
     def of(cls, model) -> "Method":
         """The method a trained model classifies with by default."""
-        key = (isinstance(model, TreeForest), model.combination)
-        return next(m for m in cls if (m.hierarchical, m.combination) == key)
+        return next(m for m in cls
+                    if isinstance(model, m.kind) and m.combination is model.combination)
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def sweep_units(
         raise InvalidArgument("unit_counts must hold one or more counts")
     top = max(unit_counts)
     rng = derive_rng(seed, STREAM_MODEL)
-    model = (TreeForest if method.hierarchical else FernModel).random(classes, top, fern_size, rng)
+    model = method.kind.random(classes, top, fern_size, rng)
     patches, labels = _fit_and_test((model,), img, classes, spec, seed)
     records = []
     for k in unit_counts:

@@ -11,6 +11,7 @@ a leaf, so both are :class:`LeafModel` subclasses.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
 import struct
@@ -46,6 +47,7 @@ HEADER = struct.Struct("<7I")
 COUNT_WIDTHS = (1, 2, 4, 8)
 # deepest unit (fern size or tree depth): leaf indices are int64
 MAX_DEPTH = 63
+MAX_PATCH_SIZE = 65535  # model files store test offsets as int16
 
 DEFAULT_FERN_COUNT = 30
 DEFAULT_FERN_SIZE = 10  # 30 x 10 = 300 binary features
@@ -59,6 +61,10 @@ ONE_PATCH_ROWS = PATCH_BLOCK // 8
 
 # Samples counted per step of training.
 TRAIN_CHUNK = 1024
+
+# Test rows drawn per rng call: one call for n rows gives the values of n
+# one-row calls, and its temporaries stay at 2 MB whatever the count.
+TEST_CHUNK = 1 << 16
 
 
 # the rule for a unit depth (fern size or tree depth), called (depth, name)
@@ -88,12 +94,12 @@ def random_tests(count: int, patch_size: int, rng: np.random.Generator) -> np.nd
         tests = np.empty((count, 4), dtype=np.intp)
     except (MemoryError, ValueError):  # ValueError: past numpy's size limit
         raise InvalidArgument(f"cannot allocate {count} tests") from None
-    for row in range(count):
-        while True:
-            dx1, dy1, dx2, dy2 = rng.integers(-reach, reach + 1, 4).tolist()
-            if (dx1, dy1) != (dx2, dy2):
-                break
-        tests[row] = dx1, dy1, dx2, dy2
+    filled = 0
+    while filled < count:
+        rows = rng.integers(-reach, reach + 1, (min(count - filled, TEST_CHUNK), 4))
+        rows = rows[(rows[:, 0] != rows[:, 2]) | (rows[:, 1] != rows[:, 3])]
+        tests[filled : filled + len(rows)] = rows
+        filled += len(rows)
     return tests
 
 
@@ -157,13 +163,7 @@ class LeafModel:
         combination: Combination | None = None,
         counts: np.ndarray | None = None,
     ):
-        if not isinstance(classes, ClassSet):
-            raise InvalidArgument(f"classes must be a ClassSet, got {classes!r}")
-        if combination is None:
-            combination = self.combinations[0]
-        elif not isinstance(combination, Combination) or combination not in self.combinations:
-            allowed = " or ".join(map(str, self.combinations))
-            raise InvalidArgument(f"{type(self).__name__} takes {allowed}, got {combination!r}")
+        combination = self._checked(classes, combination)
         tests = checked_array(tests, "tests")
         if tests.ndim != 3 or tests.shape[2] != 4 or 0 in tests.shape:
             raise InvalidArgument(
@@ -177,7 +177,7 @@ class LeafModel:
             raise InvalidArgument("test offset outside the patch square")
         if ((tests[..., 0] == tests[..., 2]) & (tests[..., 1] == tests[..., 3])).any():
             raise InvalidArgument("feature offsets must differ")
-        depth = self._depth(tests.shape[1])
+        depth = next(d for d in itertools.count(1) if self._tests_per_unit(d) >= tests.shape[1])
         if depth > MAX_DEPTH:
             raise InvalidArgument(f"unit depth {depth} exceeds {MAX_DEPTH}")
         if self._tests_per_unit(depth) != tests.shape[1]:
@@ -245,13 +245,28 @@ class LeafModel:
         """``units`` units of depth ``depth`` over random tests, drawn by one
         ``random_tests`` call in unit order; deterministic under ``rng``.
 
-        The sizes and ``rng`` are checked before any test is drawn.
+        Every argument is checked before any test is drawn.
         ``combination`` None is the class's default, as in the constructor.
         """
         units = checked_count(units, "units", low=1)
         per_unit = cls._tests_per_unit(checked_depth(depth, "depth"))
+        combination = cls._checked(classes, combination)
         tests = random_tests(units * per_unit, classes.patch_size, checked_rng(rng))
         return cls(classes, tests.reshape(units, per_unit, 4), combination)
+
+    @classmethod
+    def _checked(cls, classes: ClassSet, combination: Combination | None) -> Combination:
+        """``combination`` (None: the class's default), if it and ``classes`` are valid."""
+        if not isinstance(classes, ClassSet):
+            raise InvalidArgument(f"classes must be a ClassSet, got {classes!r}")
+        if classes.patch_size > MAX_PATCH_SIZE:
+            raise InvalidArgument(f"patch size {classes.patch_size} exceeds {MAX_PATCH_SIZE}")
+        if combination is None:
+            return cls.combinations[0]
+        if not isinstance(combination, Combination) or combination not in cls.combinations:
+            allowed = " or ".join(map(str, cls.combinations))
+            raise InvalidArgument(f"{cls.__name__} takes {allowed}, got {combination!r}")
+        return combination
 
     @property
     def counts(self) -> np.ndarray:
@@ -277,16 +292,21 @@ class LeafModel:
         class's total, and unit totals agree. The counts are widened only
         when the largest class total after the chunk needs a wider width in
         ``COUNT_WIDTHS``, and copied first when they are shared read-only.
+        A class total past 2^64 - 1 raises InvalidArgument before any write.
         """
         leaves = self.leaf_indices(patches)  # (N, U)
         units = np.arange(leaves.shape[1]) * self.num_leaves
         cells = (units + leaves) * self.num_classes + labels[:, None]
         # one sort for the whole chunk instead of one np.add.at per unit
         cells, hits = np.unique(cells, return_counts=True)
-        # unit 0's (leaves, H) sum gives the class totals
-        totals = self._counts[0].sum(axis=0, dtype=np.int64)
+        # unit 0's (leaves, H) sum gives the class totals; int64 would wrap u64's
+        exact = object if self._counts.dtype == np.uint64 else np.int64
+        totals = self._counts[0].sum(axis=0, dtype=exact)
         totals += np.bincount(labels, minlength=self.num_classes)
-        need = np.dtype(f"u{_width(int(totals.max()))}")
+        largest = int(totals.max())
+        if largest >= 2**64:
+            raise InvalidArgument(f"a class total of {largest} exceeds 2^64 - 1")
+        need = np.dtype(f"u{_width(largest)}")
         if not np.can_cast(need, self._counts.dtype) or not self._counts.flags.writeable:
             wide = np.promote_types(need, self._counts.dtype)
             self._counts = np.array(self._counts, dtype=wide, order="C")
@@ -558,10 +578,6 @@ class FernModel(LeafModel):
 
     magic = MODEL_MAGIC
     combinations = (Combination.NAIVE_BAYES,)
-
-    @staticmethod
-    def _depth(tests_per_unit: int) -> int:
-        return tests_per_unit
 
     @staticmethod
     def _tests_per_unit(depth: int) -> int:

@@ -292,11 +292,11 @@ def warp_image(
     will crop, so only those pixels are sampled.
 
     Both renders work on at most ``PIXEL_BLOCK`` pixels at a time with the
-    same per-pixel arithmetic, so no temporary grows with the frame: a full
-    render walks the frame in runs of that many pixels, a masked one in runs
-    of four times that many, whose selected pixels it renders that many at a
-    time. Only the pixels of a block that map onto the source are sampled;
-    the rest keep the BACKGROUND the frame starts as.
+    same per-pixel arithmetic, so no temporary grows with the frame: they
+    walk the frame in runs of four times that many pixels, whose selected
+    pixels (all of them without a mask) they render that many at a time.
+    Only the pixels of a block that map onto the source are sampled; the
+    rest keep the BACKGROUND the frame starts as.
     """
     out_w, out_h = checked_count(out_w, "out_w", low=1), checked_count(out_h, "out_h", low=1)
     if mask is not None:
@@ -336,20 +336,18 @@ def warp_image(
 
 
 def _pixel_blocks(mask, out_h: int, out_w: int):
-    """Flat indices of the frame pixels to render, at most PIXEL_BLOCK at once.
-
-    Without a mask, runs of the frame. With one, the selected pixels of each
-    run of ``4 * PIXEL_BLOCK`` frame pixels, PIXEL_BLOCK of them at a time.
-    """
+    """Flat indices of the frame pixels to render, at most PIXEL_BLOCK at once:
+    the selected pixels of each run of ``4 * PIXEL_BLOCK`` frame pixels (every
+    pixel without a mask), PIXEL_BLOCK of them at a time."""
     size = out_h * out_w
-    if mask is None:
-        for start in range(0, size, PIXEL_BLOCK):
-            yield np.arange(start, min(start + PIXEL_BLOCK, size))
-        return
-    flat_mask = mask.ravel()
+    flat_mask = None if mask is None else mask.ravel()
     for start in range(0, size, 4 * PIXEL_BLOCK):
-        selected = np.flatnonzero(flat_mask[start : start + 4 * PIXEL_BLOCK])
-        selected += start
+        stop = min(start + 4 * PIXEL_BLOCK, size)
+        if flat_mask is None:
+            selected = np.arange(start, stop)
+        else:
+            selected = np.flatnonzero(flat_mask[start:stop])
+            selected += start
         for first in range(0, selected.size, PIXEL_BLOCK):
             yield selected[first : first + PIXEL_BLOCK]
 

@@ -53,9 +53,9 @@ class ClassSet:
             coords = coords.astype(np.float32).astype(np.float64)
         if not np.isfinite(coords).all():
             raise InvalidArgument("keypoint coordinates must be finite in float32")
-        if _any_pair_closer(coords, self.min_separation):
+        if _any_pair_closer(coords, self.patch_size):
             raise InvalidArgument(
-                f"keypoints closer than min separation {self.min_separation}"
+                f"keypoints closer than min separation {self.patch_size / 2.0}"
             )
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
@@ -73,10 +73,6 @@ class ClassSet:
         return len(self.coords)
 
     @property
-    def min_separation(self) -> float:
-        return self.patch_size / 2.0
-
-    @property
     def margin(self) -> int:
         return self.patch_size // 2
 
@@ -88,14 +84,18 @@ def window_fits(x, y, width: int, height: int, margin: int):
             & (margin <= y) & (y <= height - 1 - margin))
 
 
-def _any_pair_closer(coords: np.ndarray, min_sep: float) -> bool:
-    """Whether two of the (H, 2) points are closer than ``min_sep``.
+def _too_close(d2, patch_size: int):
+    """Whether squared distance ``d2`` is below (p / 2)^2, less a 1e-9 slack."""
+    return d2 < (patch_size / 2.0) ** 2 - 1e-9
+
+
+def _any_pair_closer(coords: np.ndarray, patch_size: int) -> bool:
+    """Whether two of the (H, 2) points are ``_too_close``.
 
     Compares ``SEPARATION_BLOCK`` points at a time with all the others, so
     no temporary grows as H x H. A pair's squared distance is the same
     float64 from either end, so each pair may be seen twice.
     """
-    limit = min_sep**2 - 1e-9
     x, y = coords[:, 0], coords[:, 1]
     for start in range(0, len(coords), SEPARATION_BLOCK):
         block = slice(start, start + SEPARATION_BLOCK)
@@ -103,7 +103,7 @@ def _any_pair_closer(coords: np.ndarray, min_sep: float) -> bool:
         # a point is not its own neighbour
         own = np.arange(d2.shape[0])
         d2[own, own + start] = np.inf
-        if d2.min() < limit:
+        if _too_close(d2.min(), patch_size):
             return True
     return False
 
@@ -223,11 +223,10 @@ def select_stable_classes(
     # Equal-vote bins rank by accumulated detector response, then scanline;
     # a single identity view then reproduces detect_keypoints' own ordering.
     order = np.lexsort((xs, ys, -strength[ys, xs], -votes[ys, xs]))
-    min_sep2 = (patch_size / 2.0) ** 2
     chosen: list[tuple[float, float]] = []
     for i in order:
         x, y = float(xs[i]), float(ys[i])
-        if any((x - px) ** 2 + (y - py) ** 2 < min_sep2 for px, py in chosen):
+        if any(_too_close((x - px) ** 2 + (y - py) ** 2, patch_size) for px, py in chosen):
             continue
         chosen.append((x, y))
         if len(chosen) == h:

@@ -1,8 +1,8 @@
-"""Randomized-trees baseline: the hierarchical counterpart of flat ferns.
+"""Randomized-trees baseline: the tree-structured counterpart of flat ferns.
 
 Complete binary trees over random pixel-pair tests, trained with the same
 Laplace-regularized per-class leaf distributions as the ferns so that the
-flat-versus-hierarchical comparison isolates structure and combination.
+ferns-versus-trees comparison isolates structure and combination.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ class TreeForest(LeafModel):
     breadth-first order."""
 
     magic = FOREST_MAGIC
-
-    @staticmethod
-    def _depth(tests_per_unit: int) -> int:
-        return tests_per_unit.bit_length()
 
     @staticmethod
     def _tests_per_unit(depth: int) -> int:

@@ -59,6 +59,20 @@ def tree_tests(t: int, depth: int, patch_size: int, rng) -> np.ndarray:
     return random_tests(t * nodes, patch_size, rng).reshape(t, nodes, 4)
 
 
+def random_tests_oracle(count: int, patch_size: int, rng) -> np.ndarray:
+    """``random_tests`` one row at a time: each attempt is one 4-value draw,
+    and a coincident attempt is drawn again."""
+    reach = patch_size // 2
+    tests = np.empty((count, 4), dtype=np.intp)
+    for row in range(count):
+        while True:
+            dx1, dy1, dx2, dy2 = rng.integers(-reach, reach + 1, 4).tolist()
+            if (dx1, dy1) != (dx2, dy2):
+                break
+        tests[row] = dx1, dy1, dx2, dy2
+    return tests
+
+
 def with_counts(model, counts):
     """A model over ``model``'s classes, tests and combination holding ``counts``."""
     return type(model)(model.classes, model.tests, model.combination, counts)

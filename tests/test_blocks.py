@@ -420,6 +420,15 @@ class TestLeanRender:
         got = warp_image(src, d, w, h, mask=mask).pixels
         assert got.tobytes() == warp_image_oracle(src, d, w, h, mask=mask).tobytes()
 
+    def test_full_walk_is_consecutive_blocks(self):
+        # five blocks and a few pixels: past the first run of 4 * PIXEL_BLOCK
+        h, w = 5, PIXEL_BLOCK + 3
+        blocks = list(_pixel_blocks(None, h, w))
+        starts = range(0, h * w, PIXEL_BLOCK)
+        assert len(blocks) == len(starts) == 6
+        for block, start in zip(blocks, starts):
+            assert np.array_equal(block, np.arange(start, min(start + PIXEL_BLOCK, h * w)))
+
     def test_a_row_of_more_than_a_block_is_split(self):
         h, w = 3, 2 * PIXEL_BLOCK + 5
         rng = np.random.default_rng(12)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from fernkit import (
     AffineDeform,
     ClassSet,
+    Combination,
     DatasetSpec,
     FernModel,
     FernkitError,
@@ -162,6 +163,11 @@ WRONG_KIND = [
     ("counts-ragged", lambda: FernModel(CLASSES, MODEL.tests, None, [[1], [2, 3]])),
     ("classes-none", lambda: FernModel(None, MODEL.tests)),
     ("classes-coords", lambda: TreeForest(CLASSES.coords, MODEL.tests)),
+    ("random-classes-str", lambda: FernModel.random("x", 2, 3, np.random.default_rng(0))),
+    ("random-average-fern",
+     lambda: FernModel.random(CLASSES, 2, 2, np.random.default_rng(0), Combination.AVERAGE)),
+    ("random-patch-past-int16",
+     lambda: FernModel.random(ClassSet([(4e4, 4e4)], 65537), 1, 1, np.random.default_rng(0))),
     ("patches-ragged", lambda: MODEL.classify_patches([[[1, 2], [3]]])),
     ("image-ragged", lambda: GrayImage.from_array([[1, 2], [3]])),
     ("batch-ragged", lambda: next(sample_batches([([[1, 2], [3]], 0)]))),
@@ -203,6 +209,16 @@ def test_wrong_kind_rejected_before_any_work(work, call):
         call()
     assert work == []
     assert MODEL.pixel_comparisons == comparisons
+
+
+# a random model's combination passes the constructor's rule before the
+# first draw, so a rejected call leaves the caller's rng as it was
+def test_random_rejects_a_combination_before_moving_the_rng():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidArgument, match="^FernModel takes Combination.NAIVE_BAYES, got"):
+        FernModel.random(CLASSES, 2, 2, rng, Combination.AVERAGE)
+    assert rng.bit_generator.state == state
 
 
 def test_view_id_takes_numpy_integers():

@@ -23,6 +23,7 @@ from fernkit import (
 )
 from fernkit import dataset
 from fernkit.dataset import (
+    MANIFEST_HEADER,
     STREAM_MODEL,
     STREAM_TEST,
     STREAM_TRAIN,
@@ -847,6 +848,11 @@ def replay(img, row, seed):
 
 
 class TestManifest:
+    def test_header_columns(self):
+        assert MANIFEST_HEADER == [
+            "view_id", "theta", "phi", "lambda1", "lambda2", "tx", "ty", "noise_sigma",
+        ]
+
     def test_round_trip_and_replay(self, texture_small):
         spec = DatasetSpec(1, 1, test_views=3, noise_sigma=6.0)
         views = list(render_test_views(texture_small, spec, 12))

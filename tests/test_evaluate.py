@@ -78,6 +78,19 @@ class TestMethodOf:
         assert Method.of(small_forest) is Method.TREE_AVG
         assert Method.of(nb) is Method.TREE_NB
 
+    # a model of each method's kind maps back to it; ferns take only
+    # Naive-Bayes, so FernAvg scores the model FernNB does
+    @pytest.mark.parametrize("method, default", [
+        (Method.FERN_NB, Method.FERN_NB),
+        (Method.FERN_AVG, Method.FERN_NB),
+        (Method.TREE_NB, Method.TREE_NB),
+        (Method.TREE_AVG, Method.TREE_AVG),
+    ])
+    def test_each_method_kind_maps_back(self, method, default, small_classes):
+        rng = np.random.default_rng(0)
+        model = method.kind.random(small_classes, 2, 3, rng, default.combination)
+        assert Method.of(model) is default
+
 
 class TestEvalRecord:
     def test_rate_bounds_enforced(self):

@@ -21,6 +21,7 @@ from fernkit import (
     OutOfBounds,
     TreeForest,
 )
+from fernkit import ferns
 from fernkit.cli import build_parser
 from fernkit.ferns import (
     DEFAULT_FERN_COUNT,
@@ -47,6 +48,7 @@ from support import (
     pin_probe,
     posterior_oracle,
     random_patches,
+    random_tests_oracle,
     sha256_of,
     tree_tests,
     v1_fern_file,
@@ -159,6 +161,20 @@ class TestMakeRandomFerns:
         with pytest.raises(InvalidArgument, match=message):
             random_tests(count, patch_size, rng)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    # reach 1 redraws one attempt in nine, so most draws take several
+    # rounds; a small chunk splits a round into several calls
+    @given(st.integers(0, 300), st.sampled_from([3, 5, 9, 31, 201, 65535]),
+           st.integers(0, 2**32), st.sampled_from([1, 7, 2**16]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_bulk_draw_equals_row_by_row_draws(self, count, patch_size, seed, chunk):
+        bulk, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ferns, "TEST_CHUNK", chunk)
+            tests = random_tests(count, patch_size, bulk)
+        assert np.array_equal(tests, random_tests_oracle(count, patch_size, rows))
+        # and leaves the rng where the row-by-row draws leave it
+        assert bulk.integers(0, 2**62) == rows.integers(0, 2**62)
 
     def test_default_budget_is_300_features(self):
         args = build_parser().parse_args(["train", "--image", "a", "--model", "b", "--seed", "0"])
@@ -657,6 +673,18 @@ class TestSerialization:
         with pytest.raises(CorruptModel):
             FernModel.load(bytes(data))
 
+    def test_patch_size_past_int16_offsets_is_rejected(self):
+        # offset 32768 would be stored as -32768 and load as another model
+        classes = ClassSet([[40000.0, 40000.0]], 65537)
+        with pytest.raises(InvalidArgument, match="^patch size 65537 exceeds 65535$"):
+            FernModel(classes, [[[32768, 0, 1, 0]]])
+
+    def test_widest_patch_round_trips(self):
+        model = FernModel(ClassSet([[40000.0, 40000.0]], 65535), [[[32767, 0, -32767, 0]]])
+        loaded = FernModel.load(model.save())
+        assert loaded.patch_size == 65535
+        assert loaded.tests.tolist() == [[[32767, 0, -32767, 0]]]
+
     def test_version_1_file_rejected(self, small_model):
         with pytest.raises(FormatError, match="version 1"):
             FernModel.load(v1_fern_file(small_model))
@@ -1082,6 +1110,22 @@ class TestCountWidthRule:
         assert model._counts.itemsize == 2
         assert model.save() == first.save()
         assert model.log_table.tobytes() == first.log_table.tobytes()
+
+    def test_a_class_total_past_2_64_minus_1_raises_before_any_write(self):
+        counts = np.zeros((1, 2, 2), np.uint64)
+        counts[0, 0, 0] = 2**64 - 2
+        model = FernModel(ClassSet([[10, 10], [30, 30]], 9), [[[1, 0, -1, 0]]], counts=counts)
+        # a flat patch reaches leaf 0: one sample takes class 0 to 2^64 - 1,
+        # the largest total a count width holds, and the next past it
+        sample = [(np.zeros((1, 9, 9), np.uint8), np.array([0]))]
+        model.train(sample)
+        counts[0, 0, 0] += np.uint64(1)
+        with pytest.raises(InvalidArgument,
+                           match=r"^a class total of 18446744073709551616 exceeds 2\^64 - 1$"):
+            model.train(sample)
+        assert model.counts.dtype == np.uint64
+        assert np.array_equal(model.counts, counts)
+        assert model._denominators.tolist() == [float(2**64 - 1 + 2), 2.0]
 
     def test_cli_shape_training_peaks_below_a_quarter_of_uint64_counts(self):
         rng = np.random.default_rng(101)

@@ -332,6 +332,18 @@ class TestDepthBound:
         with pytest.raises(InvalidArgument, match=f"depth {MAX_DEPTH + 1} exceeds"):
             FernModel(grid_classes(2, 9), tests[None])
 
+    # the shallowest depth whose units hold the tests: a fern's count, a
+    # tree's bit length, with no cap on the depth the error names
+    @pytest.mark.parametrize("kind, per_unit, message", [
+        (FernModel, 100, "unit depth 100 exceeds 63"),
+        (TreeForest, 4, "a depth-3 unit needs 7 tests, got 4"),
+        (TreeForest, 100, "a depth-7 unit needs 127 tests, got 100"),
+    ])
+    def test_depth_of_a_test_count(self, kind, per_unit, message):
+        tests = random_tests(per_unit, 9, np.random.default_rng(0))
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            kind(grid_classes(2, 9), tests[None])
+
     # 2 x (2^40 - 1) tests are 64 TiB and 2 x (2^56 - 1) are 4 EiB: too
     # large to allocate, so the draw fails before its first test
     @pytest.mark.parametrize("depth", [-1, 0, MAX_DEPTH + 1, 40, 56])
