@@ -29,6 +29,7 @@ from .image import (
     SCALE_LOW,
     TWO_PI,
     add_noise,
+    checked_image,
     sample_deformation,
     warp_image,
     warp_points,
@@ -186,6 +187,7 @@ def test_views(
 ) -> Iterator[View]:
     """Render test views as full frames: full-range deforms plus additive
     noise. Views render on one thread, so ``threads`` must be 1."""
+    checked_image(img)
     checked_count(threads, "threads", low=1, high=1)
     return _views(img, spec, seed, STREAM_TEST, None)
 
@@ -198,6 +200,7 @@ def protocol_view(
     full frame with the bytes the stream's iterator gives it; with
     ``deform``, that view rendered with ``deform`` in place of the drawn one
     (a test view keeps its noise)."""
+    checked_image(img)
     if not isinstance(view_id, numbers.Integral) or isinstance(view_id, bool):
         raise InvalidArgument(f"view id must be an integer, got {view_id!r}")
     if not 0 <= view_id < _view_count(spec, stream):
@@ -248,6 +251,7 @@ def generate_training_set(
 ) -> Iterator[tuple[np.ndarray, int]]:
     """(patch, label) pairs of the rotation-bucketed training protocol, each
     patch a read-only (p, p) row of its view's block."""
+    checked_image(img)
     checked_count(threads, "threads", low=1, high=1)
     return _pairs(_blocks(img, classes, spec, seed, STREAM_TRAIN))
 
@@ -257,6 +261,7 @@ def generate_test_set(
 ) -> Iterator[tuple[np.ndarray, int]]:
     """(patch, label) pairs of noisy views with independent full-range
     deformations, each patch a read-only (p, p) row of its view's block."""
+    checked_image(img)
     checked_count(threads, "threads", low=1, high=1)
     return _pairs(_blocks(img, classes, spec, seed, STREAM_TEST))
 

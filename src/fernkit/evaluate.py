@@ -21,7 +21,7 @@ from .dataset import (
 )
 from .errors import EmptyTestSet, InvalidArgument, checked_count
 from .ferns import DEFAULT_FERN_SIZE, Combination, FernModel, train_models
-from .image import GrayImage
+from .image import GrayImage, checked_image
 from .keypoints import ClassSet
 from .trees import TreeForest
 
@@ -130,6 +130,7 @@ def sweep_units(
     on identical randomness; prefix k of the big model equals a model built
     with k units from the same seed.
     """
+    checked_image(img)
     unit_counts = [checked_count(k, "unit count", low=1) for k in unit_counts]
     if not unit_counts:
         raise InvalidArgument("unit_counts must hold one or more counts")
@@ -160,6 +161,7 @@ def compare_methods(
     randomness byte for byte. Views render on one thread, so ``threads``
     must be 1.
     """
+    checked_image(img)
     checked_count(threads, "threads", low=1, high=1)
     rng = derive_rng(seed, STREAM_MODEL)
     ferns = FernModel.random(classes, units, fern_size, rng)

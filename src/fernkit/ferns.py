@@ -36,7 +36,7 @@ from .errors import (
     checked_rng,
     is_finite,
 )
-from .image import GrayImage
+from .image import GrayImage, checked_image
 from .keypoints import ClassSet, window_fits
 
 MODEL_MAGIC = b"FERNMDL1"
@@ -344,15 +344,14 @@ class LeafModel:
 
     @cached_property
     def _count_lookup(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(H, T + 1) float64 count lookup, and the flat offsets of its
-        class rows for a step of one patch's counts rows.
+        """(H, T + 1) float64 count lookup, and the flat offsets of its class
+        rows for a step of ``_counted_scores``.
 
-        Lookup entry [h, c] is log((c + 1) / (total_h + 2^D)) for each count
-        c up to the largest class total T, which is every ``log_table``
-        value of class h with count c, made by the same kernel, so with its
-        bytes; it is flat entry ``offsets[i, h] + c`` for any row i. Built
-        on first read; None, with nothing allocated, when the lookup would
-        hold more values than the table.
+        Entry [h, c], flat entry ``offsets[i, h] + c`` for any row i, is
+        log((c + 1) / (total_h + 2^D)) for each count c up to the largest
+        class total T: every ``log_table`` value of class h with count c,
+        made by the same kernel, so with its bytes. Built on first read;
+        None, with nothing allocated, when it would outsize the table.
         """
         # every count is at most its class total, and the totals check
         # keeps total_h + 2^D for each class
@@ -362,9 +361,8 @@ class LeafModel:
         lookup = np.empty((self.num_classes, largest + 1))
         _log_leaf_probs(np.arange(largest + 1), self._denominators[:, None], lookup)
         # whole rows: numpy buffers an add that broadcasts a row
-        shape = (min(PATCH_BLOCK, self.num_units), self.num_classes)
         rows = np.arange(0, lookup.size, largest + 1)
-        return lookup, np.broadcast_to(rows, shape).copy()
+        return lookup, np.tile(rows, (min(ONE_PATCH_ROWS, self.num_units), 1))
 
     @cached_property
     def _unit_posteriors(self) -> np.ndarray:
@@ -416,30 +414,31 @@ class LeafModel:
 
     def classify(self, img: GrayImage, x: float, y: float) -> tuple[int, float]:
         """Most probable class at location (x, y) and its score; ties go low."""
-        scores = self._score_one(img, x, y)[0]
+        scores = self._score_one(img, x, y)
         label = int(scores.argmax())
         return label, float(scores[label])
 
     def posterior(self, img: GrayImage, x: float, y: float) -> np.ndarray:
         """Normalized class posterior; sums to 1, argmax agrees with classify."""
-        scores = self._score_one(img, x, y).copy()
+        scores = self._score_one(img, x, y)[None].copy()
         if self.combination is Combination.NAIVE_BAYES:
             scores = _softmax_rows(scores)
         return scores[0]
 
     def _score_one(self, img: GrayImage, x: float, y: float) -> np.ndarray:
-        """(1, H) scores of the patch at one location under the model's
-        combination: one block, without classify_patches' batch loop.
-
-        The score row and the gather scratch are made per call, so threads
-        may share a model.
-        """
+        """(H,) scores at one location, without classify_patches' batch loop:
+        Naive-Bayes from the count lookup when it fits, else as one block.
+        Scratch is made per call, so threads may share a model."""
+        block = self._window(img, x, y)
+        if self.combination is Combination.NAIVE_BAYES and self._count_lookup is not None:
+            return self._counted_scores(block)
         scores, rows = self._buffers(1)
-        self._score_block(self._window(img, x, y), self.combination, scores, rows)
-        return scores
+        self._score_block(block, self.combination, scores, rows)
+        return scores[0]
 
     def _window(self, img: GrayImage, x: float, y: float) -> np.ndarray:
         """The (1, p, p) patch centered on the rounded location, if finite."""
+        checked_image(img)
         r = self.patch_size // 2
         if is_finite(x, "x") and is_finite(y, "y"):
             cx, cy = int(round(x)), int(round(y))
@@ -468,22 +467,17 @@ class LeafModel:
         in unit order. A score is therefore the same float64 sum whatever
         the block size. The rows are log-probabilities for Naive-Bayes and
         the cached per-unit posteriors for averaging; a one-patch
-        Naive-Bayes block maps its counts rows through the count lookup
-        (``_count_lookup``) instead whenever that fits, with the table's
-        bytes: one-location scoring then computes no log and builds no table.
+        Naive-Bayes block goes to ``_counted_scores`` when the lookup fits.
         """
+        naive_bayes = combination is Combination.NAIVE_BAYES
+        if naive_bayes and len(block) == 1 and self._count_lookup is not None:
+            scores[0] = self._counted_scores(block)
+            return
         leaves = self.leaf_indices(block)
         self.table_lookups += leaves.size
         k, units = leaves.shape
-        naive_bayes = combination is Combination.NAIVE_BAYES
-        counted = self._count_lookup if naive_bayes and k == 1 else None
-        if counted is not None:
-            lookup, offsets = counted
-            table = self._counts.reshape(-1, self.num_classes)
-        elif naive_bayes:
-            table = self.log_table.reshape(-1, self.num_classes)
-        else:
-            table = self._unit_posteriors
+        table = (self.log_table.reshape(-1, self.num_classes) if naive_bayes
+                 else self._unit_posteriors)
         # rows of ``table`` to add, unit-major: unit u's k rows, then u + 1's
         cells = (leaves + self._unit_rows).T.ravel()
         # a reduction over a single column would sum pairwise
@@ -493,17 +487,9 @@ class LeafModel:
         for start in range(0, cells.size, step):
             ids = cells[start : start + step]
             got = rows[: ids.size]
-            if counted is None:
-                # leaves are in range by construction; clip mode lets take
-                # write straight into ``got`` instead of buffering it
-                table.take(ids, axis=0, out=got, mode="clip")
-            else:
-                # cast before adding: a mixed-type add buffers its cast, and
-                # u64 counts would promote to float64; counts are at most
-                # T, so every entry is in range
-                at = table.take(ids, axis=0).astype(np.intp)
-                at += offsets[: ids.size]
-                lookup.take(at, out=got, mode="clip")
+            # leaves are in range by construction; clip mode lets take
+            # write straight into ``got`` instead of buffering it
+            table.take(ids, axis=0, out=got, mode="clip")
             if ids.size == k:
                 np.add(total, got, out=scores)
             else:
@@ -514,6 +500,27 @@ class LeafModel:
             total = scores
         if not naive_bayes:
             scores /= units
+
+    def _counted_scores(self, block: np.ndarray) -> np.ndarray:
+        """(H,) Naive-Bayes scores of one patch with ``_score_block``'s bytes,
+        its counts rows mapped through the count lookup: no log, no table.
+        Rows are added to the log prior in unit order, at most ``ONE_PATCH_ROWS``
+        per step, and one when H = 1: numpy sums one column pairwise."""
+        lookup, offsets = self._count_lookup
+        cells = self.leaf_indices(block)[0] + self._unit_rows
+        self.table_lookups += cells.size
+        counts = self._counts.reshape(-1, self.num_classes)
+        step = len(offsets) if self.num_classes > 1 else 1
+        scores = self.log_prior
+        for start in range(0, cells.size, step):
+            # cast before adding: a mixed-type add buffers its cast, and u64
+            # counts would promote to float64; counts are at most T
+            at = counts.take(cells[start : start + step], axis=0).astype(np.intp)
+            at += offsets[: len(at)]
+            got = lookup.take(at, mode="clip")
+            got[0] += scores
+            scores = np.add.reduce(got, axis=0)  # adds the rows in order
+        return scores
 
     # -- serialization ----------------------------------------------------
 

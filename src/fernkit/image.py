@@ -93,6 +93,13 @@ class GrayImage:
         return np.array_equal(self.pixels, other.pixels)
 
 
+def checked_image(img, name: str = "img") -> GrayImage:
+    """``img`` if it is a GrayImage."""
+    if not isinstance(img, GrayImage):
+        raise InvalidArgument(f"{name} must be a GrayImage, got {type(img).__name__}")
+    return img
+
+
 @dataclass(frozen=True)
 class AffineDeform:
     """Affine warp parameters.
@@ -208,6 +215,7 @@ def _next_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 def write_pgm(img: GrayImage) -> bytes:
     """Encode as binary P5 with maxval 255; read_pgm round-trips bit-exactly."""
+    checked_image(img)
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     return header + img.pixels.tobytes()
 
@@ -298,6 +306,7 @@ def warp_image(
     Only the pixels of a block that map onto the source are sampled; the
     rest keep the BACKGROUND the frame starts as.
     """
+    checked_image(src, "src")
     out_w, out_h = checked_count(out_w, "out_w", low=1), checked_count(out_h, "out_h", low=1)
     if mask is not None:
         mask = checked_array(mask, "mask")
@@ -397,6 +406,7 @@ def sample_deformation(rng: np.random.Generator) -> AffineDeform:
 
 def add_noise(img: GrayImage, sigma: float, rng: np.random.Generator) -> GrayImage:
     """Add i.i.d. Gaussian noise of the given std, rounded and clamped."""
+    checked_image(img)
     if checked_sigma(sigma) == 0:
         return img
     rng = checked_rng(rng)
@@ -474,6 +484,7 @@ def _line_sums(arr: np.ndarray, r: int) -> np.ndarray:
 
 def box_smooth(img: GrayImage, radius: int) -> GrayImage:
     """Box-filter the image; radius 0 is the identity."""
+    checked_image(img)
     if checked_count(radius, "radius") == 0:
         return img
     return GrayImage(_to_u8(box_mean(img.pixels, radius)))

@@ -17,6 +17,7 @@ from .errors import (
 )
 from .image import (
     GrayImage,
+    checked_image,
     sample_deformation,
     unwarp_points,
     warp_image,
@@ -168,6 +169,7 @@ def detect_keypoints(
     are ranked on the exact integer responses of ``_response_sums``; only
     the returned rows get a float response, with the float map's bytes.
     """
+    checked_image(img)
     max_count = checked_count(max_count, "max_count")
     margin = checked_patch_size(patch_size) // 2
     if max_count == 0 or img.width < patch_size or img.height < patch_size:
@@ -203,6 +205,7 @@ def select_stable_classes(
     back to the reference frame, and votes into 1-pixel bins. The highest
     voted bins win, subject to a minimum separation of half the patch size.
     """
+    checked_image(img)
     h = checked_count(h, "h", low=1)
     num_views = checked_count(num_views, "num_views", low=1)
     margin = checked_patch_size(patch_size) // 2

@@ -187,6 +187,30 @@ WRONG_KIND = [
     ("load-str", lambda: TreeForest.load(MODEL.save().decode("latin-1"))),
 ]
 
+# every entry point that takes an image takes a GrayImage, not its pixels
+PIXELS = IMAGE.pixels
+WRONG_KIND += [
+    ("classify-pixels", lambda: MODEL.classify(PIXELS, 10, 10)),
+    ("posterior-pixels", lambda: MODEL.posterior(PIXELS, 10, 10)),
+    ("classify-image-none", lambda: MODEL.classify(None, 10, 10)),
+    ("detect-pixels", lambda: detect_keypoints(PIXELS, 5, patch_size=9)),
+    ("warp-pixels", lambda: warp_image(PIXELS, DEFORM, 48, 40)),
+    ("noise-pixels", lambda: add_noise(PIXELS, 1.0, np.random.default_rng(0))),
+    ("noise-zero-pixels", lambda: add_noise(PIXELS, 0.0, np.random.default_rng(0))),
+    ("write-pgm-pixels", lambda: write_pgm(PIXELS)),
+    ("box-smooth-pixels", lambda: box_smooth(PIXELS, 1)),
+    ("box-smooth-zero-pixels", lambda: box_smooth(PIXELS, 0)),
+    ("select-pixels",
+     lambda: select_stable_classes(PIXELS, 1, 2, np.random.default_rng(0), patch_size=5)),
+    ("test-views-pixels", lambda: dataset.test_views(PIXELS, SPEC, 0)),
+    ("training-set-pixels", lambda: dataset.generate_training_set(PIXELS, CLASSES, SPEC, 0)),
+    ("test-set-pixels", lambda: dataset.generate_test_set(PIXELS, CLASSES, SPEC, 0)),
+    ("protocol-view-pixels", lambda: dataset.protocol_view(PIXELS, SPEC, 1, STREAM_TEST, 0)),
+    ("sweep-pixels",
+     lambda: sweep_units(PIXELS, CLASSES, SPEC, Method.FERN_NB, [1], 0, 2)),
+    ("compare-pixels", lambda: compare_methods(PIXELS, CLASSES, SPEC, 1, 0, fern_size=2)),
+]
+
 # every entry point that draws takes a numpy Generator and nothing else
 DRAWS = [
     ("random-tests", partial(random_tests, 4, 5)),

@@ -1301,6 +1301,57 @@ class TestTablesOnDemand:
             assert one_location_bytes(model.truncated(k)) == one_location_bytes(fresh)
 
 
+class TestOneLocationPath:
+    """A one-location Naive-Bayes call goes from its leaves straight to its
+    count-lookup rows: one ``leaf_indices`` call, one table lookup per unit,
+    no table built, and the bytes of the same window in a two-patch batch."""
+
+    @pytest.mark.parametrize("kind, h, units", [
+        pytest.param(FernModel, 1, ferns.ONE_PATCH_ROWS + 1, id="one-class"),
+        pytest.param(FernModel, 5, ferns.ONE_PATCH_ROWS, id="one-step"),
+        pytest.param(FernModel, 5, ferns.ONE_PATCH_ROWS + 1, id="two-steps"),
+        pytest.param(FernModel, 5, PATCH_BLOCK + 44, id="past-a-block"),
+        pytest.param(TreeForest, 5, 12, id="naive-bayes-trees"),
+    ])
+    def test_scores_equal_a_two_patch_batch(self, monkeypatch, kind, h, units):
+        rng = np.random.default_rng(97)
+        model = kind.random(grid_classes(h, 9), units, 3, rng, Combination.NAIVE_BAYES)
+        # few enough samples that the count lookup fits beside the table
+        model.train(zip(random_patches(rng, 200, 9), rng.integers(0, h, 200)))
+        reference = kind.load(model.save())
+        img = GrayImage(random_patches(rng, 1, 40)[0])
+        calls = []
+        leaf_indices = model.leaf_indices
+
+        def spy(patches):
+            calls.append(len(patches))
+            return leaf_indices(patches)
+
+        monkeypatch.setattr(model, "leaf_indices", spy)
+        for centre in ((4, 4), (20, 17), (35, 35)):
+            want = table_scores(reference, model._window(img, *centre))
+            calls.clear()
+            lookups = model.table_lookups
+            label, score = model.classify(img, *centre)
+            assert calls == [1] and model.table_lookups == lookups + units
+            assert (label, np.float64(score).tobytes()) == (want.argmax(), want.max().tobytes())
+            posterior = model.posterior(img, *centre)
+            assert calls == [1, 1] and model.table_lookups == lookups + 2 * units
+            assert posterior.tobytes() == _softmax_rows(want[None])[0].tobytes()
+        assert cached(model, "_count_lookup") is not None
+        assert cached(model, "log_table") is None
+
+    def test_one_patch_batch_builds_no_table(self):
+        rng = np.random.default_rng(98)
+        model = FernModel.random(grid_classes(1, 9), ferns.ONE_PATCH_ROWS + 1, 3, rng)
+        model.train(zip(random_patches(rng, 200, 9), [0] * 200))
+        patches = random_patches(rng, 2, 9)
+        labels, scores = model.classify_patches(patches[:1])
+        assert cached(model, "log_table") is None
+        want = table_scores(FernModel.load(model.save()), patches[:1])
+        assert (labels[0], scores.tobytes()) == (0, want.tobytes())
+
+
 class TestAccumulate:
     """One sort per chunk against one np.add.at per unit."""
 
