@@ -3,7 +3,7 @@
 Training views cover every rotation bucket with a fixed number of random
 deformations each; test views draw all parameters from the full ranges and
 get additive noise. View ``i`` of a stream is one function of (seed, stream,
-view_id), ``_view_params``, which every iterator and ``protocol_view`` use:
+view_id), ``_render``, which every iterator and ``protocol_view`` call:
 any view renders alone with the same bytes, and training and test streams
 stay disjoint under equal seeds.
 """
@@ -14,13 +14,15 @@ import csv
 import math
 import numbers
 from dataclasses import astuple, dataclass, field, fields, replace
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
-    InvalidArgument, InvalidLabel, InvalidPatch, checked_array, checked_count, checked_sigma,
+    InvalidArgument, InvalidLabel, InvalidPatch, checked_array, checked_count, checked_kind,
+    checked_sigma,
 )
 from .image import (
     AffineDeform,
@@ -93,28 +95,6 @@ def _view_count(spec: DatasetSpec, stream: int) -> int:
     return counts.get(stream, 0)
 
 
-def _view_params(img: GrayImage, spec: DatasetSpec, seed: int, stream: int,
-                 view_id: int, deform: AffineDeform | None = None) -> tuple:
-    """(view_id, deform, noise sigma, noise rng) of one training or test view,
-    with ``deform`` in place of the drawn one if given. Training views fix the
-    rotation bucket by the view id and get no noise; test views draw every
-    parameter from the full ranges, then their noise from the same rng."""
-    if stream == STREAM_TRAIN and deform is not None:
-        return view_id, deform, 0.0, None
-    rng = derive_rng(seed, stream, view_id)
-    cx, cy = img.center
-    if stream == STREAM_TEST:
-        if deform is None:
-            deform = replace(sample_deformation(rng), tx=cx, ty=cy)
-        return view_id, deform, spec.noise_sigma, rng
-    bucket_width = TWO_PI / spec.rotation_degrees
-    theta = (view_id // spec.views_per_degree + rng.uniform()) * bucket_width
-    phi = rng.uniform(0.0, TWO_PI)
-    lambda1 = rng.uniform(SCALE_LOW, SCALE_HIGH)
-    lambda2 = rng.uniform(SCALE_LOW, SCALE_HIGH)
-    return view_id, AffineDeform(theta, phi, lambda1, lambda2, tx=cx, ty=cy), 0.0, None
-
-
 def _window_layout(
     deform: AffineDeform, classes: ClassSet, w: int, h: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +132,24 @@ def _windows(arr: np.ndarray, centers: np.ndarray, m: int, writeable: bool = Fal
     return view, (centers[:, 1] - m, centers[:, 0] - m)
 
 
-def _render(img: GrayImage, view_id: int, deform: AffineDeform,
-            sigma: float, rng: np.random.Generator | None,
-            classes: ClassSet | None = None) -> View:
+def _render(img: GrayImage, spec: DatasetSpec, seed: int, stream: int, view_id: int,
+            classes: ClassSet | None = None, deform: AffineDeform | None = None) -> View:
+    """View ``view_id`` of the training or test stream, with ``deform`` in
+    place of the drawn one if given. Training views fix the rotation bucket
+    by the view id and get no noise; test views draw every parameter from
+    the full ranges, then their noise from the same rng. With ``classes``,
+    only the pixels under the windows ``extract_patches`` keeps are rendered."""
+    rng = derive_rng(seed, stream, view_id)
+    cx, cy = img.center
+    if deform is None and stream == STREAM_TEST:
+        deform = replace(sample_deformation(rng), tx=cx, ty=cy)
+    elif deform is None:
+        bucket_width = TWO_PI / spec.rotation_degrees
+        theta = (view_id // spec.views_per_degree + rng.uniform()) * bucket_width
+        phi = rng.uniform(0.0, TWO_PI)
+        lambda1 = rng.uniform(SCALE_LOW, SCALE_HIGH)
+        lambda2 = rng.uniform(SCALE_LOW, SCALE_HIGH)
+        deform = AffineDeform(theta, phi, lambda1, lambda2, tx=cx, ty=cy)
     mask = layout = None
     if classes is not None:
         centers, keep = _window_layout(deform, classes, img.width, img.height)
@@ -163,6 +158,7 @@ def _render(img: GrayImage, view_id: int, deform: AffineDeform,
         windows, kept = _windows(mask, centers[keep], classes.margin, writeable=True)
         windows[kept] = True
     rendered = warp_image(img, deform, img.width, img.height, mask=mask)
+    sigma = spec.noise_sigma if stream == STREAM_TEST else 0.0
     if sigma > 0:
         rendered = add_noise(rendered, sigma, rng)
     return View(view_id, deform, rendered, sigma, layout)
@@ -179,7 +175,7 @@ def _views(
     view draws the same full-frame noise field either way.
     """
     for i in range(_view_count(spec, stream)):
-        yield _render(img, *_view_params(img, spec, seed, stream, i), classes)
+        yield _render(img, spec, seed, stream, i, classes)
 
 
 def test_views(
@@ -188,6 +184,7 @@ def test_views(
     """Render test views as full frames: full-range deforms plus additive
     noise. Views render on one thread, so ``threads`` must be 1."""
     checked_image(img)
+    checked_kind(spec, DatasetSpec, "spec")
     checked_count(threads, "threads", low=1, high=1)
     return _views(img, spec, seed, STREAM_TEST, None)
 
@@ -201,11 +198,12 @@ def protocol_view(
     ``deform``, that view rendered with ``deform`` in place of the drawn one
     (a test view keeps its noise)."""
     checked_image(img)
+    checked_kind(spec, DatasetSpec, "spec")
     if not isinstance(view_id, numbers.Integral) or isinstance(view_id, bool):
         raise InvalidArgument(f"view id must be an integer, got {view_id!r}")
     if not 0 <= view_id < _view_count(spec, stream):
         raise InvalidArgument(f"view id {view_id} beyond the protocol's view count")
-    return _render(img, *_view_params(img, spec, seed, stream, view_id, deform))
+    return _render(img, spec, seed, stream, view_id, deform=deform)
 
 
 def extract_patches(view: View, classes: ClassSet) -> tuple[np.ndarray, np.ndarray]:
@@ -220,6 +218,7 @@ def extract_patches(view: View, classes: ClassSet) -> tuple[np.ndarray, np.ndarr
     view carries the layout it was rendered for, which is reused when it was
     made for the same ``classes``.
     """
+    checked_kind(classes, ClassSet, "classes")
     layout = view.layout
     if layout is not None and layout[0] is classes:
         centers, keep = layout[1:]
@@ -236,14 +235,22 @@ def _blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The training or test protocol as one read-only (k, p, p) patch block
     and its k labels per view, cropped by ``extract_patches``, which
-    ``sample_batches`` stacks without a per-patch object."""
+    ``sample_batches`` stacks without a per-patch object. The image, classes
+    and spec are checked at call time, before any view renders."""
+    checked_image(img)
+    checked_kind(classes, ClassSet, "classes")
+    checked_kind(spec, DatasetSpec, "spec")
     return (extract_patches(view, classes) for view in _views(img, spec, seed, stream, classes))
 
 
-def _pairs(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> Iterator[tuple[np.ndarray, int]]:
-    """The per-patch flattening of blocks: each zero-copy row and its int label."""
-    for patches, labels in blocks:
-        yield from zip(patches, labels.tolist())
+def _pairs(
+    img: GrayImage, classes: ClassSet, spec: DatasetSpec, seed: int, threads: int, stream: int,
+) -> Iterator[tuple[np.ndarray, int]]:
+    """The per-patch flattening of ``_blocks``: each zero-copy row and its
+    int label. Views render on one thread, so ``threads`` must be 1."""
+    checked_count(threads, "threads", low=1, high=1)
+    blocks = _blocks(img, classes, spec, seed, stream)
+    return chain.from_iterable(zip(patches, labels.tolist()) for patches, labels in blocks)
 
 
 def generate_training_set(
@@ -251,9 +258,7 @@ def generate_training_set(
 ) -> Iterator[tuple[np.ndarray, int]]:
     """(patch, label) pairs of the rotation-bucketed training protocol, each
     patch a read-only (p, p) row of its view's block."""
-    checked_image(img)
-    checked_count(threads, "threads", low=1, high=1)
-    return _pairs(_blocks(img, classes, spec, seed, STREAM_TRAIN))
+    return _pairs(img, classes, spec, seed, threads, STREAM_TRAIN)
 
 
 def generate_test_set(
@@ -261,9 +266,7 @@ def generate_test_set(
 ) -> Iterator[tuple[np.ndarray, int]]:
     """(patch, label) pairs of noisy views with independent full-range
     deformations, each patch a read-only (p, p) row of its view's block."""
-    checked_image(img)
-    checked_count(threads, "threads", low=1, high=1)
-    return _pairs(_blocks(img, classes, spec, seed, STREAM_TEST))
+    return _pairs(img, classes, spec, seed, threads, STREAM_TEST)
 
 
 def sample_batches(

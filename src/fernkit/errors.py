@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the input rules that
 raise them: one rule each for counts, patch sizes, real numbers, noise
-deviations, arrays, file contents and random sources, which the library
-and the command line both check."""
+deviations, arrays, file contents, random sources and an argument's kind,
+which the library and the command line both check."""
 
 import math
 import numbers
@@ -68,6 +68,13 @@ def checked_count(n, name: str, low: int = 0, high: int | None = None) -> int:
         rule = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise InvalidArgument(f"{name} must be an integer {rule}, got {n!r}")
     return int(n)
+
+
+def checked_kind(value, kind: type, name: str):
+    """``value`` if it is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise InvalidArgument(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def checked_array(values, name: str) -> np.ndarray:

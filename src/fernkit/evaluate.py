@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,9 +19,9 @@ from .dataset import (
     derive_rng,
     sample_batches,
 )
-from .errors import EmptyTestSet, InvalidArgument, checked_count
+from .errors import EmptyTestSet, InvalidArgument, checked_count, checked_kind
 from .ferns import DEFAULT_FERN_SIZE, Combination, FernModel, train_models
-from .image import GrayImage, checked_image
+from .image import GrayImage
 from .keypoints import ClassSet
 from .trees import TreeForest
 
@@ -69,14 +69,7 @@ class EvalRecord:
             raise InvalidArgument("a valid record needs patches_evaluated > 0")
 
     def csv_row(self) -> list[str]:
-        return [
-            self.method,
-            str(self.units),
-            repr(self.recognition_rate),
-            str(self.patches_evaluated),
-            repr(self.classify_ns_per_patch),
-            str(self.seed),
-        ]
+        return [repr(v) if isinstance(v, float) else str(v) for v in astuple(self)]
 
 
 def materialize(samples: Iterable) -> tuple[np.ndarray, np.ndarray]:
@@ -107,12 +100,31 @@ def record(method: Method, model, patches, labels, seed: int) -> EvalRecord:
     return EvalRecord(method.value, units, rate, int(labels.size), ns, seed)
 
 
-def _fit_and_test(models, img, classes, spec, seed):
-    """Train ``models`` in one pass over the protocol's training blocks and
-    return its test set, materialized once for every record to share."""
+def _protocol_records(img, classes, spec, methods, unit_counts, seed, fern_size):
+    """Each method's record at each unit count, from one protocol run.
+
+    The streams are made first, so the image, classes and spec are checked
+    before one model per distinct ``Method.kind`` is drawn at the largest
+    count, in method order from one rng. All are trained in one pass over
+    the training blocks and every record is scored on one materialized test
+    set; a smaller count scores a prefix, which equals a model built with
+    that many units from the same seed, so all records share their draws.
+    """
     protocol = (img, classes, spec, seed)
-    train_models(models, _blocks(*protocol, STREAM_TRAIN))
-    return materialize(_blocks(*protocol, STREAM_TEST))
+    train, test = _blocks(*protocol, STREAM_TRAIN), _blocks(*protocol, STREAM_TEST)
+    top = max(unit_counts)
+    rng = derive_rng(seed, STREAM_MODEL)
+    kinds = dict.fromkeys(method.kind for method in methods)
+    models = {kind: kind.random(classes, top, fern_size, rng) for kind in kinds}
+    train_models(tuple(models.values()), train)
+    patches, labels = materialize(test)
+    records = []
+    for method in methods:
+        model = models[method.kind]
+        for k in unit_counts:
+            sub = model if k == top else model.truncated(k)
+            records.append(record(method, sub, patches, labels, seed))
+    return records
 
 
 def sweep_units(
@@ -124,25 +136,13 @@ def sweep_units(
     seed: int,
     fern_size: int = DEFAULT_FERN_SIZE,
 ) -> list[EvalRecord]:
-    """Rate versus unit count, trained once at the maximum and truncated.
-
-    Evaluating prefixes of one trained model keeps every point of the curve
-    on identical randomness; prefix k of the big model equals a model built
-    with k units from the same seed.
-    """
-    checked_image(img)
+    """Rate versus unit count, trained once at the maximum and truncated,
+    so every point of the curve is on identical randomness."""
+    checked_kind(method, Method, "method")
     unit_counts = [checked_count(k, "unit count", low=1) for k in unit_counts]
     if not unit_counts:
         raise InvalidArgument("unit_counts must hold one or more counts")
-    top = max(unit_counts)
-    rng = derive_rng(seed, STREAM_MODEL)
-    model = method.kind.random(classes, top, fern_size, rng)
-    patches, labels = _fit_and_test((model,), img, classes, spec, seed)
-    records = []
-    for k in unit_counts:
-        sub = model if k == top else model.truncated(k)
-        records.append(record(method, sub, patches, labels, seed))
-    return records
+    return _protocol_records(img, classes, spec, (method,), unit_counts, seed, fern_size)
 
 
 def compare_methods(
@@ -154,25 +154,11 @@ def compare_methods(
     fern_size: int = DEFAULT_FERN_SIZE,
     threads: int = 1,
 ) -> list[EvalRecord]:
-    """The four-way comparison: {ferns, trees} x {Naive-Bayes, averaging}.
-
-    Both structures train in a single pass over one training stream and are
-    scored on one materialized test set, so all four records share their
-    randomness byte for byte. Views render on one thread, so ``threads``
-    must be 1.
-    """
-    checked_image(img)
+    """The four-way comparison: {ferns, trees} x {Naive-Bayes, averaging},
+    all four records on one protocol run. Views render on one thread, so
+    ``threads`` must be 1."""
     checked_count(threads, "threads", low=1, high=1)
-    rng = derive_rng(seed, STREAM_MODEL)
-    ferns = FernModel.random(classes, units, fern_size, rng)
-    forest = TreeForest.random(classes, units, fern_size, rng)
-    patches, labels = _fit_and_test((ferns, forest), img, classes, spec, seed)
-    return [
-        record(Method.FERN_NB, ferns, patches, labels, seed),
-        record(Method.FERN_AVG, ferns, patches, labels, seed),
-        record(Method.TREE_NB, forest, patches, labels, seed),
-        record(Method.TREE_AVG, forest, patches, labels, seed),
-    ]
+    return _protocol_records(img, classes, spec, tuple(Method), (units,), seed, fern_size)
 
 
 def write_records_csv(records: Iterable[EvalRecord], fileobj) -> None:

@@ -32,6 +32,7 @@ from .errors import (
     checked_array,
     checked_bytes,
     checked_count,
+    checked_kind,
     checked_patch_size,
     checked_rng,
     is_finite,
@@ -257,8 +258,7 @@ class LeafModel:
     @classmethod
     def _checked(cls, classes: ClassSet, combination: Combination | None) -> Combination:
         """``combination`` (None: the class's default), if it and ``classes`` are valid."""
-        if not isinstance(classes, ClassSet):
-            raise InvalidArgument(f"classes must be a ClassSet, got {classes!r}")
+        checked_kind(classes, ClassSet, "classes")
         if classes.patch_size > MAX_PATCH_SIZE:
             raise InvalidArgument(f"patch size {classes.patch_size} exceeds {MAX_PATCH_SIZE}")
         if combination is None:
@@ -295,8 +295,7 @@ class LeafModel:
         A class total past 2^64 - 1 raises InvalidArgument before any write.
         """
         leaves = self.leaf_indices(patches)  # (N, U)
-        units = np.arange(leaves.shape[1]) * self.num_leaves
-        cells = (units + leaves) * self.num_classes + labels[:, None]
+        cells = (self._unit_rows + leaves) * self.num_classes + labels[:, None]
         # one sort for the whole chunk instead of one np.add.at per unit
         cells, hits = np.unique(cells, return_counts=True)
         # unit 0's (leaves, H) sum gives the class totals; int64 would wrap u64's
@@ -322,10 +321,13 @@ class LeafModel:
         is the one place that drops the tables built on first read. Totals
         are summed in the narrowest integers that hold them exactly
         (``_total_dtype``): a float64 sum's values at a fraction of its cost.
+        Where a float64 sum may round, unequal totals could sum alike, so
+        they are compared as exact Python ints.
         """
         acc = _total_dtype(self._counts.dtype, self.num_leaves)
         totals = self._counts.sum(axis=1, dtype=acc)  # (U, H)
-        if np.any(totals != totals[0]):
+        exact = self._counts.sum(axis=1, dtype=object) if acc == np.float64 else totals
+        if np.any(exact != exact[0]):
             raise InvalidArgument("per-class sample totals disagree across units")
         self._denominators = totals[0].astype(np.float64)
         self._denominators += float(self.num_leaves)

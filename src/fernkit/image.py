@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (
     InvalidArgument, ParseError, UnsupportedFormat, checked_array, checked_bytes, checked_count,
-    checked_rng, checked_sigma, is_finite,
+    checked_kind, checked_rng, checked_sigma, is_finite,
 )
 
 # Fill value for samples that fall outside the source image. Mid-gray, so
@@ -95,9 +95,7 @@ class GrayImage:
 
 def checked_image(img, name: str = "img") -> GrayImage:
     """``img`` if it is a GrayImage."""
-    if not isinstance(img, GrayImage):
-        raise InvalidArgument(f"{name} must be a GrayImage, got {type(img).__name__}")
-    return img
+    return checked_kind(img, GrayImage, name)
 
 
 @dataclass(frozen=True)
@@ -314,7 +312,10 @@ def warp_image(
             raise InvalidArgument(f"mask must be a boolean {out_h}x{out_w} array")
     inv = d._inverse
     cx, cy = (out_w - 1) / 2.0, (out_h - 1) / 2.0
-    out = np.full(out_h * out_w, BACKGROUND, dtype=np.uint8)
+    try:
+        out = np.full(out_h * out_w, BACKGROUND, dtype=np.uint8)
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+        raise InvalidArgument(f"cannot allocate a {out_w}x{out_h} view") from None
     padded = src._edge_padded
     size = min(PIXEL_BLOCK, out.size)
     scratch = _scratch(size)

@@ -211,6 +211,20 @@ WRONG_KIND += [
     ("compare-pixels", lambda: compare_methods(PIXELS, CLASSES, SPEC, 1, 0, fern_size=2)),
 ]
 
+# every entry point that takes a spec, classes or a method checks its kind at
+# call time, a generator's included, before any draw or render
+VIEW = dataset.protocol_view(IMAGE, SPEC, 1, STREAM_TEST, 0)
+WRONG_KIND += [
+    ("sweep-method-str", lambda: sweep_units(IMAGE, CLASSES, SPEC, "FernNB", [1], 1)),
+    ("sweep-spec-none", lambda: sweep_units(IMAGE, CLASSES, None, Method.FERN_NB, [1], 1, 2)),
+    ("compare-spec-none", lambda: compare_methods(IMAGE, CLASSES, None, 2, 1)),
+    ("protocol-view-spec-none", lambda: dataset.protocol_view(IMAGE, None, 1, STREAM_TEST, 0)),
+    ("training-set-classes-none", lambda: dataset.generate_training_set(IMAGE, None, SPEC, 1)),
+    ("test-set-spec-none", lambda: dataset.generate_test_set(IMAGE, CLASSES, None, 1)),
+    ("test-views-spec-str", lambda: dataset.test_views(IMAGE, "x", 1)),
+    ("extract-classes-none", lambda: dataset.extract_patches(VIEW, None)),
+]
+
 # every entry point that draws takes a numpy Generator and nothing else
 DRAWS = [
     ("random-tests", partial(random_tests, 4, 5)),

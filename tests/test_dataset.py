@@ -91,7 +91,7 @@ def rendered(img, spec, seed, stream, deforms, classes=None):
     """The views of ``stream`` with ``deforms`` in place of the drawn ones,
     rendered as its iterator renders them (only kept windows with ``classes``)."""
     return [
-        dataset._render(img, *dataset._view_params(img, spec, seed, stream, i, d), classes)
+        dataset._render(img, spec, seed, stream, i, classes, d)
         for i, d in enumerate(deforms)
     ]
 

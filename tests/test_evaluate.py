@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fernkit import (
     GrayImage,
     InvalidArgument,
     Method,
+    TreeForest,
     compare_methods,
     recognition_rate,
     sweep_units,
@@ -20,6 +22,7 @@ from fernkit import dataset, write_pgm
 from fernkit.cli import main
 from fernkit.dataset import STREAM_MODEL, derive_rng, generate_test_set
 from fernkit.evaluate import CSV_HEADER, materialize, record, write_records_csv
+from fernkit.ferns import train_models
 
 from support import cached, random_patches, rate_oracle
 
@@ -172,6 +175,23 @@ class TestCompareMethods:
         assert len({r.patches_evaluated for r in records}) == 1
         assert all(r.units == 4 for r in records)
 
+    def test_records_equal_hand_built_models(self, texture_small, small_classes):
+        """Ferns, then the forest, from one rng, trained in one pass and
+        scored on one materialized test set: the draw order compare keeps."""
+        spec, seed = DatasetSpec(1, 12, test_views=6), 4
+        records = compare_methods(texture_small, small_classes, spec, 3, seed, fern_size=4)
+        rng = derive_rng(seed, STREAM_MODEL)
+        ferns = FernModel.random(small_classes, 3, 4, rng)
+        forest = TreeForest.random(small_classes, 3, 4, rng)
+        protocol = (texture_small, small_classes, spec, seed)
+        train_models((ferns, forest), dataset._blocks(*protocol, dataset.STREAM_TRAIN))
+        patches, labels = materialize(dataset._blocks(*protocol, dataset.STREAM_TEST))
+        models = [ferns, ferns, forest, forest]
+        want = [record(m, model, patches, labels, seed) for m, model in zip(Method, models)]
+        # the timing is the one field two runs may differ in
+        untimed = [replace(r, classify_ns_per_patch=0.0) for r in (*records, *want)]
+        assert untimed[:4] == untimed[4:]
+
     def test_rerun_identical(self, texture_small, small_classes):
         spec = DatasetSpec(1, 20, test_views=15)
         a = compare_methods(texture_small, small_classes, spec, 3, 8, fern_size=4)
@@ -202,6 +222,10 @@ class TestViewBlockCallers:
 
 
 class TestCsv:
+    def test_row_is_the_fields_floats_by_repr(self):
+        row = EvalRecord("FernNB", 3, 0.5, 7, 12.25, 4).csv_row()
+        assert row == ["FernNB", "3", "0.5", "7", "12.25", "4"]
+
     def test_header_and_parse(self):
         records = [
             EvalRecord("FernNB", 5, 0.75, 100, 1234.5, 42),

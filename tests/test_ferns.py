@@ -861,6 +861,20 @@ class TestTotalsCheck:
         with pytest.raises(CorruptModel, match="totals disagree"):
             FernModel.load(bytes(data))
 
+    def test_u64_totals_a_float64_sum_rounds_alike_are_compared_exactly(self):
+        # unit 0's class-0 total is 2^60 and unit 1's 2^60 + 1: equal in float64
+        counts = np.zeros((2, 2, 2), np.uint64)
+        counts[:, 0, 0] = 2**60
+        classes, tests = ClassSet([[10, 10], [30, 30]], 9), [[[1, 0, -1, 0]], [[0, 1, 0, -1]]]
+        data = bytearray(FernModel(classes, tests, None, counts).save())
+        counts[1, 1, 0] = 1
+        with pytest.raises(InvalidArgument, match="totals disagree"):
+            FernModel(classes, tests, None, counts)
+        start, width = count_section(data, FernModel.load(bytes(data)))
+        data[start + 6 * width] = 1  # unit 1, leaf 1, class 0
+        with pytest.raises(CorruptModel, match="totals disagree"):
+            FernModel.load(bytes(data))
+
 
 class TestNarrowCounts:
     """A loaded model holds the file's narrow counts, and ``counts`` reads

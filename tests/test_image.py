@@ -255,6 +255,11 @@ class TestWarp:
         fwd = warp_points(d, 50, 40, pts)
         assert np.allclose(unwarp_points(d, 50, 40, fwd), pts, atol=1e-9)
 
+    def test_view_past_numpys_size_limit_is_an_invalid_argument(self, texture_small):
+        # only a size numpy refuses outright: a merely large one would allocate
+        with pytest.raises(InvalidArgument, match="^cannot allocate a"):
+            warp_image(texture_small, AffineDeform(0, 0, 1, 1), 2**40, 2**40)
+
     def test_inverse_deform_matrix_is_matrix_inverse(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
